@@ -2,11 +2,11 @@
 two-sided evaluation with slack accounting.
 
 Every member computes its left and right side exactly as displayed, using
-the kernel modules. Sampled suprema (numerical radii) are refined lower
-bounds; sampled infima inside subtracted refinement terms are upper
-estimates, which only shrink the right side, so a pass is a sound
-certificate and a failure escalates to a 10x re-sample before being
-reported Inconclusive.
+the kernel modules. Numerical radii are attained lower bounds, which are
+safe on the right of a link and lenient on its left by at most the radius
+enclosure's width; sampled infima inside subtracted refinement terms are
+upper estimates, which only shrink the right side, and a failure there
+escalates to a 10x re-sample before being reported Inconclusive.
 """
 
 from __future__ import annotations
@@ -119,16 +119,14 @@ POINTWISE_MEMBERS = frozenset(
 
 @dataclass(frozen=True)
 class EvalOptions:
-    """Numeric knobs for the evaluators (radius sweep resolution)."""
+    """Numeric knobs for the evaluators: the radius enclosure's relative gap."""
 
-    radius_grid: int = 720
     radius_tol: float = 1e-10
 
 
 DEFAULT_OPTIONS = EvalOptions()
-# Suite preset: coarser sweep, refined to an angle width whose value error
-# sits far below the certification tolerance at desk scale.
-SUITE_OPTIONS = EvalOptions(radius_grid=64, radius_tol=1e-6)
+# Suite preset: a radius gap far below the certification tolerance.
+SUITE_OPTIONS = EvalOptions(radius_tol=1e-12)
 
 
 @dataclass
@@ -200,7 +198,7 @@ class CheckResult:
 
 
 def _w(A, options: EvalOptions) -> RadiusResult:
-    return numerical_radius(A, grid=options.radius_grid, tol=options.radius_tol)
+    return numerical_radius(A, tol=options.radius_tol)
 
 
 def _psd_ok(H, name, conditions, invertible=False):
@@ -267,7 +265,7 @@ def _chain(ineq, hyp, links, details, semantics, witness=None):
     return ineq, float(lhs), float(rhs), details, semantics, witness
 
 
-_W_NOTE = "numerical radius: angle-sweep refined lower bound of the supremum"
+_W_NOTE = "numerical radius: attained lower bound of a support-line enclosure"
 _INF_NOTE = "subtracted infimum: sampled upper estimate; computed rhs <= true rhs (stricter test)"
 
 
@@ -707,7 +705,7 @@ def _ev_euclidean_sandwich(inst, options, hyp):
         ("sqrt2 |sharp| <= w_e", math.sqrt(2.0) * norm_hermitian(G), we),
         ("w_e <= sqrt norm", we, upper),
     ]
-    sem = ["w_e: support-sweep refined lower bound (attained by unit vectors)"]
+    sem = ["w_e: attained lower bound, as w(A + iB) of the Hermitian pair"]
     return _chain(InequalityId.EUCLIDEAN_SANDWICH, hyp, links, {"w_e": we}, sem)
 
 

@@ -111,7 +111,7 @@ def _cmd_certify(args):
     ensemble = EnsembleSpec(dim=args.dim, kind="generic", scale=1.0, seed=args.seed)
     try:
         report = run_suite(ids, ensemble, args.trials, tol_rel=args.tol, options=SUITE_OPTIONS)
-    except BudgetExhausted as exc:
+    except NumradError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for line in report.summary_lines():
@@ -166,13 +166,14 @@ def _cmd_radius(args):
     print(f"w(A)        = {res.value:.12g}")
     print(f"||A||       = {nrm:.12g}")
     print(f"theta*      = {res.theta_star:.12g}")
-    print(f"refinement  = {res.refinement_width:.3g}")
+    print(f"upper       = {res.upper:.12g}")
+    print(f"gap         = {res.refinement_width:.3g}")
     print("witness     = [" + ", ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in res.witness) + "]")
     slack_lo = res.value - nrm / 2
     slack_hi = nrm - res.value
     ok = slack_lo >= -1e-8 * (1 + nrm) and slack_hi >= -1e-8 * (1 + nrm)
     print(f"sandwich ||A||/2 <= w <= ||A||: {'OK' if ok else 'FAIL'} (slacks {slack_lo:.3g}, {slack_hi:.3g})")
-    return 0
+    return 0 if ok else 2
 
 
 def _instance_document(ineq, inst, result):
@@ -236,7 +237,7 @@ def _cmd_search(args):
 
     try:
         inst, result = satisfying_instance()
-    except BudgetExhausted as exc:
+    except NumradError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     best = (inst, result)
@@ -247,6 +248,9 @@ def _cmd_search(args):
                 inst, result = satisfying_instance()
             except BudgetExhausted:
                 break
+            except NumradError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
         sigma = 0.1
         for _ in range(30):
             cand = _perturbed(inst, rng, sigma)
@@ -266,11 +270,6 @@ def _cmd_search(args):
         if result.slack < best[1].slack:
             best = (inst, result)
     inst, result = best
-    if ineq not in INCONCLUSIVE_CAPABLE:
-        assert result.status is not Status.VIOLATED, (
-            f"{ineq.value}: slack {result.slack} went negative on a theorem member; "
-            "this indicates an implementation bug"
-        )
     out_path = args.out or f"{ineq.value}-min-slack.json"
     import json
 
@@ -279,6 +278,13 @@ def _cmd_search(args):
         fh.write("\n")
     print(f"{ineq.value}: min slack {result.slack:.6g} (status {result.status.value}) after {args.restarts} restarts")
     print(f"instance written to {out_path}")
+    if result.status is Status.VIOLATED and ineq not in INCONCLUSIVE_CAPABLE:
+        print(
+            f"error: {ineq.value}: slack {result.slack} went negative on a theorem member; "
+            "this indicates an implementation bug",
+            file=sys.stderr,
+        )
+        return 2
     return 0
 
 

@@ -21,11 +21,21 @@ def dumps_matrix(A) -> str:
     return json.dumps(matrix_to_dict(A), indent=1) + "\n"
 
 
+def _is_finite_number(x):
+    """A JSON number that is a finite float (JSON booleans parse as ints)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer literal beyond the float range
+        return False
+
+
 def matrix_from_dict(doc) -> np.ndarray:
     if not isinstance(doc, dict) or "dim" not in doc or "rows" not in doc:
         raise MatrixFormatError("document must carry 'dim' and 'rows' fields")
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise MatrixFormatError(f"'dim' must be a positive integer, got {dim!r}")
     rows = doc["rows"]
     if not isinstance(rows, list) or len(rows) != dim:
@@ -38,7 +48,7 @@ def matrix_from_dict(doc) -> np.ndarray:
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise MatrixFormatError(f"entry ({i},{j}) must be a [re, im] pair")
             re, im = entry
-            if not all(isinstance(x, (int, float)) and math.isfinite(x) for x in (re, im)):
+            if not all(_is_finite_number(x) for x in (re, im)):
                 raise MatrixFormatError(f"entry ({i},{j}) must hold finite numbers")
             out[i, j] = complex(re, im)
     return out

@@ -1,22 +1,25 @@
-"""Numerical radius via the rotation-angle sweep, the Euclidean radius of a
+"""Numerical radius by a support-line enclosure, the Euclidean radius of a
 pair, and the generic sampled optimizer over the complex unit sphere.
 
-The sweep uses the identity  w(A) = max_theta lambda_max((e^{i theta} A +
-e^{-i theta} A*) / 2): every grid evaluation is a Hermitian eigenvalue
-problem, and grid-local maxima are refined to a target angle width.
-Sampled suprema are certified lower bounds (each reported value is attained
-by the returned witness vector).
+The enclosure uses the identity  w(A) = max_theta lambda_max((e^{i theta} A
++ e^{-i theta} A*) / 2): every angle is a Hermitian eigenvalue problem whose
+top eigenvector attains a lower bound and whose eigenvalue gives a support
+line, and the lines' outer polygon gives an upper bound. Sampled suprema are
+certified lower bounds (each reported value is attained by the returned
+witness vector).
 """
 
 from __future__ import annotations
 
+import cmath
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import EPS_HERM, as_matrix, hermitian_part, operator_norm
+from .linalg import EPS_HERM, as_matrix, hermitian_part
 
 _TWO_PI = 2.0 * np.pi
 
@@ -78,17 +81,27 @@ class SphereSampler:
 
 @dataclass(frozen=True)
 class RadiusResult:
-    """Outcome of a numerical-radius computation.
+    """Outcome of a numerical-radius computation: w(A) lies in [value, upper].
 
-    ``value`` is attained (up to eigensolver roundoff) by ``witness``;
-    ``refinement_width`` bounds how much the reported value may understate
-    the true supremum due to the finite refinement width.
+    ``value`` is attained (up to eigensolver roundoff) by ``witness``, so it
+    is a lower bound; ``upper`` is the farthest vertex of an outer polygon of
+    support lines, padded for eigenvalue roundoff, so it is an upper bound.
     """
 
     value: float
     theta_star: float
     witness: np.ndarray
-    refinement_width: float
+    upper: float
+
+    @property
+    def refinement_width(self) -> float:
+        """Width of the enclosure, ``upper - value``."""
+        return self.upper - self.value
+
+
+# Cut cap: when W(A) is a disk the polygon gap falls only like
+# pi^2 w / (2 m^2) over m lines, although ``value`` is exact from the start.
+_MAX_CUTS = 64
 
 
 def _rotated_stack(A, thetas):
@@ -96,174 +109,69 @@ def _rotated_stack(A, thetas):
     return (ph[:, None, None] * A + np.conj(ph)[:, None, None] * A.conj().T) / 2
 
 
-def _local_max_indices(vals):
-    prev = np.roll(vals, 1)
-    nxt = np.roll(vals, -1)
-    mask = ((vals > prev) & (vals >= nxt)) | ((vals >= prev) & (vals > nxt))
-    return np.where(mask)[0]
+def _corner(t1, h1, t2, h2):
+    """Corner of the support lines Re(e^{it} z) = h at angles t1 < t2 < t1 + pi.
 
-
-def _lam2(A, th):
-    """Closed-form top eigenvalue of the rotated Hermitian part, 2x2 only."""
-    e = np.exp(1j * th)
-    p = (e * A[0, 0]).real
-    s = (e * A[1, 1]).real
-    q = (e * A[0, 1] + np.conj(e * A[1, 0])) / 2
-    mid = (p + s) / 2
-    rad = np.sqrt(((p - s) / 2) ** 2 + np.abs(q) ** 2)
-    return mid + rad
-
-
-def _zoom_scalar(fn, centers, half, tol, points=12):
-    """Vectorized bracket zoom for a cheap scalar function of the angle."""
-    centers = np.asarray(centers, dtype=float)
-    half = float(half)
-    offsets = np.linspace(-1.0, 1.0, points)
-    best_t = centers.copy()
-    best_v = fn(centers)
-    while half > tol:
-        grid = best_t[:, None] + half * offsets[None, :]
-        vals = fn(grid.ravel()).reshape(grid.shape)
-        arg = np.argmax(vals, axis=1)
-        rows = np.arange(grid.shape[0])
-        best_t = grid[rows, arg]
-        best_v = vals[rows, arg]
-        half *= 2.0 / (points - 1)
-    k = int(np.argmax(best_v))
-    return best_t[k], float(best_v[k]), half
-
-
-def _lam_dlam(A, t):
-    """Top eigenvalue of the rotated Hermitian part and its angle derivative."""
-    e = np.exp(1j * t)
-    H = (e * A + np.conj(e) * A.conj().T) / 2
-    lam, V = np.linalg.eigh((H + H.conj().T) / 2)
-    x = V[:, -1]
-    c = np.vdot(x, A @ x)
-    return float(lam[-1]), float(-np.imag(e * c))
-
-
-def _refine_bracket(A, lo, hi, d_lo, d_hi, tol, seed=None, budget=60):
-    """Shrink a derivative sign-change bracket; returns (theta, value, width).
-
-    Illinois-damped false position on the angle derivative, maintaining
-    d(lo) >= 0 >= d(hi). Every evaluated angle yields an attained eigenvalue,
-    so the returned value is a valid lower bound regardless of where the
-    iteration stops.
+    Returns its distance from 0 and the angle step from t1 to the line
+    whose normal points at it.
     """
-    best_t, best_v = seed if seed is not None else (lo, -np.inf)
-    side = 0
-    for _ in range(budget):
-        if hi - lo <= tol:
-            break
-        denom = d_lo - d_hi
-        t_new = (d_lo * hi - d_hi * lo) / denom if denom > 0.0 else 0.5 * (lo + hi)
-        if not lo < t_new < hi:
-            t_new = 0.5 * (lo + hi)
-        v_new, d_new = _lam_dlam(A, t_new)
-        if v_new > best_v:
-            best_t, best_v = t_new, v_new
-        if d_new > 0.0:
-            lo, d_lo = t_new, d_new
-            if side == 1:
-                d_hi *= 0.5
-            side = 1
-        else:
-            hi, d_hi = t_new, d_new
-            if side == -1:
-                d_lo *= 0.5
-            side = -1
-    return best_t, best_v, hi - lo
+    d = t2 - t1
+    s = (h1 * math.cos(d) - h2) / math.sin(d)
+    return math.hypot(h1, s), math.atan2(-s, h1)
 
 
-def numerical_radius(A, grid=720, tol=1e-10) -> RadiusResult:
-    """Numerical radius by angle sweep plus local refinement.
+def numerical_radius(A, grid=16, tol=1e-10) -> RadiusResult:
+    """Numerical radius by a two-sided support-line enclosure.
 
-    ``grid`` (>= 16) sets the initial uniform angle grid; every grid-local
-    maximum is refined down to angle width ``tol``. The winning angle's top
-    eigenvector is returned as the witness.
+    Each angle t gives the support line Re(e^{it} z) <= h(t) of W(A), with
+    h(t) = lambda_max((e^{it} A + e^{-it} A*) / 2), and its top eigenvector
+    x gives the boundary point x*Ax. The lines bound W(A) by a polygon whose
+    farthest vertex is an upper bound (Johnson 1978); max |x*Ax| is the
+    attained lower bound. Starting from ``grid`` (>= 16) uniform angles, one
+    line is cut at the farthest vertex until the gap is at most ``tol``
+    relative to the upper bound (Uhlig 2009), or a fixed cut cap is reached.
     """
     A = as_matrix(A)
     if grid < 16:
         raise ValueError("grid must be at least 16")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n = A.shape[0]
-    if n == 1:
-        a = complex(A[0, 0])
-        theta = float(-np.angle(a)) % _TWO_PI if a != 0 else 0.0
-        return RadiusResult(abs(a), theta, np.array([1.0 + 0j]), 0.0)
-
-    if n == 2:
-        G = max(int(grid), 256)
-        th = np.linspace(0.0, _TWO_PI, G, endpoint=False)
-        vals = _lam2(A, th)
-        spread = vals.max() - vals.min()
-        if spread <= 1e-15 * (1.0 + abs(vals.max())):
-            t_star, width = float(th[int(np.argmax(vals))]), 0.0
-            value = float(vals.max())
-        else:
-            locs = _local_max_indices(vals)
-            h = _TWO_PI / G
-            order = np.argsort(vals[locs])[::-1][:10]
-            t_star, value, width = _zoom_scalar(lambda t: _lam2(A, t), th[locs[order]], h, tol)
-    else:
-        G = int(grid)
-        th = np.linspace(0.0, _TWO_PI, G, endpoint=False)
-        vals = np.linalg.eigvalsh(_rotated_stack(A, th))[:, -1]
-        spread = vals.max() - vals.min()
-        if spread <= 1e-15 * (1.0 + abs(vals.max())):
-            t_star, width = float(th[int(np.argmax(vals))]), 0.0
-            value = float(vals.max())
-        else:
-            h = _TWO_PI / G
-            lip = operator_norm(A)
-            locs = _local_max_indices(vals)
-            locs = locs[np.argsort(vals[locs])[::-1][:10]]
-            prev_vals = vals[(locs - 1) % G]
-            next_vals = vals[(locs + 1) % G]
-            # Lipschitz potential of each bracket, sharpened by the neighbors.
-            pots = np.maximum(vals[locs] + prev_vals, vals[locs] + next_vals) / 2 + lip * h / 2
-            t_star, value, width = float(th[locs[0]]), float(vals[locs[0]]), h
-            for k, pot in zip(locs, pots):
-                if pot < value:
-                    continue
-                lo, hi = th[k] - h, th[k] + h
-                v_mid, d_mid = _lam_dlam(A, th[k])
-                seed = (float(th[k]), v_mid)
-                bracket = None
-                if d_mid >= 0.0:
-                    v_hi, d_hi = _lam_dlam(A, hi)
-                    if d_hi <= 0.0:
-                        bracket = (th[k], hi, d_mid, d_hi)
-                else:
-                    v_lo, d_lo = _lam_dlam(A, lo)
-                    if d_lo >= 0.0:
-                        bracket = (lo, th[k], d_lo, d_mid)
-                if bracket is not None:
-                    t_b, v_b, w_b = _refine_bracket(A, *bracket, tol, seed=seed)
-                else:
-                    t_b, v_b, w_b = _zoom_scalar(
-                        lambda t: np.linalg.eigvalsh(_rotated_stack(A, np.atleast_1d(t)))[:, -1],
-                        np.array([th[k]]),
-                        h,
-                        tol,
-                        points=8,
-                    )
-                    if v_mid > v_b:
-                        t_b, v_b = float(th[k]), v_mid
-                if v_b > value:
-                    t_star, value, width = float(t_b), float(v_b), float(w_b)
-
-    t_star = float(t_star % _TWO_PI)
-    e = np.exp(1j * t_star)
-    H = hermitian_part(e * A)
-    lam, V = np.linalg.eigh(H)
-    value = max(float(value), float(lam[-1]))
-    witness = V[:, -1]
-    lip = operator_norm(A)
-    ref_width = max(0.5 * lip * width * width, 1e-13 * (1.0 + value))
-    return RadiusResult(value, t_star, witness, ref_width)
+    half = A / 2
+    half_h = half.conj().T
+    # Line k is Re(e^{i t_k} z) <= h_k; corner k joins lines k and k + 1.
+    # The last line repeats the first one turn on, so corners need no wrap.
+    thetas = [_TWO_PI * k / grid for k in range(grid + 1)]
+    lam, V = np.linalg.eigh(_rotated_stack(A, np.array(thetas[:-1])))
+    hs = lam[:, -1].tolist()
+    hs.append(hs[0])
+    X = V[:, :, -1]
+    mods = np.abs(np.einsum("ki,ij,kj->k", X.conj(), A, X))
+    best = int(np.argmax(mods))
+    lo, t_best, witness = float(mods[best]), thetas[best], X[best]
+    corners = [_corner(thetas[k], hs[k], thetas[k + 1], hs[k + 1]) for k in range(grid)]
+    for _ in range(_MAX_CUTS):
+        hi, step = max(corners)
+        if hi - lo <= tol * hi:
+            break
+        k = corners.index((hi, step))
+        t = thetas[k] + step
+        if not thetas[k] < t < thetas[k + 1]:  # the corner is resolved to roundoff
+            break
+        e = cmath.exp(1j * t)
+        lam, V = np.linalg.eigh(e * half + e.conjugate() * half_h)
+        h, x = float(lam[-1]), V[:, -1]
+        z = abs(np.vdot(x, A @ x))
+        if z > lo:
+            lo, t_best, witness = float(z), t, x
+        corners[k] = _corner(thetas[k], hs[k], t, h)
+        corners.insert(k + 1, _corner(t, h, thetas[k + 1], hs[k + 1]))
+        thetas.insert(k + 1, t)
+        hs.insert(k + 1, h)
+    hi = max(corners)[0]
+    # Each computed h is within a small multiple of n eps ||H|| of the true
+    # eigenvalue (backward stability), and ||H|| <= ||A||_F.
+    pad = A.shape[0] * np.finfo(float).eps * float(np.linalg.norm(A))
+    return RadiusResult(lo, t_best % _TWO_PI, witness, max(hi, lo) + pad)
 
 
 def _select_starts(X, vals, k_starts, overlap=0.9):
@@ -330,37 +238,11 @@ def sphere_inf(objective, n, sampler: SphereSampler):
     return -value, witness
 
 
-def _support_radius(A, B, phis):
-    """Boundary points of the joint numerical range of a Hermitian pair."""
-    stack = np.cos(phis)[:, None, None] * A + np.sin(phis)[:, None, None] * B
-    _, V = np.linalg.eigh(stack)
-    X = V[..., -1]
-    u = quad_forms(A, X).real
-    v = quad_forms(B, X).real
-    return np.hypot(u, v)
-
-
-def _euclidean_radius_hermitian(A, B, grid=180, tol=1e-6):
-    A = hermitian_part(A)
-    B = hermitian_part(B)
-    phis = np.linspace(0.0, _TWO_PI, grid, endpoint=False)
-    vals = _support_radius(A, B, phis)
-    spread = vals.max() - vals.min()
-    if spread <= 1e-15 * (1.0 + abs(vals.max())):
-        return float(vals.max())
-    locs = _local_max_indices(vals)
-    locs = locs[np.argsort(vals[locs])[::-1][:8]]
-    h = _TWO_PI / grid
-    _, value, _ = _zoom_scalar(lambda t: _support_radius(A, B, np.atleast_1d(t)), phis[locs], h, tol, points=8)
-    return float(max(value, vals.max()))
-
-
 def euclidean_radius(A, B, sampler: SphereSampler | None = None) -> float:
     """sup over unit x of sqrt(|<Ax,x>|^2 + |<Bx,x>|^2), as a lower bound.
 
-    Hermitian pairs are handled by a support-function sweep of the joint
-    numerical range (accurate to refinement width); general pairs fall back
-    to sampled sphere optimization.
+    Hermitian pairs are exact up to the enclosure tolerance, as w(A + iB);
+    general pairs fall back to sampled sphere optimization.
     """
     A = as_matrix(A)
     B = as_matrix(B)
@@ -375,7 +257,8 @@ def euclidean_radius(A, B, sampler: SphereSampler | None = None) -> float:
         and np.linalg.norm(B - B.conj().T) <= EPS_HERM * scale
     )
     if herm:
-        return _euclidean_radius_hermitian(A, B)
+        # Both quadratic forms are real, so |<(A + iB)x, x>| is their hypot.
+        return numerical_radius(hermitian_part(A) + 1j * hermitian_part(B)).value
     if sampler is None:
         sampler = SphereSampler(seed=0)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from numradlab import radius
 from numradlab.ensembles import EnsembleSpec, sample
 from numradlab.errors import DimensionMismatch
 from numradlab.linalg import operator_norm
@@ -57,9 +58,72 @@ def test_radius_result_invariants():
         assert abs(np.linalg.norm(res.witness) - 1.0) <= 1e-12
         rq = abs(np.vdot(res.witness, A @ res.witness))
         assert rq <= res.value + 1e-9 * (1.0 + nrm)
-        assert rq >= res.value - res.refinement_width - 1e-12
+        assert res.value <= res.upper
         assert 0.0 <= res.theta_star < 2 * np.pi
         assert nrm / 2 - 1e-10 <= res.value <= nrm + 1e-10
+
+
+def enclosed_radius(A, monkeypatch):
+    """numerical_radius(A), checked against the enclosure's own guarantees:
+    value <= upper, upper above the dense-sweep oracle, and at most the
+    initial stack plus the cut cap of eigensolved matrices."""
+    eigh = np.linalg.eigh
+    solved = []
+
+    def counting_eigh(a, *args, **kwargs):
+        solved.append(1 if a.ndim == 2 else a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", counting_eigh)
+        res = numerical_radius(A)
+    assert res.value <= res.upper
+    assert res.upper >= dense_sweep_oracle(A, grid=4096)
+    assert sum(solved) <= 16 + radius._MAX_CUTS
+    return res
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-18, 1e18, 1e150])
+def test_radius_scale_invariance(scale, monkeypatch):
+    rng = stream_rng(25, "scale")
+    c = scale * np.exp(0.7j)
+    for n in (2, 3, 5, 8):
+        A = complex_gaussian(rng, (n, n))
+        w = enclosed_radius(A, monkeypatch).value
+        assert enclosed_radius(c * A, monkeypatch).value / scale == pytest.approx(w, rel=1e-10)
+
+
+def test_radius_rotation_transpose_unitary_invariance(monkeypatch):
+    rng = stream_rng(26, "invariance")
+    for n in (2, 3, 5, 8):
+        A = complex_gaussian(rng, (n, n))
+        U, _ = np.linalg.qr(complex_gaussian(rng, (n, n)))
+        w = enclosed_radius(A, monkeypatch).value
+        for B in (np.exp(1j * 2.1) * A, A.T, U @ A @ U.conj().T):
+            assert enclosed_radius(B, monkeypatch).value == pytest.approx(w, rel=1e-10)
+
+
+def test_radius_jordan_blocks(monkeypatch):
+    for n in range(2, 9):
+        J = np.eye(n, k=1, dtype=complex)
+        assert enclosed_radius(J, monkeypatch).value == pytest.approx(np.cos(np.pi / (n + 1)), rel=1e-12)
+
+
+def test_radius_special_families(monkeypatch):
+    rng = stream_rng(27, "families")
+    for n in (1, 2, 3, 5, 8):
+        assert enclosed_radius(np.zeros((n, n), dtype=complex), monkeypatch).value == 0.0
+        c = complex(-1.5, 2.0)
+        assert enclosed_radius(c * np.eye(n), monkeypatch).value == pytest.approx(2.5, rel=1e-12)
+        u, v = complex_gaussian(rng, n), complex_gaussian(rng, n)
+        rank_one = (abs(np.vdot(v, u)) + np.linalg.norm(u) * np.linalg.norm(v)) / 2
+        assert enclosed_radius(np.outer(u, v.conj()), monkeypatch).value == pytest.approx(rank_one, rel=1e-10)
+    for n in (2, 3, 5, 8):
+        S = sample(EnsembleSpec(dim=n, kind="square-zero", seed=28), 0)
+        assert enclosed_radius(S, monkeypatch).value == pytest.approx(operator_norm(S) / 2, rel=1e-12)
+    res = enclosed_radius(np.array([[3.0 - 4.0j]]), monkeypatch)
+    assert res.value == pytest.approx(5.0, rel=1e-15)
+    assert abs(np.vdot(res.witness, np.array([3.0 - 4.0j]) * res.witness)) == pytest.approx(5.0, rel=1e-15)
 
 
 def test_radius_rejects_bad_arguments():

@@ -1,12 +1,13 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from numradlab import cli
-from numradlab.errors import MatrixFormatError
+from numradlab.errors import MatrixFormatError, NoConvergence
 from numradlab.matio import dumps_matrix, load_matrix, loads_matrix, matrix_to_dict, save_matrix
-from numradlab.radius import stream_rng
+from numradlab.radius import numerical_radius, stream_rng
 from numradlab.report import CSV_COLUMNS, IneqRecord, SuiteReport
 
 
@@ -79,6 +80,21 @@ def test_matrix_io_errors():
         loads_matrix(json.dumps({"dim": 1, "rows": [[["x", 0]]]}))
 
 
+def test_matrix_io_rejects_booleans_and_huge_integers(tmp_path, capsys):
+    for doc in (
+        {"dim": True, "rows": [[[True, False]]]},
+        {"dim": 1, "rows": [[[True, 0]]]},
+        {"dim": 1, "rows": [[[0.0, False]]]},
+        {"dim": 1, "rows": [[[10**400, 0]]]},
+    ):
+        with pytest.raises(MatrixFormatError):
+            loads_matrix(json.dumps(doc))
+    path = tmp_path / "bool.json"
+    path.write_text('{"dim": true, "rows": [[[true, false]]]}')
+    assert cli.main(["radius", "--matrix", str(path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_certify_exit_codes_and_report(tmp_path, capsys):
     report = tmp_path / "rep.json"
     code = cli.main(
@@ -148,6 +164,22 @@ def test_radius_command(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def test_radius_command_reports_upper_and_fails_broken_sandwich(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "nil.json"
+    save_matrix(np.array([[0, 1], [0, 0]], dtype=complex), path)
+    assert cli.main(["radius", "--matrix", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "upper       = 0.5" in out and "gap" in out
+
+    def doctored(A, tol):
+        res = numerical_radius(A, tol=tol)
+        return dataclasses.replace(res, value=3 * res.value, upper=3 * res.upper)
+
+    monkeypatch.setattr(cli, "numerical_radius", doctored)
+    assert cli.main(["radius", "--matrix", str(path)]) == 2
+    assert "FAIL" in capsys.readouterr().out
+
+
 def test_search_zero_restarts_writes_seed_instance(tmp_path, capsys):
     out = tmp_path / "inst.json"
     code = cli.main(
@@ -187,6 +219,38 @@ def test_certify_exit_two_on_violation(monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli, "run_suite", doctored_run_suite)
     assert cli.main(["certify", "--ineq", "norm-sandwich", "--trials", "5"]) == 2
+
+
+def _no_convergence(*args, **kwargs):
+    raise NoConvergence("eigensolver did not converge")
+
+
+def test_certify_reports_kernel_errors(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_suite", _no_convergence)
+    assert cli.main(["certify", "--ineq", "norm-sandwich", "--trials", "2"]) == 1
+    assert "did not converge" in capsys.readouterr().err
+
+
+def test_search_reports_kernel_errors(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "evaluate", _no_convergence)
+    out = tmp_path / "inst.json"
+    assert cli.main(["search", "--ineq", "norm-sandwich", "--restarts", "0", "--out", str(out)]) == 1
+    assert "did not converge" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_search_flags_violated_theorem_member(monkeypatch, tmp_path, capsys):
+    evaluate = cli.evaluate
+
+    def violated(ineq, inst, options=None):
+        return dataclasses.replace(evaluate(ineq, inst, options=options), slack=-1.0, status=cli.Status.VIOLATED)
+
+    monkeypatch.setattr(cli, "evaluate", violated)
+    out = tmp_path / "inst.json"
+    code = cli.main(["search", "--ineq", "norm-sandwich", "--dim", "2", "--restarts", "0", "--out", str(out)])
+    assert code == 2
+    assert "implementation bug" in capsys.readouterr().err
+    assert json.loads(out.read_text())["status"] == "violated"
 
 
 def test_seed_env_override(monkeypatch):
