@@ -158,9 +158,6 @@ def deformed_exp_function(r) -> ScalarFunction:
     return ScalarFunction("deformed-exp", (r,), frozenset(flags), domain)
 
 
-IDENTITY = power(1.0)
-
-
 @dataclass(frozen=True)
 class SchwarzPair:
     """Non-negative continuous pair with f(t) g(t) = t on [0, inf)."""

@@ -7,6 +7,7 @@ of their inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,11 +92,23 @@ def hermitian_eigen(H, eps_res=None) -> HermitianEigen:
     return HermitianEigen(eigenvalues=lam, vectors=V)
 
 
+def _pow2_scaled(A):
+    """(A * 2**-e, e) such that sums of squares of the scaled entries neither
+    overflow nor underflow. In range, e = 0 and A is returned as it is;
+    otherwise e brings the largest real or imaginary part into [1/2, 1),
+    and the scaling is exact."""
+    if 2.0**-500 < np.abs(A).max() < 2.0**500:
+        return A, 0
+    e = int(np.frexp(max(np.abs(A.real).max(), np.abs(A.imag).max()))[1])
+    e = max(e, -1023)  # 2**1023 is the largest finite power of two
+    return A * np.ldexp(1.0, -e), e
+
+
 def operator_norm(A) -> float:
     """Largest singular value, computed from the Gram matrix spectrum."""
-    A = as_matrix(A)
+    A, e = _pow2_scaled(as_matrix(A))
     lam = np.linalg.eigvalsh(hermitian_part(A.conj().T @ A))
-    return float(np.sqrt(max(lam[-1], 0.0)))
+    return math.ldexp(math.sqrt(max(float(lam[-1]), 0.0)), e)
 
 
 def norm_hermitian(H) -> float:

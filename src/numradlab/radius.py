@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import EPS_HERM, as_matrix, hermitian_part
+from .linalg import EPS_HERM, _pow2_scaled, as_matrix, hermitian_part
 
 _TWO_PI = 2.0 * np.pi
 
@@ -85,7 +85,8 @@ class RadiusResult:
 
     ``value`` is attained (up to eigensolver roundoff) by ``witness``, so it
     is a lower bound; ``upper`` is the farthest vertex of an outer polygon of
-    support lines, padded for eigenvalue roundoff, so it is an upper bound.
+    support lines, or Kittaneh's bound when that is smaller and was
+    evaluated, padded for eigenvalue roundoff, so it is an upper bound.
     """
 
     value: float
@@ -120,6 +121,21 @@ def _corner(t1, h1, t2, h2):
     return math.hypot(h1, s), math.atan2(-s, h1)
 
 
+def _kittaneh_bound(A):
+    """Kittaneh's upper bound (|| |A| + |A*| ||) / 2 on w(A), without square roots.
+
+    The positive part of the dilation [[0, A], [A*, 0]] is
+    [[|A*|, A], [A*, |A|]] / 2, so its diagonal blocks sum to (|A| + |A*|) / 2.
+    Forming |A| from a Gram spectrum instead would turn eps-level roundoff
+    into sqrt(eps)-level error.
+    """
+    Z = np.zeros_like(A)
+    lam, W = np.linalg.eigh(np.block([[Z, A], [A.conj().T, Z]]))
+    P = (W * np.maximum(lam, 0.0)) @ W.conj().T
+    n = A.shape[0]
+    return float(np.linalg.eigvalsh(P[:n, :n] + P[n:, n:])[-1])
+
+
 def numerical_radius(A, grid=16, tol=1e-10) -> RadiusResult:
     """Numerical radius by a two-sided support-line enclosure.
 
@@ -130,6 +146,9 @@ def numerical_radius(A, grid=16, tol=1e-10) -> RadiusResult:
     attained lower bound. Starting from ``grid`` (>= 16) uniform angles, one
     line is cut at the farthest vertex until the gap is at most ``tol``
     relative to the upper bound (Uhlig 2009), or a fixed cut cap is reached.
+    When the initial support values are flat to ``tol``, W(A) looks like a
+    disk centred at 0, where the polygon closes slowly; Kittaneh's bound,
+    which is exact for square-zero A, then also caps the upper bound.
     """
     A = as_matrix(A)
     if grid < 16:
@@ -149,9 +168,13 @@ def numerical_radius(A, grid=16, tol=1e-10) -> RadiusResult:
     best = int(np.argmax(mods))
     lo, t_best, witness = float(mods[best]), thetas[best], X[best]
     corners = [_corner(thetas[k], hs[k], thetas[k + 1], hs[k + 1]) for k in range(grid)]
-    for _ in range(_MAX_CUTS):
+    cap, cuts = math.inf, _MAX_CUTS
+    if max(hs) - min(hs) <= tol * max(hs):
+        cap, cuts = _kittaneh_bound(A), _MAX_CUTS - 1
+    for _ in range(cuts):
         hi, step = max(corners)
-        if hi - lo <= tol * hi:
+        top = min(hi, cap)
+        if top - lo <= tol * top:
             break
         k = corners.index((hi, step))
         t = thetas[k] + step
@@ -170,8 +193,14 @@ def numerical_radius(A, grid=16, tol=1e-10) -> RadiusResult:
     hi = max(corners)[0]
     # Each computed h is within a small multiple of n eps ||H|| of the true
     # eigenvalue (backward stability), and ||H|| <= ||A||_F.
-    pad = A.shape[0] * np.finfo(float).eps * float(np.linalg.norm(A))
-    return RadiusResult(lo, t_best % _TWO_PI, witness, max(hi, lo) + pad)
+    scaled, exp2 = _pow2_scaled(A)
+    pad = A.shape[0] * np.finfo(float).eps * math.ldexp(float(np.linalg.norm(scaled)), exp2)
+    # The cap solves the 2n-sized dilation D, with ||D||_F = sqrt(2) ||A||_F,
+    # so its eigenpairs carry up to 2 sqrt(2) pads of error; forming P from
+    # them and solving the n-sized block sum can add as much again. 8 pads
+    # round that up; on square-zero A (n = 2..64) |cap - w| stays below 3 pads.
+    upper = min(max(hi, lo) + pad, cap + 8 * pad)
+    return RadiusResult(lo, t_best % _TWO_PI, witness, max(upper, lo + pad))
 
 
 def _select_starts(X, vals, k_starts, overlap=0.9):

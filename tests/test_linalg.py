@@ -85,6 +85,15 @@ def test_norm_properties_random():
         assert nrm == pytest.approx(np.linalg.svd(A, compute_uv=False)[0], rel=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160, 1e170])
+def test_operator_norm_scale_invariance(scale):
+    # the Gram product of the unscaled matrix overflows or underflows here
+    rng = stream_rng(5, "normscale")
+    for n in (1, 2, 3, 8):
+        A = random_complex(rng, n)
+        assert operator_norm(scale * A) / scale == pytest.approx(operator_norm(A), rel=1e-12)
+
+
 def test_abs_operator_examples():
     A = np.array([[0, 2], [0, 0]], dtype=complex)
     np.testing.assert_allclose(abs_operator(A), np.diag([0.0, 2.0]), atol=1e-12)

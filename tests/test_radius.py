@@ -63,24 +63,31 @@ def test_radius_result_invariants():
         assert nrm / 2 - 1e-10 <= res.value <= nrm + 1e-10
 
 
-def enclosed_radius(A, monkeypatch):
+def enclosed_radius(A, monkeypatch, solves=None, exact=None):
     """numerical_radius(A), checked against the enclosure's own guarantees:
-    value <= upper, upper above the dense-sweep oracle, and at most the
-    initial stack plus the cut cap of eigensolved matrices."""
+    value <= upper, upper above the dense-sweep oracle (or above ``exact``,
+    a known w(A), when given), and at most the initial stack plus the cut
+    cap of eigensolved matrices. The shape of every ``np.linalg.eigh`` input
+    is appended to ``solves`` when given."""
     eigh = np.linalg.eigh
-    solved = []
+    solves = [] if solves is None else solves
 
     def counting_eigh(a, *args, **kwargs):
-        solved.append(1 if a.ndim == 2 else a.shape[0])
+        solves.append(a.shape)
         return eigh(a, *args, **kwargs)
 
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "eigh", counting_eigh)
         res = numerical_radius(A)
     assert res.value <= res.upper
-    assert res.upper >= dense_sweep_oracle(A, grid=4096)
-    assert sum(solved) <= 16 + radius._MAX_CUTS
+    assert res.upper >= (dense_sweep_oracle(A, grid=4096) if exact is None else exact)
+    assert sum(1 if len(shape) == 2 else shape[0] for shape in solves) <= 16 + radius._MAX_CUTS
     return res
+
+
+def dilation_solves(solves, n):
+    """How many of the recorded eigh inputs have the Kittaneh dilation's shape."""
+    return solves.count((2 * n, 2 * n))
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1e-18, 1e18, 1e150])
@@ -89,8 +96,10 @@ def test_radius_scale_invariance(scale, monkeypatch):
     c = scale * np.exp(0.7j)
     for n in (2, 3, 5, 8):
         A = complex_gaussian(rng, (n, n))
-        w = enclosed_radius(A, monkeypatch).value
-        assert enclosed_radius(c * A, monkeypatch).value / scale == pytest.approx(w, rel=1e-10)
+        solves = []
+        w = enclosed_radius(A, monkeypatch, solves).value
+        assert enclosed_radius(c * A, monkeypatch, solves).value / scale == pytest.approx(w, rel=1e-10)
+        assert dilation_solves(solves, n) == 0  # a generic field is not flat
 
 
 def test_radius_rotation_transpose_unitary_invariance(monkeypatch):
@@ -106,13 +115,24 @@ def test_radius_rotation_transpose_unitary_invariance(monkeypatch):
 def test_radius_jordan_blocks(monkeypatch):
     for n in range(2, 9):
         J = np.eye(n, k=1, dtype=complex)
-        assert enclosed_radius(J, monkeypatch).value == pytest.approx(np.cos(np.pi / (n + 1)), rel=1e-12)
+        solves = []
+        res = enclosed_radius(J, monkeypatch, solves)
+        w = np.cos(np.pi / (n + 1))
+        assert res.value == pytest.approx(w, rel=1e-12)
+        assert res.upper >= w
+        # W(J) is a disk centred at 0, so the flat test fires; Kittaneh's
+        # bound is exact for J_2 (square-zero) but equals 1 from n = 3 on.
+        assert dilation_solves(solves, n) == 1
+        assert radius._kittaneh_bound(J) == pytest.approx(0.5 if n == 2 else 1.0, rel=1e-14)
 
 
 def test_radius_special_families(monkeypatch):
     rng = stream_rng(27, "families")
     for n in (1, 2, 3, 5, 8):
-        assert enclosed_radius(np.zeros((n, n), dtype=complex), monkeypatch).value == 0.0
+        solves = []
+        zero = enclosed_radius(np.zeros((n, n), dtype=complex), monkeypatch, solves)
+        assert zero.value == zero.upper == 0.0  # the roundoff pad of 0 is 0
+        assert solves == [(16, n, n), (2 * n, 2 * n)]
         c = complex(-1.5, 2.0)
         assert enclosed_radius(c * np.eye(n), monkeypatch).value == pytest.approx(2.5, rel=1e-12)
         u, v = complex_gaussian(rng, n), complex_gaussian(rng, n)
@@ -124,6 +144,20 @@ def test_radius_special_families(monkeypatch):
     res = enclosed_radius(np.array([[3.0 - 4.0j]]), monkeypatch)
     assert res.value == pytest.approx(5.0, rel=1e-15)
     assert abs(np.vdot(res.witness, np.array([3.0 - 4.0j]) * res.witness)) == pytest.approx(5.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 32, 64])
+def test_radius_square_zero_stops_on_kittaneh_bound(n, monkeypatch):
+    # w(S) = ||S|| / 2 = Kittaneh's bound for square-zero S, so one dilation
+    # solve after the initial stack closes the enclosure to roundoff.
+    S = sample(EnsembleSpec(dim=n, kind="square-zero", seed=29), 0)
+    half_norm = np.linalg.svd(S, compute_uv=False)[0] / 2
+    for scale in (1e-150, 1e-18, 1.0, 1e18, 1e150):
+        solves = []
+        res = enclosed_radius(scale * S, monkeypatch, solves, exact=scale * half_norm)
+        assert res.upper - res.value <= 1e-10 * res.upper
+        assert res.value == pytest.approx(scale * half_norm, rel=1e-12)
+        assert solves == [(16, n, n), (2 * n, 2 * n)]
 
 
 def test_radius_rejects_bad_arguments():

@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import numradlab
 from numradlab import cli
 from numradlab.errors import MatrixFormatError, NoConvergence
 from numradlab.matio import dumps_matrix, load_matrix, loads_matrix, matrix_to_dict, save_matrix
@@ -178,6 +183,19 @@ def test_radius_command_reports_upper_and_fails_broken_sandwich(monkeypatch, tmp
     monkeypatch.setattr(cli, "numerical_radius", doctored)
     assert cli.main(["radius", "--matrix", str(path)]) == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_radius_module_entry_on_huge_entries(tmp_path):
+    # entries near 1e160 overflow a Gram product formed without scaling
+    path = tmp_path / "huge.json"
+    save_matrix(1e160 * np.array([[1, 2j, 0], [0, 1, 3], [1e-3, 0, -2]], dtype=complex), path)
+    env = dict(os.environ, PYTHONPATH=str(Path(numradlab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "numradlab", "radius", "--matrix", str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "OK" in proc.stdout and "inf" not in proc.stdout
 
 
 def test_search_zero_restarts_writes_seed_instance(tmp_path, capsys):
