@@ -42,19 +42,37 @@ def hermitian_part(A) -> np.ndarray:
     return (A + A.conj().T) / 2
 
 
+def _pow2_scaled(A):
+    """(A * 2**-e, e) such that sums of squares of the scaled entries neither
+    overflow nor underflow. In range, e = 0 and A is returned as it is;
+    otherwise e brings the largest real or imaginary part into [1/2, 1),
+    and the scaling is exact."""
+    if 2.0**-500 < np.abs(A).max() < 2.0**500:
+        return A, 0
+    e = int(np.frexp(max(np.abs(A.real).max(), np.abs(A.imag).max()))[1])
+    e = max(e, -1023)  # 2**1023 is the largest finite power of two
+    return A * np.ldexp(1.0, -e), e
+
+
 def check_hermitian(H, eps=EPS_HERM) -> np.ndarray:
-    """Assert H is Hermitian up to eps*||H|| and return its symmetrization."""
+    """Assert H is Hermitian up to eps*||H|| and return its symmetrization.
+
+    The norms are taken in power-of-two-scaled units (see ``_pow2_scaled``),
+    so they neither overflow nor underflow.
+    """
     H = as_matrix(H)
-    scale = np.linalg.norm(H)
-    dev = np.linalg.norm(H - H.conj().T)
+    S, e = _pow2_scaled(H)
+    scale = np.linalg.norm(S)
+    dev = np.linalg.norm(S - S.conj().T)
     if dev > eps * max(scale, 1.0):
-        raise NotHermitian(f"matrix deviates from Hermitian by {dev:.3e} (scale {scale:.3e})")
+        raise NotHermitian(
+            f"matrix deviates from Hermitian by {math.ldexp(dev, e):.3e} (scale {math.ldexp(scale, e):.3e})"
+        )
     return (H + H.conj().T) / 2
 
 
 def _eigh(H):
-    """Symmetrize and diagonalize without re-validating the caller's input."""
-    H = (H + H.conj().T) / 2
+    """Diagonalize an exactly Hermitian matrix without re-validating it."""
     try:
         return np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -92,18 +110,6 @@ def hermitian_eigen(H, eps_res=None) -> HermitianEigen:
     return HermitianEigen(eigenvalues=lam, vectors=V)
 
 
-def _pow2_scaled(A):
-    """(A * 2**-e, e) such that sums of squares of the scaled entries neither
-    overflow nor underflow. In range, e = 0 and A is returned as it is;
-    otherwise e brings the largest real or imaginary part into [1/2, 1),
-    and the scaling is exact."""
-    if 2.0**-500 < np.abs(A).max() < 2.0**500:
-        return A, 0
-    e = int(np.frexp(max(np.abs(A.real).max(), np.abs(A.imag).max()))[1])
-    e = max(e, -1023)  # 2**1023 is the largest finite power of two
-    return A * np.ldexp(1.0, -e), e
-
-
 def operator_norm(A) -> float:
     """Largest singular value, computed from the Gram matrix spectrum."""
     A, e = _pow2_scaled(as_matrix(A))
@@ -117,11 +123,18 @@ def norm_hermitian(H) -> float:
     return float(max(abs(lam[0]), abs(lam[-1])))
 
 
+def _gram_eigh(A, adjoint_side=False):
+    """Singular values and vectors of A from the spectrum of A*A (or A A*),
+    formed in power-of-two-scaled units so the squares stay in range."""
+    A, e = _pow2_scaled(as_matrix(A))
+    G = A @ A.conj().T if adjoint_side else A.conj().T @ A
+    lam, V = _eigh((G + G.conj().T) / 2)
+    return np.ldexp(np.sqrt(np.clip(lam, 0.0, None)), e), V
+
+
 def abs_operator(A) -> np.ndarray:
     """Positive square root of A*A."""
-    A = as_matrix(A)
-    lam, V = _eigh(A.conj().T @ A)
-    root = np.sqrt(np.clip(lam, 0.0, None))
+    root, V = _gram_eigh(A)
     return hermitian_part((V * root) @ V.conj().T)
 
 
@@ -130,10 +143,8 @@ def gram_function(A, fn, adjoint_side=False):
 
     With adjoint_side=True computes fn(|A*|) from A A* instead.
     """
-    A = as_matrix(A)
-    G = A @ A.conj().T if adjoint_side else A.conj().T @ A
-    lam, V = _eigh(G)
-    vals = fn(np.sqrt(np.clip(lam, 0.0, None)))
+    sv, V = _gram_eigh(A, adjoint_side)
+    vals = fn(sv)
     return hermitian_part((V * vals) @ V.conj().T)
 
 

@@ -3,8 +3,8 @@ pair, and the generic sampled optimizer over the complex unit sphere.
 
 The enclosure uses the identity  w(A) = max_theta lambda_max((e^{i theta} A
 + e^{-i theta} A*) / 2): every angle is a Hermitian eigenvalue problem whose
-top eigenvector attains a lower bound and whose eigenvalue gives a support
-line, and the lines' outer polygon gives an upper bound. Sampled suprema are
+top eigenvalue gives a support line, the lines' outer polygon gives an upper
+bound, and one top eigenvector attains the lower bound. Sampled suprema are
 certified lower bounds (each reported value is attained by the returned
 witness vector).
 """
@@ -140,12 +140,13 @@ def numerical_radius(A, grid=16, tol=1e-10) -> RadiusResult:
     """Numerical radius by a two-sided support-line enclosure.
 
     Each angle t gives the support line Re(e^{it} z) <= h(t) of W(A), with
-    h(t) = lambda_max((e^{it} A + e^{-it} A*) / 2), and its top eigenvector
-    x gives the boundary point x*Ax. The lines bound W(A) by a polygon whose
-    farthest vertex is an upper bound (Johnson 1978); max |x*Ax| is the
-    attained lower bound. Starting from ``grid`` (>= 16) uniform angles, one
-    line is cut at the farthest vertex until the gap is at most ``tol``
-    relative to the upper bound (Uhlig 2009), or a fixed cut cap is reached.
+    h(t) = lambda_max((e^{it} A + e^{-it} A*) / 2) <= w(A). The lines bound
+    W(A) by a polygon whose farthest vertex is an upper bound (Johnson 1978).
+    Starting from ``grid`` (>= 16) uniform angles, one line is cut at the
+    farthest vertex until it is within ``tol`` (relative) of max h (Uhlig
+    2009), or a fixed cut cap is reached; the cuts solve eigenvalues only.
+    The top eigenvectors x of at most three lines then give the attained
+    lower bound max |x*Ax| >= max h.
     When the initial support values are flat to ``tol``, W(A) looks like a
     disk centred at 0, where the polygon closes slowly; Kittaneh's bound,
     which is exact for square-zero A, then also caps the upper bound.
@@ -160,16 +161,12 @@ def numerical_radius(A, grid=16, tol=1e-10) -> RadiusResult:
     # Line k is Re(e^{i t_k} z) <= h_k; corner k joins lines k and k + 1.
     # The last line repeats the first one turn on, so corners need no wrap.
     thetas = [_TWO_PI * k / grid for k in range(grid + 1)]
-    lam, V = np.linalg.eigh(_rotated_stack(A, np.array(thetas[:-1])))
-    hs = lam[:, -1].tolist()
+    hs = np.linalg.eigvalsh(_rotated_stack(A, np.array(thetas[:-1])))[:, -1].tolist()
     hs.append(hs[0])
-    X = V[:, :, -1]
-    mods = np.abs(np.einsum("ki,ij,kj->k", X.conj(), A, X))
-    best = int(np.argmax(mods))
-    lo, t_best, witness = float(mods[best]), thetas[best], X[best]
+    lo = max(hs)
     corners = [_corner(thetas[k], hs[k], thetas[k + 1], hs[k + 1]) for k in range(grid)]
     cap, cuts = math.inf, _MAX_CUTS
-    if max(hs) - min(hs) <= tol * max(hs):
+    if lo - min(hs) <= tol * lo:
         cap, cuts = _kittaneh_bound(A), _MAX_CUTS - 1
     for _ in range(cuts):
         hi, step = max(corners)
@@ -181,16 +178,22 @@ def numerical_radius(A, grid=16, tol=1e-10) -> RadiusResult:
         if not thetas[k] < t < thetas[k + 1]:  # the corner is resolved to roundoff
             break
         e = cmath.exp(1j * t)
-        lam, V = np.linalg.eigh(e * half + e.conjugate() * half_h)
-        h, x = float(lam[-1]), V[:, -1]
-        z = abs(np.vdot(x, A @ x))
-        if z > lo:
-            lo, t_best, witness = float(z), t, x
+        h = float(np.linalg.eigvalsh(e * half + e.conjugate() * half_h)[-1])
+        lo = max(lo, h)
         corners[k] = _corner(thetas[k], hs[k], t, h)
         corners.insert(k + 1, _corner(t, h, thetas[k + 1], hs[k + 1]))
         thetas.insert(k + 1, t)
         hs.insert(k + 1, h)
-    hi = max(corners)[0]
+    hi, step = max(corners)
+    k = corners.index((hi, step))
+    # The witness comes from the top line and from both lines of the farthest
+    # corner: when the loop leaves on a resolved corner, the vertex lies on
+    # those lines although none of them points at it.
+    lines = sorted({hs.index(lo), k, (k + 1) % (len(thetas) - 1)})
+    X = np.linalg.eigh(_rotated_stack(A, np.array([thetas[j] for j in lines])))[1][:, :, -1]
+    mods = np.abs(np.einsum("ki,ij,kj->k", X.conj(), A, X))
+    best = int(np.argmax(mods))
+    lo, t_best, witness = float(mods[best]), thetas[lines[best]], X[best]
     # Each computed h is within a small multiple of n eps ||H|| of the true
     # eigenvalue (backward stability), and ||H|| <= ||A||_F.
     scaled, exp2 = _pow2_scaled(A)
@@ -280,10 +283,12 @@ def euclidean_radius(A, B, sampler: SphereSampler | None = None) -> float:
     n = A.shape[0]
     if n == 1:
         return float(np.hypot(abs(complex(A[0, 0])), abs(complex(B[0, 0]))))
-    scale = max(np.linalg.norm(A), np.linalg.norm(B), 1.0)
+    # Compare in power-of-two-scaled units, so the norms stay finite.
+    (As, Bs), _ = _pow2_scaled(np.stack([A, B]))
+    scale = max(np.linalg.norm(As), np.linalg.norm(Bs), 1.0)
     herm = (
-        np.linalg.norm(A - A.conj().T) <= EPS_HERM * scale
-        and np.linalg.norm(B - B.conj().T) <= EPS_HERM * scale
+        np.linalg.norm(As - As.conj().T) <= EPS_HERM * scale
+        and np.linalg.norm(Bs - Bs.conj().T) <= EPS_HERM * scale
     )
     if herm:
         # Both quadratic forms are real, so |<(A + iB)x, x>| is their hypot.

@@ -4,8 +4,10 @@ import pytest
 from numradlab import errors
 from numradlab.linalg import (
     abs_operator,
+    abs_power,
     adjoint,
     apply_scalar_function,
+    check_hermitian,
     hermitian_eigen,
     hermitian_part,
     hermitian_power,
@@ -92,6 +94,31 @@ def test_operator_norm_scale_invariance(scale):
     for n in (1, 2, 3, 8):
         A = random_complex(rng, n)
         assert operator_norm(scale * A) / scale == pytest.approx(operator_norm(A), rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160])
+def test_gram_kernels_scale_invariance(scale):
+    # the Gram product of the unscaled matrix overflows or underflows here
+    rng = stream_rng(6, "gramscale")
+    for n in (1, 2, 3, 8):
+        A = random_complex(rng, n)
+        absA = abs_operator(A)
+        err = np.linalg.norm(abs_operator(scale * A) / scale - absA, 2)
+        assert err <= 1e-12 * norm_hermitian(absA)
+        root = abs_power(A, 0.5, adjoint_side=n == 3)
+        err = np.linalg.norm(abs_power(scale * A, 0.5, adjoint_side=n == 3) / np.sqrt(scale) - root, 2)
+        assert err <= 1e-12 * norm_hermitian(root)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e160])
+def test_check_hermitian_scale_invariance(scale):
+    # np.linalg.norm of the unscaled input overflows (or underflows) here
+    rng = stream_rng(7, "hermscale")
+    A = random_complex(rng, 3)
+    with pytest.raises(errors.NotHermitian):
+        check_hermitian(scale * A)
+    H = hermitian_part(A)
+    np.testing.assert_array_equal(check_hermitian(scale * H), scale * H)
 
 
 def test_abs_operator_examples():

@@ -66,28 +66,42 @@ def test_radius_result_invariants():
 def enclosed_radius(A, monkeypatch, solves=None, exact=None):
     """numerical_radius(A), checked against the enclosure's own guarantees:
     value <= upper, upper above the dense-sweep oracle (or above ``exact``,
-    a known w(A), when given), and at most the initial stack plus the cut
-    cap of eigensolved matrices. The shape of every ``np.linalg.eigh`` input
-    is appended to ``solves`` when given."""
-    eigh = np.linalg.eigh
-    solves = [] if solves is None else solves
-
-    def counting_eigh(a, *args, **kwargs):
-        solves.append(a.shape)
-        return eigh(a, *args, **kwargs)
-
+    a known w(A), when given), at most the initial stack plus the cut cap of
+    eigenvalue-only matrices, and eigenvectors only for one stacked witness
+    solve of at most three lines plus at most one Kittaneh dilation. Every
+    solve is appended to ``solves`` as (function name, input shape) when
+    given."""
+    calls = []
     with monkeypatch.context() as m:
-        m.setattr(np.linalg, "eigh", counting_eigh)
+        for name in ("eigh", "eigvalsh"):
+
+            def recording(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+                calls.append((_name, a.shape))
+                return _solve(a, *args, **kwargs)
+
+            m.setattr(np.linalg, name, recording)
         res = numerical_radius(A)
+    if solves is not None:
+        solves.extend(calls)
     assert res.value <= res.upper
     assert res.upper >= (dense_sweep_oracle(A, grid=4096) if exact is None else exact)
-    assert sum(1 if len(shape) == 2 else shape[0] for shape in solves) <= 16 + radius._MAX_CUTS
+    values_only = [shape for name, shape in calls if name == "eigvalsh"]
+    assert sum(1 if len(shape) == 2 else shape[0] for shape in values_only) <= 16 + radius._MAX_CUTS
+    witness = [shape for name, shape in calls if name == "eigh" and len(shape) == 3]
+    assert len(witness) == 1 and witness[0][0] <= 3
+    assert dilation_solves(calls, A.shape[0]) <= 1
     return res
 
 
 def dilation_solves(solves, n):
-    """How many of the recorded eigh inputs have the Kittaneh dilation's shape."""
-    return solves.count((2 * n, 2 * n))
+    """How many of the recorded solves are eigh calls on the Kittaneh dilation."""
+    return solves.count(("eigh", (2 * n, 2 * n)))
+
+
+def square_zero_solves(n, k):
+    """The solves of an enclosure that makes no cut: the initial stack, the
+    dilation with its block-sum spectrum, and a witness solve of k lines."""
+    return [("eigvalsh", (16, n, n)), ("eigh", (2 * n, 2 * n)), ("eigvalsh", (n, n)), ("eigh", (k, n, n))]
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1e-18, 1e18, 1e150])
@@ -132,7 +146,7 @@ def test_radius_special_families(monkeypatch):
         solves = []
         zero = enclosed_radius(np.zeros((n, n), dtype=complex), monkeypatch, solves)
         assert zero.value == zero.upper == 0.0  # the roundoff pad of 0 is 0
-        assert solves == [(16, n, n), (2 * n, 2 * n)]
+        assert solves in [square_zero_solves(n, k) for k in (1, 2, 3)]
         c = complex(-1.5, 2.0)
         assert enclosed_radius(c * np.eye(n), monkeypatch).value == pytest.approx(2.5, rel=1e-12)
         u, v = complex_gaussian(rng, n), complex_gaussian(rng, n)
@@ -157,7 +171,18 @@ def test_radius_square_zero_stops_on_kittaneh_bound(n, monkeypatch):
         res = enclosed_radius(scale * S, monkeypatch, solves, exact=scale * half_norm)
         assert res.upper - res.value <= 1e-10 * res.upper
         assert res.value == pytest.approx(scale * half_norm, rel=1e-12)
-        assert solves == [(16, n, n), (2 * n, 2 * n)]
+        assert solves in [square_zero_solves(n, k) for k in (1, 2, 3)]
+
+
+def test_radius_witness_from_resolved_corner(monkeypatch):
+    # W(A) is the segment [l1, l2]. The loop leaves on a corner resolved to
+    # roundoff at the vertex l1; both lines of that corner touch it, but no
+    # line points at it, so the line of largest h has top eigenvector e2 and
+    # |x*Ax| = 0.999 there. The witness must come from the corner's lines.
+    A = np.diag([np.exp(2.2656j), 0.999 * np.exp(1.8956j)])
+    res = enclosed_radius(A, monkeypatch, exact=1.0)
+    assert res.value == pytest.approx(1.0, abs=1e-15)
+    assert abs(np.vdot(res.witness, A @ res.witness)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_radius_rejects_bad_arguments():
@@ -240,6 +265,17 @@ def test_euclidean_radius_examples():
     assert euclidean_radius(D1, D2) == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(DimensionMismatch):
         euclidean_radius(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e160])
+def test_euclidean_radius_scale_invariance(scale):
+    # np.linalg.norm of the unscaled pair overflows (or underflows) here,
+    # which would let a general pair pass the Hermitian test
+    rng = stream_rng(30, "wescale")
+    A, B = complex_gaussian(rng, (3, 3)), complex_gaussian(rng, (3, 3))
+    assert euclidean_radius(scale * A, scale * B) / scale == pytest.approx(euclidean_radius(A, B), rel=1e-9)
+    H, K = A + A.conj().T, B + B.conj().T
+    assert euclidean_radius(scale * H, scale * K) / scale == pytest.approx(euclidean_radius(H, K), rel=1e-9)
 
 
 def test_euclidean_radius_hermitian_vs_sampling():
