@@ -4,9 +4,11 @@ two-sided evaluation with slack accounting.
 Every member computes its left and right side exactly as displayed, using
 the kernel modules. Numerical radii are attained lower bounds, which are
 safe on the right of a link and lenient on its left by at most the radius
-enclosure's width; sampled infima inside subtracted refinement terms are
-upper estimates, which only shrink the right side, and a failure there
-escalates to a 10x re-sample before being reported Inconclusive.
+enclosure's width. Infima inside subtracted refinement terms are taken over
+the joint numerical range of a Hermitian pair: exactly 0 when a zero test
+proves it, otherwise an attained minimum over the range's boundary. Either
+way they are upper estimates, which only shrink the right side, and a failure
+there is reported Inconclusive.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .linalg import (
     operator_norm,
 )
 from .means import gamma_factor, pd_roots, weighted_geometric
-from .radius import RadiusResult, SphereSampler, euclidean_radius, numerical_radius, quad_forms, sphere_inf
+from .radius import RadiusResult, _boundary_inf, numerical_radius, quad_forms
 
 
 class InequalityId(enum.Enum):
@@ -95,8 +97,8 @@ class Status(enum.Enum):
     NOT_APPLICABLE = "not-applicable"
 
 
-#: Members whose right side subtracts a sampled infimum; a failed stricter
-#: test on these may legitimately be Inconclusive rather than Violated.
+#: Members whose right side subtracts an infimum over the sphere; a failed
+#: stricter test on these may legitimately be Inconclusive rather than Violated.
 INCONCLUSIVE_CAPABLE = frozenset(
     {
         InequalityId.REFINED_CONVEXITY,
@@ -151,7 +153,6 @@ class CheckInstance:
     h: ScalarFunction | None = None
     f: ScalarFunction | None = None
     variant: int = 0
-    sampler: SphereSampler | None = None
 
     def params(self) -> dict:
         out = {}
@@ -167,9 +168,6 @@ class CheckInstance:
             out["f"] = self.f.name
         out["variant"] = self.variant
         return out
-
-    def get_sampler(self) -> SphereSampler:
-        return self.sampler if self.sampler is not None else SphereSampler(seed=0)
 
 
 @dataclass
@@ -266,7 +264,7 @@ def _chain(ineq, hyp, links, details, semantics, witness=None):
 
 
 _W_NOTE = "numerical radius: attained lower bound of a support-line enclosure"
-_INF_NOTE = "subtracted infimum: sampled upper estimate; computed rhs <= true rhs (stricter test)"
+_INF_NOTE = "subtracted infimum: exact 0 or an attained minimum over the joint numerical range (stricter test)"
 
 
 # ---------------------------------------------------------------------------
@@ -587,9 +585,9 @@ def _ev_refined_convexity(inst, options, hyp):
     A, B, v, f = inst.A, inst.B, inst.v, inst.f
     lhs = norm_hermitian(apply_scalar_function(f, (1 - v) * hermitian_part(A) + v * hermitian_part(B)))
     base = norm_hermitian((1 - v) * apply_scalar_function(f, A) + v * apply_scalar_function(f, B))
-    mu = jensen_gap_mu(f, A, B, inst.get_sampler())
+    mu = jensen_gap_mu(f, A, B)
     rhs = base - min(v, 1 - v) * mu
-    details = {"mu_estimate": mu, "mu_samples": inst.get_sampler().samples, "base": base}
+    details = {"mu_estimate": mu, "base": base}
     return InequalityId.REFINED_CONVEXITY, lhs, rhs, details, [_INF_NOTE], None
 
 
@@ -601,9 +599,9 @@ def _ev_improved_convex_product(inst, options, hyp):
     res = _w(adjoint(A) @ X @ B, options)
     lhs = h(res.value**2)
     base = norm_hermitian((1 - v) * apply_scalar_function(h, S_pow) + v * apply_scalar_function(h, T_pow))
-    gap = jensen_gap_mu(h, S_pow, T_pow, inst.get_sampler())
+    gap = jensen_gap_mu(h, S_pow, T_pow)
     rhs = base - min(v, 1 - v) * gap
-    details = {"w": res.value, "gap_estimate": gap, "gap_samples": inst.get_sampler().samples}
+    details = {"w": res.value, "gap_estimate": gap}
     return InequalityId.IMPROVED_CONVEX_PRODUCT, lhs, rhs, details, [_W_NOTE, _INF_NOTE], res.witness
 
 
@@ -638,16 +636,22 @@ def _ev_superquad_power(inst, options, hyp):
     return _chain(InequalityId.SUPERQUAD_POWER, hyp, links, details, sem, res.witness)
 
 
-def _hosseini_delta_inf(qa_mat, qb_mat, ea, eb, n, sampler):
-    """Sampled upper estimate of inf (  <Px,x>^ea - <Qx,x>^eb )^2."""
+def _hosseini_delta_inf(P, Q, ea, eb):
+    """inf over unit x of (<Px,x>^ea - <Qx,x>^eb)^2 for positive definite P, Q.
 
-    def objective(X):
-        qa = np.clip(quad_forms(qa_mat, X).real, 0.0, None)
-        qb = np.clip(quad_forms(qb_mat, X).real, 0.0, None)
-        return (qa**ea - qb**eb) ** 2
+    It is 0 when phi(u, v) = u^ea - v^eb changes sign between the extreme
+    eigenvectors of P - Q, as the sphere is connected. Otherwise phi has one
+    sign and a nonzero gradient on W(P + iQ), so the minimum is on its boundary.
+    """
 
-    value, _ = sphere_inf(objective, n, sampler)
-    return max(float(value), 0.0)
+    def phi(u, v):
+        return np.clip(u, 0.0, None) ** ea - np.clip(v, 0.0, None) ** eb
+
+    X = np.linalg.eigh(P - Q)[1][:, [0, -1]].T
+    ends = phi(quad_forms(P, X).real, quad_forms(Q, X).real)
+    if ends.min() <= 0.0 <= ends.max():
+        return 0.0
+    return _boundary_inf(P, Q, lambda u, v: phi(u, v) ** 2)
 
 
 def _ev_hosseini_geo(inst, options, hyp):
@@ -657,9 +661,9 @@ def _ev_hosseini_geo(inst, options, hyp):
     lhs = res.value**r
     K = hermitian_part(adjoint(X) @ B @ X)
     base = norm_hermitian(hermitian_power(A, r * p / 2) / p + hermitian_power(K, r * q / 2) / q)
-    delta = _hosseini_delta_inf(A, K, r * p / 4, r * q / 4, A.shape[0], inst.get_sampler())
+    delta = _hosseini_delta_inf(A, K, r * p / 4, r * q / 4)
     rhs = base - delta / p
-    details = {"w": res.value, "delta_estimate": delta, "delta_samples": inst.get_sampler().samples}
+    details = {"w": res.value, "delta_estimate": delta}
     sem = [_W_NOTE, _INF_NOTE, "X unconstrained (no contraction assumption imposed)"]
     return InequalityId.HOSSEINI_GEO, lhs, rhs, details, sem, res.witness
 
@@ -673,14 +677,14 @@ def _ev_hosseini_geo_norms(inst, options, hyp):
     if inst.variant == 0:
         lhs = g_norm**r
         base = norm_hermitian(hermitian_power(A, r * p / 2) / p + hermitian_power(B, r * q / 2) / q)
-        delta = _hosseini_delta_inf(A, B, r * p / 4, r * q / 4, A.shape[0], inst.get_sampler())
+        delta = _hosseini_delta_inf(A, B, r * p / 4, r * q / 4)
         rhs = base - delta / p
         details["delta_estimate"] = delta
         sem.append(_INF_NOTE)
     elif inst.variant == 1:
         lhs = g_norm ** (2 * r)
         base = norm_hermitian(hermitian_power(A, r * p) / p + hermitian_power(B, r * q) / q)
-        delta = _hosseini_delta_inf(A, B, r * p / 2, r * q / 2, A.shape[0], inst.get_sampler())
+        delta = _hosseini_delta_inf(A, B, r * p / 2, r * q / 2)
         rhs = base - delta / p
         details["delta_estimate"] = delta
         sem.append(_INF_NOTE)
@@ -699,7 +703,7 @@ def _ev_hosseini_geo_norms(inst, options, hyp):
 def _ev_euclidean_sandwich(inst, options, hyp):
     A, B = hermitian_part(inst.A), hermitian_part(inst.B)
     G = weighted_geometric(A, B, 0.5)
-    we = euclidean_radius(A, B, inst.get_sampler())
+    we = _w(A + 1j * B, options).value
     upper = math.sqrt(norm_hermitian(A @ A + B @ B))
     links = [
         ("sqrt2 |sharp| <= w_e", math.sqrt(2.0) * norm_hermitian(G), we),
@@ -794,10 +798,10 @@ def pointwise_lemma_check(ineq, inst, vectors=None, tol_rel=1e-8) -> "CheckResul
     return evaluate(ineq, inst, tol_rel=tol_rel)
 
 
-def norm_convexity_check(f, A, B, v, sampler=None, refined=False, tol_rel=1e-8) -> "CheckResult":
+def norm_convexity_check(f, A, B, v, refined=False, tol_rel=1e-8) -> "CheckResult":
     """Convexity-of-norm check, plain or with the subtracted Jensen-gap term."""
     ineq = InequalityId.REFINED_CONVEXITY if refined else InequalityId.NORM_CONVEXITY
-    inst = CheckInstance(A=as_matrix(A), B=as_matrix(B), v=float(v), f=f, sampler=sampler)
+    inst = CheckInstance(A=as_matrix(A), B=as_matrix(B), v=float(v), f=f)
     return evaluate(ineq, inst, tol_rel=tol_rel)
 
 
@@ -846,9 +850,9 @@ def evaluate(ineq: InequalityId, inst: CheckInstance, tol_rel=1e-8, options=None
     """Verify hypotheses and evaluate both sides of one catalog member.
 
     Status is Holds when the hypotheses are met and slack clears
-    ``-tol_rel * (1 + |lhs| + |rhs|)``; sampled-infimum members escalate a
-    failed stricter test with 10x the sphere samples before reporting
-    Inconclusive. Hypothesis failures yield NotApplicable, never raise.
+    ``-tol_rel * (1 + |lhs| + |rhs|)``; a failed check on a member that
+    subtracts an infimum is Inconclusive, on any other member Violated.
+    Hypothesis failures yield NotApplicable, never raise.
     """
     options = options or DEFAULT_OPTIONS
     hyp = verify_hypotheses(ineq, inst)
@@ -869,12 +873,7 @@ def evaluate(ineq: InequalityId, inst: CheckInstance, tol_rel=1e-8, options=None
     if slack >= -tol:
         status = Status.HOLDS
     elif ineq in INCONCLUSIVE_CAPABLE:
-        boosted = dataclasses.replace(inst, sampler=inst.get_sampler().scaled(10))
-        _, lhs, rhs, details, semantics, witness = _EVALUATORS[ineq](boosted, options, hyp)
-        slack = rhs - lhs
-        tol = tol_rel * (1.0 + abs(lhs) + abs(rhs))
-        semantics = list(semantics) + ["stricter test escalated with 10x sphere samples"]
-        status = Status.HOLDS if slack >= -tol else Status.INCONCLUSIVE
+        status = Status.INCONCLUSIVE
     else:
         status = Status.VIOLATED
     return CheckResult(ineq, float(lhs), float(rhs), float(slack), status, hyp, witness, details, list(semantics))

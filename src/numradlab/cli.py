@@ -161,8 +161,12 @@ def _cmd_radius(args):
     except MatrixFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    res = numerical_radius(A, tol=args.tol)
-    nrm = operator_norm(A)
+    try:
+        res = numerical_radius(A, tol=args.tol)
+        nrm = operator_norm(A)
+    except OverflowError:
+        print("error: the numerical radius or the norm exceeds the float range", file=sys.stderr)
+        return 1
     print(f"w(A)        = {res.value:.12g}")
     print(f"||A||       = {nrm:.12g}")
     print(f"theta*      = {res.theta_star:.12g}")

@@ -1,6 +1,6 @@
 """Catalog of scalar functions with verified property flags, multiplicative
-pairs (f, g) with f(t) g(t) = t, the superquadratic defect, and the sampled
-Jensen-gap functional for Hermitian pairs.
+pairs (f, g) with f(t) g(t) = t, the superquadratic defect, and the
+Jensen-gap infimum for Hermitian pairs.
 
 Flags are declared by the constructors and spot-validated by the test suite,
 not derived symbolically.
@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainViolation, NotSuperquadratic, UnsupportedParameter
+from .errors import DimensionMismatch, DomainViolation, NotSuperquadratic, UnsupportedParameter
 from .linalg import check_hermitian
-from .radius import SphereSampler, quad_forms, sphere_inf
+from .radius import _boundary_inf
 
 NONNEG = "nonnegative"
 INCREASING = "increasing"
@@ -230,44 +230,33 @@ def superquadratic_defect(f: ScalarFunction, s, t) -> float:
     return f(t) - f(abs(t - s)) - c_s * (t - s) - f(s)
 
 
-# Descent refinement starts from the best of this fixed stream prefix, so the
-# reported Jensen-gap estimate is monotone nonincreasing in the sample count
-# (for sample counts at or above the prefix length).
-_DESCENT_PREFIX = 32
+def jensen_gap_mu(f: ScalarFunction, A, B) -> float:
+    """Infimum over unit x of f(<Ax,x>) + f(<Bx,x>) - 2 f(<(A+B)/2 x, x>)
+    for a Hermitian pair.
 
-
-def jensen_gap_mu(f: ScalarFunction, A, B, sampler: SphereSampler) -> float:
-    """Upper estimate of the pointwise Jensen gap infimum for a Hermitian pair.
-
-    Estimates inf over unit x of
-        f(<Ax,x>) + f(<Bx,x>) - 2 f(<(A+B)/2 x, x>)
-    by the minimum over the sample stream, combined with a local descent
-    started from a fixed stream prefix. The sampled minimum can only
-    overestimate the infimum, so subtracting it from an upper bound yields a
-    stricter (sound) test. Non-negative for convex f.
+    With u = <Ax,x> and v = <Bx,x>, the objective is
+    g(u, v) = f(u) + f(v) - 2 f((u + v) / 2) over the joint numerical range
+    W(A + iB). For convex f, g >= 0 with g = 0 at u = v, so the infimum is 0
+    when f is affine, or when A - B is indefinite: the sphere is connected,
+    so some x has u = v. Otherwise, for strictly convex f, g has no critical
+    point in W and its minimum lies on the boundary, found by a search over
+    the support angle; the value found is attained, so it is an upper
+    estimate of the infimum.
     """
     if CONVEX not in f.flags:
         raise UnsupportedParameter(f"{f.name} is not flagged convex")
     A = check_hermitian(A)
     B = check_hermitian(B)
     if A.shape != B.shape:
-        from .errors import DimensionMismatch
-
         raise DimensionMismatch(f"shapes {A.shape} and {B.shape} differ")
-    spectra = np.concatenate([np.linalg.eigvalsh(A), np.linalg.eigvalsh(B)])
-    f(spectra)  # raises DomainViolation if the spectra escape f's domain
-    M = (A + B) / 2
-    n = A.shape[0]
+    lam = np.linalg.eigvalsh(np.stack([A, B, A - B]))
+    f(lam[:2])  # raises DomainViolation if the spectra escape f's domain
+    if CONCAVE in f.flags or lam[2, 0] <= 0.0 <= lam[2, -1]:  # convex and concave: affine
+        return 0.0
 
-    def objective(X):
-        qa = quad_forms(A, X).real
-        qb = quad_forms(B, X).real
-        qm = quad_forms(M, X).real
-        return f(qa) + f(qb) - 2.0 * f(qm)
+    def gap(u, v):
+        # <Ax,x> lies in A's spectral interval; clip roundoff that can leave f's domain
+        u, v = np.clip(u, lam[0, 0], lam[0, -1]), np.clip(v, lam[1, 0], lam[1, -1])
+        return f(u) + f(v) - 2.0 * f((u + v) / 2)
 
-    sample_min = float(np.min(objective(sampler.unit_vectors(n))))
-    prefix = SphereSampler(
-        sampler.seed, min(sampler.samples, _DESCENT_PREFIX), sampler.descent_steps
-    )
-    descended, _ = sphere_inf(objective, n, prefix)
-    return float(min(sample_min, descended))
+    return _boundary_inf(A, B, gap)

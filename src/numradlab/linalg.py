@@ -64,7 +64,7 @@ def check_hermitian(H, eps=EPS_HERM) -> np.ndarray:
     S, e = _pow2_scaled(H)
     scale = np.linalg.norm(S)
     dev = np.linalg.norm(S - S.conj().T)
-    if dev > eps * max(scale, 1.0):
+    if dev > eps * scale:
         raise NotHermitian(
             f"matrix deviates from Hermitian by {math.ldexp(dev, e):.3e} (scale {math.ldexp(scale, e):.3e})"
         )

@@ -40,10 +40,12 @@ def matrix_from_dict(doc) -> np.ndarray:
     rows = doc["rows"]
     if not isinstance(rows, list) or len(rows) != dim:
         raise MatrixFormatError(f"'rows' must list {dim} rows, got {len(rows) if isinstance(rows, list) else type(rows).__name__}")
-    out = np.empty((dim, dim), dtype=np.complex128)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise MatrixFormatError(f"row {i} must list {dim} entries")
+    # Allocate only once the rows are known to hold dim * dim entries.
+    out = np.empty((dim, dim), dtype=np.complex128)
+    for i, row in enumerate(rows):
         for j, entry in enumerate(row):
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise MatrixFormatError(f"entry ({i},{j}) must be a [re, im] pair")
@@ -59,12 +61,18 @@ def loads_matrix(text) -> np.ndarray:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MatrixFormatError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except RecursionError as exc:
+        raise MatrixFormatError("document nests too deeply") from exc
     return matrix_from_dict(doc)
 
 
 def load_matrix(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_matrix(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MatrixFormatError(f"document is not UTF-8 text: {exc.reason}") from exc
+    return loads_matrix(text)
 
 
 def save_matrix(A, path):

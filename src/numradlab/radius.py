@@ -1,5 +1,6 @@
 """Numerical radius by a support-line enclosure, the Euclidean radius of a
-pair, and the generic sampled optimizer over the complex unit sphere.
+pair, a boundary search of the joint numerical range of a Hermitian pair,
+and the generic sampled optimizer over the complex unit sphere.
 
 The enclosure uses the identity  w(A) = max_theta lambda_max((e^{i theta} A
 + e^{-i theta} A*) / 2): every angle is a Hermitian eigenvalue problem whose
@@ -75,9 +76,6 @@ class SphereSampler:
     def descent_rng(self):
         return stream_rng(self.seed, "sphere-descent")
 
-    def scaled(self, factor) -> "SphereSampler":
-        return SphereSampler(self.seed, int(self.samples * factor), self.descent_steps)
-
 
 @dataclass(frozen=True)
 class RadiusResult:
@@ -151,7 +149,8 @@ def numerical_radius(A, grid=16, tol=1e-10) -> RadiusResult:
     disk centred at 0, where the polygon closes slowly; Kittaneh's bound,
     which is exact for square-zero A, then also caps the upper bound.
     """
-    A = as_matrix(A)
+    # w(2^e A) = 2^e w(A) exactly, and the scaled rotations and norm stay in range.
+    A, exp2 = _pow2_scaled(as_matrix(A))
     if grid < 16:
         raise ValueError("grid must be at least 16")
     if tol <= 0:
@@ -196,14 +195,49 @@ def numerical_radius(A, grid=16, tol=1e-10) -> RadiusResult:
     lo, t_best, witness = float(mods[best]), thetas[lines[best]], X[best]
     # Each computed h is within a small multiple of n eps ||H|| of the true
     # eigenvalue (backward stability), and ||H|| <= ||A||_F.
-    scaled, exp2 = _pow2_scaled(A)
-    pad = A.shape[0] * np.finfo(float).eps * math.ldexp(float(np.linalg.norm(scaled)), exp2)
+    pad = A.shape[0] * np.finfo(float).eps * float(np.linalg.norm(A))
     # The cap solves the 2n-sized dilation D, with ||D||_F = sqrt(2) ||A||_F,
     # so its eigenpairs carry up to 2 sqrt(2) pads of error; forming P from
     # them and solving the n-sized block sum can add as much again. 8 pads
     # round that up; on square-zero A (n = 2..64) |cap - w| stays below 3 pads.
-    upper = min(max(hi, lo) + pad, cap + 8 * pad)
-    return RadiusResult(lo, t_best % _TWO_PI, witness, max(upper, lo + pad))
+    upper = max(min(max(hi, lo) + pad, cap + 8 * pad), lo + pad)
+    return RadiusResult(math.ldexp(lo, exp2), t_best % _TWO_PI, witness, math.ldexp(upper, exp2))
+
+
+# Zoom rounds of the boundary search: each shrinks the angle step four-fold,
+# from 2 pi / 16 to below 1e-7, where the value is resolved to roundoff.
+_ZOOM_ROUNDS = 11
+
+
+def _boundary_inf(P, Q, objective):
+    """Least value of objective(u, v) over boundary points (u, v) = (<Px,x>, <Qx,x>)
+    of the joint numerical range of Hermitian P, Q.
+
+    The top eigenvector x of cos t P + sin t Q gives the boundary point with
+    outer normal (cos t, sin t) (Johnson 1978); the best of 16 angles is zoomed
+    by six stacked angles per round. Every value is attained, so the result is
+    an upper estimate of the infimum over the sphere.
+    """
+    A = P - 1j * Q  # its rotated Hermitian parts are cos t P + sin t Q
+
+    def values(thetas):
+        X = np.linalg.eigh(_rotated_stack(A, thetas))[1][:, :, -1]
+        return objective(quad_forms(P, X).real, quad_forms(Q, X).real)
+
+    step = _TWO_PI / 16
+    thetas = step * np.arange(16)
+    vals = values(thetas)
+    k = int(np.argmin(vals))
+    t, best = thetas[k], float(vals[k])
+    offsets = np.array([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0])
+    for _ in range(_ZOOM_ROUNDS):
+        step /= 4
+        thetas = t + step * offsets
+        vals = values(thetas)
+        k = int(np.argmin(vals))
+        if vals[k] < best:
+            t, best = thetas[k], float(vals[k])
+    return best
 
 
 def _select_starts(X, vals, k_starts, overlap=0.9):
@@ -264,12 +298,6 @@ def sphere_sup(objective, n, sampler: SphereSampler):
     return best_v, best_x
 
 
-def sphere_inf(objective, n, sampler: SphereSampler):
-    """Infimum search; returns an upper estimate of the true infimum."""
-    value, witness = sphere_sup(lambda X: -np.asarray(objective(X), dtype=float), n, sampler)
-    return -value, witness
-
-
 def euclidean_radius(A, B, sampler: SphereSampler | None = None) -> float:
     """sup over unit x of sqrt(|<Ax,x>|^2 + |<Bx,x>|^2), as a lower bound.
 
@@ -285,7 +313,7 @@ def euclidean_radius(A, B, sampler: SphereSampler | None = None) -> float:
         return float(np.hypot(abs(complex(A[0, 0])), abs(complex(B[0, 0]))))
     # Compare in power-of-two-scaled units, so the norms stay finite.
     (As, Bs), _ = _pow2_scaled(np.stack([A, B]))
-    scale = max(np.linalg.norm(As), np.linalg.norm(Bs), 1.0)
+    scale = max(np.linalg.norm(As), np.linalg.norm(Bs))
     herm = (
         np.linalg.norm(As - As.conj().T) <= EPS_HERM * scale
         and np.linalg.norm(Bs - Bs.conj().T) <= EPS_HERM * scale

@@ -8,7 +8,6 @@ weights and the special cases (v = 1/2, r = 1).
 
 from __future__ import annotations
 
-import hashlib
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -23,7 +22,7 @@ from .catalog import (
 from .ensembles import EnsembleSpec, haar_unitary, positive_invertible_matrix, sample, sandwich_triple
 from .errors import BudgetExhausted
 from .functions import parse_function, power, schwarz_power_pair
-from .radius import SphereSampler, complex_gaussian, stream_rng
+from .radius import complex_gaussian, stream_rng
 
 V_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
 R_GRID = (1.0, 1.5, 2.0, 3.0)
@@ -32,24 +31,7 @@ PQ_GRID = ((2.0, 2.0), (3.0, 1.5))
 ALPHA_GRID = (0.3, 0.5, 0.7)
 FCONN_FUNCS = ("pow:0.5", "pow:0.25", "pow:1", "expr:1")
 
-# Suite-sized sphere sampler; stricter-test escalation multiplies it by 10.
-SUITE_SAMPLES = 256
-SUITE_DESCENT = 8
-
 VECTORS_PER_TRIAL = 6
-
-
-def _sampler_seed(seed, member, index):
-    text = f"{seed}:{member.value}:{index}".encode()
-    return int.from_bytes(hashlib.blake2b(text, digest_size=8).digest(), "little")
-
-
-def _sampler(ens, member, index):
-    return SphereSampler(
-        seed=_sampler_seed(ens.seed, member, index),
-        samples=SUITE_SAMPLES,
-        descent_steps=SUITE_DESCENT,
-    )
 
 
 def _spec(ens, kind, **kw):
@@ -230,7 +212,6 @@ def _build_refined_convexity(ens, i):
         B=_draw(ens, member, i, "B", kind="positive"),
         f=power(R_GRID[i % len(R_GRID)]),
         v=V_GRID[(i // len(R_GRID)) % len(V_GRID)],
-        sampler=_sampler(ens, member, i),
     )
 
 
@@ -243,7 +224,6 @@ def _build_improved_convex_product(ens, i):
         pair=schwarz_power_pair(ALPHA_GRID[i % len(ALPHA_GRID)]),
         h=power(R_GRID[(i // len(ALPHA_GRID)) % len(R_GRID)]),
         v=V_GRID[(i // (len(ALPHA_GRID) * len(R_GRID))) % len(V_GRID)],
-        sampler=_sampler(ens, member, i),
     )
 
 
@@ -278,7 +258,6 @@ def _build_hosseini_geo(ens, i):
         p=p,
         q=q,
         r=r,
-        sampler=_sampler(ens, member, i),
     )
 
 
@@ -292,7 +271,6 @@ def _build_hosseini_geo_norms(ens, i):
         q=q,
         r=r,
         variant=i % 3,
-        sampler=_sampler(ens, member, i),
     )
 
 
@@ -301,7 +279,6 @@ def _build_euclidean_sandwich(ens, i):
     return CheckInstance(
         A=_draw(ens, member, i, "A", kind="positive-invertible", lam_lo=0.5, lam_hi=3.0),
         B=_draw(ens, member, i, "B", kind="positive-invertible", lam_lo=0.5, lam_hi=3.0),
-        sampler=_sampler(ens, member, i),
     )
 
 
@@ -414,7 +391,6 @@ def _run_member(ineq, ensemble, trials, tol_rel, options):
     min_slack = None
     min_index = None
     min_params = {}
-    escalations = 0
     draws = 0
     budget = 100 * max(trials, 1)
     for _ in range(trials):
@@ -432,14 +408,10 @@ def _run_member(ineq, ensemble, trials, tol_rel, options):
         counts[result.status] += 1
         slacks.append(result.slack)
         notes.update(result.semantics)
-        if any("escalated" in s for s in result.semantics):
-            escalations += 1
         if min_slack is None or result.slack < min_slack:
             min_slack = result.slack
             min_index = index
             min_params = inst.params()
-    if escalations:
-        notes.add(f"escalations: {escalations}")
     return IneqRecord(
         ineq=ineq.value,
         trials=trials,

@@ -10,12 +10,13 @@ from numradlab.catalog import (
     norm_convexity_check,
     pointwise_lemma_check,
     verify_hypotheses,
+    _schwarz_sides,
 )
 from numradlab.ensembles import EnsembleSpec, sandwich_triple
 from numradlab.errors import BudgetExhausted
 from numradlab.functions import SchwarzPair, affine_power, power
-from numradlab.linalg import hermitian_part
-from numradlab.radius import SphereSampler, complex_gaussian, stream_rng
+from numradlab.linalg import adjoint, hermitian_part, hermitian_power
+from numradlab.radius import SphereSampler, complex_gaussian, quad_forms, sphere_sup, stream_rng
 from numradlab.suite import draw_instance, run_suite
 
 EX1_A = np.array([[1, 0], [-3, 1]], dtype=complex)
@@ -215,12 +216,68 @@ def test_refined_convexity_equal_operands():
     rng = stream_rng(45, "refined")
     G = complex_gaussian(rng, (3, 3))
     A = hermitian_part(G.conj().T @ G)
-    res = norm_convexity_check(
-        power(2.0), A, A, 0.4, sampler=SphereSampler(seed=3, samples=500, descent_steps=10), refined=True
-    )
+    res = norm_convexity_check(power(2.0), A, A, 0.4, refined=True)
     assert res.status is Status.HOLDS
     assert res.details["mu_estimate"] == pytest.approx(0.0, abs=1e-9)
     assert res.slack == pytest.approx(0.0, abs=1e-8)
+
+
+def _sampled_inf(P, Q, g, seed):
+    """Attained sampled minimum of g(<Px,x>, <Qx,x>) over the sphere, at the
+    sample and descent budget the suite used before its infima were exact."""
+    value, _ = sphere_sup(
+        lambda X: -g(quad_forms(P, X).real, quad_forms(Q, X).real),
+        P.shape[0],
+        SphereSampler(seed=seed, samples=256, descent_steps=8),
+    )
+    return -value
+
+
+def _subtracted_infima(member, inst):
+    """(computed infimum, P, Q, objective) for one suite draw of a member
+    that subtracts an infimum over the sphere."""
+    res = evaluate(member, inst)
+    if member in (InequalityId.REFINED_CONVEXITY, InequalityId.IMPROVED_CONVEX_PRODUCT):
+        f = inst.f if member is InequalityId.REFINED_CONVEXITY else inst.h
+        if member is InequalityId.REFINED_CONVEXITY:
+            P, Q, mu = inst.A, inst.B, res.details["mu_estimate"]
+        else:
+            S, T = _schwarz_sides(inst)
+            P, Q = hermitian_power(S, 1 / (1 - inst.v)), hermitian_power(T, 1 / inst.v)
+            mu = res.details["gap_estimate"]
+        return mu, P, Q, lambda u, v: f(u) + f(v) - 2.0 * f((u + v) / 2)
+    p, q, r = inst.p, inst.q, inst.r
+    if member is InequalityId.HOSSEINI_GEO:
+        P, Q, d = inst.A, hermitian_part(adjoint(inst.X) @ inst.B @ inst.X), 4
+    else:
+        P, Q, d = inst.A, inst.B, 4 if inst.variant == 0 else 2
+    ea, eb = r * p / d, r * q / d
+    return res.details["delta_estimate"], P, Q, lambda u, v: (u**ea - v**eb) ** 2
+
+
+def test_exact_infima_never_exceed_sampled_ones_on_suite_draws():
+    members = (
+        InequalityId.REFINED_CONVEXITY,
+        InequalityId.IMPROVED_CONVEX_PRODUCT,
+        InequalityId.HOSSEINI_GEO,
+        InequalityId.HOSSEINI_GEO_NORMS,
+    )
+    zeros = boundary = 0
+    for dim in (2, 3, 5, 8):
+        ens = EnsembleSpec(dim=dim, seed=1)
+        for member in members:
+            for i in range(16):
+                inst = draw_instance(member, ens, i)
+                if member is InequalityId.HOSSEINI_GEO_NORMS and inst.variant == 2:
+                    continue
+                mu, P, Q, g = _subtracted_infima(member, inst)
+                sampled = _sampled_inf(P, Q, g, seed=i)
+                assert mu <= max(sampled, 0.0)
+                if mu == 0.0:
+                    zeros += 1
+                else:
+                    boundary += 1
+    assert zeros > 0 and boundary > 0
 
 
 def test_inconclusive_path_never_violates():
@@ -228,11 +285,8 @@ def test_inconclusive_path_never_violates():
     G = complex_gaussian(rng, (3, 3))
     A = hermitian_part(G.conj().T @ G)
     # zero tolerance forces the stricter test to fail on the tight instance;
-    # sampled-infimum members must escalate and at worst report Inconclusive
-    res = norm_convexity_check(
-        power(2.0), A, A, 0.4, sampler=SphereSampler(seed=3, samples=200, descent_steps=5),
-        refined=True, tol_rel=0.0,
-    )
+    # members that subtract an infimum report at worst Inconclusive
+    res = norm_convexity_check(power(2.0), A, A, 0.4, refined=True, tol_rel=0.0)
     assert res.status in (Status.HOLDS, Status.INCONCLUSIVE)
     if res.status is Status.INCONCLUSIVE:
         assert any("escalated" in s for s in res.semantics)
@@ -253,7 +307,7 @@ def test_parameter_hypotheses_not_applicable():
 
 def test_euclidean_sandwich_equality_instance():
     A = np.diag([1.0, 2.0, 0.5]).astype(complex)
-    res = evaluate(InequalityId.EUCLIDEAN_SANDWICH, CheckInstance(A=A, B=A, sampler=SphereSampler(seed=1)))
+    res = evaluate(InequalityId.EUCLIDEAN_SANDWICH, CheckInstance(A=A, B=A))
     assert res.status is Status.HOLDS
     assert res.details["w_e"] == pytest.approx(np.sqrt(2.0) * 2.0, abs=1e-8)
 

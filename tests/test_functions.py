@@ -18,7 +18,7 @@ from numradlab.functions import (
     validate_schwarz_pair,
 )
 from numradlab.linalg import hermitian_part
-from numradlab.radius import SphereSampler, complex_gaussian, stream_rng
+from numradlab.radius import SphereSampler, complex_gaussian, quad_forms, sphere_sup, stream_rng
 
 
 def test_power_flags():
@@ -97,12 +97,11 @@ def _random_psd(rng, n, shift=0.0):
 def test_jensen_gap_examples():
     rng = stream_rng(10, "jensen")
     A = _random_psd(rng, 3)
-    sampler = SphereSampler(seed=42, samples=2000, descent_steps=30)
-    assert jensen_gap_mu(power(2.0), A, A, sampler) == pytest.approx(0.0, abs=1e-10)
+    assert jensen_gap_mu(power(2.0), A, A) == pytest.approx(0.0, abs=1e-10)
     # gap attained at the second basis vector: exhaustive 2-dim oracle gives 0
     A2 = np.diag([1.0, 3.0]).astype(complex)
     B2 = np.diag([5.0, 3.0]).astype(complex)
-    est = jensen_gap_mu(power(2.0), A2, B2, sampler)
+    est = jensen_gap_mu(power(2.0), A2, B2)
     assert -1e-12 <= est <= 1e-6
     t = np.linspace(0, np.pi / 2, 2000)
     u = np.cos(t) ** 2 * 1 + np.sin(t) ** 2 * 3
@@ -113,30 +112,81 @@ def test_jensen_gap_examples():
 
 def test_jensen_gap_nonnegative_for_convex():
     rng = stream_rng(11, "jensen-prop")
-    sampler = SphereSampler(seed=9, samples=500, descent_steps=10)
     for trial in range(100):
         n = 2 + trial % 5
         A = _random_psd(rng, n)
         B = _random_psd(rng, n)
         f = (power(2.0), power(3.0), power(1.5))[trial % 3]
-        assert jensen_gap_mu(f, A, B, sampler) >= -1e-12
+        assert jensen_gap_mu(f, A, B) >= -1e-12
 
 
-def test_jensen_gap_monotone_in_sample_count():
+def _sampled_jensen_gap(f, A, B, sampler):
+    """The attained sampled minimum of the Jensen-gap objective over the sphere."""
+    M = (A + B) / 2
+
+    def gap(X):
+        qa, qb, qm = (quad_forms(H, X).real for H in (A, B, M))
+        return f(qa) + f(qb) - 2.0 * f(qm)
+
+    value, _ = sphere_sup(lambda X: -gap(X), A.shape[0], sampler)
+    return -value
+
+
+def test_jensen_gap_below_sampled_estimates():
     rng = stream_rng(12, "jensen-mono")
     A = _random_psd(rng, 4)
     B = _random_psd(rng, 4)
-    prev = np.inf
+    exact = jensen_gap_mu(power(2.0), A, B)
+    assert exact == 0.0  # A - B is indefinite
     for samples in (50, 200, 1000, 5000):
-        est = jensen_gap_mu(power(2.0), A, B, SphereSampler(seed=7, samples=samples, descent_steps=12))
-        assert est <= prev + 1e-15
-        prev = est
+        assert exact <= _sampled_jensen_gap(power(2.0), A, B, SphereSampler(seed=7, samples=samples, descent_steps=12))
+
+
+def test_jensen_gap_zero_for_affine_f():
+    # g vanishes identically, also where A - B is definite; summing f-values
+    # near 1e9 used to leave roundoff of either sign
+    rng = stream_rng(14, "jensen-affine")
+    for n in (1, 2, 5):
+        A = 1e8 * _random_psd(rng, n, shift=1.0)
+        B = 1e8 * _random_psd(rng, n, shift=1.0)
+        for f in (power(1.0), parse_function("affine:2:3"), deformed_exp_function(1.0)):
+            assert jensen_gap_mu(f, A, B) == 0.0
+            assert jensen_gap_mu(f, A + 1e9 * np.eye(n), B) == 0.0
+
+
+def test_jensen_gap_definite_pairs_match_dense_boundary():
+    # A - B positive definite: the infimum is positive and lies on the boundary
+    # of W(A + iB); a dense sweep of that boundary bounds it from above
+    rng = stream_rng(15, "jensen-definite")
+    for trial in range(30):
+        n = 1 + trial % 5
+        B = _random_psd(rng, n)
+        A = B + _random_psd(rng, n, shift=0.1)
+        f = (power(2.0), power(3.0), power(1.5), deformed_exp_function(0.5))[trial % 4]
+        mu = jensen_gap_mu(f, A, B)
+        t = np.linspace(0.0, 2 * np.pi, 2048, endpoint=False)
+        X = np.linalg.eigh(np.cos(t)[:, None, None] * A + np.sin(t)[:, None, None] * B)[1][:, :, -1]
+        u, v = quad_forms(A, X).real, quad_forms(B, X).real
+        dense = float(np.min(f(u) + f(v) - 2.0 * f((u + v) / 2)))
+        assert 0.0 < mu <= dense * (1 + 1e-12)
+        if f.kind == "power" and f.params[0] == 2.0:  # g = (u - v)^2 / 2
+            assert mu == pytest.approx(np.linalg.eigvalsh(A - B)[0] ** 2 / 2, rel=1e-9)
+
+
+def test_jensen_gap_nonnegative_on_psd_pairs():
+    rng = stream_rng(16, "jensen-psd")
+    for trial in range(60):
+        n = 1 + trial % 6
+        B = _random_psd(rng, n, shift=1e-3)
+        A = _random_psd(rng, n, shift=1e-3) + (B if trial % 2 else 0.0)  # odd trials: A - B definite
+        f = (power(2.0), power(3.0), power(1.5), power(1.0), power(-1.0))[trial % 5]
+        assert jensen_gap_mu(f, A, B) >= 0.0
 
 
 def test_jensen_gap_flag_and_domain_checks():
     rng = stream_rng(13, "jensen-dom")
     A = _random_psd(rng, 3)
     with pytest.raises(errors.UnsupportedParameter):
-        jensen_gap_mu(power(0.5), A, A, SphereSampler(seed=1))
+        jensen_gap_mu(power(0.5), A, A)
     with pytest.raises(errors.DomainViolation):
-        jensen_gap_mu(power(1.5), A - 10 * np.eye(3), A, SphereSampler(seed=1))
+        jensen_gap_mu(power(1.5), A - 10 * np.eye(3), A)

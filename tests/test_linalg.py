@@ -110,9 +110,10 @@ def test_gram_kernels_scale_invariance(scale):
         assert err <= 1e-12 * norm_hermitian(root)
 
 
-@pytest.mark.parametrize("scale", [1e-160, 1e160])
+@pytest.mark.parametrize("scale", [1e-160, 1e-11, 1e160])
 def test_check_hermitian_scale_invariance(scale):
-    # np.linalg.norm of the unscaled input overflows (or underflows) here
+    # np.linalg.norm of the unscaled input overflows (or underflows) at
+    # 1e+-160; at 1e-11 an absolute floor on the tolerance accepted it
     rng = stream_rng(7, "hermscale")
     A = random_complex(rng, 3)
     with pytest.raises(errors.NotHermitian):

@@ -267,10 +267,11 @@ def test_euclidean_radius_examples():
         euclidean_radius(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
 
 
-@pytest.mark.parametrize("scale", [1e-160, 1e160])
+@pytest.mark.parametrize("scale", [1e-160, 1e-11, 1e160])
 def test_euclidean_radius_scale_invariance(scale):
-    # np.linalg.norm of the unscaled pair overflows (or underflows) here,
-    # which would let a general pair pass the Hermitian test
+    # np.linalg.norm of the unscaled pair overflows (or underflows) at
+    # 1e+-160, and at 1e-11 the Hermitian test had an absolute floor; either
+    # would let a general pair pass the Hermitian test
     rng = stream_rng(30, "wescale")
     A, B = complex_gaussian(rng, (3, 3)), complex_gaussian(rng, (3, 3))
     assert euclidean_radius(scale * A, scale * B) / scale == pytest.approx(euclidean_radius(A, B), rel=1e-9)

@@ -100,6 +100,84 @@ def test_matrix_io_rejects_booleans_and_huge_integers(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# Replacement values for one node of a document's JSON tree.
+_FUZZ_VALUES = (
+    None, True, False, 0, -1, 2, 2**70, 10**400, 0.5, -0.0, 5e-324, 1e308, -1e308,
+    float("nan"), float("inf"), "x", "", [], {}, [0], [0, 0, 0], [[0, 0]], {"dim": 1},
+)
+# Fragments spliced into a document's text.
+_FUZZ_TOKENS = ("[", "]", "{", "}", ",", ":", '"', "-", "e", "1", "0", ".", " ", "NaN",
+                "Infinity", "true", "null", "\\u0000", "\\ud800", "1e999", "[" * 3000)
+
+
+def _fuzzed_documents(rng, count):
+    """Exchange documents with one random edit: a node of the JSON tree
+    replaced, or a slice of the text cut, duplicated or spliced."""
+    for k in range(count):
+        n = 1 + k % 3
+        doc = matrix_to_dict(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        text = json.dumps(doc)
+        if k % 2 == 0:
+            paths = [("dim",), ("rows",)] + [("rows", i) for i in range(n)]
+            paths += [("rows", i, j) for i in range(n) for j in range(n)]
+            paths += [("rows", i, j, c) for i in range(n) for j in range(n) for c in range(2)]
+            *parent, last = paths[int(rng.integers(len(paths)))]
+            node = doc
+            for key in parent:
+                node = node[key]
+            node[last] = _FUZZ_VALUES[int(rng.integers(len(_FUZZ_VALUES)))]
+            yield json.dumps(doc)
+        else:
+            i, j = sorted(int(x) for x in rng.integers(0, len(text) + 1, size=2))
+            splice = _FUZZ_TOKENS[int(rng.integers(len(_FUZZ_TOKENS)))]
+            yield (text[:i] + text[j:], text[:j] + text[i:], text[:i] + splice + text[j:])[k % 3]
+
+
+def test_fuzzed_exchange_documents_parse_or_fail_cleanly(tmp_path, capsys):
+    rng = stream_rng(63, "fuzz")
+    parsed = refused = 0
+    for k, text in enumerate(_fuzzed_documents(rng, 600)):
+        try:
+            A = loads_matrix(text)
+        except MatrixFormatError:
+            refused += 1
+            expected = {1}
+        else:
+            parsed += 1
+            assert A.ndim == 2 and A.shape[0] == A.shape[1] and np.all(np.isfinite(A))
+            expected = {0, 1, 2}  # 1: the radius or the norm leaves the float range
+        if k % 5 == 0:
+            path = tmp_path / "fuzz.json"
+            path.write_text(text, encoding="utf-8")
+            assert cli.main(["radius", "--matrix", str(path)]) in expected
+            if expected == {1}:
+                assert "error:" in capsys.readouterr().err
+    assert parsed > 50 and refused > 50
+
+
+def test_exchange_documents_refused_before_work(tmp_path, capsys):
+    # each raised something other than MatrixFormatError (a traceback in the
+    # command line): deep nesting, invalid UTF-8, a short document with a huge
+    # dim, and a matrix whose radius exceeds the float range
+    with pytest.raises(MatrixFormatError):
+        loads_matrix("[" * 100000)
+    with pytest.raises(MatrixFormatError):
+        loads_matrix(json.dumps({"dim": 100000, "rows": [[]] * 100000}))
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{"dim": 1}')
+    with pytest.raises(MatrixFormatError):
+        load_matrix(bad)
+    assert cli.main(["radius", "--matrix", str(bad)]) == 1
+    huge = tmp_path / "huge.json"
+    save_matrix(1e308 * np.array([[1, 1j], [-1, 1]]), huge)
+    assert cli.main(["radius", "--matrix", str(huge)]) == 1
+    assert "float range" in capsys.readouterr().err
+    one = tmp_path / "one.json"
+    save_matrix(np.array([[1e308 + 1e308j]]), one)
+    assert cli.main(["radius", "--matrix", str(one)]) == 0
+    assert "w(A)        = 1.41421356237e+308" in capsys.readouterr().out
+
+
 def test_certify_exit_codes_and_report(tmp_path, capsys):
     report = tmp_path / "rep.json"
     code = cli.main(
