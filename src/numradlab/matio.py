@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -12,8 +13,8 @@ from .errors import MatrixFormatError
 
 
 def matrix_to_dict(A) -> dict:
-    A = np.asarray(A, dtype=np.complex128)
-    rows = [[[float(z.real), float(z.imag)] for z in row] for row in A]
+    A = np.ascontiguousarray(A, dtype=np.complex128)
+    rows = A.view(np.float64).reshape(A.shape + (2,)).tolist()
     return {"dim": int(A.shape[0]), "rows": rows}
 
 
@@ -31,6 +32,36 @@ def _is_finite_number(x):
         return False
 
 
+def _decode_entries(rows):
+    """All entries as one float array of [re, im] pairs, or None when one is faulty.
+
+    Types are screened before numpy sees the numbers, because np.array would
+    turn True, None and "1.5" into floats.
+    """
+    entries = list(chain.from_iterable(rows))
+    if not all(issubclass(t, list) for t in set(map(type, entries))) or set(map(len, entries)) != {2}:
+        return None
+    flat = list(chain.from_iterable(entries))
+    if not all(issubclass(t, (int, float)) and not issubclass(t, bool) for t in set(map(type, flat))):
+        return None
+    try:
+        arr = np.array(flat, dtype=np.float64)
+    except OverflowError:  # an integer literal beyond the float range
+        return None
+    return arr if np.isfinite(arr).all() else None
+
+
+def _refuse_first_fault(rows):
+    """Raise for the first entry, in row-major order, that does not decode."""
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            if not (isinstance(entry, list) and len(entry) == 2):
+                raise MatrixFormatError(f"entry ({i},{j}) must be a [re, im] pair")
+            if not all(_is_finite_number(x) for x in entry):
+                raise MatrixFormatError(f"entry ({i},{j}) must hold finite numbers")
+    raise AssertionError("a refused document has no faulty entry")
+
+
 def matrix_from_dict(doc) -> np.ndarray:
     if not isinstance(doc, dict) or "dim" not in doc or "rows" not in doc:
         raise MatrixFormatError("document must carry 'dim' and 'rows' fields")
@@ -43,17 +74,11 @@ def matrix_from_dict(doc) -> np.ndarray:
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise MatrixFormatError(f"row {i} must list {dim} entries")
-    # Allocate only once the rows are known to hold dim * dim entries.
-    out = np.empty((dim, dim), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        for j, entry in enumerate(row):
-            if not (isinstance(entry, list) and len(entry) == 2):
-                raise MatrixFormatError(f"entry ({i},{j}) must be a [re, im] pair")
-            re, im = entry
-            if not all(_is_finite_number(x) for x in (re, im)):
-                raise MatrixFormatError(f"entry ({i},{j}) must hold finite numbers")
-            out[i, j] = complex(re, im)
-    return out
+    # Decode only once the rows are known to hold dim * dim entries.
+    arr = _decode_entries(rows)
+    if arr is None:
+        _refuse_first_fault(rows)
+    return arr.view(np.complex128).reshape(dim, dim)
 
 
 def loads_matrix(text) -> np.ndarray:

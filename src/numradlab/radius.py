@@ -120,18 +120,15 @@ def _corner(t1, h1, t2, h2):
 
 
 def _kittaneh_bound(A):
-    """Kittaneh's upper bound (|| |A| + |A*| ||) / 2 on w(A), without square roots.
+    """Kittaneh's upper bound (|| |A| + |A*| ||) / 2 on w(A), from one SVD.
 
-    The positive part of the dilation [[0, A], [A*, 0]] is
-    [[|A*|, A], [A*, |A|]] / 2, so its diagonal blocks sum to (|A| + |A*|) / 2.
-    Forming |A| from a Gram spectrum instead would turn eps-level roundoff
-    into sqrt(eps)-level error.
+    For A = U S V*, |A| = V S V* and |A*| = U S U*. The SVD is backward
+    stable, whereas forming |A| from a Gram spectrum would turn eps-level
+    roundoff into sqrt(eps)-level error.
     """
-    Z = np.zeros_like(A)
-    lam, W = np.linalg.eigh(np.block([[Z, A], [A.conj().T, Z]]))
-    P = (W * np.maximum(lam, 0.0)) @ W.conj().T
-    n = A.shape[0]
-    return float(np.linalg.eigvalsh(P[:n, :n] + P[n:, n:])[-1])
+    U, s, Vh = np.linalg.svd(A)
+    V = Vh.conj().T
+    return float(np.linalg.eigvalsh((U * s) @ U.conj().T + (V * s) @ Vh)[-1]) / 2
 
 
 def numerical_radius(A, grid=16, tol=1e-10) -> RadiusResult:
@@ -196,10 +193,12 @@ def numerical_radius(A, grid=16, tol=1e-10) -> RadiusResult:
     # Each computed h is within a small multiple of n eps ||H|| of the true
     # eigenvalue (backward stability), and ||H|| <= ||A||_F.
     pad = A.shape[0] * np.finfo(float).eps * float(np.linalg.norm(A))
-    # The cap solves the 2n-sized dilation D, with ||D||_F = sqrt(2) ||A||_F,
-    # so its eigenpairs carry up to 2 sqrt(2) pads of error; forming P from
-    # them and solving the n-sized block sum can add as much again. 8 pads
-    # round that up; on square-zero A (n = 2..64) |cap - w| stays below 3 pads.
+    # The cap's SVD is exact for some A + E, with ||E||_F and the factors'
+    # departure from unitarity within about a pad; |A| and |A*| then move by
+    # at most sqrt(2) ||E||_F each (Araki-Yamagami), and the factors add up to
+    # 2 pads to the halved sum. Forming that sum, of Frobenius norm at most
+    # ||A||_F, and solving its top eigenvalue add about a pad each. 8 pads
+    # round that up; on square-zero A (n = 2..64) |cap - w| stays below 1 pad.
     upper = max(min(max(hi, lo) + pad, cap + 8 * pad), lo + pad)
     return RadiusResult(math.ldexp(lo, exp2), t_best % _TWO_PI, witness, math.ldexp(upper, exp2))
 

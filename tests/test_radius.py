@@ -68,12 +68,12 @@ def enclosed_radius(A, monkeypatch, solves=None, exact=None):
     value <= upper, upper above the dense-sweep oracle (or above ``exact``,
     a known w(A), when given), at most the initial stack plus the cut cap of
     eigenvalue-only matrices, and eigenvectors only for one stacked witness
-    solve of at most three lines plus at most one Kittaneh dilation. Every
-    solve is appended to ``solves`` as (function name, input shape) when
-    given."""
+    solve of at most three lines plus at most one SVD for Kittaneh's bound.
+    Every solve is appended to ``solves`` as (function name, input shape)
+    when given."""
     calls = []
     with monkeypatch.context() as m:
-        for name in ("eigh", "eigvalsh"):
+        for name in ("eigh", "eigvalsh", "svd"):
 
             def recording(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
                 calls.append((_name, a.shape))
@@ -89,19 +89,19 @@ def enclosed_radius(A, monkeypatch, solves=None, exact=None):
     assert sum(1 if len(shape) == 2 else shape[0] for shape in values_only) <= 16 + radius._MAX_CUTS
     witness = [shape for name, shape in calls if name == "eigh" and len(shape) == 3]
     assert len(witness) == 1 and witness[0][0] <= 3
-    assert dilation_solves(calls, A.shape[0]) <= 1
+    assert kittaneh_solves(calls, A.shape[0]) <= 1
     return res
 
 
-def dilation_solves(solves, n):
-    """How many of the recorded solves are eigh calls on the Kittaneh dilation."""
-    return solves.count(("eigh", (2 * n, 2 * n)))
+def kittaneh_solves(solves, n):
+    """How many of the recorded solves are SVDs for Kittaneh's bound."""
+    return solves.count(("svd", (n, n)))
 
 
 def square_zero_solves(n, k):
     """The solves of an enclosure that makes no cut: the initial stack, the
-    dilation with its block-sum spectrum, and a witness solve of k lines."""
-    return [("eigvalsh", (16, n, n)), ("eigh", (2 * n, 2 * n)), ("eigvalsh", (n, n)), ("eigh", (k, n, n))]
+    SVD with the spectrum of |A| + |A*|, and a witness solve of k lines."""
+    return [("eigvalsh", (16, n, n)), ("svd", (n, n)), ("eigvalsh", (n, n)), ("eigh", (k, n, n))]
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1e-18, 1e18, 1e150])
@@ -113,7 +113,7 @@ def test_radius_scale_invariance(scale, monkeypatch):
         solves = []
         w = enclosed_radius(A, monkeypatch, solves).value
         assert enclosed_radius(c * A, monkeypatch, solves).value / scale == pytest.approx(w, rel=1e-10)
-        assert dilation_solves(solves, n) == 0  # a generic field is not flat
+        assert kittaneh_solves(solves, n) == 0  # a generic field is not flat
 
 
 def test_radius_rotation_transpose_unitary_invariance(monkeypatch):
@@ -136,7 +136,7 @@ def test_radius_jordan_blocks(monkeypatch):
         assert res.upper >= w
         # W(J) is a disk centred at 0, so the flat test fires; Kittaneh's
         # bound is exact for J_2 (square-zero) but equals 1 from n = 3 on.
-        assert dilation_solves(solves, n) == 1
+        assert kittaneh_solves(solves, n) == 1
         assert radius._kittaneh_bound(J) == pytest.approx(0.5 if n == 2 else 1.0, rel=1e-14)
 
 
@@ -162,7 +162,7 @@ def test_radius_special_families(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 8, 32, 64])
 def test_radius_square_zero_stops_on_kittaneh_bound(n, monkeypatch):
-    # w(S) = ||S|| / 2 = Kittaneh's bound for square-zero S, so one dilation
+    # w(S) = ||S|| / 2 = Kittaneh's bound for square-zero S, so one SVD
     # solve after the initial stack closes the enclosure to roundoff.
     S = sample(EnsembleSpec(dim=n, kind="square-zero", seed=29), 0)
     half_norm = np.linalg.svd(S, compute_uv=False)[0] / 2

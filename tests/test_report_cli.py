@@ -11,7 +11,14 @@ import pytest
 import numradlab
 from numradlab import cli
 from numradlab.errors import MatrixFormatError, NoConvergence
-from numradlab.matio import dumps_matrix, load_matrix, loads_matrix, matrix_to_dict, save_matrix
+from numradlab.matio import (
+    dumps_matrix,
+    load_matrix,
+    loads_matrix,
+    matrix_from_dict,
+    matrix_to_dict,
+    save_matrix,
+)
 from numradlab.radius import numerical_radius, stream_rng
 from numradlab.report import CSV_COLUMNS, IneqRecord, SuiteReport
 
@@ -98,6 +105,117 @@ def test_matrix_io_rejects_booleans_and_huge_integers(tmp_path, capsys):
     path.write_text('{"dim": true, "rows": [[[true, false]]]}')
     assert cli.main(["radius", "--matrix", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def reference_decode(doc):
+    """Per-entry decoding of the rows of a well-shaped document: the reference
+    that the bulk decode must match bit for bit, refusals included."""
+    dim = doc["dim"]
+    out = np.empty((dim, dim), dtype=np.complex128)
+    for i, row in enumerate(doc["rows"]):
+        for j, entry in enumerate(row):
+            if not (isinstance(entry, list) and len(entry) == 2):
+                raise MatrixFormatError(f"entry ({i},{j}) must be a [re, im] pair")
+            for x in entry:
+                if isinstance(x, bool) or not isinstance(x, (int, float)):
+                    raise MatrixFormatError(f"entry ({i},{j}) must hold finite numbers")
+                try:
+                    finite = np.isfinite(float(x))
+                except OverflowError:
+                    finite = False
+                if not finite:
+                    raise MatrixFormatError(f"entry ({i},{j}) must hold finite numbers")
+            out[i, j] = complex(*entry)
+    return out
+
+
+def assert_bitwise_equal(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype == np.complex128
+    bits = [np.ascontiguousarray(M).view(np.uint64) for M in (a, b)]
+    np.testing.assert_array_equal(*bits)
+
+
+def decode_outcome(decode, doc):
+    try:
+        return decode(doc)
+    except MatrixFormatError as exc:
+        return str(exc)
+
+
+def _exchange_number(rng):
+    kind = int(rng.integers(9))
+    if kind == 0:
+        return int(rng.integers(-10**6, 10**6))
+    if kind == 1:
+        return int(rng.choice([2**64 + 1, -(2**63) - 1, 2**1023 + 1, 3**600]))
+    if kind == 2:
+        return float(rng.choice([-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308]))
+    if kind == 3:
+        return float(rng.standard_normal() * 2.0 ** -1060)  # subnormal
+    if kind == 4:
+        return np.float64(rng.standard_normal())  # only from dicts built in code
+    return float(rng.standard_normal() * 10.0 ** float(rng.integers(-300, 300)))
+
+
+def test_bulk_decode_matches_per_entry_reference():
+    rng = stream_rng(64, "bulk-decode")
+    for k in range(300):
+        n = 1 + k % 7
+        doc = {"dim": n, "rows": [[[_exchange_number(rng), _exchange_number(rng)] for _ in range(n)] for _ in range(n)]}
+        assert_bitwise_equal(matrix_from_dict(doc), reference_decode(doc))
+        assert_bitwise_equal(loads_matrix(json.dumps(doc)), reference_decode(doc))
+
+
+_FAULTY_NUMBERS = (True, False, None, "1.5", np.float32(1.5), 10**400, -(10**400),
+                   float("nan"), float("inf"), -float("inf"))
+_FAULTY_ENTRIES = ([0.0], [0.0, 0.0, 0.0], [True], ["1.5", 0.0, 0.0], [], (0.0, 0.0), 0.0, None, "x", {"re": 0.0})
+
+
+def test_bulk_decode_refusals_name_the_first_faulty_entry():
+    rng = stream_rng(65, "bulk-refuse")
+    for k in range(400):
+        n = 1 + k % 4
+        rows = [[[float(x), float(y)] for x, y in rng.standard_normal((n, 2))] for _ in range(n)]
+        # one or two faults, of one kind or of two kinds, in random places
+        for _ in range(1 + k % 2):
+            i, j = (int(x) for x in rng.integers(0, n, size=2))
+            if rng.integers(2):
+                rows[i][j] = _FAULTY_ENTRIES[int(rng.integers(len(_FAULTY_ENTRIES)))]
+            else:
+                entry = [0.5, -0.5]
+                entry[int(rng.integers(2))] = _FAULTY_NUMBERS[int(rng.integers(len(_FAULTY_NUMBERS)))]
+                rows[i][j] = entry
+        doc = {"dim": n, "rows": rows}
+        expected = decode_outcome(reference_decode, doc)
+        assert isinstance(expected, str)
+        assert decode_outcome(matrix_from_dict, doc) == expected
+    # the first fault in row-major order is named, whatever its kind
+    pair_first = {"dim": 2, "rows": [[[0, 0], [1]], [[True, 0], [0, 0]]]}
+    number_first = {"dim": 2, "rows": [[[0, 0], ["1.5", 0]], [[0, 0, 0], [0, 0]]]}
+    assert decode_outcome(matrix_from_dict, pair_first) == "entry (0,1) must be a [re, im] pair"
+    assert decode_outcome(matrix_from_dict, number_first) == "entry (0,1) must hold finite numbers"
+    for text in ('[true, 0]', '[0, null]', '["1.5", 0]', '[1e999, 0]', '[NaN, 0]', '[0, -Infinity]',
+                 '[' + '9' * 400 + ', 0]', '[0]', '[0, 0, 0]', '0', '{"re": 0}'):
+        doc = '{"dim": 2, "rows": [[[0, 0], [0, 0]], [[0, 0], ' + text + ']]}'
+        expected = decode_outcome(reference_decode, json.loads(doc))
+        assert decode_outcome(loads_matrix, doc) == expected
+        assert expected.startswith("entry (1,1) must")
+
+
+def test_bulk_encode_matches_per_entry_reference():
+    rng = stream_rng(66, "bulk-encode")
+    specials = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.7976931348623157e308])
+    for k in range(100):
+        n = 1 + k % 6
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        mask = rng.random((n, n, 2)) < 0.4
+        parts = A.view(np.float64).reshape(n, n, 2)
+        parts[mask] = rng.choice(specials, size=int(mask.sum()))
+        for M in (A, A.T, A.real, A[::-1]):
+            C = np.asarray(M, dtype=complex)
+            reference = {"dim": n, "rows": [[[float(z.real), float(z.imag)] for z in row] for row in C]}
+            assert dumps_matrix(M) == json.dumps(reference, indent=1) + "\n"
+            assert_bitwise_equal(loads_matrix(dumps_matrix(M)), C)
 
 
 # Replacement values for one node of a document's JSON tree.
@@ -349,13 +467,19 @@ def test_search_flags_violated_theorem_member(monkeypatch, tmp_path, capsys):
     assert json.loads(out.read_text())["status"] == "violated"
 
 
-def test_seed_env_override(monkeypatch):
+def test_seed_env_override(monkeypatch, tmp_path):
     monkeypatch.setenv("NUMRAD_SEED", "4242")
     parser = cli.build_parser()
     args = parser.parse_args(["certify"])
     assert args.seed == 4242
     args = parser.parse_args(["search", "--ineq", "norm-sandwich"])
     assert args.seed == 4242
+    # main reuses its parser, but follows the variable between calls
+    report = tmp_path / "rep.json"
+    for seed in ("5", "6", "5"):
+        monkeypatch.setenv("NUMRAD_SEED", seed)
+        assert cli.main(["certify", "--ineq", "norm-sandwich", "--trials", "0", "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["config"]["seed"] == int(seed)
 
 
 def test_matrix_to_dict_shape():
