@@ -109,8 +109,8 @@ def _cmd_certify(args):
         valid = ", ".join(m.value for m in InequalityId)
         print(f"error: unknown inequality id {exc}; valid ids: {valid}", file=sys.stderr)
         return 1
-    ensemble = EnsembleSpec(dim=args.dim, kind="generic", scale=1.0, seed=args.seed)
     try:
+        ensemble = EnsembleSpec(dim=args.dim, kind="generic", scale=1.0, seed=args.seed)
         report = run_suite(ids, ensemble, args.trials, tol_rel=args.tol, options=SUITE_OPTIONS)
     except NumradError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -168,6 +168,9 @@ def _cmd_radius(args):
     except OverflowError:
         print("error: the numerical radius or the norm exceeds the float range", file=sys.stderr)
         return 1
+    except ValueError as exc:  # a --tol that is not positive and finite
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"w(A)        = {res.value:.12g}")
     print(f"||A||       = {nrm:.12g}")
     print(f"theta*      = {res.theta_star:.12g}")
@@ -224,7 +227,11 @@ def _cmd_search(args):
         valid = ", ".join(m.value for m in InequalityId)
         print(f"error: unknown inequality id {args.ineq!r}; valid ids: {valid}", file=sys.stderr)
         return 1
-    ensemble = EnsembleSpec(dim=args.dim, kind="generic", scale=1.0, seed=args.seed)
+    try:
+        ensemble = EnsembleSpec(dim=args.dim, kind="generic", scale=1.0, seed=args.seed)
+    except NumradError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     best = None
     draws = 0
     budget = 100 * max(args.restarts, 1)
@@ -293,6 +300,28 @@ def _cmd_search(args):
     return 0
 
 
+def _count(text):
+    """Parse a flag that counts something: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _tolerance(text):
+    """Parse a relative tolerance flag: a finite float >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="numradlab", description=__doc__)
     default_seed = int(os.environ.get("NUMRAD_SEED", "0"))
@@ -301,9 +330,9 @@ def build_parser():
     cert = sub.add_parser("certify", help="run the inequality certification suite")
     cert.add_argument("--ineq", default="all", help="comma-separated inequality ids, or 'all'")
     cert.add_argument("--dim", type=int, default=4)
-    cert.add_argument("--trials", type=int, default=100)
+    cert.add_argument("--trials", type=_count, default=100)
     cert.add_argument("--seed", type=int, default=default_seed)
-    cert.add_argument("--tol", type=float, default=1e-8)
+    cert.add_argument("--tol", type=_tolerance, default=1e-8)
     cert.add_argument("--report", default=None, help="path for the report file")
     cert.add_argument("--format", choices=("json", "csv"), default="json")
     cert.set_defaults(func=_cmd_certify)
@@ -319,7 +348,7 @@ def build_parser():
     sea = sub.add_parser("search", help="random-restart search for minimal slack")
     sea.add_argument("--ineq", required=True)
     sea.add_argument("--dim", type=int, default=4)
-    sea.add_argument("--restarts", type=int, default=50)
+    sea.add_argument("--restarts", type=_count, default=50)
     sea.add_argument("--seed", type=int, default=default_seed)
     sea.add_argument("--out", default=None, help="output instance path")
     sea.set_defaults(func=_cmd_search)

@@ -4,8 +4,9 @@ and the generic sampled optimizer over the complex unit sphere.
 
 The enclosure uses the identity  w(A) = max_theta lambda_max((e^{i theta} A
 + e^{-i theta} A*) / 2): every angle is a Hermitian eigenvalue problem whose
-top eigenvalue gives a support line, the lines' outer polygon gives an upper
-bound, and one top eigenvector attains the lower bound. Sampled suprema are
+top eigenvalue gives a support line and whose negated bottom eigenvalue gives
+the antipodal one, the lines' outer polygon gives an upper bound, and one top
+eigenvector attains the lower bound. Sampled suprema are
 certified lower bounds (each reported value is attained by the returned
 witness vector).
 """
@@ -137,11 +138,14 @@ def numerical_radius(A, grid=16, tol=1e-10) -> RadiusResult:
     Each angle t gives the support line Re(e^{it} z) <= h(t) of W(A), with
     h(t) = lambda_max((e^{it} A + e^{-it} A*) / 2) <= w(A). The lines bound
     W(A) by a polygon whose farthest vertex is an upper bound (Johnson 1978).
-    Starting from ``grid`` (>= 16) uniform angles, one line is cut at the
-    farthest vertex until it is within ``tol`` (relative) of max h (Uhlig
-    2009), or a fixed cut cap is reached; the cuts solve eigenvalues only.
-    The top eigenvectors x of at most three lines then give the attained
-    lower bound max |x*Ax| >= max h.
+    Starting from ``grid`` (>= 16, rounded up to even) uniform angles, one
+    line is cut at the farthest vertex until it is within ``tol`` (relative)
+    of max h (Uhlig 2009), or a fixed cut cap is reached. The rotation at
+    t + pi is the negated one at t, so the initial lines take grid / 2
+    eigenvalue-only solves over a half-turn, and the cuts solve eigenvalues
+    only. The attained lower bound max |x*Ax| >= max h comes from the top
+    eigenvector x of the top line once the gap is within ``tol``, and from
+    at most three lines otherwise.
     When the initial support values are flat to ``tol``, W(A) looks like a
     disk centred at 0, where the polygon closes slowly; Kittaneh's bound,
     which is exact for square-zero A, then also caps the upper bound.
@@ -150,17 +154,21 @@ def numerical_radius(A, grid=16, tol=1e-10) -> RadiusResult:
     A, exp2 = _pow2_scaled(as_matrix(A))
     if grid < 16:
         raise ValueError("grid must be at least 16")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     half = A / 2
     half_h = half.conj().T
     # Line k is Re(e^{i t_k} z) <= h_k; corner k joins lines k and k + 1.
+    # Line k + m is the antipode of line k: h(t + pi) = -lambda_min at t.
     # The last line repeats the first one turn on, so corners need no wrap.
-    thetas = [_TWO_PI * k / grid for k in range(grid + 1)]
-    hs = np.linalg.eigvalsh(_rotated_stack(A, np.array(thetas[:-1])))[:, -1].tolist()
+    m = (grid + 1) // 2
+    thetas = [_TWO_PI * k / (2 * m) for k in range(m)]
+    ev = np.linalg.eigvalsh(_rotated_stack(A, np.array(thetas)))
+    hs = ev[:, -1].tolist() + (-ev[:, 0]).tolist()
+    thetas += [t + math.pi for t in thetas] + [_TWO_PI]
     hs.append(hs[0])
     lo = max(hs)
-    corners = [_corner(thetas[k], hs[k], thetas[k + 1], hs[k + 1]) for k in range(grid)]
+    corners = [_corner(thetas[k], hs[k], thetas[k + 1], hs[k + 1]) for k in range(2 * m)]
     cap, cuts = math.inf, _MAX_CUTS
     if lo - min(hs) <= tol * lo:
         cap, cuts = _kittaneh_bound(A), _MAX_CUTS - 1
@@ -181,25 +189,35 @@ def numerical_radius(A, grid=16, tol=1e-10) -> RadiusResult:
         thetas.insert(k + 1, t)
         hs.insert(k + 1, h)
     hi, step = max(corners)
-    k = corners.index((hi, step))
-    # The witness comes from the top line and from both lines of the farthest
-    # corner: when the loop leaves on a resolved corner, the vertex lies on
-    # those lines although none of them points at it.
-    lines = sorted({hs.index(lo), k, (k + 1) % (len(thetas) - 1)})
+    top = min(hi, cap)
+    if top - lo <= tol * top:
+        # The top line's eigenvector attains at least lo, so the gap stays within tol.
+        lines = [hs.index(lo)]
+    else:
+        # On a cut cap or a resolved corner, the witness also comes from both
+        # lines of the farthest corner: the vertex lies on those lines,
+        # although none of them need point at it.
+        k = corners.index((hi, step))
+        lines = sorted({hs.index(lo), k, (k + 1) % (len(thetas) - 1)})
     X = np.linalg.eigh(_rotated_stack(A, np.array([thetas[j] for j in lines])))[1][:, :, -1]
     mods = np.abs(np.einsum("ki,ij,kj->k", X.conj(), A, X))
     best = int(np.argmax(mods))
     lo, t_best, witness = float(mods[best]), thetas[lines[best]], X[best]
     # Each computed h is within a small multiple of n eps ||H|| of the true
     # eigenvalue (backward stability), and ||H|| <= ||A||_F.
-    pad = A.shape[0] * np.finfo(float).eps * float(np.linalg.norm(A))
+    eps_f = np.finfo(float).eps * float(np.linalg.norm(A))
+    pad = A.shape[0] * eps_f
+    # An antipodal line is recorded at fl(t + pi), within 6e-16 < 3 eps rad of
+    # t + pi. As |h'| <= w <= ||A||_F, its offset is then short by at most
+    # 3 eps ||A||_F, which n eps ||A||_F alone does not cover at n = 2; the
+    # polygon's pad adds that much.
     # The cap's SVD is exact for some A + E, with ||E||_F and the factors'
     # departure from unitarity within about a pad; |A| and |A*| then move by
     # at most sqrt(2) ||E||_F each (Araki-Yamagami), and the factors add up to
     # 2 pads to the halved sum. Forming that sum, of Frobenius norm at most
     # ||A||_F, and solving its top eigenvalue add about a pad each. 8 pads
     # round that up; on square-zero A (n = 2..64) |cap - w| stays below 1 pad.
-    upper = max(min(max(hi, lo) + pad, cap + 8 * pad), lo + pad)
+    upper = max(min(max(hi, lo) + pad + 3 * eps_f, cap + 8 * pad), lo + pad)
     return RadiusResult(math.ldexp(lo, exp2), t_best % _TWO_PI, witness, math.ldexp(upper, exp2))
 
 

@@ -86,7 +86,7 @@ def enclosed_radius(A, monkeypatch, solves=None, exact=None):
     assert res.value <= res.upper
     assert res.upper >= (dense_sweep_oracle(A, grid=4096) if exact is None else exact)
     values_only = [shape for name, shape in calls if name == "eigvalsh"]
-    assert sum(1 if len(shape) == 2 else shape[0] for shape in values_only) <= 16 + radius._MAX_CUTS
+    assert sum(1 if len(shape) == 2 else shape[0] for shape in values_only) <= 8 + radius._MAX_CUTS
     witness = [shape for name, shape in calls if name == "eigh" and len(shape) == 3]
     assert len(witness) == 1 and witness[0][0] <= 3
     assert kittaneh_solves(calls, A.shape[0]) <= 1
@@ -98,10 +98,72 @@ def kittaneh_solves(solves, n):
     return solves.count(("svd", (n, n)))
 
 
-def square_zero_solves(n, k):
-    """The solves of an enclosure that makes no cut: the initial stack, the
-    SVD with the spectrum of |A| + |A*|, and a witness solve of k lines."""
-    return [("eigvalsh", (16, n, n)), ("svd", (n, n)), ("eigvalsh", (n, n)), ("eigh", (k, n, n))]
+def square_zero_solves(n):
+    """The solves of an enclosure that makes no cut: the half-turn initial
+    stack, the SVD with the spectrum of |A| + |A*|, and the top line's witness."""
+    return [("eigvalsh", (8, n, n)), ("svd", (n, n)), ("eigvalsh", (n, n)), ("eigh", (1, n, n))]
+
+
+def witness_lines(solves):
+    """How many lines the stacked witness solve among ``solves`` took."""
+    (shape,) = [shape for name, shape in solves if name == "eigh" and len(shape) == 3]
+    return shape[0]
+
+
+@pytest.mark.parametrize("grid, m", [(16, 8), (17, 9)])
+def test_radius_half_turn_stack_matches_full_turn(grid, m, monkeypatch):
+    # The initial polygon's 2m lines come from m eigenvalue-only solves over a
+    # half-turn: line k + m, at t_k + pi, is read from -lambda_min at t_k.
+    rng = stream_rng(31, "half-turn")
+    eps = np.finfo(float).eps
+    for n in (1, 2, 3, 5, 8):
+        A = complex_gaussian(rng, (n, n))
+        lines, stacks = [], []
+        with monkeypatch.context() as mp:
+
+            def corner(t1, h1, t2, h2, _corner=radius._corner):
+                lines.append((t1, h1))
+                return _corner(t1, h1, t2, h2)
+
+            def eigvalsh(a, _eigvalsh=np.linalg.eigvalsh):
+                stacks.append(a.shape)
+                return _eigvalsh(a)
+
+            mp.setattr(radius, "_corner", corner)
+            mp.setattr(np.linalg, "eigvalsh", eigvalsh)
+            numerical_radius(A, grid=grid)
+        assert stacks[0] == (m, n, n)
+        assert all(len(shape) == 2 for shape in stacks[1:])
+        thetas, hs = np.array(lines[: 2 * m]).T
+        full = 2 * np.pi * np.arange(2 * m) / (2 * m)
+        np.testing.assert_allclose(thetas, full, rtol=0, atol=4 * eps)
+        reference = np.linalg.eigvalsh(_rotated_stack(A, full))[:, -1]
+        assert np.abs(hs - reference).max() <= 4 * n * eps * np.linalg.norm(A)
+
+
+def test_radius_converged_witness_is_the_top_line(monkeypatch):
+    # Once the gap is within tol, the top line's eigenvector attains at least
+    # max h, so the witness solve takes that line alone.
+    rng = stream_rng(32, "top-line")
+    eps = np.finfo(float).eps
+    for n in (2, 3, 5, 8, 32):
+        A = complex_gaussian(rng, (n, n))
+        solves = []
+        res = enclosed_radius(A, monkeypatch, solves)
+        assert witness_lines(solves) == 1
+        assert res.upper - res.value <= 1e-10 * res.upper + 2 * (n + 3) * eps * np.linalg.norm(A)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+def test_radius_antipodal_line_on_normal_eigenvalue(scale, monkeypatch):
+    # The line at angle t points at e^{-it}. The dominant eigenvalue sits where
+    # the antipodal line t = 3 pi / 8 + pi of the initial stack points; that
+    # line is recorded at the rounded angle fl(t + pi), whose error the pad
+    # covers.
+    lam = np.exp(-1j * (2 * np.pi * 3 / 16 + np.pi))
+    A = scale * np.diag([lam, 0.4j])
+    res = enclosed_radius(A, monkeypatch, exact=abs(A[0, 0]))
+    assert res.value == pytest.approx(abs(A[0, 0]), rel=1e-15)
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1e-18, 1e18, 1e150])
@@ -137,6 +199,9 @@ def test_radius_jordan_blocks(monkeypatch):
         # W(J) is a disk centred at 0, so the flat test fires; Kittaneh's
         # bound is exact for J_2 (square-zero) but equals 1 from n = 3 on.
         assert kittaneh_solves(solves, n) == 1
+        # J_2 converges on the cap; from n = 3 on the loop leaves on the cut
+        # cap, and the witness keeps the farthest corner's lines.
+        assert witness_lines(solves) in ((1,) if n == 2 else (2, 3))
         assert radius._kittaneh_bound(J) == pytest.approx(0.5 if n == 2 else 1.0, rel=1e-14)
 
 
@@ -146,7 +211,7 @@ def test_radius_special_families(monkeypatch):
         solves = []
         zero = enclosed_radius(np.zeros((n, n), dtype=complex), monkeypatch, solves)
         assert zero.value == zero.upper == 0.0  # the roundoff pad of 0 is 0
-        assert solves in [square_zero_solves(n, k) for k in (1, 2, 3)]
+        assert solves == square_zero_solves(n)
         c = complex(-1.5, 2.0)
         assert enclosed_radius(c * np.eye(n), monkeypatch).value == pytest.approx(2.5, rel=1e-12)
         u, v = complex_gaussian(rng, n), complex_gaussian(rng, n)
@@ -171,7 +236,7 @@ def test_radius_square_zero_stops_on_kittaneh_bound(n, monkeypatch):
         res = enclosed_radius(scale * S, monkeypatch, solves, exact=scale * half_norm)
         assert res.upper - res.value <= 1e-10 * res.upper
         assert res.value == pytest.approx(scale * half_norm, rel=1e-12)
-        assert solves in [square_zero_solves(n, k) for k in (1, 2, 3)]
+        assert solves == square_zero_solves(n)
 
 
 def test_radius_witness_from_resolved_corner(monkeypatch):
@@ -180,7 +245,9 @@ def test_radius_witness_from_resolved_corner(monkeypatch):
     # line points at it, so the line of largest h has top eigenvector e2 and
     # |x*Ax| = 0.999 there. The witness must come from the corner's lines.
     A = np.diag([np.exp(2.2656j), 0.999 * np.exp(1.8956j)])
-    res = enclosed_radius(A, monkeypatch, exact=1.0)
+    solves = []
+    res = enclosed_radius(A, monkeypatch, solves, exact=1.0)
+    assert witness_lines(solves) in (2, 3)
     assert res.value == pytest.approx(1.0, abs=1e-15)
     assert abs(np.vdot(res.witness, A @ res.witness)) == pytest.approx(1.0, abs=1e-15)
 
@@ -189,8 +256,9 @@ def test_radius_rejects_bad_arguments():
     A = np.eye(2, dtype=complex)
     with pytest.raises(ValueError):
         numerical_radius(A, grid=8)
-    with pytest.raises(ValueError):
-        numerical_radius(A, tol=0.0)
+    for tol in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            numerical_radius(A, tol=tol)
 
 
 def test_sandwich_property_bulk():

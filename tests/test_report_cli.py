@@ -319,6 +319,34 @@ def test_certify_trials_zero_and_unknown_id(capsys):
     assert "norm-sandwich" in err and "hosseini-geo" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--dim", "0"],
+        ["search", "--ineq", "norm-sandwich", "--dim", "0"],
+        ["certify", "--trials", "-1"],
+        ["certify", "--tol", "nan"],
+        ["certify", "--tol", "-1"],
+        ["radius", "--tol", "0"],
+        ["radius", "--tol", "-1"],
+        ["radius", "--tol", "nan"],
+        ["radius", "--tol", "inf"],
+        ["search", "--ineq", "norm-sandwich", "--restarts", "-3"],
+    ],
+    ids="_".join,
+)
+def test_out_of_range_flags_are_usage_errors(argv, tmp_path, capsys):
+    out = tmp_path / "inst.json"
+    if argv[0] == "radius":
+        save_matrix(np.array([[0, 1], [0, 0]], dtype=complex), out)
+        argv = argv + ["--matrix", str(out)]
+    elif argv[0] == "search":
+        argv = argv + ["--out", str(out)]
+    assert cli.main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+    assert argv[0] == "radius" or not out.exists()
+
+
 def test_certify_byte_identical_reports(tmp_path):
     args = ["certify", "--ineq", "norm-sandwich,kittaneh-chain", "--dim", "3", "--trials", "25", "--seed", "11"]
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
