@@ -17,6 +17,7 @@ import dataclasses
 import enum
 import math
 from dataclasses import dataclass, field
+from types import GeneratorType
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from .linalg import (
     operator_norm,
 )
 from .means import gamma_factor, pd_roots, weighted_geometric
-from .radius import RadiusResult, _boundary_inf, numerical_radius, quad_forms
+from .radius import _boundary_inf, numerical_radius, quad_forms
 
 
 class InequalityId(enum.Enum):
@@ -193,10 +194,6 @@ class CheckResult:
 
 # ---------------------------------------------------------------------------
 # small shared helpers
-
-
-def _w(A, options: EvalOptions) -> RadiusResult:
-    return numerical_radius(A, tol=options.radius_tol)
 
 
 def _psd_ok(H, name, conditions, invertible=False):
@@ -425,20 +422,21 @@ def _specials_sides(inst):
 
 # ---------------------------------------------------------------------------
 # evaluators (one per member); each returns (ineq, lhs, rhs, details,
-# semantics, witness)
+# semantics, witness). One that needs numerical radii is a generator: it
+# yields each matrix and is sent back its ``RadiusResult``.
 
 
-def _ev_norm_sandwich(inst, options, hyp):
-    res = _w(inst.A, options)
+def _ev_norm_sandwich(inst, hyp):
+    res = yield inst.A
     nrm = operator_norm(inst.A)
     details = {"w": res.value, "norm": nrm}
     links = [("half-norm <= w", nrm / 2, res.value), ("w <= norm", res.value, nrm)]
     return _chain(InequalityId.NORM_SANDWICH, hyp, links, details, [_W_NOTE], res.witness)
 
 
-def _ev_kittaneh_chain(inst, options, hyp):
+def _ev_kittaneh_chain(inst, hyp):
     A = inst.A
-    res = _w(A, options)
+    res = yield A
     absA = gram_function(A, lambda s: s)
     absAs = gram_function(A, lambda s: s, adjoint_side=True)
     mid = norm_hermitian(absA + absAs) / 2
@@ -447,15 +445,15 @@ def _ev_kittaneh_chain(inst, options, hyp):
     return _chain(InequalityId.KITTANEH_CHAIN, hyp, links, {"w": res.value}, [_W_NOTE], res.witness)
 
 
-def _ev_power_mix(inst, options, hyp):
+def _ev_power_mix(inst, hyp):
     A, r, v = inst.A, inst.r, inst.v
-    res = _w(A, options)
+    res = yield A
     lhs = res.value**r
     rhs = norm_hermitian(abs_power(A, 2 * r * v) + abs_power(A, 2 * r * (1 - v), adjoint_side=True)) / 2
     return InequalityId.POWER_MIX, lhs, rhs, {"w": res.value}, [_W_NOTE], res.witness
 
 
-def _ev_sum_sq_kittaneh(inst, options, hyp):
+def _ev_sum_sq_kittaneh(inst, hyp):
     A, B = inst.A, inst.B
     lhs = operator_norm(A + B) ** 2
     rhs = norm_hermitian(adjoint(A) @ A + adjoint(B) @ B) + norm_hermitian(
@@ -464,17 +462,17 @@ def _ev_sum_sq_kittaneh(inst, options, hyp):
     return InequalityId.SUM_SQ_KITTANEH, lhs, rhs, {}, [], None
 
 
-def _ev_product_power(inst, options, hyp):
+def _ev_product_power(inst, hyp):
     A, B, r = inst.A, inst.B, inst.r
-    res = _w(adjoint(B) @ A, options)
+    res = yield adjoint(B) @ A
     lhs = res.value**r
     rhs = norm_hermitian(abs_power(A, 2 * r) + abs_power(B, 2 * r)) / 2
     return InequalityId.PRODUCT_POWER, lhs, rhs, {"w": res.value}, [_W_NOTE], res.witness
 
 
-def _ev_general_product(inst, options, hyp):
+def _ev_general_product(inst, hyp):
     A, X, B, r, v = inst.A, inst.X, inst.B, inst.r, inst.v
-    res = _w(adjoint(A) @ X @ B, options)
+    res = yield adjoint(A) @ X @ B
     lhs = res.value**r
     T = hermitian_part(adjoint(A) @ abs_power(X, 2 * v, adjoint_side=True) @ A)
     S = hermitian_part(adjoint(B) @ abs_power(X, 2 * (1 - v)) @ B)
@@ -483,7 +481,7 @@ def _ev_general_product(inst, options, hyp):
 
 
 def _ev_sum_new(normal_form):
-    def ev(inst, options, hyp):
+    def ev(inst, hyp):
         A, B = inst.A, inst.B
         lhs = operator_norm(A + B) ** 2
         if normal_form:
@@ -492,7 +490,7 @@ def _ev_sum_new(normal_form):
         else:
             P = hermitian_part(A @ adjoint(A))
             Q = hermitian_part(B @ adjoint(B))
-        res = _w(B @ adjoint(A), options)
+        res = yield B @ adjoint(A)
         rhs = (norm_hermitian(P + Q) + norm_hermitian(P - Q)) / 2 + res.value + 2 * operator_norm(
             A
         ) * operator_norm(B)
@@ -503,57 +501,57 @@ def _ev_sum_new(normal_form):
     return ev
 
 
-def _ev_wsq_sum(inst, options, hyp):
+def _ev_wsq_sum(inst, hyp):
     A, B = inst.A, inst.B
-    w_sum = _w(A + B, options)
+    w_sum = yield A + B
     lhs = w_sum.value**2
     P = hermitian_part(A @ adjoint(A))
     Q = hermitian_part(B @ adjoint(B))
-    w_ba = _w(B @ adjoint(A), options).value
-    w_a = _w(A, options).value
-    w_b = _w(B, options).value
+    w_ba = (yield B @ adjoint(A)).value
+    w_a = (yield A).value
+    w_b = (yield B).value
     rhs = (norm_hermitian(P + Q) + norm_hermitian(P - Q)) / 2 + w_ba + 2 * w_a * w_b
     details = {"w(A+B)": w_sum.value, "w(BA*)": w_ba, "w(A)": w_a, "w(B)": w_b}
     return InequalityId.WSQ_SUM, lhs, rhs, details, [_W_NOTE], w_sum.witness
 
 
-def _ev_convex_product(inst, options, hyp):
+def _ev_convex_product(inst, hyp):
     A, X, B, v, h = inst.A, inst.X, inst.B, inst.v, inst.h
     S, T = _schwarz_sides(inst)
-    res = _w(adjoint(A) @ X @ B, options)
+    res = yield adjoint(A) @ X @ B
     lhs = h(res.value**2)
     rhs = norm_hermitian((1 - v) * _h_matrix(h, S, 1.0 / (1.0 - v)) + v * _h_matrix(h, T, 1.0 / v))
     return InequalityId.CONVEX_PRODUCT, lhs, rhs, {"w": res.value}, [_W_NOTE], res.witness
 
 
-def _ev_convex_product_power(inst, options, hyp):
+def _ev_convex_product_power(inst, hyp):
     A, X, B, r = inst.A, inst.X, inst.B, inst.r
     S, T = _schwarz_sides(inst)
-    res = _w(adjoint(A) @ X @ B, options)
+    res = yield adjoint(A) @ X @ B
     lhs = res.value ** (2 * r)
     rhs = norm_hermitian(hermitian_power(S, 2 * r) + hermitian_power(T, 2 * r)) / 2
     return InequalityId.CONVEX_PRODUCT_POWER, lhs, rhs, {"w": res.value}, [_W_NOTE], res.witness
 
 
-def _ev_scalar_refined_amgm(inst, options, hyp):
+def _ev_scalar_refined_amgm(inst, hyp):
     a, b, m, M = inst.a, inst.b, inst.m, inst.M
     lhs = (M + m) / (2 * math.sqrt(M * m)) * math.sqrt(a * b)
     rhs = (a + b) / 2
     return InequalityId.SCALAR_REFINED_AMGM, lhs, rhs, {}, [], None
 
 
-def _ev_conditioned_product(inst, options, hyp):
+def _ev_conditioned_product(inst, hyp):
     A, X, B, h = inst.A, inst.X, inst.B, inst.h
     S, T = _schwarz_sides(inst)
     m, M = hyp.bounds["m"], hyp.bounds["M"]
-    res = _w(adjoint(A) @ X @ B, options)
+    res = yield adjoint(A) @ X @ B
     lhs = h(res.value)
     rhs = _amgm_factor(m, M) * norm_hermitian(_h_matrix(h, S) + _h_matrix(h, T))
     details = {"w": res.value, "m": m, "M": M}
     return InequalityId.CONDITIONED_PRODUCT, lhs, rhs, details, [_W_NOTE], res.witness
 
 
-def _ev_conditioned_specials(inst, options, hyp):
+def _ev_conditioned_specials(inst, hyp):
     r = inst.r
     m, M = hyp.bounds["m"], hyp.bounds["M"]
     S, T = _specials_sides(inst)
@@ -563,25 +561,25 @@ def _ev_conditioned_specials(inst, options, hyp):
         target = inst.X
     else:
         target = adjoint(inst.A) @ inst.B
-    res = _w(target, options)
+    res = yield target
     lhs = res.value**r
     rhs = _amgm_factor(m, M) * norm_hermitian(hermitian_power(S, r) + hermitian_power(T, r))
     details = {"w": res.value, "m": m, "M": M, "variant": inst.variant}
     return InequalityId.CONDITIONED_SPECIALS, lhs, rhs, details, [_W_NOTE], res.witness
 
 
-def _ev_gamma_product(inst, options, hyp):
+def _ev_gamma_product(inst, hyp):
     A, X, B, h = inst.A, inst.X, inst.B, inst.h
     S, T = _schwarz_sides(inst)
     gamma = gamma_factor(hyp.bounds["m_lo"], hyp.bounds["M_hi"])
-    res = _w(adjoint(A) @ X @ B, options)
+    res = yield adjoint(A) @ X @ B
     lhs = h(res.value)
     rhs = norm_hermitian(_h_matrix(h, S) + _h_matrix(h, T)) / (2 * gamma)
     details = {"w": res.value, "gamma": gamma, **hyp.bounds}
     return InequalityId.GAMMA_PRODUCT, lhs, rhs, details, [_W_NOTE], res.witness
 
 
-def _ev_refined_convexity(inst, options, hyp):
+def _ev_refined_convexity(inst, hyp):
     A, B, v, f = inst.A, inst.B, inst.v, inst.f
     lhs = norm_hermitian(apply_scalar_function(f, (1 - v) * hermitian_part(A) + v * hermitian_part(B)))
     base = norm_hermitian((1 - v) * apply_scalar_function(f, A) + v * apply_scalar_function(f, B))
@@ -591,12 +589,12 @@ def _ev_refined_convexity(inst, options, hyp):
     return InequalityId.REFINED_CONVEXITY, lhs, rhs, details, [_INF_NOTE], None
 
 
-def _ev_improved_convex_product(inst, options, hyp):
+def _ev_improved_convex_product(inst, hyp):
     A, X, B, v, h = inst.A, inst.X, inst.B, inst.v, inst.h
     S, T = _schwarz_sides(inst)
     S_pow = hermitian_power(S, 1.0 / (1.0 - v))
     T_pow = hermitian_power(T, 1.0 / v)
-    res = _w(adjoint(A) @ X @ B, options)
+    res = yield adjoint(A) @ X @ B
     lhs = h(res.value**2)
     base = norm_hermitian((1 - v) * apply_scalar_function(h, S_pow) + v * apply_scalar_function(h, T_pow))
     gap = jensen_gap_mu(h, S_pow, T_pow)
@@ -605,9 +603,9 @@ def _ev_improved_convex_product(inst, options, hyp):
     return InequalityId.IMPROVED_CONVEX_PRODUCT, lhs, rhs, details, [_W_NOTE, _INF_NOTE], res.witness
 
 
-def _ev_superquad_radius(inst, options, hyp):
+def _ev_superquad_radius(inst, hyp):
     A, f = inst.A, inst.f
-    res = _w(A, options)
+    res = yield A
     sigma = _singular_values(A)
     lhs = f(res.value)
     f_abs = np.asarray(f(sigma))
@@ -618,9 +616,9 @@ def _ev_superquad_radius(inst, options, hyp):
     return InequalityId.SUPERQUAD_RADIUS, lhs, rhs, details, sem, res.witness
 
 
-def _ev_superquad_power(inst, options, hyp):
+def _ev_superquad_power(inst, hyp):
     A, r = inst.A, inst.r
-    res = _w(A, options)
+    res = yield A
     sigma = _singular_values(A)
     nrm = float(sigma.max())
     inf_r = float(np.min(np.abs(sigma - res.value) ** r))
@@ -654,10 +652,10 @@ def _hosseini_delta_inf(P, Q, ea, eb):
     return _boundary_inf(P, Q, lambda u, v: phi(u, v) ** 2)
 
 
-def _ev_hosseini_geo(inst, options, hyp):
+def _ev_hosseini_geo(inst, hyp):
     A, B, X, p, q, r = inst.A, inst.B, inst.X, inst.p, inst.q, inst.r
     G = weighted_geometric(A, B, 0.5)
-    res = _w(G @ X, options)
+    res = yield G @ X
     lhs = res.value**r
     K = hermitian_part(adjoint(X) @ B @ X)
     base = norm_hermitian(hermitian_power(A, r * p / 2) / p + hermitian_power(K, r * q / 2) / q)
@@ -668,7 +666,7 @@ def _ev_hosseini_geo(inst, options, hyp):
     return InequalityId.HOSSEINI_GEO, lhs, rhs, details, sem, res.witness
 
 
-def _ev_hosseini_geo_norms(inst, options, hyp):
+def _ev_hosseini_geo_norms(inst, hyp):
     A, B, p, q, r = inst.A, inst.B, inst.p, inst.q, inst.r
     G = weighted_geometric(A, B, 0.5)
     g_norm = norm_hermitian(G)
@@ -700,10 +698,10 @@ def _ev_hosseini_geo_norms(inst, options, hyp):
     return InequalityId.HOSSEINI_GEO_NORMS, lhs, rhs, details, sem, None
 
 
-def _ev_euclidean_sandwich(inst, options, hyp):
+def _ev_euclidean_sandwich(inst, hyp):
     A, B = hermitian_part(inst.A), hermitian_part(inst.B)
     G = weighted_geometric(A, B, 0.5)
-    we = _w(A + 1j * B, options).value
+    we = (yield A + 1j * B).value
     upper = math.sqrt(norm_hermitian(A @ A + B @ B))
     links = [
         ("sqrt2 |sharp| <= w_e", math.sqrt(2.0) * norm_hermitian(G), we),
@@ -713,7 +711,7 @@ def _ev_euclidean_sandwich(inst, options, hyp):
     return _chain(InequalityId.EUCLIDEAN_SANDWICH, hyp, links, {"w_e": we}, sem)
 
 
-def _ev_fconn_radius(inst, options, hyp):
+def _ev_fconn_radius(inst, hyp):
     A, B, X, f = inst.A, inst.B, inst.X, inst.f
     half, inv_half = pd_roots(A)
     mid = hermitian_part(inv_half @ hermitian_part(B) @ inv_half)
@@ -722,23 +720,23 @@ def _ev_fconn_radius(inst, options, hyp):
     f_mid = hermitian_part((V * f_vals) @ V.conj().T)
     f2_mid = hermitian_part((V * f_vals**2) @ V.conj().T)
     connection = hermitian_part(half @ f_mid @ half)
-    res = _w(connection @ X, options)
+    res = yield connection @ X
     lhs = res.value
     inner = hermitian_part(adjoint(X) @ (half @ f2_mid @ half) @ X)
     rhs = norm_hermitian(inner + A) / 2
     return InequalityId.FCONN_RADIUS, lhs, rhs, {"w": res.value}, [_W_NOTE], res.witness
 
 
-def _ev_geo_radius(inst, options, hyp):
+def _ev_geo_radius(inst, hyp):
     A, B, X = inst.A, inst.B, inst.X
     G = weighted_geometric(A, B, 0.5)
-    res = _w(G @ X, options)
+    res = yield G @ X
     lhs = res.value
     rhs = norm_hermitian(hermitian_part(adjoint(X) @ hermitian_part(B) @ X) + hermitian_part(A)) / 2
     return InequalityId.GEO_RADIUS, lhs, rhs, {"w": res.value}, [_W_NOTE], res.witness
 
 
-def _ev_norm_convexity(inst, options, hyp):
+def _ev_norm_convexity(inst, hyp):
     A, B, v, f = inst.A, inst.B, inst.v, inst.f
     lhs = norm_hermitian(apply_scalar_function(f, (1 - v) * hermitian_part(A) + v * hermitian_part(B)))
     rhs = norm_hermitian((1 - v) * apply_scalar_function(f, A) + v * apply_scalar_function(f, B))
@@ -806,7 +804,7 @@ def norm_convexity_check(f, A, B, v, refined=False, tol_rel=1e-8) -> "CheckResul
 
 
 def _ev_pointwise(ineq):
-    def ev(inst, options, hyp):
+    def ev(inst, hyp):
         links = _pointwise_links(ineq, inst, inst.vectors)
         return _chain(ineq, hyp, links, {"checks": float(len(links))}, [])
 
@@ -854,20 +852,63 @@ def evaluate(ineq: InequalityId, inst: CheckInstance, tol_rel=1e-8, options=None
     subtracts an infimum is Inconclusive, on any other member Violated.
     Hypothesis failures yield NotApplicable, never raise.
     """
+    return evaluate_many(ineq, [inst], tol_rel=tol_rel, options=options)[0]
+
+
+def evaluate_many(ineq: InequalityId, insts, tol_rel=1e-8, options=None) -> list:
+    """``evaluate`` on each of several instances of one member, in order.
+
+    The instances share one dimension. Every evaluator runs to its next
+    radius request; the matrices requested in one round are enclosed by one
+    ``numerical_radius`` call, and the results are sent back. Each result
+    equals that of ``evaluate`` on its instance alone.
+    """
     options = options or DEFAULT_OPTIONS
-    hyp = verify_hypotheses(ineq, inst)
-    if not hyp.satisfied:
-        return CheckResult(
-            ineq, math.nan, math.nan, math.nan, Status.NOT_APPLICABLE, hyp, None, {}, []
-        )
-    try:
-        _, lhs, rhs, details, semantics, witness = _EVALUATORS[ineq](inst, options, hyp)
-    except (NotInvertible, NotPositive, DomainViolation) as exc:
-        hyp.notes.append(f"evaluation refused: {exc}")
-        hyp.satisfied = False
-        return CheckResult(
-            ineq, math.nan, math.nan, math.nan, Status.NOT_APPLICABLE, hyp, None, {}, []
-        )
+    results = [None] * len(insts)
+    hyps = [verify_hypotheses(ineq, inst) for inst in insts]
+    pending = []  # (index, evaluator, requested matrix)
+
+    def advance(i, run, res):
+        """Run an evaluator to its next radius request, or record its result."""
+        try:
+            M = run.send(res)
+        except StopIteration as stop:
+            results[i] = _verdict(ineq, hyps[i], stop.value, tol_rel)
+        except (NotInvertible, NotPositive, DomainViolation) as exc:
+            hyps[i].notes.append(f"evaluation refused: {exc}")
+            hyps[i].satisfied = False
+            results[i] = _not_applicable(ineq, hyps[i])
+        else:
+            pending.append((i, run, M))
+
+    for i, (inst, hyp) in enumerate(zip(insts, hyps)):
+        if hyp.satisfied:
+            advance(i, _steps(_EVALUATORS[ineq], inst, hyp), None)
+        else:
+            results[i] = _not_applicable(ineq, hyp)
+    while pending:
+        requests = pending.copy()
+        pending.clear()
+        radii = numerical_radius(np.stack([M for _, _, M in requests]), tol=options.radius_tol)
+        for (i, run, _), res in zip(requests, radii):
+            advance(i, run, res)
+    return results
+
+
+def _steps(evaluator, inst, hyp):
+    """The evaluator as a generator, also when it needs no radius."""
+    out = evaluator(inst, hyp)
+    if isinstance(out, GeneratorType):
+        out = yield from out
+    return out
+
+
+def _not_applicable(ineq, hyp):
+    return CheckResult(ineq, math.nan, math.nan, math.nan, Status.NOT_APPLICABLE, hyp, None, {}, [])
+
+
+def _verdict(ineq, hyp, outcome, tol_rel):
+    _, lhs, rhs, details, semantics, witness = outcome
     slack = rhs - lhs
     tol = tol_rel * (1.0 + abs(lhs) + abs(rhs))
     if slack >= -tol:

@@ -285,9 +285,13 @@ def _cmd_search(args):
     out_path = args.out or f"{ineq.value}-min-slack.json"
     import json
 
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(_instance_document(ineq, inst, result), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            json.dump(_instance_document(ineq, inst, result), fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        print(f"error: cannot write instance: {exc}", file=sys.stderr)
+        return 1
     print(f"{ineq.value}: min slack {result.slack:.6g} (status {result.status.value}) after {args.restarts} restarts")
     print(f"instance written to {out_path}")
     if result.status is Status.VIOLATED and ineq not in INCONCLUSIVE_CAPABLE:

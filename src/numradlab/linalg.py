@@ -24,10 +24,17 @@ PSD_SLACK = 1e-12
 
 def as_matrix(A) -> np.ndarray:
     """Validate and return a square finite complex matrix."""
+    return _as_square(A, 2)
+
+
+def _as_square(A, ndim):
+    """Validate and return a finite complex array of ndim dimensions whose
+    last two are square: a matrix at ndim 2, a stack of them at ndim 3."""
     M = np.asarray(A, dtype=np.complex128)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if not (np.all(np.isfinite(M.real)) and np.all(np.isfinite(M.imag))):
+    if M.ndim != ndim or M.shape[-1] != M.shape[-2] or M.shape[-1] < 1:
+        what = "square matrix" if ndim == 2 else "stack of square matrices"
+        raise ValueError(f"expected a {what}, got shape {M.shape}")
+    if not np.isfinite(M).all():  # both parts of every entry
         raise ValueError("matrix entries must be finite")
     return M
 

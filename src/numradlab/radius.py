@@ -17,11 +17,12 @@ import cmath
 import hashlib
 import math
 from dataclasses import dataclass
+from math import atan2, cos, hypot, sin
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import EPS_HERM, _pow2_scaled, as_matrix, hermitian_part
+from .linalg import EPS_HERM, _as_square, _pow2_scaled, as_matrix, hermitian_part
 
 _TWO_PI = 2.0 * np.pi
 
@@ -102,11 +103,25 @@ class RadiusResult:
 # Cut cap: when W(A) is a disk the polygon gap falls only like
 # pi^2 w / (2 m^2) over m lines, although ``value`` is exact from the start.
 _MAX_CUTS = 64
+_EPS = float(np.finfo(float).eps)
 
 
 def _rotated_stack(A, thetas):
-    ph = np.exp(1j * thetas)
-    return (ph[:, None, None] * A + np.conj(ph)[:, None, None] * A.conj().T) / 2
+    """Re(e^{it} A) for each angle t."""
+    return _rotated_halves(A / 2, thetas)
+
+
+def _rotated_halves(half, thetas):
+    """Re(e^{it} A) for each angle t, from half = A / 2, which may be a stack
+    that pairs with the angles by broadcasting. Halving A before the product
+    is exact short of underflow, and it saves a pass over the stack.
+
+    The rotation is H + H* with H = e^{it} A / 2: bitwise the sum of
+    e^{it} A / 2 and e^{-it} A* / 2, as conj(z) conj(w) = conj(zw), from one
+    product instead of two.
+    """
+    H = np.exp(1j * thetas)[..., None, None] * half
+    return H + H.conj().swapaxes(-1, -2)
 
 
 def _corner(t1, h1, t2, h2):
@@ -116,8 +131,8 @@ def _corner(t1, h1, t2, h2):
     whose normal points at it.
     """
     d = t2 - t1
-    s = (h1 * math.cos(d) - h2) / math.sin(d)
-    return math.hypot(h1, s), math.atan2(-s, h1)
+    s = (h1 * cos(d) - h2) / sin(d)
+    return hypot(h1, s), atan2(-s, h1)
 
 
 def _kittaneh_bound(A):
@@ -132,7 +147,124 @@ def _kittaneh_bound(A):
     return float(np.linalg.eigvalsh((U * s) @ U.conj().T + (V * s) @ Vh)[-1]) / 2
 
 
-def numerical_radius(A, grid=16, tol=1e-10) -> RadiusResult:
+def _cuts(A, thetas, hs, tol):
+    """The cutting loop of one matrix's enclosure, as a generator: it yields
+    the angle of each cut and is sent that line's support value h.
+
+    Line k is Re(e^{i t_k} z) <= h_k; corner k joins lines k and k + 1, and
+    the last line repeats the first one turn on, so corners need no wrap.
+    Returns the farthest corner's distance, the cap, and the angles of the
+    lines the witness comes from.
+    """
+    hs.append(hs[0])
+    lo = max(hs)
+    corners = [_corner(thetas[k], hs[k], thetas[k + 1], hs[k + 1]) for k in range(len(hs) - 1)]
+    cap, cuts = math.inf, _MAX_CUTS
+    if lo - min(hs) <= tol * lo:
+        cap, cuts = _kittaneh_bound(A), _MAX_CUTS - 1
+    for _ in range(cuts):
+        hi, step = max(corners)
+        top = min(hi, cap)
+        if top - lo <= tol * top:
+            break
+        k = corners.index((hi, step))
+        t = thetas[k] + step
+        if not thetas[k] < t < thetas[k + 1]:  # the corner is resolved to roundoff
+            break
+        h = yield t
+        lo = max(lo, h)
+        corners[k] = _corner(thetas[k], hs[k], t, h)
+        corners.insert(k + 1, _corner(t, h, thetas[k + 1], hs[k + 1]))
+        thetas.insert(k + 1, t)
+        hs.insert(k + 1, h)
+    hi, step = max(corners)
+    top = min(hi, cap)
+    if top - lo <= tol * top:
+        # The top line's eigenvector attains at least lo, so the gap stays within tol.
+        return hi, cap, [thetas[hs.index(lo)]]
+    # On a cut cap or a resolved corner, the witness also comes from both
+    # lines of the farthest corner: the vertex lies on those lines,
+    # although none of them need point at it.
+    k = corners.index((hi, step))
+    return hi, cap, [thetas[j] for j in sorted({hs.index(lo), k, (k + 1) % (len(thetas) - 1)})]
+
+
+def _enclose(A, exps, grid, tol):
+    """Enclosures of the matrices 2^e A_r of the stack A, cut in lockstep.
+
+    Each row makes exactly the cuts it makes alone, and each round solves
+    the cuts of all rows still cutting at once.
+    """
+    n = A.shape[-1]
+    half = A / 2
+    # Line k + m is the antipode of line k: h(t + pi) = -lambda_min at t.
+    m = (grid + 1) // 2
+    thetas = [_TWO_PI * k / (2 * m) for k in range(m)]
+    rotations = _rotated_halves(half[:, None], np.array(thetas))
+    ev = np.linalg.eigvalsh(rotations.reshape(-1, n, n)).reshape(len(A), m, n)
+    thetas += [t + math.pi for t in thetas] + [_TWO_PI]
+    tops, bottoms = ev[:, :, -1].tolist(), (-ev[:, :, 0]).tolist()
+    loops = [_cuts(A[r], list(thetas), tops[r] + bottoms[r], tol) for r in range(len(A))]
+    ends = [None] * len(A)
+
+    def advance(rows, hs):
+        """Send each row its support value; return (row, angle) of the next cuts."""
+        live = []
+        for r, h in zip(rows, hs):
+            try:
+                live.append((r, loops[r].send(h)))
+            except StopIteration as stop:
+                ends[r] = stop.value
+        return live
+
+    # Cuts form their rotations as _rotated_halves does, with cmath.exp phases.
+    live = advance(range(len(A)), [None] * len(A))
+    while len(live) > 1:
+        rows, ts = zip(*live)
+        H = np.array([cmath.exp(1j * t) for t in ts])[:, None, None] * half[list(rows)]
+        live = advance(rows, np.linalg.eigvalsh(H + H.conj().swapaxes(1, 2))[:, -1].tolist())
+    if live:
+        # The last row cutting solves its lines one at a time.
+        ((r, t),) = live
+        loop, half_r = loops[r], half[r]
+        try:
+            while True:
+                H = cmath.exp(1j * t) * half_r
+                t = loop.send(float(np.linalg.eigvalsh(H + H.conj().T)[-1]))
+        except StopIteration as stop:
+            ends[r] = stop.value
+    angles = [t for _, _, lines in ends for t in lines]
+    owner = [r for r, (_, _, lines) in enumerate(ends) for _ in lines]
+    X = np.linalg.eigh(_rotated_halves(half[owner], np.array(angles)))[1][:, :, -1]
+    out = []
+    j = 0
+    for r, (hi, cap, lines) in enumerate(ends):
+        M, Xr = A[r], X[j : j + len(lines)]
+        mods = np.abs(np.einsum("ki,ij,kj->k", Xr.conj(), M, Xr))
+        best = int(np.argmax(mods))
+        lo, t_best, witness = float(mods[best]), lines[best], Xr[best]
+        j += len(lines)
+        # Each computed h is within a small multiple of n eps ||H|| of the true
+        # eigenvalue (backward stability), and ||H|| <= ||A||_F.
+        eps_f = _EPS * float(np.linalg.norm(M))
+        pad = M.shape[0] * eps_f
+        # An antipodal line is recorded at fl(t + pi), within 6e-16 < 3 eps rad of
+        # t + pi. As |h'| <= w <= ||A||_F, its offset is then short by at most
+        # 3 eps ||A||_F, which n eps ||A||_F alone does not cover at n = 2; the
+        # polygon's pad adds that much.
+        # The cap's SVD is exact for some A + E, with ||E||_F and the factors'
+        # departure from unitarity within about a pad; |A| and |A*| then move by
+        # at most sqrt(2) ||E||_F each (Araki-Yamagami), and the factors add up to
+        # 2 pads to the halved sum. Forming that sum, of Frobenius norm at most
+        # ||A||_F, and solving its top eigenvalue add about a pad each. 8 pads
+        # round that up; on square-zero A (n = 2..64) |cap - w| stays below 1 pad.
+        upper = max(min(max(hi, lo) + pad + 3 * eps_f, cap + 8 * pad), lo + pad)
+        e = exps[r]
+        out.append(RadiusResult(math.ldexp(lo, e), t_best % _TWO_PI, witness, math.ldexp(upper, e)))
+    return out
+
+
+def numerical_radius(A, grid=16, tol=1e-10):
     """Numerical radius by a two-sided support-line enclosure.
 
     Each angle t gives the support line Re(e^{it} z) <= h(t) of W(A), with
@@ -149,76 +281,26 @@ def numerical_radius(A, grid=16, tol=1e-10) -> RadiusResult:
     When the initial support values are flat to ``tol``, W(A) looks like a
     disk centred at 0, where the polygon closes slowly; Kittaneh's bound,
     which is exact for square-zero A, then also caps the upper bound.
+
+    ``A`` may also be an (m, n, n) stack; the result is then a list of m
+    results, each bitwise equal to that of its matrix alone. The matrices are
+    cut in lockstep: the initial lines of all of them form one stacked solve,
+    each round of cuts one more, and the witnesses one stacked ``eigh``.
     """
-    # w(2^e A) = 2^e w(A) exactly, and the scaled rotations and norm stay in range.
-    A, exp2 = _pow2_scaled(as_matrix(A))
+    M = np.asarray(A, dtype=np.complex128)
+    stacked = M.ndim == 3
+    M = _as_square(M, 3) if stacked else as_matrix(M)[None]
     if grid < 16:
         raise ValueError("grid must be at least 16")
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    half = A / 2
-    half_h = half.conj().T
-    # Line k is Re(e^{i t_k} z) <= h_k; corner k joins lines k and k + 1.
-    # Line k + m is the antipode of line k: h(t + pi) = -lambda_min at t.
-    # The last line repeats the first one turn on, so corners need no wrap.
-    m = (grid + 1) // 2
-    thetas = [_TWO_PI * k / (2 * m) for k in range(m)]
-    ev = np.linalg.eigvalsh(_rotated_stack(A, np.array(thetas)))
-    hs = ev[:, -1].tolist() + (-ev[:, 0]).tolist()
-    thetas += [t + math.pi for t in thetas] + [_TWO_PI]
-    hs.append(hs[0])
-    lo = max(hs)
-    corners = [_corner(thetas[k], hs[k], thetas[k + 1], hs[k + 1]) for k in range(2 * m)]
-    cap, cuts = math.inf, _MAX_CUTS
-    if lo - min(hs) <= tol * lo:
-        cap, cuts = _kittaneh_bound(A), _MAX_CUTS - 1
-    for _ in range(cuts):
-        hi, step = max(corners)
-        top = min(hi, cap)
-        if top - lo <= tol * top:
-            break
-        k = corners.index((hi, step))
-        t = thetas[k] + step
-        if not thetas[k] < t < thetas[k + 1]:  # the corner is resolved to roundoff
-            break
-        e = cmath.exp(1j * t)
-        h = float(np.linalg.eigvalsh(e * half + e.conjugate() * half_h)[-1])
-        lo = max(lo, h)
-        corners[k] = _corner(thetas[k], hs[k], t, h)
-        corners.insert(k + 1, _corner(t, h, thetas[k + 1], hs[k + 1]))
-        thetas.insert(k + 1, t)
-        hs.insert(k + 1, h)
-    hi, step = max(corners)
-    top = min(hi, cap)
-    if top - lo <= tol * top:
-        # The top line's eigenvector attains at least lo, so the gap stays within tol.
-        lines = [hs.index(lo)]
-    else:
-        # On a cut cap or a resolved corner, the witness also comes from both
-        # lines of the farthest corner: the vertex lies on those lines,
-        # although none of them need point at it.
-        k = corners.index((hi, step))
-        lines = sorted({hs.index(lo), k, (k + 1) % (len(thetas) - 1)})
-    X = np.linalg.eigh(_rotated_stack(A, np.array([thetas[j] for j in lines])))[1][:, :, -1]
-    mods = np.abs(np.einsum("ki,ij,kj->k", X.conj(), A, X))
-    best = int(np.argmax(mods))
-    lo, t_best, witness = float(mods[best]), thetas[lines[best]], X[best]
-    # Each computed h is within a small multiple of n eps ||H|| of the true
-    # eigenvalue (backward stability), and ||H|| <= ||A||_F.
-    eps_f = np.finfo(float).eps * float(np.linalg.norm(A))
-    pad = A.shape[0] * eps_f
-    # An antipodal line is recorded at fl(t + pi), within 6e-16 < 3 eps rad of
-    # t + pi. As |h'| <= w <= ||A||_F, its offset is then short by at most
-    # 3 eps ||A||_F, which n eps ||A||_F alone does not cover at n = 2; the
-    # polygon's pad adds that much.
-    # The cap's SVD is exact for some A + E, with ||E||_F and the factors'
-    # departure from unitarity within about a pad; |A| and |A*| then move by
-    # at most sqrt(2) ||E||_F each (Araki-Yamagami), and the factors add up to
-    # 2 pads to the halved sum. Forming that sum, of Frobenius norm at most
-    # ||A||_F, and solving its top eigenvalue add about a pad each. 8 pads
-    # round that up; on square-zero A (n = 2..64) |cap - w| stays below 1 pad.
-    upper = max(min(max(hi, lo) + pad + 3 * eps_f, cap + 8 * pad), lo + pad)
-    return RadiusResult(math.ldexp(lo, exp2), t_best % _TWO_PI, witness, math.ldexp(upper, exp2))
+    # w(2^e A) = 2^e w(A) exactly, and the scaled rotations and norm stay in range.
+    scaled = [_pow2_scaled(row) for row in M]
+    exps = [e for _, e in scaled]
+    if any(exps):
+        M = np.stack([row for row, _ in scaled])
+    results = _enclose(M, exps, grid, tol)
+    return results if stacked else results[0]
 
 
 # Zoom rounds of the boundary search: each shrinks the angle step four-fold,

@@ -17,7 +17,7 @@ from .catalog import (
     InequalityId,
     SUITE_OPTIONS,
     Status,
-    evaluate,
+    evaluate_many,
 )
 from .ensembles import EnsembleSpec, haar_unitary, positive_invertible_matrix, sample, sandwich_triple
 from .errors import BudgetExhausted
@@ -32,6 +32,9 @@ ALPHA_GRID = (0.3, 0.5, 0.7)
 FCONN_FUNCS = ("pow:0.5", "pow:0.25", "pow:1", "expr:1")
 
 VECTORS_PER_TRIAL = 6
+# Draws evaluated together by the suite: their radii share stacked eigensolves,
+# and at most this many instances are held at once.
+CHUNK = 64
 
 
 def _spec(ens, kind, **kw):
@@ -393,25 +396,27 @@ def _run_member(ineq, ensemble, trials, tol_rel, options):
     min_params = {}
     draws = 0
     budget = 100 * max(trials, 1)
-    for _ in range(trials):
-        while True:
-            if draws >= budget:
-                raise BudgetExhausted(
-                    f"{ineq.value}: no hypothesis-satisfying instance within {budget} draws"
-                )
-            index = draws
-            inst = draw_instance(ineq, ensemble, index)
-            draws += 1
-            result = evaluate(ineq, inst, tol_rel=tol_rel, options=options)
-            if result.status is not Status.NOT_APPLICABLE:
-                break
-        counts[result.status] += 1
-        slacks.append(result.slack)
-        notes.update(result.semantics)
-        if min_slack is None or result.slack < min_slack:
-            min_slack = result.slack
-            min_index = index
-            min_params = inst.params()
+    while len(slacks) < trials:
+        if draws >= budget:
+            raise BudgetExhausted(
+                f"{ineq.value}: no hypothesis-satisfying instance within {budget} draws"
+            )
+        # A draw's outcome depends on its index alone, so evaluating the next
+        # indices together keeps exactly the draws a one-by-one loop keeps.
+        indices = range(draws, min(draws + min(trials - len(slacks), CHUNK), budget))
+        insts = [draw_instance(ineq, ensemble, index) for index in indices]
+        draws = indices.stop
+        results = evaluate_many(ineq, insts, tol_rel=tol_rel, options=options)
+        for index, inst, result in zip(indices, insts, results):
+            if result.status is Status.NOT_APPLICABLE:
+                continue
+            counts[result.status] += 1
+            slacks.append(result.slack)
+            notes.update(result.semantics)
+            if min_slack is None or result.slack < min_slack:
+                min_slack = result.slack
+                min_index = index
+                min_params = inst.params()
     return IneqRecord(
         ineq=ineq.value,
         trials=trials,

@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from numradlab import catalog
 from numradlab.catalog import (
+    SUITE_OPTIONS,
     CheckInstance,
     InequalityId,
     Status,
@@ -14,10 +18,17 @@ from numradlab.catalog import (
     _schwarz_sides,
 )
 from numradlab.ensembles import EnsembleSpec, sandwich_triple
-from numradlab.errors import BudgetExhausted
+from numradlab.errors import BudgetExhausted, NotInvertible
 from numradlab.functions import SchwarzPair, affine_power, power
 from numradlab.linalg import adjoint, hermitian_part, hermitian_power
-from numradlab.radius import SphereSampler, complex_gaussian, quad_forms, sphere_sup, stream_rng
+from numradlab.radius import (
+    SphereSampler,
+    complex_gaussian,
+    numerical_radius,
+    quad_forms,
+    sphere_sup,
+    stream_rng,
+)
 from numradlab.suite import draw_instance, run_suite
 
 EX1_A = np.array([[1, 0], [-3, 1]], dtype=complex)
@@ -369,3 +380,130 @@ def test_sampled_members_note_semantics():
     assert res.status is Status.HOLDS
     assert any("stricter test" in s for s in res.semantics)
     assert any("lower bound" in s for s in res.semantics)
+
+
+def same_result(a, b):
+    """Field-by-field equality of two check results, bitwise in every number."""
+    if a.witness is None or b.witness is None:
+        assert a.witness is None and b.witness is None
+    else:
+        assert np.array_equal(a.witness, b.witness)
+    # repr prints each float exactly, so equal reprs mean bitwise-equal numbers
+    assert repr(dataclasses.replace(a, witness=None)) == repr(dataclasses.replace(b, witness=None))
+
+
+@pytest.mark.parametrize("dim", [2, 5])
+def test_evaluate_many_matches_one_by_one(dim, monkeypatch):
+    ens = EnsembleSpec(dim=dim, kind="generic", seed=41)
+    for member in InequalityId:
+        insts = [draw_instance(member, ens, i) for i in range(4)]
+        batch = catalog.evaluate_many(member, insts, tol_rel=1e-8, options=SUITE_OPTIONS)
+        assert len(batch) == len(insts)
+        for inst, res in zip(insts, batch):
+            same_result(res, evaluate(member, inst, tol_rel=1e-8, options=SUITE_OPTIONS))
+    # a draw that fails its hypotheses (r < 1), and one whose evaluator is
+    # refused after its radius came back, beside draws that hold
+    ens = EnsembleSpec(dim=dim, kind="generic", seed=42)
+    insts = [draw_instance(InequalityId.POWER_MIX, ens, i) for i in range(4)]
+    insts[1] = dataclasses.replace(insts[1], r=0.5)
+    batch = catalog.evaluate_many(InequalityId.POWER_MIX, insts)
+    assert [r.status for r in batch] == [Status.HOLDS, Status.NOT_APPLICABLE, Status.HOLDS, Status.HOLDS]
+    for inst, res in zip(insts, batch):
+        same_result(res, evaluate(InequalityId.POWER_MIX, inst))
+    refused = draw_instance(InequalityId.NORM_SANDWICH, ens, 1).A
+    operator_norm = catalog.operator_norm
+
+    def norm_refusing(A):
+        if A is refused:
+            raise NotInvertible("refused after the radius")
+        return operator_norm(A)
+
+    monkeypatch.setattr(catalog, "operator_norm", norm_refusing)
+    insts = [draw_instance(InequalityId.NORM_SANDWICH, ens, i) for i in range(3)]
+    insts[1] = CheckInstance(A=refused)
+    radii = []
+    monkeypatch.setattr(
+        catalog, "numerical_radius", lambda A, **kw: radii.append(A.shape) or numerical_radius(A, **kw)
+    )
+    batch = catalog.evaluate_many(InequalityId.NORM_SANDWICH, insts)
+    assert radii == [(3, dim, dim)]  # one enclosure call for the round
+    assert [r.status for r in batch] == [Status.HOLDS, Status.NOT_APPLICABLE, Status.HOLDS]
+    assert batch[1].hypothesis.notes == ["evaluation refused: refused after the radius"]
+    for inst, res in zip(insts, batch):
+        same_result(res, evaluate(InequalityId.NORM_SANDWICH, inst))
+
+
+def one_by_one_record(ineq, ensemble, trials, tol_rel, options, draws):
+    """Reference for ``suite._run_member``: draw, evaluate and keep one index at a time."""
+    import statistics
+
+    from numradlab import suite as suite_mod
+    from numradlab.report import IneqRecord
+
+    kept, budget = [], 100 * max(trials, 1)
+    while len(kept) < trials:
+        if draws[0] >= budget:
+            raise BudgetExhausted(f"{ineq.value}: no hypothesis-satisfying instance within {budget} draws")
+        index = draws[0]
+        inst = suite_mod.draw_instance(ineq, ensemble, index)
+        draws[0] += 1
+        result = evaluate(ineq, inst, tol_rel=tol_rel, options=options)
+        if result.status is not Status.NOT_APPLICABLE:
+            kept.append((index, inst, result))
+    slacks = [r.slack for _, _, r in kept]
+    index, inst, _ = min(kept, key=lambda k: k[2].slack)
+    return IneqRecord(
+        ineq=ineq.value,
+        trials=trials,
+        holds=sum(r.status is Status.HOLDS for _, _, r in kept),
+        violated=sum(r.status is Status.VIOLATED for _, _, r in kept),
+        inconclusive=sum(r.status is Status.INCONCLUSIVE for _, _, r in kept),
+        not_applicable=0,
+        min_slack=min(slacks),
+        median_slack=statistics.median(slacks),
+        min_slack_index=index,
+        min_slack_params=inst.params(),
+        notes=sorted({note for _, _, r in kept for note in r.semantics}),
+    )
+
+
+def test_run_member_chunks_keep_the_one_by_one_draws(monkeypatch):
+    from numradlab import suite as suite_mod
+
+    rejected = {1, 4, 5, 9, 13, 14, 15}
+    index_of = {}
+    draw = suite_mod.draw_instance
+    verify = catalog.verify_hypotheses
+
+    def tagged_draw(ineq, ensemble, index):
+        inst = draw(ineq, ensemble, index)
+        index_of[id(inst.A)] = index, inst.A  # holding A keeps its id unique
+        return inst
+
+    def rejecting_verify(ineq, inst):
+        hyp = verify(ineq, inst)
+        if index_of[id(inst.A)][0] in rejected:
+            hyp.satisfied = False
+        return hyp
+
+    monkeypatch.setattr(suite_mod, "CHUNK", 4)
+    monkeypatch.setattr(suite_mod, "draw_instance", tagged_draw)
+    monkeypatch.setattr(catalog, "verify_hypotheses", rejecting_verify)
+    ens = EnsembleSpec(dim=3, kind="generic", seed=43)
+    member = InequalityId.PRODUCT_POWER
+    record = suite_mod._run_member(member, ens, 10, 1e-8, SUITE_OPTIONS)
+    draws = [0]
+    assert record == one_by_one_record(member, ens, 10, 1e-8, SUITE_OPTIONS, draws)
+    assert record.min_slack_index not in rejected
+    # a budget spent at the same draw count: only two indices below 100 verify
+    rejected = set(range(300)) - {3, 7}
+    index_of.clear()
+    calls = []
+    monkeypatch.setattr(suite_mod, "draw_instance", lambda *a: calls.append(a[2]) or tagged_draw(*a))
+    with pytest.raises(BudgetExhausted):
+        suite_mod._run_member(member, ens, 3, 1e-8, SUITE_OPTIONS)
+    assert calls == list(range(300))
+    draws = [0]
+    with pytest.raises(BudgetExhausted):
+        one_by_one_record(member, ens, 3, 1e-8, SUITE_OPTIONS, draws)
+    assert draws == [300]

@@ -363,3 +363,74 @@ def test_euclidean_radius_hermitian_vs_sampling():
         )
         assert sampled <= sweep + 1e-7
         assert sweep <= sampled + 1e-5
+
+
+def lockstep_rows(n, rng):
+    """One matrix of each kind the enclosure treats differently, at size n."""
+    rows = [complex_gaussian(rng, (n, n)), np.zeros((n, n), dtype=complex)]
+    U, _ = np.linalg.qr(complex_gaussian(rng, (n, n)))
+    rows.append((U * complex_gaussian(rng, n)) @ U.conj().T)  # normal
+    if n >= 2:
+        rows.append(sample(EnsembleSpec(dim=n, kind="square-zero", seed=33), 0))  # Kittaneh cap
+        # a corner resolved to roundoff at the vertex 1 of the segment W(D)
+        D = np.zeros((n, n), dtype=complex)
+        D[0, 0], D[1, 1] = np.exp(2.2656j), 0.999 * np.exp(1.8956j)
+        rows.append(D)
+    if n >= 3:
+        rows.append(np.eye(n, k=1, dtype=complex))  # J_n: the cut cap
+    rows += [1e150 * rows[0], 1e-150 * rows[2]]
+    return rows
+
+
+def recorded_solves(monkeypatch, f, *args, **kwargs):
+    """f(*args, **kwargs) and the (name, input shape) of each solve it made."""
+    calls = []
+    with monkeypatch.context() as m:
+        for name in ("eigh", "eigvalsh", "svd"):
+
+            def recording(a, *a_args, _name=name, _solve=getattr(np.linalg, name), **a_kwargs):
+                calls.append((_name, a.shape))
+                return _solve(a, *a_args, **a_kwargs)
+
+            m.setattr(np.linalg, name, recording)
+        return f(*args, **kwargs), calls
+
+
+def cut_solves(calls):
+    """Input shapes of the eigenvalue solves after the initial stack, less the
+    one that follows each Kittaneh SVD."""
+    shapes = [shape for (name, shape), prev in zip(calls[1:], calls) if name == "eigvalsh" and prev[0] != "svd"]
+    assert calls[0][0] == "eigvalsh" and len(calls[0][1]) == 3
+    return shapes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_radius_stack_matches_single_calls(n, monkeypatch):
+    # Each row of a stack makes exactly the cuts it makes alone, so every
+    # result is bitwise that of its single call; each round of cuts is one
+    # eigenvalue solve, and all witnesses come from one stacked eigh.
+    rows = lockstep_rows(n, stream_rng(34, "lockstep", n))
+    singles, cuts = [], []
+    for A in rows:
+        res, calls = recorded_solves(monkeypatch, numerical_radius, A, tol=1e-12)
+        singles.append(res)
+        cuts.append(len(cut_solves(calls)))
+    stacked, calls = recorded_solves(monkeypatch, numerical_radius, np.stack(rows), tol=1e-12)
+    assert len(stacked) == len(rows)
+    for one, res in zip(singles, stacked):
+        assert (res.value, res.upper, res.theta_star) == (one.value, one.upper, one.theta_star)
+        assert np.array_equal(res.witness, one.witness)
+    m = 8  # grid 16 over a half-turn
+    assert calls[0] == ("eigvalsh", (m * len(rows), n, n))
+    rounds = cut_solves(calls)
+    assert len(rounds) == max(cuts)
+    assert sum(shape[0] if len(shape) == 3 else 1 for shape in rounds) == sum(cuts)
+    witness = [shape for name, shape in calls if name == "eigh"]
+    assert len(witness) == 1 and len(rows) <= witness[0][0] <= 3 * len(rows)
+    assert numerical_radius(np.zeros((0, n, n))) == []
+
+
+def test_radius_rejects_malformed_stacks():
+    for bad in (np.zeros((2, 2, 3)), np.zeros((1, 1, 2, 2)), np.full((2, 2, 2), np.nan)):
+        with pytest.raises(ValueError):
+            numerical_radius(bad)

@@ -481,6 +481,14 @@ def test_search_reports_kernel_errors(monkeypatch, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_search_reports_unwritable_output(tmp_path, capsys):
+    out = tmp_path / "missing" / "inst.json"
+    code = cli.main(["search", "--ineq", "norm-sandwich", "--dim", "2", "--restarts", "0", "--out", str(out)])
+    assert code == 1
+    assert "error: cannot write instance:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_search_flags_violated_theorem_member(monkeypatch, tmp_path, capsys):
     evaluate = cli.evaluate
 
