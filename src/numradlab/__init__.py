@@ -3,65 +3,51 @@
 Computes numerical radii, operator norms, matrix functions, and operator
 means on dense complex matrices, and certifies a catalog of operator
 inequalities over explicit examples and seeded random ensembles.
+
+Importing the package loads none of its submodules. A public name such as
+``numradlab.numerical_radius`` is looked up in its submodule on each access
+(PEP 562), so ``from numradlab import numerical_radius`` loads ``radius``,
+``linalg`` and ``errors`` only, and a rebinding of the submodule's name is
+seen through the package at once.
 """
 
 __version__ = "0.1.0"
 
-from .catalog import (
-    CheckInstance,
-    CheckResult,
-    EvalOptions,
-    InequalityId,
-    Status,
-    evaluate,
-    norm_convexity_check,
-    pointwise_lemma_check,
-    verify_hypotheses,
-)
-from .ensembles import EnsembleSpec, sample, sample_unit_vector
-from .errors import (
-    BudgetExhausted,
-    DimensionMismatch,
-    DomainViolation,
-    InvalidBounds,
-    MatrixFormatError,
-    NoConvergence,
-    NotHermitian,
-    NotInvertible,
-    NotPositive,
-    NotSuperquadratic,
-    NumradError,
-    UnsupportedParameter,
-)
-from .functions import (
-    ScalarFunction,
-    SchwarzPair,
-    jensen_gap_mu,
-    parse_function,
-    parse_pair,
-    power,
-    schwarz_power_pair,
-    superquadratic_defect,
-)
-from .linalg import (
-    HermitianEigen,
-    abs_operator,
-    adjoint,
-    apply_scalar_function,
-    hermitian_eigen,
-    lambda_max,
-    lambda_min,
-    loewner_leq,
-    operator_norm,
-)
-from .means import (
-    deformed_exp,
-    f_connection,
-    gamma_factor,
-    refined_amgm_factor,
-    weighted_arithmetic,
-    weighted_geometric,
-)
-from .radius import RadiusResult, SphereSampler, euclidean_radius, numerical_radius, sphere_sup
-from .report import IneqRecord, SuiteReport
-from .suite import draw_instance, run_suite
+_EXPORTS = {
+    "catalog": (
+        "CheckInstance CheckResult EvalOptions InequalityId Status evaluate norm_convexity_check "
+        "pointwise_lemma_check verify_hypotheses"
+    ),
+    "ensembles": "EnsembleSpec sample sample_unit_vector",
+    "errors": (
+        "BudgetExhausted DimensionMismatch DomainViolation InvalidBounds MatrixFormatError NoConvergence "
+        "NotHermitian NotInvertible NotPositive NotSuperquadratic NumradError UnsupportedParameter"
+    ),
+    "functions": (
+        "ScalarFunction SchwarzPair jensen_gap_mu parse_function parse_pair power schwarz_power_pair "
+        "superquadratic_defect"
+    ),
+    "linalg": (
+        "HermitianEigen abs_operator adjoint apply_scalar_function hermitian_eigen lambda_max lambda_min "
+        "loewner_leq operator_norm"
+    ),
+    "means": "deformed_exp f_connection gamma_factor refined_amgm_factor weighted_arithmetic weighted_geometric",
+    "radius": "RadiusResult SphereSampler euclidean_radius numerical_radius sphere_sup",
+    "report": "IneqRecord SuiteReport",
+    "suite": "draw_instance run_suite",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__ takes the import statement's path, which `-X importtime` reports
+    return getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -12,20 +12,13 @@ import sys
 
 import numpy as np
 
-from .catalog import (
-    CheckInstance,
-    INCONCLUSIVE_CAPABLE,
-    InequalityId,
-    Status,
-    evaluate,
-    lookup_id,
-)
-from .ensembles import EnsembleSpec
 from .errors import BudgetExhausted, MatrixFormatError, NumradError
 from .linalg import operator_norm
 from .matio import load_matrix, matrix_to_dict
 from .radius import complex_gaussian, numerical_radius, stream_rng
-from .suite import SUITE_OPTIONS, draw_instance, run_suite
+
+# The certification core (catalog, ensembles, suite) is imported by the
+# commands that use it, so `radius` loads only errors, linalg, matio and radius.
 
 EXAMPLE_PAIRS = (
     {
@@ -54,6 +47,8 @@ def display_round(x, decimals):
 
 def paper_examples():
     """Evaluate the two hard-coded pairs; returns one record per pair."""
+    from .catalog import CheckInstance, InequalityId, evaluate
+
     out = []
     for spec in EXAMPLE_PAIRS:
         inst = CheckInstance(A=spec["A"], B=spec["B"])
@@ -86,6 +81,8 @@ def paper_examples():
 
 
 def _parse_ids(text):
+    from .catalog import InequalityId, lookup_id
+
     if text.strip() == "all":
         return list(InequalityId)
     ids = []
@@ -103,6 +100,10 @@ def _parse_ids(text):
 
 
 def _cmd_certify(args):
+    from .catalog import SUITE_OPTIONS, InequalityId
+    from .ensembles import EnsembleSpec
+    from .suite import run_suite
+
     try:
         ids = _parse_ids(args.ineq)
     except ValueError as exc:
@@ -221,6 +222,10 @@ def _perturbed(inst, rng, sigma):
 
 
 def _cmd_search(args):
+    from .catalog import INCONCLUSIVE_CAPABLE, SUITE_OPTIONS, InequalityId, Status, evaluate, lookup_id
+    from .ensembles import EnsembleSpec
+    from .suite import draw_instance
+
     try:
         ineq = lookup_id(args.ineq)
     except KeyError:

@@ -114,8 +114,8 @@ def ordered_pair(rng, n, scale=1.0, gap=1.0):
     return A, hermitian_part(A + P)
 
 
-def sandwich_triple(rng, n, gap=1.0):
-    """Build (A, B, X, f, g) with lambda_max(B* f^2(|X|) B) + gap below
+def sandwich_operands(rng, n, gap=1.0):
+    """Draw (A, B, X, pair) with lambda_max(B* f^2(|X|) B) + gap below
     lambda_min(A* g^2(|X*|) A), plus a comfortable multiplicative margin.
 
     Bands: X singular values in [1, 1.3], B spectrum in [0.7, 1], A spectrum
@@ -132,6 +132,12 @@ def sandwich_triple(rng, n, gap=1.0):
     target = max(3.0 * s_cap, s_cap + gap) * 1.15
     a_lo = np.sqrt(target)
     A = positive_invertible_matrix(rng, n, a_lo, 1.25 * a_lo)
+    return A, B, X, pair
+
+
+def sandwich_triple(rng, n, gap=1.0):
+    """``sandwich_operands`` with the attained sandwich bounds m and M."""
+    A, B, X, pair = sandwich_operands(rng, n, gap)
     f, g = pair.f, pair.g
     S = hermitian_part(adjoint(B) @ gram_function(X, lambda s: np.asarray(f(s)) ** 2) @ B)
     T = hermitian_part(

@@ -14,7 +14,6 @@ witness vector).
 from __future__ import annotations
 
 import cmath
-import hashlib
 import math
 from dataclasses import dataclass
 from math import atan2, cos, hypot, sin
@@ -29,6 +28,8 @@ _TWO_PI = 2.0 * np.pi
 
 def stream_rng(seed, tag, index=0):
     """Counter-based generator keyed by (seed, tag, index); call-order independent."""
+    import hashlib  # loads OpenSSL; imported here because `numradlab radius` draws nothing
+
     text = f"{int(seed)}|{tag}|{int(index)}".encode()
     entropy = int.from_bytes(hashlib.blake2b(text, digest_size=16).digest(), "little")
     bg = np.random.Philox(seed=np.random.SeedSequence(entropy=entropy))

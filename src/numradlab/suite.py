@@ -8,8 +8,6 @@ weights and the special cases (v = 1/2, r = 1).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 import numpy as np
 
 from .catalog import (
@@ -19,7 +17,7 @@ from .catalog import (
     Status,
     evaluate_many,
 )
-from .ensembles import EnsembleSpec, haar_unitary, positive_invertible_matrix, sample, sandwich_triple
+from .ensembles import EnsembleSpec, haar_unitary, positive_invertible_matrix, sample, sandwich_operands
 from .errors import BudgetExhausted
 from .functions import parse_function, power, schwarz_power_pair
 from .radius import complex_gaussian, stream_rng
@@ -154,13 +152,12 @@ def _build_scalar_amgm(ens, i):
     return CheckInstance(a=a, b=b, m=m, M=M)
 
 
-def _build_conditioned_product(ens, i):
-    member = InequalityId.CONDITIONED_PRODUCT
-    rng = _rng(ens, member, i, tag="triple")
-    tri = sandwich_triple(rng, ens.dim, gap=ens.gap)
-    return CheckInstance(
-        A=tri.A, B=tri.B, X=tri.X, pair=tri.pair, h=power(R_GRID[i % len(R_GRID)])
-    )
+def _build_sandwich(member):
+    def build(ens, i):
+        A, B, X, pair = sandwich_operands(_rng(ens, member, i, tag="triple"), ens.dim, gap=ens.gap)
+        return CheckInstance(A=A, B=B, X=X, pair=pair, h=power(R_GRID[i % len(R_GRID)]))
+
+    return build
 
 
 def _build_conditioned_specials(ens, i):
@@ -197,15 +194,6 @@ def _specials_triple(rng, n, v, gap):
     a_lo = np.sqrt(target)
     A = positive_invertible_matrix(rng, n, a_lo, 1.25 * a_lo)
     return A, B, X
-
-
-def _build_gamma_product(ens, i):
-    member = InequalityId.GAMMA_PRODUCT
-    rng = _rng(ens, member, i, tag="triple")
-    tri = sandwich_triple(rng, ens.dim, gap=ens.gap)
-    return CheckInstance(
-        A=tri.A, B=tri.B, X=tri.X, pair=tri.pair, h=power(R_GRID[i % len(R_GRID)])
-    )
 
 
 def _build_refined_convexity(ens, i):
@@ -359,9 +347,9 @@ BUILDERS = {
     InequalityId.CONVEX_PRODUCT: _build_convex_product,
     InequalityId.CONVEX_PRODUCT_POWER: _build_convex_product_power,
     InequalityId.SCALAR_REFINED_AMGM: _build_scalar_amgm,
-    InequalityId.CONDITIONED_PRODUCT: _build_conditioned_product,
+    InequalityId.CONDITIONED_PRODUCT: _build_sandwich(InequalityId.CONDITIONED_PRODUCT),
     InequalityId.CONDITIONED_SPECIALS: _build_conditioned_specials,
-    InequalityId.GAMMA_PRODUCT: _build_gamma_product,
+    InequalityId.GAMMA_PRODUCT: _build_sandwich(InequalityId.GAMMA_PRODUCT),
     InequalityId.REFINED_CONVEXITY: _build_refined_convexity,
     InequalityId.IMPROVED_CONVEX_PRODUCT: _build_improved_convex_product,
     InequalityId.SUPERQUAD_RADIUS: _build_superquad_radius,
@@ -457,6 +445,8 @@ def run_suite(ids, ensemble: EnsembleSpec, trials: int, tol_rel=1e-8, options=No
             IneqRecord(i.value, 0, 0, 0, 0, 0, None, None, None, {}, []) for i in ids
         ]
     elif jobs > 1 and len(ids) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; serial runs skip it
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_worker, [(i, ensemble, trials, tol_rel, options) for i in ids]))
     else:

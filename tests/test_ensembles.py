@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from numradlab.catalog import CheckInstance, InequalityId, verify_hypotheses
-from numradlab.ensembles import EnsembleSpec, SandwichSample, sample, sample_unit_vector
+from numradlab.ensembles import EnsembleSpec, SandwichSample, sample, sample_unit_vector, sandwich_triple
 from numradlab.errors import InvalidBounds, UnsupportedParameter
 from numradlab.functions import power
 from numradlab.linalg import loewner_leq, operator_norm
+from numradlab.suite import _rng, draw_instance
 
 DIMS = (2, 3, 5, 8)
 BULK = 1000
@@ -104,3 +105,16 @@ def test_sandwich_triple_guarantee(dim):
         assert rep.satisfied
         assert rep.bounds["m"] == pytest.approx(tri.m)
         assert rep.bounds["M"] == pytest.approx(tri.M)
+
+
+@pytest.mark.parametrize("member", [InequalityId.CONDITIONED_PRODUCT, InequalityId.GAMMA_PRODUCT])
+def test_sandwich_builders_draw_sandwich_triple_operands(member):
+    # the suite builders skip the bounds m and M, and with them no draw
+    for dim in DIMS:
+        ens = EnsembleSpec(dim=dim, seed=dim)
+        for i in range(5):
+            inst = draw_instance(member, ens, i)
+            tri = sandwich_triple(_rng(ens, member, i, tag="triple"), dim, gap=ens.gap)
+            for name in ("A", "B", "X"):
+                assert getattr(inst, name).tobytes() == getattr(tri, name).tobytes()
+            assert inst.pair == tri.pair

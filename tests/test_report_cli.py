@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import numradlab
-from numradlab import cli
+from numradlab import catalog, cli, suite
 from numradlab.errors import MatrixFormatError, NoConvergence
 from numradlab.matio import (
     dumps_matrix,
@@ -459,7 +459,7 @@ def test_certify_exit_two_on_violation(monkeypatch, tmp_path):
         rec = IneqRecord("norm-sandwich", trials, trials - 1, 1, 0, 0, -1.0, 0.5, 0, {}, [])
         return SuiteReport.build(config={"ids": ["norm-sandwich"], "seed": ensemble.seed}, records=[rec], wall_time=0.0)
 
-    monkeypatch.setattr(cli, "run_suite", doctored_run_suite)
+    monkeypatch.setattr(suite, "run_suite", doctored_run_suite)
     assert cli.main(["certify", "--ineq", "norm-sandwich", "--trials", "5"]) == 2
 
 
@@ -468,13 +468,13 @@ def _no_convergence(*args, **kwargs):
 
 
 def test_certify_reports_kernel_errors(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "run_suite", _no_convergence)
+    monkeypatch.setattr(suite, "run_suite", _no_convergence)
     assert cli.main(["certify", "--ineq", "norm-sandwich", "--trials", "2"]) == 1
     assert "did not converge" in capsys.readouterr().err
 
 
 def test_search_reports_kernel_errors(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(cli, "evaluate", _no_convergence)
+    monkeypatch.setattr(catalog, "evaluate", _no_convergence)
     out = tmp_path / "inst.json"
     assert cli.main(["search", "--ineq", "norm-sandwich", "--restarts", "0", "--out", str(out)]) == 1
     assert "did not converge" in capsys.readouterr().err
@@ -490,12 +490,12 @@ def test_search_reports_unwritable_output(tmp_path, capsys):
 
 
 def test_search_flags_violated_theorem_member(monkeypatch, tmp_path, capsys):
-    evaluate = cli.evaluate
+    evaluate = catalog.evaluate
 
     def violated(ineq, inst, options=None):
-        return dataclasses.replace(evaluate(ineq, inst, options=options), slack=-1.0, status=cli.Status.VIOLATED)
+        return dataclasses.replace(evaluate(ineq, inst, options=options), slack=-1.0, status=catalog.Status.VIOLATED)
 
-    monkeypatch.setattr(cli, "evaluate", violated)
+    monkeypatch.setattr(catalog, "evaluate", violated)
     out = tmp_path / "inst.json"
     code = cli.main(["search", "--ineq", "norm-sandwich", "--dim", "2", "--restarts", "0", "--out", str(out)])
     assert code == 2
