@@ -17,7 +17,6 @@ import dataclasses
 import enum
 import math
 from dataclasses import dataclass, field
-from types import GeneratorType
 
 import numpy as np
 
@@ -36,6 +35,8 @@ from .functions import (
 from .linalg import (
     EPS_HERM,
     INV_CUTOFF,
+    _adj,
+    _spectral,
     abs_power,
     adjoint,
     apply_scalar_function,
@@ -193,50 +194,50 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# small shared helpers
+# small shared helpers; they take a chunk: the instances of one member, whose
+# matrices are stacked along a leading axis
 
 
-def _psd_ok(H, name, conditions, invertible=False):
+def _stack(insts, name):
+    return np.stack([getattr(inst, name) for inst in insts])
+
+
+def _psd_rows(H, invertible=False):
     lam = np.linalg.eigvalsh(hermitian_part(H))
-    scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
-    if invertible:
-        ok = lam[0] > INV_CUTOFF * scale
-        conditions[f"{name} positive invertible"] = bool(ok)
-    else:
-        ok = lam[0] >= -1e-10 * scale
-        conditions[f"{name} positive semidefinite"] = bool(ok)
-    return bool(ok)
+    scale = np.maximum(1.0, np.abs(lam).max(axis=-1, initial=0.0))
+    return lam[:, 0] > INV_CUTOFF * scale if invertible else lam[:, 0] >= -1e-10 * scale
 
 
-def _is_normal(A):
-    A = as_matrix(A)
-    dev = np.linalg.norm(A @ A.conj().T - A.conj().T @ A)
-    return dev <= 1e-10 * max(1.0, np.linalg.norm(A) ** 2)
+def _normal_rows(A):
+    dev = np.linalg.norm(A @ _adj(A) - _adj(A) @ A, axis=(1, 2))
+    return dev <= 1e-10 * np.maximum(1.0, np.linalg.norm(A, axis=(1, 2)) ** 2)
 
 
-def _pair_gram(X, fn):
-    """fn(|X|)^2 materialized from the singular spectrum of X."""
-    return gram_function(X, lambda s: np.asarray(fn(s), dtype=float) ** 2)
+def _pair_gram(X, fns, adjoint_side=False):
+    """fn(|X|)^2 (or fn(|X*|)^2) materialized from the singular spectrum of
+    each X, with one function per matrix."""
+    squares = [lambda s, fn=fn: np.asarray(fn(s), dtype=float) ** 2 for fn in fns]
+    return gram_function(X, squares, adjoint_side=adjoint_side)
 
 
-def _pair_gram_adj(X, fn):
-    return gram_function(X, lambda s: np.asarray(fn(s), dtype=float) ** 2, adjoint_side=True)
-
-
-def _schwarz_sides(inst):
+def _schwarz_sides(insts):
     """S = B* f^2(|X|) B and T = A* g^2(|X*|) A for the product members."""
-    f, g = inst.pair.f, inst.pair.g
-    S = hermitian_part(adjoint(inst.B) @ _pair_gram(inst.X, f) @ inst.B)
-    T = hermitian_part(adjoint(inst.A) @ _pair_gram_adj(inst.X, g) @ inst.A)
+    A, X, B = _stack(insts, "A"), _stack(insts, "X"), _stack(insts, "B")
+    S = hermitian_part(adjoint(B) @ _pair_gram(X, [inst.pair.f for inst in insts]) @ B)
+    T = hermitian_part(adjoint(A) @ _pair_gram(X, [inst.pair.g for inst in insts], adjoint_side=True) @ A)
     return S, T
 
 
-def _h_matrix(h: ScalarFunction, H, pre_exponent=1.0):
-    """h(H**pre_exponent); fuses exponents when h is a pure power."""
-    if h.kind == "power":
-        return hermitian_power(H, h.params[0] * pre_exponent)
-    M = hermitian_power(H, pre_exponent) if pre_exponent != 1.0 else H
-    return apply_scalar_function(h, M)
+def _h_matrix(hs, H, pre=None):
+    """h(H**pre) with one h and one pre-exponent per matrix (pre = 1 when
+    None); fuses exponents when every h is a pure power."""
+    pre = [1.0] * len(hs) if pre is None else pre
+    if all(h.kind == "power" for h in hs):
+        return hermitian_power(H, [h.params[0] * p for h, p in zip(hs, pre)])
+    M = hermitian_power(H, pre)
+    plain = [p == 1.0 for p in pre]
+    M[plain] = H[plain]
+    return apply_scalar_function(hs, M)
 
 
 def _singular_values(A):
@@ -248,8 +249,8 @@ def _amgm_factor(m, M):
     return math.sqrt(M * m) / (M + m)
 
 
-def _chain(ineq, hyp, links, details, semantics, witness=None):
-    """Assemble a result from named (lhs, rhs) links; the binding link wins."""
+def _chain(links, details, semantics, witness=None):
+    """An outcome from named (lhs, rhs) links; the binding link wins."""
     slacks = [r - l for _, l, r in links]
     k = int(np.argmin(slacks))
     name, lhs, rhs = links[k]
@@ -257,7 +258,12 @@ def _chain(ineq, hyp, links, details, semantics, witness=None):
         details[f"{nm}.lhs"] = float(l)
         details[f"{nm}.rhs"] = float(r)
     details["binding"] = name
-    return ineq, float(lhs), float(rhs), details, semantics, witness
+    return float(lhs), float(rhs), details, semantics, witness
+
+
+def _w_outcomes(lhs, rhs, radii):
+    """Outcomes of a chunk whose details hold w alone, from per-draw sides."""
+    return [(l, r, {"w": res.value}, [_W_NOTE], res.witness) for l, r, res in zip(lhs, rhs, radii)]
 
 
 _W_NOTE = "numerical radius: attained lower bound of a support-line enclosure"
@@ -270,520 +276,629 @@ _INF_NOTE = "subtracted infimum: exact 0 or an attained minimum over the joint n
 
 def verify_hypotheses(ineq: InequalityId, inst: CheckInstance) -> HypothesisReport:
     """Check a member's hypotheses; failures are reported, never thrown."""
-    cond: dict = {}
-    bounds: dict = {}
-    notes: list = []
+    return _verify_chunk(ineq, [inst])[0][0]
 
-    def rng_ok(name, ok):
-        cond[name] = bool(ok)
 
-    if ineq in (InequalityId.POWER_MIX, InequalityId.GENERAL_PRODUCT):
-        rng_ok("r >= 1", inst.r is not None and inst.r >= 1.0)
-        rng_ok("0 < v < 1", inst.v is not None and 0.0 < inst.v < 1.0)
-    elif ineq is InequalityId.PRODUCT_POWER:
-        rng_ok("r >= 1", inst.r is not None and inst.r >= 1.0)
-    elif ineq is InequalityId.SUM_NEW_NORMAL:
-        rng_ok("A normal", _is_normal(inst.A))
-        rng_ok("B normal", _is_normal(inst.B))
-    elif ineq in (InequalityId.CONVEX_PRODUCT, InequalityId.IMPROVED_CONVEX_PRODUCT):
-        rng_ok("0 < v < 1", inst.v is not None and 0.0 < inst.v < 1.0)
-        rng_ok("h nonneg increasing convex", _has_flags(inst.h, NONNEG, INCREASING, CONVEX))
-    elif ineq is InequalityId.CONVEX_PRODUCT_POWER:
-        rng_ok("r >= 1", inst.r is not None and inst.r >= 1.0)
-    elif ineq is InequalityId.SCALAR_REFINED_AMGM:
-        a, b, m, M = inst.a, inst.b, inst.m, inst.M
-        ok = all(x is not None for x in (a, b, m, M)) and 0 < min(a, b) <= m < M <= max(a, b)
-        rng_ok("min{a,b} <= m < M <= max{a,b}", ok)
-        if ok:
-            bounds.update(m=float(m), M=float(M))
-    elif ineq is InequalityId.CONDITIONED_PRODUCT:
-        rng_ok("h nonneg increasing convex", _has_flags(inst.h, NONNEG, INCREASING, CONVEX))
-        S, T = _schwarz_sides(inst)
-        _sandwich_gap(S, T, cond, bounds, notes)
-    elif ineq is InequalityId.CONDITIONED_SPECIALS:
-        rng_ok("r >= 1", inst.r is not None and inst.r >= 1.0)
-        if inst.variant != 2:
-            rng_ok("0 <= v <= 1", inst.v is not None and 0.0 <= inst.v <= 1.0)
-        S, T = _specials_sides(inst)
-        _sandwich_gap(S, T, cond, bounds, notes)
-    elif ineq is InequalityId.GAMMA_PRODUCT:
-        rng_ok("h nonneg increasing convex", _has_flags(inst.h, NONNEG, INCREASING, CONVEX))
-        S, T_star = _schwarz_sides(inst)
-        g = inst.pair.g
-        T_plain = hermitian_part(adjoint(inst.A) @ _pair_gram(inst.X, g) @ inst.A)
-        lam_s = np.linalg.eigvalsh(S)
-        lam_t = np.linalg.eigvalsh(T_star)
-        m_lo = float(min(lam_s[0], lam_t[0]))
-        M_hi = float(max(lam_s[-1], lam_t[-1]))
-        scale = max(1.0, M_hi)
-        cond["operands positive invertible"] = m_lo > INV_CUTOFF * scale
-        star = loewner_leq(S, T_star) or loewner_leq(T_star, S)
-        plain = loewner_leq(S, T_plain) or loewner_leq(T_plain, S)
-        cond["Loewner sandwich (conclusion operands, either order)"] = bool(star)
-        notes.append(
-            "hypothesis reading with g^2(|X|) on the A side "
-            + ("also holds" if plain else "does not hold")
+def _verify_chunk(ineq, insts):
+    """Hypothesis reports of a chunk, and the stacked operands that the
+    member's evaluator reuses (the sandwich sides S and T)."""
+    reports = [HypothesisReport(satisfied=True) for _ in insts]
+    operands = {}
+    M = InequalityId
+
+    def each(name, oks):
+        for rep, ok in zip(reports, oks, strict=True):
+            rep.conditions[name] = bool(ok)
+
+    def scalar(name, test):
+        each(name, [test(inst) for inst in insts])
+
+    def r_at_least(bound):
+        scalar(f"r >= {bound:g}", lambda i: i.r is not None and i.r >= bound)
+
+    def v_open():
+        scalar("0 < v < 1", lambda i: i.v is not None and 0.0 < i.v < 1.0)
+
+    def h_convex():
+        scalar("h nonneg increasing convex", lambda i: _has_flags(i.h, NONNEG, INCREASING, CONVEX))
+
+    def psd(name, invertible=False):
+        kind = "positive invertible" if invertible else "positive semidefinite"
+        each(f"{name} {kind}", _psd_rows(_stack(insts, name), invertible))
+
+    if ineq in (M.POWER_MIX, M.GENERAL_PRODUCT):
+        r_at_least(1)
+        v_open()
+    elif ineq in (M.PRODUCT_POWER, M.CONVEX_PRODUCT_POWER):
+        r_at_least(1)
+    elif ineq is M.SUM_NEW_NORMAL:
+        each("A normal", _normal_rows(_stack(insts, "A")))
+        each("B normal", _normal_rows(_stack(insts, "B")))
+    elif ineq in (M.CONVEX_PRODUCT, M.IMPROVED_CONVEX_PRODUCT):
+        v_open()
+        h_convex()
+    elif ineq is M.SCALAR_REFINED_AMGM:
+        for rep, i in zip(reports, insts):
+            a, b, m, M_ = i.a, i.b, i.m, i.M
+            ok = all(x is not None for x in (a, b, m, M_)) and 0 < min(a, b) <= m < M_ <= max(a, b)
+            rep.conditions["min{a,b} <= m < M <= max{a,b}"] = bool(ok)
+            if ok:
+                rep.bounds.update(m=float(m), M=float(M_))
+    elif ineq is M.CONDITIONED_PRODUCT:
+        h_convex()
+        operands["S"], operands["T"] = _schwarz_sides(insts)
+        _sandwich_gap(operands["S"], operands["T"], reports)
+    elif ineq is M.CONDITIONED_SPECIALS:
+        r_at_least(1)
+        for rep, i in zip(reports, insts):
+            if i.variant != 2:
+                rep.conditions["0 <= v <= 1"] = bool(i.v is not None and 0.0 <= i.v <= 1.0)
+        operands["S"], operands["T"] = _specials_sides(insts)
+        _sandwich_gap(operands["S"], operands["T"], reports)
+    elif ineq is M.GAMMA_PRODUCT:
+        h_convex()
+        S, T_star = operands["S"], operands["T"] = _schwarz_sides(insts)
+        A = _stack(insts, "A")
+        T_plain = hermitian_part(adjoint(A) @ _pair_gram(_stack(insts, "X"), [i.pair.g for i in insts]) @ A)
+        lam_s, lam_t = np.linalg.eigvalsh(S), np.linalg.eigvalsh(T_star)
+        star, plain = _either_order(S, T_star), _either_order(S, T_plain)
+        for k, rep in enumerate(reports):
+            m_lo = float(min(lam_s[k, 0], lam_t[k, 0]))
+            M_hi = float(max(lam_s[k, -1], lam_t[k, -1]))
+            scale = max(1.0, M_hi)
+            rep.conditions["operands positive invertible"] = m_lo > INV_CUTOFF * scale
+            rep.conditions["Loewner sandwich (conclusion operands, either order)"] = bool(star[k])
+            rep.notes.append(
+                "hypothesis reading with g^2(|X|) on the A side " + ("also holds" if plain[k] else "does not hold")
+            )
+            rep.bounds.update(m_lo=m_lo, M_hi=M_hi)
+    elif ineq in (M.REFINED_CONVEXITY, M.NORM_CONVEXITY):
+        v_open()
+        scalar("f nonneg nondecreasing convex", lambda i: _has_flags(i.f, NONNEG, INCREASING, CONVEX))
+        psd("A")
+        psd("B")
+    elif ineq is M.SUPERQUAD_RADIUS:
+        scalar("f nonneg superquadratic", lambda i: _has_flags(i.f, NONNEG, SUPERQUADRATIC))
+    elif ineq is M.SUPERQUAD_POWER:
+        r_at_least(2)
+    elif ineq in (M.HOSSEINI_GEO, M.HOSSEINI_GEO_NORMS):
+        scalar(
+            "p >= q > 1 with 1/p + 1/q = 1",
+            lambda i: i.p is not None
+            and i.q is not None
+            and i.p >= i.q > 1.0
+            and abs(1.0 / i.p + 1.0 / i.q - 1.0) <= 1e-12,
         )
-        bounds.update(m_lo=m_lo, M_hi=M_hi)
-    elif ineq is InequalityId.REFINED_CONVEXITY or ineq is InequalityId.NORM_CONVEXITY:
-        rng_ok("0 < v < 1", inst.v is not None and 0.0 < inst.v < 1.0)
-        rng_ok("f nonneg nondecreasing convex", _has_flags(inst.f, NONNEG, INCREASING, CONVEX))
-        _psd_ok(inst.A, "A", cond)
-        _psd_ok(inst.B, "B", cond)
-    elif ineq in (InequalityId.SUPERQUAD_RADIUS,):
-        rng_ok("f nonneg superquadratic", _has_flags(inst.f, NONNEG, SUPERQUADRATIC))
-    elif ineq is InequalityId.SUPERQUAD_POWER:
-        rng_ok("r >= 2", inst.r is not None and inst.r >= 2.0)
-    elif ineq in (InequalityId.HOSSEINI_GEO, InequalityId.HOSSEINI_GEO_NORMS):
-        p, q, r = inst.p, inst.q, inst.r
-        ok_pq = (
-            p is not None
-            and q is not None
-            and p >= q > 1.0
-            and abs(1.0 / p + 1.0 / q - 1.0) <= 1e-12
+        scalar("r >= 2/q", lambda i: i.r is not None and i.q is not None and i.q > 0 and i.r >= 2.0 / i.q - 1e-12)
+        psd("A", invertible=True)
+        psd("B", invertible=True)
+    elif ineq in (M.EUCLIDEAN_SANDWICH, M.GEO_RADIUS, M.FCONN_RADIUS):
+        psd("A", invertible=True)
+        psd("B")
+    elif ineq is M.MOND_PECARIC:
+        scalar("f convex or concave", lambda i: i.f is not None and (CONVEX in i.f.flags or CONCAVE in i.f.flags))
+    elif ineq is M.SUPERQUAD_DEFECT:
+        scalar("f superquadratic", lambda i: _has_flags(i.f, SUPERQUADRATIC))
+        scalar(
+            "s, t >= 0",
+            lambda i: all(
+                s is not None and t is not None and s >= 0 and t >= 0 for s, t in (i.vectors or ((i.s, i.t),))
+            ),
         )
-        rng_ok("p >= q > 1 with 1/p + 1/q = 1", ok_pq)
-        rng_ok("r >= 2/q", r is not None and q is not None and q > 0 and r >= 2.0 / q - 1e-12)
-        _psd_ok(inst.A, "A", cond, invertible=True)
-        _psd_ok(inst.B, "B", cond, invertible=True)
-    elif ineq in (InequalityId.EUCLIDEAN_SANDWICH, InequalityId.GEO_RADIUS):
-        _psd_ok(inst.A, "A", cond, invertible=True)
-        _psd_ok(inst.B, "B", cond)
-    elif ineq is InequalityId.FCONN_RADIUS:
-        _psd_ok(inst.A, "A", cond, invertible=True)
-        _psd_ok(inst.B, "B", cond)
-    elif ineq is InequalityId.MOND_PECARIC:
-        flags = inst.f.flags if inst.f is not None else frozenset()
-        rng_ok("f convex or concave", CONVEX in flags or CONCAVE in flags)
-    elif ineq is InequalityId.SUPERQUAD_DEFECT:
-        rng_ok("f superquadratic", _has_flags(inst.f, SUPERQUADRATIC))
-        pts = inst.vectors if inst.vectors else ((inst.s, inst.t),)
-        ok = all(
-            s is not None and t is not None and s >= 0 and t >= 0 for s, t in pts
+    elif ineq is M.DRAGOMIR_VECTOR:
+        scalar(
+            "unit z",
+            lambda i: bool(i.vectors)
+            and all(abs(np.linalg.norm(np.asarray(tr[2])) - 1.0) <= 1e-10 for tr in i.vectors),
         )
-        rng_ok("s, t >= 0", ok)
-    elif ineq is InequalityId.DRAGOMIR_VECTOR:
-        ok = bool(inst.vectors) and all(
-            abs(np.linalg.norm(np.asarray(tr[2])) - 1.0) <= 1e-10 for tr in inst.vectors
-        )
-        rng_ok("unit z", ok)
     # remaining members (NORM_SANDWICH, KITTANEH_CHAIN, SUM_SQ_KITTANEH,
     # SUM_NEW_BOUND, WSQ_SUM, MIXED_SCHWARZ) have no hypotheses beyond shape.
 
-    satisfied = all(cond.values()) if cond else True
-    return HypothesisReport(satisfied=satisfied, conditions=cond, bounds=bounds, notes=notes)
+    for rep in reports:
+        rep.satisfied = all(rep.conditions.values()) if rep.conditions else True
+    return reports, operands
+
+
+def _either_order(P, Q):
+    """P <= Q or Q <= P for each pair of the stacks; the second order is
+    tested only where the first fails."""
+    ok = loewner_leq(P, Q)
+    rest = ~ok
+    if rest.any():
+        ok[rest] = loewner_leq(Q[rest], P[rest])
+    return ok
 
 
 def _has_flags(fn, *flags):
     return fn is not None and all(fl in fn.flags for fl in flags)
 
 
-def _sandwich_gap(S, T, cond, bounds, notes):
+def _sandwich_gap(S, T, reports):
     """Spectral-gap sandwich: m = lambda_max of the lower side, M = lambda_min
     of the upper one; satisfied when the lower side is positive invertible and
     m < M (which forces lower <= m < M <= upper in the Loewner order)."""
-    lam_s = np.linalg.eigvalsh(S)
-    lam_t = np.linalg.eigvalsh(T)
-    scale = max(1.0, float(lam_s[-1]), float(lam_t[-1]))
-    for lower, upper, lam_lo, lam_up, label in (
-        (S, T, lam_s, lam_t, "S <= m < M <= T"),
-        (T, S, lam_t, lam_s, "T <= m < M <= S"),
-    ):
-        positive = lam_lo[0] > INV_CUTOFF * scale
-        m = float(lam_lo[-1])
-        M = float(lam_up[0])
-        if positive and m < M:
-            cond["lower side positive invertible"] = True
-            cond["spectral gap m < M"] = True
-            bounds.update(m=m, M=M)
-            notes.append(f"ordering {label}")
-            return
-    cond["lower side positive invertible"] = bool(
-        lam_s[0] > INV_CUTOFF * scale or lam_t[0] > INV_CUTOFF * scale
-    )
-    cond["spectral gap m < M"] = False
-    bounds.update(m=float(min(lam_s[-1], lam_t[-1])), M=float(max(lam_s[0], lam_t[0])))
+    for rep, lam_s, lam_t in zip(reports, np.linalg.eigvalsh(S), np.linalg.eigvalsh(T)):
+        cond, bounds = rep.conditions, rep.bounds
+        scale = max(1.0, float(lam_s[-1]), float(lam_t[-1]))
+        for lam_lo, lam_up, label in ((lam_s, lam_t, "S <= m < M <= T"), (lam_t, lam_s, "T <= m < M <= S")):
+            positive = lam_lo[0] > INV_CUTOFF * scale
+            m = float(lam_lo[-1])
+            M = float(lam_up[0])
+            if positive and m < M:
+                cond["lower side positive invertible"] = True
+                cond["spectral gap m < M"] = True
+                bounds.update(m=m, M=M)
+                rep.notes.append(f"ordering {label}")
+                break
+        else:
+            cond["lower side positive invertible"] = bool(
+                lam_s[0] > INV_CUTOFF * scale or lam_t[0] > INV_CUTOFF * scale
+            )
+            cond["spectral gap m < M"] = False
+            bounds.update(m=float(min(lam_s[-1], lam_t[-1])), M=float(max(lam_s[0], lam_t[0])))
 
 
-def _specials_sides(inst):
-    """The lower/upper operands of each Remark-style specialization."""
-    v = inst.v if inst.v is not None else 0.5
-    if inst.variant == 0:
-        S = hermitian_part(adjoint(inst.B) @ abs_power(inst.X, 2 * (1 - v)) @ inst.B)
-        T = hermitian_part(adjoint(inst.A) @ abs_power(inst.X, 2 * v, adjoint_side=True) @ inst.A)
-    elif inst.variant == 1:
-        S = abs_power(inst.X, 2 * (1 - v))
-        T = abs_power(inst.X, 2 * v, adjoint_side=True)
-    else:
-        S = abs_power(inst.B, 2.0)
-        T = abs_power(inst.A, 2.0)
+def _variant_group(inst):
+    """0 or 1 for those variants; every other variant is evaluated as 2."""
+    return inst.variant if inst.variant in (0, 1) else 2
+
+
+def _specials_sides(insts):
+    """The lower/upper operands of each Remark-style specialization, stacked
+    variant by variant."""
+    n = next(M.shape[-1] for M in (insts[0].X, insts[0].A) if M is not None)
+    S = np.empty((len(insts), n, n), dtype=np.complex128)
+    T = np.empty_like(S)
+    for variant in (0, 1, 2):
+        rows = [k for k, inst in enumerate(insts) if _variant_group(inst) == variant]
+        if not rows:
+            continue
+        group = [insts[k] for k in rows]
+        v = [inst.v if inst.v is not None else 0.5 for inst in group]
+        if variant == 0:
+            A, X, B = _stack(group, "A"), _stack(group, "X"), _stack(group, "B")
+            S[rows] = hermitian_part(adjoint(B) @ abs_power(X, [2 * (1 - w) for w in v]) @ B)
+            T[rows] = hermitian_part(adjoint(A) @ abs_power(X, [2 * w for w in v], adjoint_side=True) @ A)
+        elif variant == 1:
+            X = _stack(group, "X")
+            S[rows] = abs_power(X, [2 * (1 - w) for w in v])
+            T[rows] = abs_power(X, [2 * w for w in v], adjoint_side=True)
+        else:
+            S[rows] = abs_power(_stack(group, "B"), 2.0)
+            T[rows] = abs_power(_stack(group, "A"), 2.0)
     return S, T
 
 
 # ---------------------------------------------------------------------------
-# evaluators (one per member); each returns (ineq, lhs, rhs, details,
-# semantics, witness). One that needs numerical radii is a generator: it
-# yields each matrix and is sent back its ``RadiusResult``.
+# evaluators (one per member). Each takes a chunk of instances whose
+# hypotheses hold, their reports, the stacked operands of the hypothesis
+# check, and ``radii``, which encloses a stack of matrices; it returns one
+# outcome (lhs, rhs, details, semantics, witness) per instance. Every
+# kernel call takes the chunk's stack, and each round of radius requests
+# forms one stack. Scalar arithmetic stays per draw, in Python floats, as
+# the one-draw formulas write it.
 
 
-def _ev_norm_sandwich(inst, hyp):
-    res = yield inst.A
-    nrm = operator_norm(inst.A)
-    details = {"w": res.value, "norm": nrm}
-    links = [("half-norm <= w", nrm / 2, res.value), ("w <= norm", res.value, nrm)]
-    return _chain(InequalityId.NORM_SANDWICH, hyp, links, details, [_W_NOTE], res.witness)
+def _ev_norm_sandwich(insts, hyps, ops, radii):
+    A = _stack(insts, "A")
+    out = []
+    for res, nrm in zip(radii(A), operator_norm(A).tolist()):
+        links = [("half-norm <= w", nrm / 2, res.value), ("w <= norm", res.value, nrm)]
+        out.append(_chain(links, {"w": res.value, "norm": nrm}, [_W_NOTE], res.witness))
+    return out
 
 
-def _ev_kittaneh_chain(inst, hyp):
-    A = inst.A
-    res = yield A
+def _ev_kittaneh_chain(insts, hyps, ops, radii):
+    A = _stack(insts, "A")
     absA = gram_function(A, lambda s: s)
     absAs = gram_function(A, lambda s: s, adjoint_side=True)
-    mid = norm_hermitian(absA + absAs) / 2
-    right = (operator_norm(A) + math.sqrt(operator_norm(A @ A))) / 2
-    links = [("w <= mid", res.value, mid), ("mid <= right", mid, right)]
-    return _chain(InequalityId.KITTANEH_CHAIN, hyp, links, {"w": res.value}, [_W_NOTE], res.witness)
+    mids = (norm_hermitian(absA + absAs) / 2).tolist()
+    rights = operator_norm(A).tolist()
+    squares = operator_norm(A @ A).tolist()
+    out = []
+    for res, mid, nrm, sq in zip(radii(A), mids, rights, squares):
+        links = [("w <= mid", res.value, mid), ("mid <= right", mid, (nrm + math.sqrt(sq)) / 2)]
+        out.append(_chain(links, {"w": res.value}, [_W_NOTE], res.witness))
+    return out
 
 
-def _ev_power_mix(inst, hyp):
-    A, r, v = inst.A, inst.r, inst.v
-    res = yield A
-    lhs = res.value**r
-    rhs = norm_hermitian(abs_power(A, 2 * r * v) + abs_power(A, 2 * r * (1 - v), adjoint_side=True)) / 2
-    return InequalityId.POWER_MIX, lhs, rhs, {"w": res.value}, [_W_NOTE], res.witness
+def _ev_power_mix(insts, hyps, ops, radii):
+    A = _stack(insts, "A")
+    r = [i.r for i in insts]
+    v = [i.v for i in insts]
+    fwd = abs_power(A, [2 * ri * vi for ri, vi in zip(r, v)])
+    adj = abs_power(A, [2 * ri * (1 - vi) for ri, vi in zip(r, v)], adjoint_side=True)
+    rhs = (norm_hermitian(fwd + adj) / 2).tolist()
+    res = radii(A)
+    return _w_outcomes([w.value**ri for w, ri in zip(res, r)], rhs, res)
 
 
-def _ev_sum_sq_kittaneh(inst, hyp):
-    A, B = inst.A, inst.B
-    lhs = operator_norm(A + B) ** 2
-    rhs = norm_hermitian(adjoint(A) @ A + adjoint(B) @ B) + norm_hermitian(
-        A @ adjoint(A) + B @ adjoint(B)
-    )
-    return InequalityId.SUM_SQ_KITTANEH, lhs, rhs, {}, [], None
+def _ev_sum_sq_kittaneh(insts, hyps, ops, radii):
+    A, B = _stack(insts, "A"), _stack(insts, "B")
+    lhs = [x**2 for x in operator_norm(A + B).tolist()]
+    rhs = (norm_hermitian(adjoint(A) @ A + adjoint(B) @ B) + norm_hermitian(A @ adjoint(A) + B @ adjoint(B))).tolist()
+    return [(l, r, {}, [], None) for l, r in zip(lhs, rhs)]
 
 
-def _ev_product_power(inst, hyp):
-    A, B, r = inst.A, inst.B, inst.r
-    res = yield adjoint(B) @ A
-    lhs = res.value**r
-    rhs = norm_hermitian(abs_power(A, 2 * r) + abs_power(B, 2 * r)) / 2
-    return InequalityId.PRODUCT_POWER, lhs, rhs, {"w": res.value}, [_W_NOTE], res.witness
+def _ev_product_power(insts, hyps, ops, radii):
+    A, B = _stack(insts, "A"), _stack(insts, "B")
+    r = [i.r for i in insts]
+    res = radii(adjoint(B) @ A)
+    rhs = (norm_hermitian(abs_power(A, [2 * ri for ri in r]) + abs_power(B, [2 * ri for ri in r])) / 2).tolist()
+    return _w_outcomes([w.value**ri for w, ri in zip(res, r)], rhs, res)
 
 
-def _ev_general_product(inst, hyp):
-    A, X, B, r, v = inst.A, inst.X, inst.B, inst.r, inst.v
-    res = yield adjoint(A) @ X @ B
-    lhs = res.value**r
-    T = hermitian_part(adjoint(A) @ abs_power(X, 2 * v, adjoint_side=True) @ A)
-    S = hermitian_part(adjoint(B) @ abs_power(X, 2 * (1 - v)) @ B)
-    rhs = norm_hermitian(hermitian_power(T, r) + hermitian_power(S, r)) / 2
-    return InequalityId.GENERAL_PRODUCT, lhs, rhs, {"w": res.value}, [_W_NOTE], res.witness
+def _ev_general_product(insts, hyps, ops, radii):
+    A, X, B = _stack(insts, "A"), _stack(insts, "X"), _stack(insts, "B")
+    r = [i.r for i in insts]
+    v = [i.v for i in insts]
+    res = radii(adjoint(A) @ X @ B)
+    T = hermitian_part(adjoint(A) @ abs_power(X, [2 * vi for vi in v], adjoint_side=True) @ A)
+    S = hermitian_part(adjoint(B) @ abs_power(X, [2 * (1 - vi) for vi in v]) @ B)
+    rhs = (norm_hermitian(hermitian_power(T, r) + hermitian_power(S, r)) / 2).tolist()
+    return _w_outcomes([w.value**ri for w, ri in zip(res, r)], rhs, res)
 
 
 def _ev_sum_new(normal_form):
-    def ev(inst, hyp):
-        A, B = inst.A, inst.B
-        lhs = operator_norm(A + B) ** 2
+    def ev(insts, hyps, ops, radii):
+        A, B = _stack(insts, "A"), _stack(insts, "B")
+        lhs = [x**2 for x in operator_norm(A + B).tolist()]
         if normal_form:
             P = hermitian_part(adjoint(A) @ A)
             Q = hermitian_part(adjoint(B) @ B)
         else:
             P = hermitian_part(A @ adjoint(A))
             Q = hermitian_part(B @ adjoint(B))
-        res = yield B @ adjoint(A)
-        rhs = (norm_hermitian(P + Q) + norm_hermitian(P - Q)) / 2 + res.value + 2 * operator_norm(
-            A
-        ) * operator_norm(B)
-        ineq = InequalityId.SUM_NEW_NORMAL if normal_form else InequalityId.SUM_NEW_BOUND
-        details = {"w(BA*)": res.value}
-        return ineq, lhs, rhs, details, ["w(BA*) on the rhs is a lower bound (stricter test)"], None
+        res = radii(B @ adjoint(A))
+        half = ((norm_hermitian(P + Q) + norm_hermitian(P - Q)) / 2).tolist()
+        na, nb = operator_norm(A).tolist(), operator_norm(B).tolist()
+        sem = ["w(BA*) on the rhs is a lower bound (stricter test)"]
+        return [
+            (l, h + w.value + 2 * a * b, {"w(BA*)": w.value}, sem, None)
+            for l, h, w, a, b in zip(lhs, half, res, na, nb)
+        ]
 
     return ev
 
 
-def _ev_wsq_sum(inst, hyp):
-    A, B = inst.A, inst.B
-    w_sum = yield A + B
-    lhs = w_sum.value**2
+def _ev_wsq_sum(insts, hyps, ops, radii):
+    A, B = _stack(insts, "A"), _stack(insts, "B")
     P = hermitian_part(A @ adjoint(A))
     Q = hermitian_part(B @ adjoint(B))
-    w_ba = (yield B @ adjoint(A)).value
-    w_a = (yield A).value
-    w_b = (yield B).value
-    rhs = (norm_hermitian(P + Q) + norm_hermitian(P - Q)) / 2 + w_ba + 2 * w_a * w_b
-    details = {"w(A+B)": w_sum.value, "w(BA*)": w_ba, "w(A)": w_a, "w(B)": w_b}
-    return InequalityId.WSQ_SUM, lhs, rhs, details, [_W_NOTE], w_sum.witness
+    half = ((norm_hermitian(P + Q) + norm_hermitian(P - Q)) / 2).tolist()
+    res = [radii(M) for M in (A + B, B @ adjoint(A), A, B)]
+    out = []
+    for h, w_sum, w_ba, w_a, w_b in zip(half, *res):
+        rhs = h + w_ba.value + 2 * w_a.value * w_b.value
+        details = {"w(A+B)": w_sum.value, "w(BA*)": w_ba.value, "w(A)": w_a.value, "w(B)": w_b.value}
+        out.append((w_sum.value**2, rhs, details, [_W_NOTE], w_sum.witness))
+    return out
 
 
-def _ev_convex_product(inst, hyp):
-    A, X, B, v, h = inst.A, inst.X, inst.B, inst.v, inst.h
-    S, T = _schwarz_sides(inst)
-    res = yield adjoint(A) @ X @ B
-    lhs = h(res.value**2)
-    rhs = norm_hermitian((1 - v) * _h_matrix(h, S, 1.0 / (1.0 - v)) + v * _h_matrix(h, T, 1.0 / v))
-    return InequalityId.CONVEX_PRODUCT, lhs, rhs, {"w": res.value}, [_W_NOTE], res.witness
+def _ev_convex_product(insts, hyps, ops, radii):
+    A, X, B = _stack(insts, "A"), _stack(insts, "X"), _stack(insts, "B")
+    v = np.array([i.v for i in insts])[:, None, None]
+    h = [i.h for i in insts]
+    S, T = _schwarz_sides(insts)
+    res = radii(adjoint(A) @ X @ B)
+    lhs = [hk(w.value**2) for hk, w in zip(h, res)]
+    mix = (1 - v) * _h_matrix(h, S, [1.0 / (1.0 - i.v) for i in insts]) + v * _h_matrix(h, T, [1.0 / i.v for i in insts])
+    return _w_outcomes(lhs, norm_hermitian(mix).tolist(), res)
 
 
-def _ev_convex_product_power(inst, hyp):
-    A, X, B, r = inst.A, inst.X, inst.B, inst.r
-    S, T = _schwarz_sides(inst)
-    res = yield adjoint(A) @ X @ B
-    lhs = res.value ** (2 * r)
-    rhs = norm_hermitian(hermitian_power(S, 2 * r) + hermitian_power(T, 2 * r)) / 2
-    return InequalityId.CONVEX_PRODUCT_POWER, lhs, rhs, {"w": res.value}, [_W_NOTE], res.witness
+def _ev_convex_product_power(insts, hyps, ops, radii):
+    A, X, B = _stack(insts, "A"), _stack(insts, "X"), _stack(insts, "B")
+    r2 = [2 * i.r for i in insts]
+    S, T = _schwarz_sides(insts)
+    res = radii(adjoint(A) @ X @ B)
+    rhs = (norm_hermitian(hermitian_power(S, r2) + hermitian_power(T, r2)) / 2).tolist()
+    return _w_outcomes([w.value**e for w, e in zip(res, r2)], rhs, res)
 
 
-def _ev_scalar_refined_amgm(inst, hyp):
-    a, b, m, M = inst.a, inst.b, inst.m, inst.M
-    lhs = (M + m) / (2 * math.sqrt(M * m)) * math.sqrt(a * b)
-    rhs = (a + b) / 2
-    return InequalityId.SCALAR_REFINED_AMGM, lhs, rhs, {}, [], None
+def _ev_scalar_refined_amgm(insts, hyps, ops, radii):
+    out = []
+    for i in insts:
+        a, b, m, M = i.a, i.b, i.m, i.M
+        lhs = (M + m) / (2 * math.sqrt(M * m)) * math.sqrt(a * b)
+        out.append((lhs, (a + b) / 2, {}, [], None))
+    return out
 
 
-def _ev_conditioned_product(inst, hyp):
-    A, X, B, h = inst.A, inst.X, inst.B, inst.h
-    S, T = _schwarz_sides(inst)
-    m, M = hyp.bounds["m"], hyp.bounds["M"]
-    res = yield adjoint(A) @ X @ B
-    lhs = h(res.value)
-    rhs = _amgm_factor(m, M) * norm_hermitian(_h_matrix(h, S) + _h_matrix(h, T))
-    details = {"w": res.value, "m": m, "M": M}
-    return InequalityId.CONDITIONED_PRODUCT, lhs, rhs, details, [_W_NOTE], res.witness
+def _ev_conditioned_product(insts, hyps, ops, radii):
+    A, X, B = _stack(insts, "A"), _stack(insts, "X"), _stack(insts, "B")
+    h = [i.h for i in insts]
+    res = radii(adjoint(A) @ X @ B)
+    norms = norm_hermitian(_h_matrix(h, ops["S"]) + _h_matrix(h, ops["T"])).tolist()
+    out = []
+    for hk, hyp, w, nrm in zip(h, hyps, res, norms):
+        m, M = hyp.bounds["m"], hyp.bounds["M"]
+        out.append((hk(w.value), _amgm_factor(m, M) * nrm, {"w": w.value, "m": m, "M": M}, [_W_NOTE], w.witness))
+    return out
 
 
-def _ev_conditioned_specials(inst, hyp):
-    r = inst.r
-    m, M = hyp.bounds["m"], hyp.bounds["M"]
-    S, T = _specials_sides(inst)
-    if inst.variant == 0:
-        target = adjoint(inst.A) @ inst.X @ inst.B
-    elif inst.variant == 1:
-        target = inst.X
-    else:
-        target = adjoint(inst.A) @ inst.B
-    res = yield target
-    lhs = res.value**r
-    rhs = _amgm_factor(m, M) * norm_hermitian(hermitian_power(S, r) + hermitian_power(T, r))
-    details = {"w": res.value, "m": m, "M": M, "variant": inst.variant}
-    return InequalityId.CONDITIONED_SPECIALS, lhs, rhs, details, [_W_NOTE], res.witness
+def _ev_conditioned_specials(insts, hyps, ops, radii):
+    r = [i.r for i in insts]
+    targets = []
+    for i in insts:
+        if i.variant == 0:
+            targets.append(adjoint(i.A[None]) @ i.X[None] @ i.B[None])
+        elif i.variant == 1:
+            targets.append(i.X[None])
+        else:
+            targets.append(adjoint(i.A[None]) @ i.B[None])
+    res = radii(np.concatenate(targets))
+    norms = norm_hermitian(hermitian_power(ops["S"], r) + hermitian_power(ops["T"], r)).tolist()
+    out = []
+    for i, rk, hyp, w, nrm in zip(insts, r, hyps, res, norms):
+        m, M = hyp.bounds["m"], hyp.bounds["M"]
+        details = {"w": w.value, "m": m, "M": M, "variant": i.variant}
+        out.append((w.value**rk, _amgm_factor(m, M) * nrm, details, [_W_NOTE], w.witness))
+    return out
 
 
-def _ev_gamma_product(inst, hyp):
-    A, X, B, h = inst.A, inst.X, inst.B, inst.h
-    S, T = _schwarz_sides(inst)
-    gamma = gamma_factor(hyp.bounds["m_lo"], hyp.bounds["M_hi"])
-    res = yield adjoint(A) @ X @ B
-    lhs = h(res.value)
-    rhs = norm_hermitian(_h_matrix(h, S) + _h_matrix(h, T)) / (2 * gamma)
-    details = {"w": res.value, "gamma": gamma, **hyp.bounds}
-    return InequalityId.GAMMA_PRODUCT, lhs, rhs, details, [_W_NOTE], res.witness
+def _ev_gamma_product(insts, hyps, ops, radii):
+    A, X, B = _stack(insts, "A"), _stack(insts, "X"), _stack(insts, "B")
+    h = [i.h for i in insts]
+    res = radii(adjoint(A) @ X @ B)
+    norms = norm_hermitian(_h_matrix(h, ops["S"]) + _h_matrix(h, ops["T"])).tolist()
+    out = []
+    for hk, hyp, w, nrm in zip(h, hyps, res, norms):
+        gamma = gamma_factor(hyp.bounds["m_lo"], hyp.bounds["M_hi"])
+        details = {"w": w.value, "gamma": gamma, **hyp.bounds}
+        out.append((hk(w.value), nrm / (2 * gamma), details, [_W_NOTE], w.witness))
+    return out
 
 
-def _ev_refined_convexity(inst, hyp):
-    A, B, v, f = inst.A, inst.B, inst.v, inst.f
+def _convexity_sides(insts):
+    """(norm of f at the convex combination, its unrefined bound) for the
+    convexity members."""
+    A, B = _stack(insts, "A"), _stack(insts, "B")
+    v = np.array([i.v for i in insts])[:, None, None]
+    f = [i.f for i in insts]
     lhs = norm_hermitian(apply_scalar_function(f, (1 - v) * hermitian_part(A) + v * hermitian_part(B)))
     base = norm_hermitian((1 - v) * apply_scalar_function(f, A) + v * apply_scalar_function(f, B))
+    return lhs.tolist(), base.tolist(), A, B, f
+
+
+def _ev_refined_convexity(insts, hyps, ops, radii):
+    lhs, base, A, B, f = _convexity_sides(insts)
     mu = jensen_gap_mu(f, A, B)
-    rhs = base - min(v, 1 - v) * mu
-    details = {"mu_estimate": mu, "base": base}
-    return InequalityId.REFINED_CONVEXITY, lhs, rhs, details, [_INF_NOTE], None
-
-
-def _ev_improved_convex_product(inst, hyp):
-    A, X, B, v, h = inst.A, inst.X, inst.B, inst.v, inst.h
-    S, T = _schwarz_sides(inst)
-    S_pow = hermitian_power(S, 1.0 / (1.0 - v))
-    T_pow = hermitian_power(T, 1.0 / v)
-    res = yield adjoint(A) @ X @ B
-    lhs = h(res.value**2)
-    base = norm_hermitian((1 - v) * apply_scalar_function(h, S_pow) + v * apply_scalar_function(h, T_pow))
-    gap = jensen_gap_mu(h, S_pow, T_pow)
-    rhs = base - min(v, 1 - v) * gap
-    details = {"w": res.value, "gap_estimate": gap}
-    return InequalityId.IMPROVED_CONVEX_PRODUCT, lhs, rhs, details, [_W_NOTE, _INF_NOTE], res.witness
-
-
-def _ev_superquad_radius(inst, hyp):
-    A, f = inst.A, inst.f
-    res = yield A
-    sigma = _singular_values(A)
-    lhs = f(res.value)
-    f_abs = np.asarray(f(sigma))
-    inf_term = float(np.min(np.asarray(f(np.abs(sigma - res.value)))))
-    rhs = float(np.max(f_abs)) - inf_term
-    details = {"w": res.value, "inf_term": inf_term}
-    sem = [_W_NOTE, "infimum term computed exactly as the smallest eigenvalue"]
-    return InequalityId.SUPERQUAD_RADIUS, lhs, rhs, details, sem, res.witness
-
-
-def _ev_superquad_power(inst, hyp):
-    A, r = inst.A, inst.r
-    res = yield A
-    sigma = _singular_values(A)
-    nrm = float(sigma.max())
-    inf_r = float(np.min(np.abs(sigma - res.value) ** r))
-    inf_2 = float(np.min(np.abs(sigma - res.value) ** 2))
-    mid = math.sqrt(max(nrm**2 - inf_2, 0.0))
-    links = [
-        ("w^r <= norm^r - inf", res.value**r, nrm**r - inf_r),
-        ("w <= sqrt form", res.value, mid),
-        ("sqrt form <= norm", mid, nrm),
+    return [
+        (l, b - min(i.v, 1 - i.v) * m, {"mu_estimate": m, "base": b}, [_INF_NOTE], None)
+        for i, l, b, m in zip(insts, lhs, base, mu)
     ]
-    details = {"w": res.value, "norm": nrm}
+
+
+def _ev_norm_convexity(insts, hyps, ops, radii):
+    lhs, base, *_ = _convexity_sides(insts)
+    return [(l, b, {}, [], None) for l, b in zip(lhs, base)]
+
+
+def _ev_improved_convex_product(insts, hyps, ops, radii):
+    A, X, B = _stack(insts, "A"), _stack(insts, "X"), _stack(insts, "B")
+    v = np.array([i.v for i in insts])[:, None, None]
+    h = [i.h for i in insts]
+    S, T = _schwarz_sides(insts)
+    S_pow = hermitian_power(S, [1.0 / (1.0 - i.v) for i in insts])
+    T_pow = hermitian_power(T, [1.0 / i.v for i in insts])
+    res = radii(adjoint(A) @ X @ B)
+    base = norm_hermitian((1 - v) * apply_scalar_function(h, S_pow) + v * apply_scalar_function(h, T_pow)).tolist()
+    gaps = jensen_gap_mu(h, S_pow, T_pow)
+    return [
+        (hk(w.value**2), b - min(i.v, 1 - i.v) * gap, {"w": w.value, "gap_estimate": gap}, [_W_NOTE, _INF_NOTE], w.witness)
+        for i, hk, w, b, gap in zip(insts, h, res, base, gaps)
+    ]
+
+
+def _ev_superquad_radius(insts, hyps, ops, radii):
+    A = _stack(insts, "A")
+    res = radii(A)
+    sem = [_W_NOTE, "infimum term computed exactly as the smallest eigenvalue"]
+    out = []
+    for i, w, sigma in zip(insts, res, _singular_values(A)):
+        f = i.f
+        inf_term = float(np.min(np.asarray(f(np.abs(sigma - w.value)))))
+        rhs = float(np.max(np.asarray(f(sigma)))) - inf_term
+        out.append((f(w.value), rhs, {"w": w.value, "inf_term": inf_term}, sem, w.witness))
+    return out
+
+
+def _ev_superquad_power(insts, hyps, ops, radii):
+    A = _stack(insts, "A")
+    res = radii(A)
     sem = [_W_NOTE, "infimum terms computed exactly as smallest eigenvalues"]
-    return _chain(InequalityId.SUPERQUAD_POWER, hyp, links, details, sem, res.witness)
+    out = []
+    for i, w, sigma in zip(insts, res, _singular_values(A)):
+        r = i.r
+        nrm = float(sigma.max())
+        inf_r = float(np.min(np.abs(sigma - w.value) ** r))
+        inf_2 = float(np.min(np.abs(sigma - w.value) ** 2))
+        mid = math.sqrt(max(nrm**2 - inf_2, 0.0))
+        links = [
+            ("w^r <= norm^r - inf", w.value**r, nrm**r - inf_r),
+            ("w <= sqrt form", w.value, mid),
+            ("sqrt form <= norm", mid, nrm),
+        ]
+        out.append(_chain(links, {"w": w.value, "norm": nrm}, sem, w.witness))
+    return out
 
 
 def _hosseini_delta_inf(P, Q, ea, eb):
-    """inf over unit x of (<Px,x>^ea - <Qx,x>^eb)^2 for positive definite P, Q.
+    """inf over unit x of (<Px,x>^ea - <Qx,x>^eb)^2 for positive definite P, Q,
+    for each pair of the stacks P, Q with its exponents ea, eb.
 
     It is 0 when phi(u, v) = u^ea - v^eb changes sign between the extreme
     eigenvectors of P - Q, as the sphere is connected. Otherwise phi has one
     sign and a nonzero gradient on W(P + iQ), so the minimum is on its boundary.
     """
+    out = []
+    for Pk, Qk, a, b, vecs in zip(P, Q, ea, eb, np.linalg.eigh(P - Q)[1], strict=True):
 
-    def phi(u, v):
-        return np.clip(u, 0.0, None) ** ea - np.clip(v, 0.0, None) ** eb
+        def phi(u, v, a=a, b=b):
+            return np.clip(u, 0.0, None) ** a - np.clip(v, 0.0, None) ** b
 
-    X = np.linalg.eigh(P - Q)[1][:, [0, -1]].T
-    ends = phi(quad_forms(P, X).real, quad_forms(Q, X).real)
-    if ends.min() <= 0.0 <= ends.max():
-        return 0.0
-    return _boundary_inf(P, Q, lambda u, v: phi(u, v) ** 2)
+        X = vecs[:, [0, -1]].T
+        ends = phi(quad_forms(Pk, X).real, quad_forms(Qk, X).real)
+        if ends.min() <= 0.0 <= ends.max():
+            out.append(0.0)
+        else:
+            out.append(_boundary_inf(Pk, Qk, lambda u, v, phi=phi: phi(u, v) ** 2))
+    return out
 
 
-def _ev_hosseini_geo(inst, hyp):
-    A, B, X, p, q, r = inst.A, inst.B, inst.X, inst.p, inst.q, inst.r
+def _hosseini_base(A, K, p, q, r, d):
+    """|| A^{r p / d} / p + K^{r q / d} / q || and the subtracted infimum with
+    exponents r p / 2d, r q / 2d, for each pair of the stacks A, K."""
+    pp = np.array(p)[:, None, None]
+    qq = np.array(q)[:, None, None]
+    ea = [rk * pk / d for rk, pk in zip(r, p)]
+    eb = [rk * qk / d for rk, qk in zip(r, q)]
+    base = norm_hermitian(hermitian_power(A, ea) / pp + hermitian_power(K, eb) / qq).tolist()
+    delta = _hosseini_delta_inf(A, K, [rk * pk / (2 * d) for rk, pk in zip(r, p)], [rk * qk / (2 * d) for rk, qk in zip(r, q)])
+    return base, delta
+
+
+def _ev_hosseini_geo(insts, hyps, ops, radii):
+    A, B, X = _stack(insts, "A"), _stack(insts, "B"), _stack(insts, "X")
+    p, q, r = [i.p for i in insts], [i.q for i in insts], [i.r for i in insts]
     G = weighted_geometric(A, B, 0.5)
-    res = yield G @ X
-    lhs = res.value**r
+    res = radii(G @ X)
     K = hermitian_part(adjoint(X) @ B @ X)
-    base = norm_hermitian(hermitian_power(A, r * p / 2) / p + hermitian_power(K, r * q / 2) / q)
-    delta = _hosseini_delta_inf(A, K, r * p / 4, r * q / 4)
-    rhs = base - delta / p
-    details = {"w": res.value, "delta_estimate": delta}
+    base, delta = _hosseini_base(A, K, p, q, r, 2)
     sem = [_W_NOTE, _INF_NOTE, "X unconstrained (no contraction assumption imposed)"]
-    return InequalityId.HOSSEINI_GEO, lhs, rhs, details, sem, res.witness
-
-
-def _ev_hosseini_geo_norms(inst, hyp):
-    A, B, p, q, r = inst.A, inst.B, inst.p, inst.q, inst.r
-    G = weighted_geometric(A, B, 0.5)
-    g_norm = norm_hermitian(G)
-    details = {"sharp_norm": g_norm, "variant": inst.variant}
-    sem = []
-    if inst.variant == 0:
-        lhs = g_norm**r
-        base = norm_hermitian(hermitian_power(A, r * p / 2) / p + hermitian_power(B, r * q / 2) / q)
-        delta = _hosseini_delta_inf(A, B, r * p / 4, r * q / 4)
-        rhs = base - delta / p
-        details["delta_estimate"] = delta
-        sem.append(_INF_NOTE)
-    elif inst.variant == 1:
-        lhs = g_norm ** (2 * r)
-        base = norm_hermitian(hermitian_power(A, r * p) / p + hermitian_power(B, r * q) / q)
-        delta = _hosseini_delta_inf(A, B, r * p / 2, r * q / 2)
-        rhs = base - delta / p
-        details["delta_estimate"] = delta
-        sem.append(_INF_NOTE)
-    else:
-        lhs = g_norm**2
-        base = norm_hermitian((A @ A + B @ B) / 2)
-        lam = np.linalg.eigvalsh(hermitian_part(A - B))
-        lo, hi = float(lam[0]), float(lam[-1])
-        inf_sq = 0.0 if lo <= 0.0 <= hi else min(lo * lo, hi * hi)
-        rhs = base - inf_sq / 2
-        details["inf_term"] = inf_sq
-        sem.append("infimum of <(A-B)x,x>^2 computed exactly from the spectrum of A-B")
-    return InequalityId.HOSSEINI_GEO_NORMS, lhs, rhs, details, sem, None
-
-
-def _ev_euclidean_sandwich(inst, hyp):
-    A, B = hermitian_part(inst.A), hermitian_part(inst.B)
-    G = weighted_geometric(A, B, 0.5)
-    we = (yield A + 1j * B).value
-    upper = math.sqrt(norm_hermitian(A @ A + B @ B))
-    links = [
-        ("sqrt2 |sharp| <= w_e", math.sqrt(2.0) * norm_hermitian(G), we),
-        ("w_e <= sqrt norm", we, upper),
+    return [
+        (w.value**rk, b - dk / pk, {"w": w.value, "delta_estimate": dk}, sem, w.witness)
+        for w, rk, pk, b, dk in zip(res, r, p, base, delta)
     ]
+
+
+def _ev_hosseini_geo_norms(insts, hyps, ops, radii):
+    A, B = _stack(insts, "A"), _stack(insts, "B")
+    g_norms = norm_hermitian(weighted_geometric(A, B, 0.5)).tolist()
+    out = [None] * len(insts)
+    for variant, d in ((0, 2), (1, 1), (2, None)):
+        rows = [k for k, i in enumerate(insts) if _variant_group(i) == variant]
+        if not rows:
+            continue
+        group = [insts[k] for k in rows]
+        p, q, r = [i.p for i in group], [i.q for i in group], [i.r for i in group]
+        if d is not None:
+            base, delta = _hosseini_base(A[rows], B[rows], p, q, r, d)
+        else:
+            Ag, Bg = A[rows], B[rows]
+            base = norm_hermitian((Ag @ Ag + Bg @ Bg) / 2).tolist()
+            spectra = np.linalg.eigvalsh(hermitian_part(Ag - Bg))
+        for j, k in enumerate(rows):
+            g_norm = g_norms[k]
+            details = {"sharp_norm": g_norm, "variant": insts[k].variant}
+            if d is not None:
+                lhs = g_norm**r[j] if variant == 0 else g_norm ** (2 * r[j])
+                rhs = base[j] - delta[j] / p[j]
+                details["delta_estimate"] = delta[j]
+                sem = [_INF_NOTE]
+            else:
+                lo, hi = float(spectra[j, 0]), float(spectra[j, -1])
+                inf_sq = 0.0 if lo <= 0.0 <= hi else min(lo * lo, hi * hi)
+                lhs, rhs = g_norm**2, base[j] - inf_sq / 2
+                details["inf_term"] = inf_sq
+                sem = ["infimum of <(A-B)x,x>^2 computed exactly from the spectrum of A-B"]
+            out[k] = (lhs, rhs, details, sem, None)
+    return out
+
+
+def _ev_euclidean_sandwich(insts, hyps, ops, radii):
+    A, B = hermitian_part(_stack(insts, "A")), hermitian_part(_stack(insts, "B"))
+    sharp = norm_hermitian(weighted_geometric(A, B, 0.5)).tolist()
+    res = radii(A + 1j * B)
+    uppers = norm_hermitian(A @ A + B @ B).tolist()
     sem = ["w_e: attained lower bound, as w(A + iB) of the Hermitian pair"]
-    return _chain(InequalityId.EUCLIDEAN_SANDWICH, hyp, links, {"w_e": we}, sem)
+    out = []
+    for w, g, up in zip(res, sharp, uppers):
+        we, upper = w.value, math.sqrt(up)
+        links = [("sqrt2 |sharp| <= w_e", math.sqrt(2.0) * g, we), ("w_e <= sqrt norm", we, upper)]
+        out.append(_chain(links, {"w_e": we}, sem))
+    return out
 
 
-def _ev_fconn_radius(inst, hyp):
-    A, B, X, f = inst.A, inst.B, inst.X, inst.f
+def _ev_fconn_radius(insts, hyps, ops, radii):
+    A, B, X = _stack(insts, "A"), _stack(insts, "B"), _stack(insts, "X")
     half, inv_half = pd_roots(A)
     mid = hermitian_part(inv_half @ hermitian_part(B) @ inv_half)
     lam, V = np.linalg.eigh(mid)
-    f_vals = np.asarray(f(lam), dtype=float)
-    f_mid = hermitian_part((V * f_vals) @ V.conj().T)
-    f2_mid = hermitian_part((V * f_vals**2) @ V.conj().T)
+    f_vals = np.stack([np.asarray(i.f(row), dtype=float) for i, row in zip(insts, lam)])
+    f_mid = _spectral(V, f_vals)
+    f2_mid = _spectral(V, f_vals**2)
     connection = hermitian_part(half @ f_mid @ half)
-    res = yield connection @ X
-    lhs = res.value
+    res = radii(connection @ X)
     inner = hermitian_part(adjoint(X) @ (half @ f2_mid @ half) @ X)
-    rhs = norm_hermitian(inner + A) / 2
-    return InequalityId.FCONN_RADIUS, lhs, rhs, {"w": res.value}, [_W_NOTE], res.witness
+    rhs = (norm_hermitian(inner + A) / 2).tolist()
+    return _w_outcomes([w.value for w in res], rhs, res)
 
 
-def _ev_geo_radius(inst, hyp):
-    A, B, X = inst.A, inst.B, inst.X
-    G = weighted_geometric(A, B, 0.5)
-    res = yield G @ X
-    lhs = res.value
-    rhs = norm_hermitian(hermitian_part(adjoint(X) @ hermitian_part(B) @ X) + hermitian_part(A)) / 2
-    return InequalityId.GEO_RADIUS, lhs, rhs, {"w": res.value}, [_W_NOTE], res.witness
-
-
-def _ev_norm_convexity(inst, hyp):
-    A, B, v, f = inst.A, inst.B, inst.v, inst.f
-    lhs = norm_hermitian(apply_scalar_function(f, (1 - v) * hermitian_part(A) + v * hermitian_part(B)))
-    rhs = norm_hermitian((1 - v) * apply_scalar_function(f, A) + v * apply_scalar_function(f, B))
-    return InequalityId.NORM_CONVEXITY, lhs, rhs, {}, [], None
+def _ev_geo_radius(insts, hyps, ops, radii):
+    A, B, X = _stack(insts, "A"), _stack(insts, "B"), _stack(insts, "X")
+    res = radii(weighted_geometric(A, B, 0.5) @ X)
+    rhs = (norm_hermitian(hermitian_part(adjoint(X) @ hermitian_part(B) @ X) + hermitian_part(A)) / 2).tolist()
+    return _w_outcomes([w.value for w in res], rhs, res)
 
 
 # pointwise members -----------------------------------------------------------
 
 
-def _pointwise_links(ineq, inst, vectors):
-    links = []
-    if ineq is InequalityId.MIXED_SCHWARZ:
-        A = inst.A
-        f, g = inst.pair.f, inst.pair.g
-        f_abs = gram_function(A, f)
-        g_abs = gram_function(A, g, adjoint_side=True)
-        for k, (x, y) in enumerate(vectors):
-            lhs = abs(np.vdot(y, A @ x))
-            rhs = np.linalg.norm(f_abs @ x) * np.linalg.norm(g_abs @ y)
+def _pointwise(links):
+    return _chain(links, {"checks": float(len(links))}, [])
+
+
+def _ev_mixed_schwarz(insts, hyps, ops, radii):
+    A = _stack(insts, "A")
+    f_abs = gram_function(A, [i.pair.f for i in insts])
+    g_abs = gram_function(A, [i.pair.g for i in insts], adjoint_side=True)
+    out = []
+    for i, fk, gk in zip(insts, f_abs, g_abs):
+        links = []
+        for k, (x, y) in enumerate(i.vectors):
+            lhs = abs(np.vdot(y, i.A @ x))
+            rhs = np.linalg.norm(fk @ x) * np.linalg.norm(gk @ y)
             links.append((f"pair {k}", float(lhs), float(rhs)))
-    elif ineq is InequalityId.MOND_PECARIC:
-        A = check_hermitian(inst.A)
-        f = inst.f
-        fA = apply_scalar_function(f, A)
+        out.append(_pointwise(links))
+    return out
+
+
+def _ev_mond_pecaric(insts, hyps, ops, radii):
+    A = check_hermitian(_stack(insts, "A"))
+    fA = apply_scalar_function([i.f for i in insts], A)
+    out = []
+    for i, Ak, fk in zip(insts, A, fA):
+        f = i.f
         convex = CONVEX in f.flags
-        for k, (x,) in enumerate(vectors):
-            qa = float(np.vdot(x, A @ x).real)
-            qf = float(np.vdot(x, fA @ x).real)
-            if convex:
-                links.append((f"x {k}", f(qa), qf))
-            else:
-                links.append((f"x {k}", qf, f(qa)))
-    elif ineq is InequalityId.DRAGOMIR_VECTOR:
-        for k, (x, y, z) in enumerate(vectors):
+        links = []
+        for k, (x,) in enumerate(i.vectors):
+            qa = float(np.vdot(x, Ak @ x).real)
+            qf = float(np.vdot(x, fk @ x).real)
+            links.append((f"x {k}", f(qa), qf) if convex else (f"x {k}", qf, f(qa)))
+        out.append(_pointwise(links))
+    return out
+
+
+def _ev_dragomir_vector(insts, hyps, ops, radii):
+    out = []
+    for i in insts:
+        links = []
+        for k, (x, y, z) in enumerate(i.vectors):
             lhs = abs(np.vdot(z, x)) ** 2 + abs(np.vdot(z, y)) ** 2
             nx = np.linalg.norm(x) ** 2
             ny = np.linalg.norm(y) ** 2
             rhs = float(np.linalg.norm(z) ** 2 * max(nx, ny) + abs(np.vdot(x, y)))
             links.append((f"triple {k}", float(lhs), rhs))
-    elif ineq is InequalityId.SUPERQUAD_DEFECT:
-        f = inst.f
-        for k, (s, t) in enumerate(vectors):
-            defect = superquadratic_defect(f, s, t)
-            links.append((f"(s,t) {k}", 0.0, float(defect)))
-    else:  # pragma: no cover
-        raise UnsupportedParameter(f"{ineq} is not a pointwise member")
-    return links
+        out.append(_pointwise(links))
+    return out
+
+
+def _ev_superquad_defect(insts, hyps, ops, radii):
+    return [
+        _pointwise([(f"(s,t) {k}", 0.0, float(superquadratic_defect(i.f, s, t))) for k, (s, t) in enumerate(i.vectors)])
+        for i in insts
+    ]
 
 
 def pointwise_lemma_check(ineq, inst, vectors=None, tol_rel=1e-8) -> "CheckResult":
@@ -803,14 +918,6 @@ def norm_convexity_check(f, A, B, v, refined=False, tol_rel=1e-8) -> "CheckResul
     return evaluate(ineq, inst, tol_rel=tol_rel)
 
 
-def _ev_pointwise(ineq):
-    def ev(inst, hyp):
-        links = _pointwise_links(ineq, inst, inst.vectors)
-        return _chain(ineq, hyp, links, {"checks": float(len(links))}, [])
-
-    return ev
-
-
 _EVALUATORS = {
     InequalityId.NORM_SANDWICH: _ev_norm_sandwich,
     InequalityId.KITTANEH_CHAIN: _ev_kittaneh_chain,
@@ -818,7 +925,7 @@ _EVALUATORS = {
     InequalityId.SUM_SQ_KITTANEH: _ev_sum_sq_kittaneh,
     InequalityId.PRODUCT_POWER: _ev_product_power,
     InequalityId.GENERAL_PRODUCT: _ev_general_product,
-    InequalityId.DRAGOMIR_VECTOR: _ev_pointwise(InequalityId.DRAGOMIR_VECTOR),
+    InequalityId.DRAGOMIR_VECTOR: _ev_dragomir_vector,
     InequalityId.SUM_NEW_BOUND: _ev_sum_new(normal_form=False),
     InequalityId.SUM_NEW_NORMAL: _ev_sum_new(normal_form=True),
     InequalityId.WSQ_SUM: _ev_wsq_sum,
@@ -837,11 +944,17 @@ _EVALUATORS = {
     InequalityId.EUCLIDEAN_SANDWICH: _ev_euclidean_sandwich,
     InequalityId.FCONN_RADIUS: _ev_fconn_radius,
     InequalityId.GEO_RADIUS: _ev_geo_radius,
-    InequalityId.MIXED_SCHWARZ: _ev_pointwise(InequalityId.MIXED_SCHWARZ),
-    InequalityId.MOND_PECARIC: _ev_pointwise(InequalityId.MOND_PECARIC),
+    InequalityId.MIXED_SCHWARZ: _ev_mixed_schwarz,
+    InequalityId.MOND_PECARIC: _ev_mond_pecaric,
     InequalityId.NORM_CONVEXITY: _ev_norm_convexity,
-    InequalityId.SUPERQUAD_DEFECT: _ev_pointwise(InequalityId.SUPERQUAD_DEFECT),
+    InequalityId.SUPERQUAD_DEFECT: _ev_superquad_defect,
 }
+
+# A draw that raises one of these is refused (reported NotApplicable); the
+# float errors come from operands or sides beyond the float range.
+_REFUSALS = (NotInvertible, NotPositive, DomainViolation)
+_FLOAT_RANGE = (FloatingPointError, OverflowError, np.linalg.LinAlgError)
+_RANGE_NOTE = "beyond the float range"
 
 
 def evaluate(ineq: InequalityId, inst: CheckInstance, tol_rel=1e-8, options=None) -> CheckResult:
@@ -850,7 +963,9 @@ def evaluate(ineq: InequalityId, inst: CheckInstance, tol_rel=1e-8, options=None
     Status is Holds when the hypotheses are met and slack clears
     ``-tol_rel * (1 + |lhs| + |rhs|)``; a failed check on a member that
     subtracts an infimum is Inconclusive, on any other member Violated.
-    Hypothesis failures yield NotApplicable, never raise.
+    Hypothesis failures yield NotApplicable, never raise, and so does a draw
+    whose evaluation is refused: an operand outside a function's domain, or
+    a side beyond the float range.
     """
     return evaluate_many(ineq, [inst], tol_rel=tol_rel, options=options)[0]
 
@@ -858,57 +973,59 @@ def evaluate(ineq: InequalityId, inst: CheckInstance, tol_rel=1e-8, options=None
 def evaluate_many(ineq: InequalityId, insts, tol_rel=1e-8, options=None) -> list:
     """``evaluate`` on each of several instances of one member, in order.
 
-    The instances share one dimension. Every evaluator runs to its next
-    radius request; the matrices requested in one round are enclosed by one
-    ``numerical_radius`` call, and the results are sent back. Each result
-    equals that of ``evaluate`` on its instance alone.
+    The instances share one dimension and form one chunk: the hypotheses
+    and the evaluator run on stacks of their matrices, and the matrices
+    whose radii they need are enclosed by one ``numerical_radius`` call per
+    round.
+    Numpy overflow and invalid operations raise inside the chunk. A refusal
+    raised anywhere in it sends the chunk back one instance at a time, so
+    that it refuses only its own instance; each result equals that of
+    ``evaluate`` on its instance alone.
     """
+    if not insts:
+        return []
     options = options or DEFAULT_OPTIONS
-    results = [None] * len(insts)
-    hyps = [verify_hypotheses(ineq, inst) for inst in insts]
-    pending = []  # (index, evaluator, requested matrix)
 
-    def advance(i, run, res):
-        """Run an evaluator to its next radius request, or record its result."""
-        try:
-            M = run.send(res)
-        except StopIteration as stop:
-            results[i] = _verdict(ineq, hyps[i], stop.value, tol_rel)
-        except (NotInvertible, NotPositive, DomainViolation) as exc:
-            hyps[i].notes.append(f"evaluation refused: {exc}")
-            hyps[i].satisfied = False
-            results[i] = _not_applicable(ineq, hyps[i])
-        else:
-            pending.append((i, run, M))
+    def radii(M):
+        if not np.isfinite(M).all():
+            raise OverflowError(_RANGE_NOTE)
+        return numerical_radius(M, tol=options.radius_tol)
 
-    for i, (inst, hyp) in enumerate(zip(insts, hyps)):
-        if hyp.satisfied:
-            advance(i, _steps(_EVALUATORS[ineq], inst, hyp), None)
-        else:
-            results[i] = _not_applicable(ineq, hyp)
-    while pending:
-        requests = pending.copy()
-        pending.clear()
-        radii = numerical_radius(np.stack([M for _, _, M in requests]), tol=options.radius_tol)
-        for (i, run, _), res in zip(requests, radii):
-            advance(i, run, res)
-    return results
-
-
-def _steps(evaluator, inst, hyp):
-    """The evaluator as a generator, also when it needs no radius."""
-    out = evaluator(inst, hyp)
-    if isinstance(out, GeneratorType):
-        out = yield from out
-    return out
+    hyps = []
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            hyps, operands = _verify_chunk(ineq, insts)
+            live = [k for k, hyp in enumerate(hyps) if hyp.satisfied]
+            outcomes = {}
+            if live:
+                chunk = {name: M[live] for name, M in operands.items()}
+                found = _EVALUATORS[ineq]([insts[k] for k in live], [hyps[k] for k in live], chunk, radii)
+                outcomes = dict(zip(live, found, strict=True))
+    except _REFUSALS + _FLOAT_RANGE as exc:
+        if len(insts) > 1:
+            return [result for inst in insts for result in evaluate_many(ineq, [inst], tol_rel, options)]
+        hyp = hyps[0] if hyps else HypothesisReport(satisfied=False)
+        return [_refused(ineq, hyp, _RANGE_NOTE if isinstance(exc, _FLOAT_RANGE) else str(exc))]
+    return [
+        _verdict(ineq, hyp, outcomes[k], tol_rel) if k in outcomes else _not_applicable(ineq, hyp)
+        for k, hyp in enumerate(hyps)
+    ]
 
 
 def _not_applicable(ineq, hyp):
     return CheckResult(ineq, math.nan, math.nan, math.nan, Status.NOT_APPLICABLE, hyp, None, {}, [])
 
 
+def _refused(ineq, hyp, reason):
+    hyp.notes.append(f"evaluation refused: {reason}")
+    hyp.satisfied = False
+    return _not_applicable(ineq, hyp)
+
+
 def _verdict(ineq, hyp, outcome, tol_rel):
-    _, lhs, rhs, details, semantics, witness = outcome
+    lhs, rhs, details, semantics, witness = outcome
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        return _refused(ineq, hyp, _RANGE_NOTE)
     slack = rhs - lhs
     tol = tol_rel * (1.0 + abs(lhs) + abs(rhs))
     if slack >= -tol:

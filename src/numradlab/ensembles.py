@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidBounds, UnsupportedParameter
 from .functions import SchwarzPair, schwarz_power_pair
-from .linalg import adjoint, gram_function, hermitian_part
+from .linalg import _adj, _spectral, adjoint, gram_function, hermitian_part
 from .radius import complex_gaussian, stream_rng
 
 KINDS = (
@@ -65,48 +65,66 @@ class SandwichSample:
     M: float
 
 
-def haar_unitary(rng, n) -> np.ndarray:
-    """Haar-approximate unitary from a QR of a complex Gaussian matrix."""
-    Z = complex_gaussian(rng, (n, n))
+def _haar(Z):
+    """Haar-approximate unitaries from the QRs of complex Gaussian matrices;
+    Z may be a stack of any depth, factored by one QR call."""
     Q, R = np.linalg.qr(Z)
-    d = np.diagonal(R)
+    d = np.diagonal(R, axis1=-2, axis2=-1)
     ph = np.where(np.abs(d) > 0, d / np.abs(np.where(d == 0, 1, d)), 1.0)
-    return Q * ph
+    return Q * ph[..., None, :]
 
 
-def generic_matrix(rng, n, scale=1.0):
-    return complex_gaussian(rng, (n, n)) * scale
+def _kind_draws(spec, rng):
+    """The random numbers of one draw of a matrix kind, in stream order."""
+    n = spec.dim
+    if spec.kind in ("generic", "positive"):
+        return (complex_gaussian(rng, (n, n)),)
+    if spec.kind == "normal":  # Haar factor, then eigenvalues
+        return complex_gaussian(rng, (n, n)), complex_gaussian(rng, n)
+    if spec.kind == "square-zero":  # the off-diagonal block, then the Haar factor
+        if n == 1:
+            return ()
+        return complex_gaussian(rng, (n // 2, n - n // 2)), complex_gaussian(rng, (n, n))
+    # positive-invertible: Haar factor, then eigenvalues
+    return complex_gaussian(rng, (n, n)), rng.uniform(spec.lam_lo * spec.scale, spec.lam_hi * spec.scale, size=n)
 
 
-def normal_matrix(rng, n, scale=1.0):
-    U = haar_unitary(rng, n)
-    lam = complex_gaussian(rng, n) * scale
-    return (U * lam) @ U.conj().T
+def _kind_matrices(spec, draws, count):
+    """Matrices of a kind from the stacked draws of ``_kind_draws``."""
+    n, scale = spec.dim, spec.scale
+    if spec.kind == "generic":
+        return draws[0] * scale
+    if spec.kind == "positive":
+        G = draws[0] * scale
+        return hermitian_part(_adj(G) @ G)
+    if spec.kind == "normal":
+        U = _haar(draws[0])
+        return (U * (draws[1] * scale)[:, None, :]) @ _adj(U)
+    if spec.kind == "square-zero":
+        M = np.zeros((count, n, n), dtype=np.complex128)
+        if n == 1:
+            return M
+        M[:, : n // 2, n // 2 :] = draws[0] * scale
+        U = _haar(draws[1])
+        return U @ M @ _adj(U)
+    return _spectral(_haar(draws[0]), draws[1])
 
 
-def square_zero_matrix(rng, n, scale=1.0):
-    if n == 1:
-        return np.zeros((1, 1), dtype=np.complex128)
-    k = n // 2
-    M = np.zeros((n, n), dtype=np.complex128)
-    M[:k, k:] = complex_gaussian(rng, (k, n - k)) * scale
-    U = haar_unitary(rng, n)
-    return U @ M @ U.conj().T
+def sample_stack(spec: EnsembleSpec, indices, stream: str = "0") -> np.ndarray:
+    """``sample`` of a matrix kind at each index, as one (m, n, n) stack.
 
-
-def positive_matrix(rng, n, scale=1.0):
-    G = complex_gaussian(rng, (n, n)) * scale
-    return hermitian_part(G.conj().T @ G)
-
-
-def positive_invertible_matrix(rng, n, lam_lo, lam_hi, scale=1.0):
-    V = haar_unitary(rng, n)
-    lam = rng.uniform(lam_lo * scale, lam_hi * scale, size=n)
-    return hermitian_part((V * lam) @ V.conj().T)
+    Each draw consumes its own stream in the order ``sample`` does; the
+    stack's Haar factors then come from one QR and its products from stacked
+    matmuls, so each matrix is bitwise the one ``sample`` draws.
+    """
+    if spec.kind in ("ordered-pair", "sandwich-triple"):
+        raise UnsupportedParameter(f"{spec.kind} draws are not single matrices")
+    rows = [_kind_draws(spec, stream_rng(spec.seed, f"ensemble:{spec.kind}:{stream}", i)) for i in indices]
+    return _kind_matrices(spec, [np.stack(part) for part in zip(*rows)], len(rows))
 
 
 def ordered_pair(rng, n, scale=1.0, gap=1.0):
-    A = hermitian_part(generic_matrix(rng, n, scale))
+    A = hermitian_part(complex_gaussian(rng, (n, n)) * scale)
     W = complex_gaussian(rng, (n, n))
     P = hermitian_part(W.conj().T @ W)
     top = float(np.linalg.eigvalsh(P)[-1])
@@ -114,30 +132,47 @@ def ordered_pair(rng, n, scale=1.0, gap=1.0):
     return A, hermitian_part(A + P)
 
 
-def sandwich_operands(rng, n, gap=1.0):
-    """Draw (A, B, X, pair) with lambda_max(B* f^2(|X|) B) + gap below
-    lambda_min(A* g^2(|X*|) A), plus a comfortable multiplicative margin.
+def _sandwich_draws(rng, n, gap, weight):
+    """The random numbers of one ``sandwich_operands`` draw, in stream order:
+    alpha (drawn when weight is None), X's singular values, the Gaussian
+    matrices of X's two Haar factors and of B's and A's eigenvectors, and
+    the spectra of B and A."""
+    alpha = rng.uniform(0.25, 0.75) if weight is None else weight
+    sig = rng.uniform(1.0, 1.3, size=n)
+    Z = [complex_gaussian(rng, (n, n)) for _ in range(3)]
+    lam_b = rng.uniform(0.7, 1.0, size=n)
+    s_cap = 1.3 ** (2 * alpha)  # >= lambda_max(B* f^2(|X|) B)
+    target = max(3.0 * s_cap, s_cap + gap) * 1.15
+    a_lo = np.sqrt(target)
+    Z.append(complex_gaussian(rng, (n, n)))
+    lam_a = rng.uniform(a_lo, 1.25 * a_lo, size=n)
+    return alpha, sig, np.stack(Z), lam_b, lam_a
+
+
+def sandwich_operands(rngs, n, gap=1.0, weights=None):
+    """Draw (A, B, X, alpha) with lambda_max(B* f^2(|X|) B) + gap below
+    lambda_min(A* g^2(|X*|) A) for the power pair (t^alpha, t^(1 - alpha)),
+    plus a comfortable multiplicative margin; one draw per generator of
+    ``rngs``, returned as stacks A, B, X and the list of alphas.
 
     Bands: X singular values in [1, 1.3], B spectrum in [0.7, 1], A spectrum
     sized so the upper block clears both the additive gap and a ratio of 3,
     which keeps the pointwise refined AM-GM factors valid on every unit
-    vector (needed by the gamma-refined product bound).
+    vector (needed by the gamma-refined product bound). alpha is drawn from
+    [0.25, 0.75], or taken from ``weights`` (one per generator).
     """
-    alpha = rng.uniform(0.25, 0.75)
-    pair = schwarz_power_pair(alpha)
-    sig = rng.uniform(1.0, 1.3, size=n)
-    X = (haar_unitary(rng, n) * sig) @ haar_unitary(rng, n).conj().T
-    B = positive_invertible_matrix(rng, n, 0.7, 1.0)
-    s_cap = 1.3 ** (2 * alpha)  # >= lambda_max(B* f^2(|X|) B)
-    target = max(3.0 * s_cap, s_cap + gap) * 1.15
-    a_lo = np.sqrt(target)
-    A = positive_invertible_matrix(rng, n, a_lo, 1.25 * a_lo)
-    return A, B, X, pair
+    weights = [None] * len(rngs) if weights is None else weights
+    rows = [_sandwich_draws(rng, n, gap, w) for rng, w in zip(rngs, weights, strict=True)]
+    alpha, sig, Z, lam_b, lam_a = (np.stack(part) for part in zip(*rows))
+    U = _haar(Z)
+    X = (U[:, 0] * sig[:, None, :]) @ _adj(U[:, 1])
+    return _spectral(U[:, 3], lam_a), _spectral(U[:, 2], lam_b), X, alpha.tolist()
 
 
 def sandwich_triple(rng, n, gap=1.0):
     """``sandwich_operands`` with the attained sandwich bounds m and M."""
-    A, B, X, pair = sandwich_operands(rng, n, gap)
+    A, B, X, (alpha,) = sandwich_operands([rng], n, gap)
+    A, B, X, pair = A[0], B[0], X[0], schwarz_power_pair(alpha)
     f, g = pair.f, pair.g
     S = hermitian_part(adjoint(B) @ gram_function(X, lambda s: np.asarray(f(s)) ** 2) @ B)
     T = hermitian_part(
@@ -154,21 +189,12 @@ def sample(spec: EnsembleSpec, index: int, stream: str = "0"):
     ``stream`` separates independent draws of the same kind within one
     logical instance (e.g. the A-side and B-side of a pair).
     """
+    if spec.kind not in ("ordered-pair", "sandwich-triple"):
+        return sample_stack(spec, [index], stream)[0]
     rng = stream_rng(spec.seed, f"ensemble:{spec.kind}:{stream}", index)
-    n = spec.dim
-    if spec.kind == "generic":
-        return generic_matrix(rng, n, spec.scale)
-    if spec.kind == "normal":
-        return normal_matrix(rng, n, spec.scale)
-    if spec.kind == "square-zero":
-        return square_zero_matrix(rng, n, spec.scale)
-    if spec.kind == "positive":
-        return positive_matrix(rng, n, spec.scale)
-    if spec.kind == "positive-invertible":
-        return positive_invertible_matrix(rng, n, spec.lam_lo, spec.lam_hi, spec.scale)
     if spec.kind == "ordered-pair":
-        return ordered_pair(rng, n, spec.scale, spec.gap)
-    return sandwich_triple(rng, n, spec.gap)
+        return ordered_pair(rng, spec.dim, spec.scale, spec.gap)
+    return sandwich_triple(rng, spec.dim, spec.gap)
 
 
 def sample_unit_vector(dim, seed, index) -> np.ndarray:

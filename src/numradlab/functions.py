@@ -230,7 +230,7 @@ def superquadratic_defect(f: ScalarFunction, s, t) -> float:
     return f(t) - f(abs(t - s)) - c_s * (t - s) - f(s)
 
 
-def jensen_gap_mu(f: ScalarFunction, A, B) -> float:
+def jensen_gap_mu(f: ScalarFunction, A, B):
     """Infimum over unit x of f(<Ax,x>) + f(<Bx,x>) - 2 f(<(A+B)/2 x, x>)
     for a Hermitian pair.
 
@@ -242,21 +242,34 @@ def jensen_gap_mu(f: ScalarFunction, A, B) -> float:
     point in W and its minimum lies on the boundary, found by a search over
     the support angle; the value found is attained, so it is an upper
     estimate of the infimum.
+
+    For stacks of pairs, ``f`` is a sequence of one function per pair, and
+    the result is the list of their infima.
     """
-    if CONVEX not in f.flags:
-        raise UnsupportedParameter(f"{f.name} is not flagged convex")
+    stacked = np.ndim(A) == 3
+    fs = list(f) if stacked else [f]
+    for fk in fs:
+        if CONVEX not in fk.flags:
+            raise UnsupportedParameter(f"{fk.name} is not flagged convex")
     A = check_hermitian(A)
     B = check_hermitian(B)
     if A.shape != B.shape:
         raise DimensionMismatch(f"shapes {A.shape} and {B.shape} differ")
-    lam = np.linalg.eigvalsh(np.stack([A, B, A - B]))
-    f(lam[:2])  # raises DomainViolation if the spectra escape f's domain
-    if CONCAVE in f.flags or lam[2, 0] <= 0.0 <= lam[2, -1]:  # convex and concave: affine
-        return 0.0
+    if not stacked:
+        A, B = A[None], B[None]
+    m, n = len(A), A.shape[-1]
+    spectra = np.linalg.eigvalsh(np.concatenate([A, B, A - B])).reshape(3, m, n).swapaxes(0, 1)
+    out = []
+    for fk, lam, P, Q in zip(fs, spectra, A, B, strict=True):
+        fk(lam[:2])  # raises DomainViolation if the spectra escape f's domain
+        if CONCAVE in fk.flags or lam[2, 0] <= 0.0 <= lam[2, -1]:  # convex and concave: affine
+            out.append(0.0)
+            continue
 
-    def gap(u, v):
-        # <Ax,x> lies in A's spectral interval; clip roundoff that can leave f's domain
-        u, v = np.clip(u, lam[0, 0], lam[0, -1]), np.clip(v, lam[1, 0], lam[1, -1])
-        return f(u) + f(v) - 2.0 * f((u + v) / 2)
+        def gap(u, v, fk=fk, lam=lam):
+            # <Ax,x> lies in A's spectral interval; clip roundoff that can leave f's domain
+            u, v = np.clip(u, lam[0, 0], lam[0, -1]), np.clip(v, lam[1, 0], lam[1, -1])
+            return fk(u) + fk(v) - 2.0 * fk((u + v) / 2)
 
-    return _boundary_inf(A, B, gap)
+        out.append(_boundary_inf(P, Q, gap))
+    return out if stacked else out[0]

@@ -1,8 +1,16 @@
 """Dense complex matrix kernels: adjoint, Hermitian eigendecomposition,
 operator norm, absolute value, functional calculus, and order tests.
 
-All operations work on square ``complex128`` arrays and are pure functions
-of their inputs.
+All operations are pure functions of ``complex128`` input. Besides square
+matrices, the kernels the catalog evaluates with take (m, n, n) stacks and
+return one result per matrix: ``adjoint``, ``hermitian_part``,
+``check_hermitian``, ``operator_norm``, ``norm_hermitian``,
+``gram_function``, ``abs_power``, ``apply_scalar_function``,
+``hermitian_power`` and ``loewner_leq``. Each matrix's result is bitwise
+what it is alone, because stacked matmul, eigh and eigvalsh are, and two
+rules keep it so: a per-matrix exponent or function is applied to that
+matrix's eigenvalue row alone, and Frobenius norms of a stack (not bitwise
+those of its matrices) only decide pass/fail tests.
 """
 
 from __future__ import annotations
@@ -39,21 +47,32 @@ def _as_square(A, ndim):
     return M
 
 
+def _as_stack_or_matrix(A):
+    """``as_matrix``, or ``_as_square`` at ndim 3 when A is a stack."""
+    M = np.asarray(A, dtype=np.complex128)
+    return _as_square(M, 3 if M.ndim == 3 else 2)
+
+
+def _adj(A):
+    """Conjugate transpose of a complex array (of each matrix of a stack)."""
+    return A.conj().swapaxes(-1, -2)
+
+
 def adjoint(A) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(np.asarray(A, dtype=np.complex128).T)
+    """Conjugate transpose (of each matrix of a stack)."""
+    return _adj(np.asarray(A, dtype=np.complex128))
 
 
 def hermitian_part(A) -> np.ndarray:
     A = np.asarray(A, dtype=np.complex128)
-    return (A + A.conj().T) / 2
+    return (A + _adj(A)) / 2
 
 
 def _pow2_scaled(A):
     """(A * 2**-e, e) such that sums of squares of the scaled entries neither
     overflow nor underflow. In range, e = 0 and A is returned as it is;
     otherwise e brings the largest real or imaginary part into [1/2, 1),
-    and the scaling is exact."""
+    and the scaling is exact. A stack is scaled as one block."""
     if 2.0**-500 < np.abs(A).max() < 2.0**500:
         return A, 0
     e = int(np.frexp(max(np.abs(A.real).max(), np.abs(A.imag).max()))[1])
@@ -61,25 +80,43 @@ def _pow2_scaled(A):
     return A * np.ldexp(1.0, -e), e
 
 
+def _pow2_rows(A):
+    """``_pow2_scaled`` of each matrix of a stack, with an exponent per row
+    (an int for a matrix)."""
+    if A.ndim == 2:
+        return _pow2_scaled(A)
+    top = np.abs(A).max(axis=(1, 2))
+    if ((2.0**-500 < top) & (top < 2.0**500)).all():
+        return A, np.zeros(len(A), dtype=int)
+    rows = [_pow2_scaled(row) for row in A]
+    return np.stack([row for row, _ in rows]), np.array([e for _, e in rows])
+
+
 def check_hermitian(H, eps=EPS_HERM) -> np.ndarray:
     """Assert H is Hermitian up to eps*||H|| and return its symmetrization.
 
     The norms are taken in power-of-two-scaled units (see ``_pow2_scaled``),
-    so they neither overflow nor underflow.
+    so they neither overflow nor underflow. A stack passes when each of its
+    matrices does; the test, not its Frobenius norms, is bitwise that of the
+    matrices alone.
     """
-    H = as_matrix(H)
-    S, e = _pow2_scaled(H)
-    scale = np.linalg.norm(S)
-    dev = np.linalg.norm(S - S.conj().T)
-    if dev > eps * scale:
+    H = _as_stack_or_matrix(H)
+    S, e = _pow2_rows(H)
+    axes = (-2, -1) if H.ndim == 3 else None
+    scale = np.linalg.norm(S, axis=axes)
+    dev = np.linalg.norm(S - _adj(S), axis=axes)
+    bad = dev > eps * scale
+    if bad.any():
+        k = np.flatnonzero(bad)[0] if H.ndim == 3 else ()
+        e_k = int(np.asarray(e)[k])
         raise NotHermitian(
-            f"matrix deviates from Hermitian by {math.ldexp(dev, e):.3e} (scale {math.ldexp(scale, e):.3e})"
+            f"matrix deviates from Hermitian by {math.ldexp(dev[k], e_k):.3e} (scale {math.ldexp(scale[k], e_k):.3e})"
         )
-    return (H + H.conj().T) / 2
+    return (H + _adj(H)) / 2
 
 
 def _eigh(H):
-    """Diagonalize an exactly Hermitian matrix without re-validating it."""
+    """Diagonalize an exactly Hermitian matrix (or stack) without re-validating it."""
     try:
         return np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -101,7 +138,7 @@ def hermitian_eigen(H, eps_res=None) -> HermitianEigen:
     NoConvergence if the factorization misses the residual target
     ``eps_res * (1 + ||H||)`` (default eps_res = 1e-11 * n).
     """
-    H = check_hermitian(H)
+    H = check_hermitian(as_matrix(H))
     n = H.shape[0]
     if eps_res is None:
         eps_res = 1e-11 * n
@@ -117,59 +154,106 @@ def hermitian_eigen(H, eps_res=None) -> HermitianEigen:
     return HermitianEigen(eigenvalues=lam, vectors=V)
 
 
-def operator_norm(A) -> float:
-    """Largest singular value, computed from the Gram matrix spectrum."""
-    A, e = _pow2_scaled(as_matrix(A))
-    lam = np.linalg.eigvalsh(hermitian_part(A.conj().T @ A))
-    return math.ldexp(math.sqrt(max(float(lam[-1]), 0.0)), e)
+def operator_norm(A):
+    """Largest singular value, computed from the Gram matrix spectrum; an
+    array of them for a stack."""
+    A, e = _pow2_rows(_as_stack_or_matrix(A))
+    lam = np.linalg.eigvalsh(hermitian_part(_adj(A) @ A))
+    if A.ndim == 2:
+        return math.ldexp(math.sqrt(max(float(lam[-1]), 0.0)), e)
+    return np.ldexp(np.sqrt(np.maximum(lam[:, -1], 0.0)), e)
 
 
-def norm_hermitian(H) -> float:
-    """Operator norm of a Hermitian matrix (largest |eigenvalue|)."""
-    lam = np.linalg.eigvalsh((H + H.conj().T) / 2)
-    return float(max(abs(lam[0]), abs(lam[-1])))
+def norm_hermitian(H):
+    """Operator norm of a Hermitian matrix (largest |eigenvalue|); an array
+    of them for a stack."""
+    H = np.asarray(H)
+    lam = np.linalg.eigvalsh((H + _adj(H)) / 2)
+    top = np.maximum(np.abs(lam[..., 0]), np.abs(lam[..., -1]))
+    return float(top) if top.ndim == 0 else top
+
+
+def _spectral(V, vals):
+    """V diag(vals) V*, symmetrized; vals holds one row per matrix of V."""
+    return hermitian_part((V * vals[..., None, :]) @ _adj(V))
+
+
+def _rows_pow(x, p):
+    """x**p on each row of x, with p one exponent for all rows or one per row.
+
+    A scalar exponent takes numpy's sqrt, square and reciprocal fast paths
+    (p = 0.5, 2, -1) and an array of exponents does not, so rows that share
+    an exponent are raised by that scalar: each row is then bitwise what it
+    is alone.
+    """
+    if np.ndim(p) == 0:
+        return x ** float(p)
+    groups = {}
+    for k, q in enumerate(p):
+        groups.setdefault(float(q), []).append(k)
+    out = np.empty_like(x)
+    for q, rows in groups.items():
+        out[rows] = x[rows] ** q
+    return out
+
+
+def _rows_apply(f, lam):
+    """f on the eigenvalues: one elementwise f on the whole array, or, for a
+    stack, a sequence of functions applied one per row. A ScalarFunction's
+    domain test sees all the values it is given, so a stack of them goes one
+    per row."""
+    if callable(f):
+        return f(lam)
+    return np.stack([fk(row) for fk, row in zip(f, lam, strict=True)])
 
 
 def _gram_eigh(A, adjoint_side=False):
     """Singular values and vectors of A from the spectrum of A*A (or A A*),
     formed in power-of-two-scaled units so the squares stay in range."""
-    A, e = _pow2_scaled(as_matrix(A))
-    G = A @ A.conj().T if adjoint_side else A.conj().T @ A
-    lam, V = _eigh((G + G.conj().T) / 2)
-    return np.ldexp(np.sqrt(np.clip(lam, 0.0, None)), e), V
+    A, e = _pow2_rows(_as_stack_or_matrix(A))
+    G = A @ _adj(A) if adjoint_side else _adj(A) @ A
+    lam, V = _eigh((G + _adj(G)) / 2)
+    return np.ldexp(np.sqrt(np.clip(lam, 0.0, None)), np.asarray(e)[..., None]), V
 
 
 def abs_operator(A) -> np.ndarray:
     """Positive square root of A*A."""
     root, V = _gram_eigh(A)
-    return hermitian_part((V * root) @ V.conj().T)
+    return _spectral(V, root)
 
 
 def gram_function(A, fn, adjoint_side=False):
     """Apply ``t -> fn(sqrt(t))`` to the spectrum of A*A, i.e. compute fn(|A|).
 
-    With adjoint_side=True computes fn(|A*|) from A A* instead.
+    With adjoint_side=True computes fn(|A*|) from A A* instead. For a stack,
+    ``fn`` may be a sequence of one function per matrix (see ``_rows_apply``).
     """
     sv, V = _gram_eigh(A, adjoint_side)
-    vals = fn(sv)
-    return hermitian_part((V * vals) @ V.conj().T)
+    return _spectral(V, _rows_apply(fn, sv))
 
 
 def abs_power(A, p, adjoint_side=False):
-    """|A|**p (or |A*|**p) via the Gram spectrum."""
-    return gram_function(A, lambda s: s**p, adjoint_side=adjoint_side)
+    """|A|**p (or |A*|**p) via the Gram spectrum; for a stack, p may hold one
+    exponent per matrix."""
+    sv, V = _gram_eigh(A, adjoint_side)
+    return _spectral(V, _rows_pow(sv, p))
 
 
 def apply_scalar_function(f, H) -> np.ndarray:
     """Evaluate f on a Hermitian matrix through the spectral decomposition.
 
     ``f`` must be vectorized over eigenvalue arrays; it is responsible for its
-    own domain checks (ScalarFunction raises DomainViolation).
+    own domain checks (ScalarFunction raises DomainViolation). For a stack,
+    ``f`` may be a sequence of one function per matrix (see ``_rows_apply``).
     """
     H = check_hermitian(H)
     lam, V = _eigh(H)
-    vals = np.asarray(f(lam), dtype=np.float64)
-    return hermitian_part((V * vals) @ V.conj().T)
+    return _spectral(V, np.asarray(_rows_apply(f, lam), dtype=np.float64))
+
+
+def _first(rows):
+    """Index of the first true row of a boolean stack test, or () for a matrix."""
+    return np.flatnonzero(rows)[0] if np.ndim(rows) else ()
 
 
 def hermitian_power(H, p) -> np.ndarray:
@@ -177,37 +261,44 @@ def hermitian_power(H, p) -> np.ndarray:
 
     Fractional powers clip eigenvalues that are negative within roundoff;
     genuinely negative spectra raise NotPositive. Negative powers require
-    the spectrum to clear the relative invertibility cutoff.
+    the spectrum to clear the relative invertibility cutoff. For a stack, p
+    may hold one exponent per matrix, and any matrix that fails a test
+    raises for the stack.
     """
     H = check_hermitian(H)
     lam, V = _eigh(H)
-    scale = float(np.abs(lam).max(initial=0.0))
-    if p < 0 and lam[0] <= INV_CUTOFF * max(scale, 1.0):
-        raise NotInvertible(f"min eigenvalue {lam[0]:.3e} below invertibility cutoff")
-    if p != int(p):
-        if lam[0] < -PSD_SLACK * (1.0 + scale):
-            raise NotPositive(f"min eigenvalue {lam[0]:.3e} negative beyond tolerance")
-        lam = np.clip(lam, 0.0, None)
-    vals = lam**p
-    return hermitian_part((V * vals) @ V.conj().T)
+    q = np.broadcast_to(np.asarray(p, dtype=np.float64), lam.shape[:-1])
+    scale = np.abs(lam).max(axis=-1, initial=0.0)
+    low = lam[..., 0]
+    refused = (q < 0) & (low <= INV_CUTOFF * np.maximum(scale, 1.0))
+    if refused.any():
+        raise NotInvertible(f"min eigenvalue {low[_first(refused)]:.3e} below invertibility cutoff")
+    fractional = q != np.trunc(q)
+    negative = fractional & (low < -PSD_SLACK * (1.0 + scale))
+    if negative.any():
+        raise NotPositive(f"min eigenvalue {low[_first(negative)]:.3e} negative beyond tolerance")
+    if fractional.any():
+        lam = np.where(fractional[..., None], np.clip(lam, 0.0, None), lam)
+    return _spectral(V, _rows_pow(lam, p))
 
 
 def lambda_min(H) -> float:
     """Smallest eigenvalue; equals the infimum of <Hx,x> over unit vectors."""
-    H = check_hermitian(H)
+    H = check_hermitian(as_matrix(H))
     return float(np.linalg.eigvalsh(H)[0])
 
 
 def lambda_max(H) -> float:
     """Largest eigenvalue; equals the supremum of <Hx,x> over unit vectors."""
-    H = check_hermitian(H)
+    H = check_hermitian(as_matrix(H))
     return float(np.linalg.eigvalsh(H)[-1])
 
 
 def loewner_leq(A, B, tol=1e-10) -> bool:
     """Test A <= B in the positive semidefinite order, up to relative slack.
 
-    True iff lambda_min(B - A) >= -tol * (1 + ||A|| + ||B||).
+    True iff lambda_min(B - A) >= -tol * (1 + ||A|| + ||B||); for stacks,
+    an array of one verdict per pair.
     """
     A = check_hermitian(A)
     B = check_hermitian(B)
@@ -215,6 +306,6 @@ def loewner_leq(A, B, tol=1e-10) -> bool:
         from .errors import DimensionMismatch
 
         raise DimensionMismatch(f"shapes {A.shape} and {B.shape} differ")
-    gap = float(np.linalg.eigvalsh(B - A)[0])
-    scale = 1.0 + norm_hermitian(A) + norm_hermitian(B)
-    return gap >= -tol * scale
+    gap = np.linalg.eigvalsh(B - A)[..., 0]
+    ok = gap >= -tol * (1.0 + norm_hermitian(A) + norm_hermitian(B))
+    return bool(ok) if ok.ndim == 0 else ok

@@ -7,18 +7,22 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainViolation, InvalidBounds, NotInvertible, NotPositive, UnsupportedParameter
 from .functions import ScalarFunction
-from .linalg import INV_CUTOFF, PSD_SLACK, _eigh, check_hermitian, hermitian_part
+from .linalg import INV_CUTOFF, PSD_SLACK, _eigh, _first, _spectral, check_hermitian, hermitian_part
 
 
 def _positive_spectrum(A, name, invertible):
-    """Eigendecomposition of a positive (optionally invertible) operand."""
+    """Eigendecomposition of a positive (optionally invertible) operand, or
+    of each matrix of a stack; any matrix that fails raises for the stack."""
     A = check_hermitian(A)
     lam, V = _eigh(A)
-    scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
-    if lam[0] < -PSD_SLACK * scale:
-        raise NotPositive(f"{name} has negative eigenvalue {lam[0]:.3e}")
-    if invertible and lam[0] <= INV_CUTOFF * scale:
-        raise NotInvertible(f"{name} min eigenvalue {lam[0]:.3e} is below the invertibility cutoff")
+    scale = np.maximum(np.abs(lam).max(axis=-1, initial=0.0), 1.0)
+    low = lam[..., 0]
+    negative = low < -PSD_SLACK * scale
+    if negative.any():
+        raise NotPositive(f"{name} has negative eigenvalue {low[_first(negative)]:.3e}")
+    singular = low <= INV_CUTOFF * scale
+    if invertible and singular.any():
+        raise NotInvertible(f"{name} min eigenvalue {low[_first(singular)]:.3e} is below the invertibility cutoff")
     return np.clip(lam, 0.0, None), V
 
 
@@ -40,16 +44,16 @@ def weighted_arithmetic(A, B, v) -> np.ndarray:
 
 
 def pd_roots(A):
-    """(A^{1/2}, A^{-1/2}) for a positive invertible matrix, one factorization."""
+    """(A^{1/2}, A^{-1/2}) for a positive invertible matrix (or stack), one
+    factorization."""
     lam, V = _positive_spectrum(A, "A", invertible=True)
     root = np.sqrt(lam)
-    half = hermitian_part((V * root) @ V.conj().T)
-    inv_half = hermitian_part((V * (1.0 / root)) @ V.conj().T)
-    return half, inv_half
+    return _spectral(V, root), _spectral(V, 1.0 / root)
 
 
 def weighted_geometric(A, B, v) -> np.ndarray:
-    """A^{1/2} (A^{-1/2} B A^{-1/2})^v A^{1/2} for positive A (invertible), B PSD."""
+    """A^{1/2} (A^{-1/2} B A^{-1/2})^v A^{1/2} for positive A (invertible), B
+    PSD, or for each pair of two stacks."""
     v = _check_weight(v)
     A = np.asarray(A, dtype=np.complex128)
     B = np.asarray(B, dtype=np.complex128)
@@ -58,8 +62,7 @@ def weighted_geometric(A, B, v) -> np.ndarray:
     half, inv_half = pd_roots(A)
     mid = inv_half @ B @ inv_half
     lam, V = _positive_spectrum(mid, "A^{-1/2} B A^{-1/2}", invertible=False)
-    powered = hermitian_part((V * lam**v) @ V.conj().T)
-    return hermitian_part(half @ powered @ half)
+    return hermitian_part(half @ _spectral(V, lam**v) @ half)
 
 
 def f_connection(A, B, f: ScalarFunction) -> np.ndarray:
@@ -72,8 +75,7 @@ def f_connection(A, B, f: ScalarFunction) -> np.ndarray:
     mid = hermitian_part(inv_half @ B @ inv_half)
     lam, V = _eigh(mid)
     vals = f(lam)  # DomainViolation if the spectrum escapes f's domain
-    inner = hermitian_part((V * vals) @ V.conj().T)
-    return hermitian_part(half @ inner @ half)
+    return hermitian_part(half @ _spectral(V, vals) @ half)
 
 
 def deformed_exp(r, x) -> float:

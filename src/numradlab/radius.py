@@ -45,7 +45,7 @@ def complex_gaussian(rng, shape):
     if np.isscalar(shape):
         shape = (shape,)
     z = rng.standard_normal(tuple(shape) + (2,))
-    return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+    return z.view(np.complex128)[..., 0] / np.sqrt(2.0)  # each pair (re, im) read as one complex
 
 
 def _normalize_rows(X):

@@ -254,7 +254,7 @@ def _subtracted_infima(member, inst):
         if member is InequalityId.REFINED_CONVEXITY:
             P, Q, mu = inst.A, inst.B, res.details["mu_estimate"]
         else:
-            S, T = _schwarz_sides(inst)
+            S, T = (side[0] for side in _schwarz_sides([inst]))
             P, Q = hermitian_power(S, 1 / (1 - inst.v)), hermitian_power(T, 1 / inst.v)
             mu = res.details["gap_estimate"]
         return mu, P, Q, lambda u, v: f(u) + f(v) - 2.0 * f((u + v) / 2)
@@ -364,8 +364,8 @@ def test_run_suite_norm_sandwich_hundred_holds():
 def test_run_suite_budget_exhausted(monkeypatch):
     from numradlab import suite as suite_mod
 
-    def hopeless_builder(ens, i):
-        return CheckInstance(A=np.eye(ens.dim, dtype=complex), f=affine_power(-1.0, 0.0, 1.0))
+    def hopeless_builder(ens, indices):
+        return [CheckInstance(A=np.eye(ens.dim, dtype=complex), f=affine_power(-1.0, 0.0, 1.0)) for _ in indices]
 
     monkeypatch.setitem(suite_mod.BUILDERS, InequalityId.MOND_PECARIC, hopeless_builder)
     ens = EnsembleSpec(dim=2, kind="generic", seed=1)
@@ -392,11 +392,11 @@ def same_result(a, b):
     assert repr(dataclasses.replace(a, witness=None)) == repr(dataclasses.replace(b, witness=None))
 
 
-@pytest.mark.parametrize("dim", [2, 5])
+@pytest.mark.parametrize("dim", [2, 3, 5, 8, 64])
 def test_evaluate_many_matches_one_by_one(dim, monkeypatch):
     ens = EnsembleSpec(dim=dim, kind="generic", seed=41)
     for member in InequalityId:
-        insts = [draw_instance(member, ens, i) for i in range(4)]
+        insts = [draw_instance(member, ens, i) for i in range(12 if dim <= 8 else 2)]
         batch = catalog.evaluate_many(member, insts, tol_rel=1e-8, options=SUITE_OPTIONS)
         assert len(batch) == len(insts)
         for inst, res in zip(insts, batch):
@@ -410,11 +410,20 @@ def test_evaluate_many_matches_one_by_one(dim, monkeypatch):
     assert [r.status for r in batch] == [Status.HOLDS, Status.NOT_APPLICABLE, Status.HOLDS, Status.HOLDS]
     for inst, res in zip(insts, batch):
         same_result(res, evaluate(InequalityId.POWER_MIX, inst))
+    # a refusal raised inside a stacked kernel, by the middle draw of a chunk:
+    # a square root of a negative definite operand
+    insts = [draw_instance(InequalityId.MOND_PECARIC, ens, i) for i in range(3)]
+    insts[1] = dataclasses.replace(insts[1], A=-insts[1].A, f=power(0.5))
+    batch = catalog.evaluate_many(InequalityId.MOND_PECARIC, insts)
+    assert [r.status for r in batch] == [Status.HOLDS, Status.NOT_APPLICABLE, Status.HOLDS]
+    assert batch[1].hypothesis.notes[0].startswith("evaluation refused: value")
+    for inst, res in zip(insts, batch):
+        same_result(res, evaluate(InequalityId.MOND_PECARIC, inst))
     refused = draw_instance(InequalityId.NORM_SANDWICH, ens, 1).A
     operator_norm = catalog.operator_norm
 
     def norm_refusing(A):
-        if A is refused:
+        if any(np.array_equal(M, refused) for M in A):
             raise NotInvertible("refused after the radius")
         return operator_norm(A)
 
@@ -426,7 +435,8 @@ def test_evaluate_many_matches_one_by_one(dim, monkeypatch):
         catalog, "numerical_radius", lambda A, **kw: radii.append(A.shape) or numerical_radius(A, **kw)
     )
     batch = catalog.evaluate_many(InequalityId.NORM_SANDWICH, insts)
-    assert radii == [(3, dim, dim)]  # one enclosure call for the round
+    assert radii[0] == (3, dim, dim)  # one enclosure call for the chunk
+    assert radii[1:] == [(1, dim, dim)] * 3  # then one per draw, as the refusal sends the chunk back
     assert [r.status for r in batch] == [Status.HOLDS, Status.NOT_APPLICABLE, Status.HOLDS]
     assert batch[1].hypothesis.notes == ["evaluation refused: refused after the radius"]
     for inst, res in zip(insts, batch):
@@ -472,23 +482,25 @@ def test_run_member_chunks_keep_the_one_by_one_draws(monkeypatch):
 
     rejected = {1, 4, 5, 9, 13, 14, 15}
     index_of = {}
-    draw = suite_mod.draw_instance
-    verify = catalog.verify_hypotheses
+    draw = suite_mod.draw_chunk
+    verify = catalog._verify_chunk
 
-    def tagged_draw(ineq, ensemble, index):
-        inst = draw(ineq, ensemble, index)
-        index_of[id(inst.A)] = index, inst.A  # holding A keeps its id unique
-        return inst
+    def tagged_draw(ineq, ensemble, indices):
+        insts = draw(ineq, ensemble, indices)
+        for index, inst in zip(indices, insts):
+            index_of[id(inst.A)] = index, inst.A  # holding A keeps its id unique
+        return insts
 
-    def rejecting_verify(ineq, inst):
-        hyp = verify(ineq, inst)
-        if index_of[id(inst.A)][0] in rejected:
-            hyp.satisfied = False
-        return hyp
+    def rejecting_verify(ineq, insts):
+        hyps, operands = verify(ineq, insts)
+        for inst, hyp in zip(insts, hyps):
+            if index_of[id(inst.A)][0] in rejected:
+                hyp.satisfied = False
+        return hyps, operands
 
     monkeypatch.setattr(suite_mod, "CHUNK", 4)
-    monkeypatch.setattr(suite_mod, "draw_instance", tagged_draw)
-    monkeypatch.setattr(catalog, "verify_hypotheses", rejecting_verify)
+    monkeypatch.setattr(suite_mod, "draw_chunk", tagged_draw)
+    monkeypatch.setattr(catalog, "_verify_chunk", rejecting_verify)
     ens = EnsembleSpec(dim=3, kind="generic", seed=43)
     member = InequalityId.PRODUCT_POWER
     record = suite_mod._run_member(member, ens, 10, 1e-8, SUITE_OPTIONS)
@@ -499,7 +511,7 @@ def test_run_member_chunks_keep_the_one_by_one_draws(monkeypatch):
     rejected = set(range(300)) - {3, 7}
     index_of.clear()
     calls = []
-    monkeypatch.setattr(suite_mod, "draw_instance", lambda *a: calls.append(a[2]) or tagged_draw(*a))
+    monkeypatch.setattr(suite_mod, "draw_chunk", lambda *a: calls.extend(a[2]) or tagged_draw(*a))
     with pytest.raises(BudgetExhausted):
         suite_mod._run_member(member, ens, 3, 1e-8, SUITE_OPTIONS)
     assert calls == list(range(300))
@@ -507,3 +519,42 @@ def test_run_member_chunks_keep_the_one_by_one_draws(monkeypatch):
     with pytest.raises(BudgetExhausted):
         one_by_one_record(member, ens, 3, 1e-8, SUITE_OPTIONS, draws)
     assert draws == [300]
+
+
+@pytest.mark.parametrize(
+    "member, scale",
+    [
+        (InequalityId.CONVEX_PRODUCT, 2.0**10),
+        (InequalityId.IMPROVED_CONVEX_PRODUCT, 2.0**10),
+        (InequalityId.IMPROVED_CONVEX_PRODUCT, 2.0**30),
+        (InequalityId.CONVEX_PRODUCT_POWER, 2.0**60),
+        (InequalityId.SUPERQUAD_RADIUS, 1e150),
+        (InequalityId.MOND_PECARIC, 1e150),
+    ],
+)
+def test_draws_beyond_the_float_range_are_refused(member, scale):
+    # these raised LinAlgError, ValueError or OverflowError, or read violated
+    # on an infinite side, before an overflow refused its own draw only
+    ens = EnsembleSpec(dim=3, seed=1, scale=scale)
+    rec = run_suite([member], ens, trials=20).records[0]
+    assert (rec.holds, rec.violated, rec.inconclusive) == (20, 0, 0)
+    from numradlab.suite import draw_chunk
+
+    insts = draw_chunk(member, ens, range(20))
+    batch = catalog.evaluate_many(member, insts, options=SUITE_OPTIONS)
+    refused = [r for r in batch if r.status is Status.NOT_APPLICABLE]
+    assert refused and len(refused) < len(batch)
+    assert all(r.hypothesis.notes[-1] == "evaluation refused: beyond the float range" for r in refused)
+    assert all(r.status is Status.HOLDS for r in batch if r.status is not Status.NOT_APPLICABLE)
+    for inst, res in zip(insts, batch):  # the refusals do not sink their chunk-mates
+        same_result(res, evaluate(member, inst, options=SUITE_OPTIONS))
+
+
+@pytest.mark.parametrize("dim", [2, 8])
+def test_run_suite_chunks_of_one_give_the_same_report(dim, monkeypatch):
+    from numradlab import suite as suite_mod
+
+    ens = EnsembleSpec(dim=dim, seed=11)
+    chunked = run_suite(list(InequalityId), ens, trials=20)
+    monkeypatch.setattr(suite_mod, "CHUNK", 1)
+    assert run_suite(list(InequalityId), ens, trials=20).to_json() == chunked.to_json()

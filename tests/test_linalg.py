@@ -253,3 +253,64 @@ def test_hermitian_power_negative_requires_invertible():
         hermitian_power(np.diag([1.0, 0.0]).astype(complex), -0.5)
     with pytest.raises(errors.NotPositive):
         hermitian_power(np.diag([1.0, -1.0]).astype(complex), 0.5)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 64])
+def test_stacked_kernels_match_matrix_calls_bitwise(n):
+    from numradlab.functions import power
+    from numradlab.linalg import gram_function
+    from numradlab.means import pd_roots, weighted_geometric
+
+    rng = stream_rng(n, "stacked-kernels")
+    m = 6
+    G = complex_gaussian(rng, (m, n, n))
+    P = hermitian_part(adjoint(G) @ G) / n + 0.5 * np.eye(n)  # positive definite
+    A = G.copy()
+    A[1] *= 2.0**600  # scaled into range row by row
+    exps = [0.5, 2.0, -1.0, 1.5, 0.5, 3.0]
+    funcs = [power(abs(e)) for e in exps]
+    v = np.array([0.1, 0.25, 0.5, 0.75, 0.9, 0.5])
+
+    def same_rows(stacked, one):
+        assert len(stacked) == m
+        for k in range(m):
+            single = one(k)
+            if np.ndim(single) == 0:
+                assert stacked[k] == single, k
+            else:
+                assert np.array_equal(stacked[k], single), k
+
+    same_rows(adjoint(A), lambda k: adjoint(A[k]))
+    same_rows(hermitian_part(A), lambda k: hermitian_part(A[k]))
+    same_rows(check_hermitian(P), lambda k: check_hermitian(P[k]))
+    same_rows(operator_norm(A), lambda k: operator_norm(A[k]))
+    same_rows(norm_hermitian(P), lambda k: norm_hermitian(P[k]))
+    same_rows(gram_function(A, lambda s: s), lambda k: gram_function(A[k], lambda s: s))
+    same_rows(gram_function(G, funcs, adjoint_side=True), lambda k: gram_function(G[k], funcs[k], adjoint_side=True))
+    same_rows(abs_power(G, exps), lambda k: abs_power(G[k], exps[k]))
+    same_rows(abs_power(A, 0.5, adjoint_side=True), lambda k: abs_power(A[k], 0.5, adjoint_side=True))
+    same_rows(hermitian_power(P, exps), lambda k: hermitian_power(P[k], exps[k]))
+    same_rows(apply_scalar_function(funcs, P), lambda k: apply_scalar_function(funcs[k], P[k]))
+    same_rows(loewner_leq(P, P + np.eye(n)), lambda k: loewner_leq(P[k], P[k] + np.eye(n)))
+    same_rows(pd_roots(P)[1], lambda k: pd_roots(P[k])[1])
+    same_rows(weighted_geometric(P, P[::-1], 0.5), lambda k: weighted_geometric(P[k], P[::-1][k], 0.5))
+    # per-row weights and divisors broadcast as the scalars of a one-matrix call
+    same_rows((1 - v)[:, None, None] * P, lambda k: (1 - v[k]) * P[k])
+    same_rows(A / v[:, None, None], lambda k: A[k] / v[k])
+
+
+def test_stacked_kernels_refuse_for_any_matrix():
+    rng = stream_rng(7, "stacked-refusals")
+    P = hermitian_part(complex_gaussian(rng, (3, 4, 4)))
+    P[0] = P[0] @ P[0] + np.eye(4)
+    P[2] = P[2] @ P[2] + np.eye(4)
+    P[1] = -(P[1] @ P[1]) - np.eye(4)  # negative definite
+    with pytest.raises(errors.NotPositive):
+        hermitian_power(P, [1.0, 0.5, 1.0])
+    hermitian_power(P, [0.5, 2.0, 0.5])  # integer powers need no positivity
+    with pytest.raises(errors.NotInvertible):
+        hermitian_power(P[[0, 2, 1]] * [[[1.0]], [[1.0]], [[0.0]]], -1.0)
+    Q = P.copy()
+    Q[2, 0, 1] += 1.0
+    with pytest.raises(errors.NotHermitian):
+        check_hermitian(Q)
