@@ -18,7 +18,7 @@ _EXPORTS = {
         "CheckInstance CheckResult EvalOptions InequalityId Status evaluate norm_convexity_check "
         "pointwise_lemma_check verify_hypotheses"
     ),
-    "ensembles": "EnsembleSpec sample sample_unit_vector",
+    "ensembles": "EnsembleSpec sample",
     "errors": (
         "BudgetExhausted DimensionMismatch DomainViolation InvalidBounds MatrixFormatError NoConvergence "
         "NotHermitian NotInvertible NotPositive NotSuperquadratic NumradError UnsupportedParameter"
@@ -32,7 +32,7 @@ _EXPORTS = {
         "loewner_leq operator_norm"
     ),
     "means": "deformed_exp f_connection gamma_factor refined_amgm_factor weighted_arithmetic weighted_geometric",
-    "radius": "RadiusResult SphereSampler euclidean_radius numerical_radius sphere_sup",
+    "radius": "RadiusResult numerical_radius",
     "report": "IneqRecord SuiteReport",
     "suite": "draw_instance run_suite",
 }

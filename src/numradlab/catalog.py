@@ -33,7 +33,6 @@ from .functions import (
     superquadratic_defect,
 )
 from .linalg import (
-    EPS_HERM,
     INV_CUTOFF,
     _adj,
     _spectral,
@@ -566,9 +565,10 @@ def _ev_wsq_sum(insts, hyps, ops, radii):
     P = hermitian_part(A @ adjoint(A))
     Q = hermitian_part(B @ adjoint(B))
     half = ((norm_hermitian(P + Q) + norm_hermitian(P - Q)) / 2).tolist()
-    res = [radii(M) for M in (A + B, B @ adjoint(A), A, B)]
+    res = radii(np.concatenate([A + B, B @ adjoint(A), A, B]))
+    m = len(insts)
     out = []
-    for h, w_sum, w_ba, w_a, w_b in zip(half, *res):
+    for h, w_sum, w_ba, w_a, w_b in zip(half, res[:m], res[m : 2 * m], res[2 * m : 3 * m], res[3 * m :]):
         rhs = h + w_ba.value + 2 * w_a.value * w_b.value
         details = {"w(A+B)": w_sum.value, "w(BA*)": w_ba.value, "w(A)": w_a.value, "w(B)": w_b.value}
         out.append((w_sum.value**2, rhs, details, [_W_NOTE], w_sum.witness))

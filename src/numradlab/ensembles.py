@@ -195,15 +195,3 @@ def sample(spec: EnsembleSpec, index: int, stream: str = "0"):
     if spec.kind == "ordered-pair":
         return ordered_pair(rng, spec.dim, spec.scale, spec.gap)
     return sandwich_triple(rng, spec.dim, spec.gap)
-
-
-def sample_unit_vector(dim, seed, index) -> np.ndarray:
-    """Normalized complex Gaussian vector, deterministic in (seed, index)."""
-    rng = stream_rng(seed, "unit-vector", index)
-    z = complex_gaussian(rng, dim)
-    nrm = np.linalg.norm(z)
-    if nrm == 0.0:  # pragma: no cover - probability zero
-        z = np.zeros(dim, dtype=np.complex128)
-        z[0] = 1.0
-        return z
-    return z / nrm

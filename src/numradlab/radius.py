@@ -1,17 +1,13 @@
-"""Numerical radius by a support-line enclosure, the Euclidean radius of a
-pair, a boundary search of the joint numerical range of a Hermitian pair,
-and the generic sampled optimizer over the complex unit sphere.
+"""Numerical radius by a support-line enclosure, and a boundary search of
+the joint numerical range of a Hermitian pair.
 
 The enclosure uses the identity  w(A) = max_theta lambda_max((e^{i theta} A
 + e^{-i theta} A*) / 2): every angle is a Hermitian eigenvalue problem whose
 top eigenvalue gives a support line and whose negated bottom eigenvalue gives
 the antipodal one, the lines' outer polygon gives an upper bound, and one top
-eigenvector attains the lower bound. Sampled suprema are
-certified lower bounds (each reported value is attained by the returned
-witness vector).
+eigenvector attains the lower bound. The boundary search reports values
+attained by top eigenvectors, so its infima are upper estimates.
 """
-
-from __future__ import annotations
 
 import cmath
 import math
@@ -20,8 +16,7 @@ from math import atan2, cos, hypot, sin
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .linalg import EPS_HERM, _as_square, _pow2_scaled, as_matrix, hermitian_part
+from .linalg import _as_square, _pow2_rows, as_matrix
 
 _TWO_PI = 2.0 * np.pi
 
@@ -48,36 +43,9 @@ def complex_gaussian(rng, shape):
     return z.view(np.complex128)[..., 0] / np.sqrt(2.0)  # each pair (re, im) read as one complex
 
 
-def _normalize_rows(X):
-    norms = np.sqrt(np.einsum("ij,ij->i", X.real, X.real) + np.einsum("ij,ij->i", X.imag, X.imag))
-    norms = np.where(norms == 0.0, 1.0, norms)
-    return X / norms[:, None]
-
-
 def quad_forms(M, X):
     """Row-wise quadratic forms x^H M x for a batch X of shape (m, n)."""
     return np.einsum("ij,ij->i", X.conj(), X @ M.T)
-
-
-@dataclass(frozen=True)
-class SphereSampler:
-    """Deterministic unit-vector stream plus a local-search budget.
-
-    The sample stream depends only on (seed, samples): enlarging ``samples``
-    extends the stream without changing its prefix, so estimates built from
-    stream minima are monotone in the sample count.
-    """
-
-    seed: int
-    samples: int = 5000
-    descent_steps: int = 50
-
-    def unit_vectors(self, n) -> np.ndarray:
-        rng = stream_rng(self.seed, "sphere-samples")
-        return _normalize_rows(complex_gaussian(rng, (self.samples, n)))
-
-    def descent_rng(self):
-        return stream_rng(self.seed, "sphere-descent")
 
 
 @dataclass(frozen=True)
@@ -105,6 +73,9 @@ class RadiusResult:
 # pi^2 w / (2 m^2) over m lines, although ``value`` is exact from the start.
 _MAX_CUTS = 64
 _EPS = float(np.finfo(float).eps)
+# Entries of a group's initial rotation stack (16 bytes each): a stack of
+# large matrices is cut in groups, so its memory stays that of a few matrices.
+_GROUP_ENTRIES = 2**16
 
 
 def _rotated_stack(A, thetas):
@@ -119,10 +90,12 @@ def _rotated_halves(half, thetas):
 
     The rotation is H + H* with H = e^{it} A / 2: bitwise the sum of
     e^{it} A / 2 and e^{-it} A* / 2, as conj(z) conj(w) = conj(zw), from one
-    product instead of two.
+    product instead of two. The sum is formed in place, so the rotations
+    take one stack-sized temporary, not two.
     """
     H = np.exp(1j * thetas)[..., None, None] * half
-    return H + H.conj().swapaxes(-1, -2)
+    H += H.conj().swapaxes(-1, -2)
+    return H
 
 
 def _corner(t1, h1, t2, h2):
@@ -285,8 +258,10 @@ def numerical_radius(A, grid=16, tol=1e-10):
 
     ``A`` may also be an (m, n, n) stack; the result is then a list of m
     results, each bitwise equal to that of its matrix alone. The matrices are
-    cut in lockstep: the initial lines of all of them form one stacked solve,
-    each round of cuts one more, and the witnesses one stacked ``eigh``.
+    cut in lockstep, in groups whose initial rotations hold at most
+    ``_GROUP_ENTRIES`` entries (at grid 16, 128 matrices at n = 8 and 2 at
+    n = 64): the initial lines of a group form one stacked solve, each round
+    of cuts one more, and the witnesses one stacked ``eigh``.
     """
     M = np.asarray(A, dtype=np.complex128)
     stacked = M.ndim == 3
@@ -296,11 +271,13 @@ def numerical_radius(A, grid=16, tol=1e-10):
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     # w(2^e A) = 2^e w(A) exactly, and the scaled rotations and norm stay in range.
-    scaled = [_pow2_scaled(row) for row in M]
-    exps = [e for _, e in scaled]
-    if any(exps):
-        M = np.stack([row for row, _ in scaled])
-    results = _enclose(M, exps, grid, tol)
+    M, exps = _pow2_rows(M)
+    exps = exps.tolist()
+    n = M.shape[-1]
+    step = max(1, _GROUP_ENTRIES // ((grid + 1) // 2 * n * n))
+    results = []
+    for k in range(0, len(M), step):
+        results += _enclose(M[k : k + step], exps[k : k + step], grid, tol)
     return results if stacked else results[0]
 
 
@@ -338,96 +315,3 @@ def _boundary_inf(P, Q, objective):
         if vals[k] < best:
             t, best = thetas[k], float(vals[k])
     return best
-
-
-def _select_starts(X, vals, k_starts, overlap=0.9):
-    """Top-valued samples thinned so no two starts share a basin-sized overlap."""
-    order = np.argsort(vals)[::-1]
-    starts = []
-    for idx in order[: max(32 * k_starts, 200)]:
-        x = X[idx]
-        if any(abs(np.vdot(s, x)) > overlap for s in starts):
-            continue
-        starts.append(x)
-        if len(starts) == k_starts:
-            break
-    if not starts:
-        starts.append(X[order[0]])
-    return np.array(starts)
-
-
-def sphere_sup(objective, n, sampler: SphereSampler):
-    """Supremum search over the complex unit sphere of dimension n.
-
-    ``objective`` must accept a batch of unit rows, shape (m, n), and return
-    shape (m,). The sampled maximum seeds a batched multi-start pattern
-    search (gradient-free, shrinking steps). Returns (value, witness); the
-    value is a certified lower bound of the true supremum, attained at the
-    witness.
-    """
-    X = sampler.unit_vectors(n)
-    vals = np.asarray(objective(X), dtype=float)
-    top = int(np.argmax(vals))
-    best_x, best_v = X[top].copy(), float(vals[top])
-    if sampler.descent_steps <= 0:
-        return best_v, best_x
-    k_starts = int(np.clip(sampler.samples // 64, 4, 16))
-    P = _select_starts(X, vals, k_starts)
-    k = P.shape[0]
-    cur = np.asarray(objective(P), dtype=float)
-    steps = np.full(k, 0.3)
-    rng = sampler.descent_rng()
-    n_dirs = 8
-    rows = np.arange(k)
-    # Two sweeps of slow-decay pattern search: steps shrink only on rejected
-    # rounds, so accepted moves can keep traversing at a productive scale.
-    for _ in range(2 * sampler.descent_steps):
-        D = complex_gaussian(rng, (k, n_dirs, n))
-        cand = P[:, None, :] + steps[:, None, None] * D
-        flat = _normalize_rows(cand.reshape(k * n_dirs, n))
-        cv = np.asarray(objective(flat), dtype=float).reshape(k, n_dirs)
-        arg = np.argmax(cv, axis=1)
-        cand_best = cv[rows, arg]
-        improved = cand_best > cur
-        P[improved] = flat.reshape(k, n_dirs, n)[rows[improved], arg[improved]]
-        cur[improved] = cand_best[improved]
-        steps[~improved] *= 0.65
-    j = int(np.argmax(cur))
-    if cur[j] > best_v:
-        best_v, best_x = float(cur[j]), P[j].copy()
-    return best_v, best_x
-
-
-def euclidean_radius(A, B, sampler: SphereSampler | None = None) -> float:
-    """sup over unit x of sqrt(|<Ax,x>|^2 + |<Bx,x>|^2), as a lower bound.
-
-    Hermitian pairs are exact up to the enclosure tolerance, as w(A + iB);
-    general pairs fall back to sampled sphere optimization.
-    """
-    A = as_matrix(A)
-    B = as_matrix(B)
-    if A.shape != B.shape:
-        raise DimensionMismatch(f"shapes {A.shape} and {B.shape} differ")
-    n = A.shape[0]
-    if n == 1:
-        return float(np.hypot(abs(complex(A[0, 0])), abs(complex(B[0, 0]))))
-    # Compare in power-of-two-scaled units, so the norms stay finite.
-    (As, Bs), _ = _pow2_scaled(np.stack([A, B]))
-    scale = max(np.linalg.norm(As), np.linalg.norm(Bs))
-    herm = (
-        np.linalg.norm(As - As.conj().T) <= EPS_HERM * scale
-        and np.linalg.norm(Bs - Bs.conj().T) <= EPS_HERM * scale
-    )
-    if herm:
-        # Both quadratic forms are real, so |<(A + iB)x, x>| is their hypot.
-        return numerical_radius(hermitian_part(A) + 1j * hermitian_part(B)).value
-    if sampler is None:
-        sampler = SphereSampler(seed=0)
-
-    def objective(X):
-        qa = np.abs(quad_forms(A, X))
-        qb = np.abs(quad_forms(B, X))
-        return np.hypot(qa, qb)
-
-    value, _ = sphere_sup(objective, n, sampler)
-    return float(value)

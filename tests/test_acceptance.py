@@ -12,8 +12,9 @@ from numradlab.cli import display_round, paper_examples
 from numradlab.ensembles import EnsembleSpec, sample
 from numradlab.linalg import hermitian_eigen, hermitian_part, operator_norm
 from numradlab.means import weighted_geometric
-from numradlab.radius import SphereSampler, complex_gaussian, numerical_radius, quad_forms, sphere_sup, stream_rng
+from numradlab.radius import complex_gaussian, numerical_radius, quad_forms, stream_rng
 from numradlab.suite import run_suite
+from oracles import SphereSampler, sphere_sup
 
 
 def _report(name, ok, detail=""):

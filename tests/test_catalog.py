@@ -21,15 +21,9 @@ from numradlab.ensembles import EnsembleSpec, sandwich_triple
 from numradlab.errors import BudgetExhausted, NotInvertible
 from numradlab.functions import SchwarzPair, affine_power, power
 from numradlab.linalg import adjoint, hermitian_part, hermitian_power
-from numradlab.radius import (
-    SphereSampler,
-    complex_gaussian,
-    numerical_radius,
-    quad_forms,
-    sphere_sup,
-    stream_rng,
-)
+from numradlab.radius import complex_gaussian, numerical_radius, quad_forms, stream_rng
 from numradlab.suite import draw_instance, run_suite
+from oracles import SphereSampler, sphere_sup
 
 EX1_A = np.array([[1, 0], [-3, 1]], dtype=complex)
 EX1_B = np.array([[-1, 2], [0, 1]], dtype=complex)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from numradlab.catalog import CheckInstance, InequalityId, verify_hypotheses
-from numradlab.ensembles import EnsembleSpec, SandwichSample, sample, sample_unit_vector, sandwich_triple
+from numradlab.ensembles import EnsembleSpec, SandwichSample, sample, sandwich_triple
 from numradlab.errors import InvalidBounds, UnsupportedParameter
 from numradlab.functions import power
 from numradlab.linalg import loewner_leq, operator_norm
@@ -33,16 +33,6 @@ def test_determinism_bitwise():
     np.testing.assert_array_equal(a_then_b[1], b_then_a[0])
     # streams separate draws within one instance
     assert not np.array_equal(sample(spec, 0, stream="A"), sample(spec, 0, stream="B"))
-
-
-def test_unit_vector_contract():
-    for dim in (1, 2, 5):
-        x = sample_unit_vector(dim, seed=5, index=3)
-        assert abs(np.linalg.norm(x) - 1.0) <= 1e-14
-    np.testing.assert_array_equal(
-        sample_unit_vector(4, seed=5, index=9), sample_unit_vector(4, seed=5, index=9)
-    )
-    assert not np.array_equal(sample_unit_vector(4, 5, 0), sample_unit_vector(4, 5, 1))
 
 
 @pytest.mark.parametrize("dim", DIMS)

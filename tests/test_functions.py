@@ -18,7 +18,8 @@ from numradlab.functions import (
     validate_schwarz_pair,
 )
 from numradlab.linalg import hermitian_part
-from numradlab.radius import SphereSampler, complex_gaussian, quad_forms, sphere_sup, stream_rng
+from numradlab.radius import complex_gaussian, quad_forms, stream_rng
+from oracles import SphereSampler, sphere_sup
 
 
 def test_power_flags():

@@ -3,18 +3,9 @@ import pytest
 
 from numradlab import radius
 from numradlab.ensembles import EnsembleSpec, sample
-from numradlab.errors import DimensionMismatch
 from numradlab.linalg import operator_norm
-from numradlab.radius import (
-    SphereSampler,
-    _rotated_stack,
-    complex_gaussian,
-    euclidean_radius,
-    numerical_radius,
-    quad_forms,
-    sphere_sup,
-    stream_rng,
-)
+from numradlab.radius import _rotated_stack, complex_gaussian, numerical_radius, quad_forms, stream_rng
+from oracles import SphereSampler, sphere_sup
 
 
 def dense_sweep_oracle(A, grid=100_000):
@@ -320,31 +311,26 @@ def test_sampler_determinism_and_prefix():
 
 
 def test_euclidean_radius_examples():
-    rng = stream_rng(23, "we")
-    A = complex_gaussian(rng, (2, 2))
-    we = euclidean_radius(A, np.zeros((2, 2)), SphereSampler(seed=9))
-    assert we == pytest.approx(numerical_radius(A).value, abs=1e-6)
+    # for a Hermitian pair both quadratic forms are real, so the Euclidean
+    # radius sup sqrt(<Ax,x>^2 + <Bx,x>^2) over unit x is w(A + iB)
     I = np.eye(2, dtype=complex)
-    assert euclidean_radius(I, I) == pytest.approx(np.sqrt(2.0), abs=1e-9)
+    assert numerical_radius(I + 1j * I).value == pytest.approx(np.sqrt(2.0), abs=1e-9)
     # frozen from the one-dimensional exhaustive oracle: max over a in [0,1]
     # of sqrt(a^2 + (1-a)^2) = 1 at the endpoints
     D1 = np.diag([1.0, 0.0]).astype(complex)
     D2 = np.diag([0.0, 1.0]).astype(complex)
-    assert euclidean_radius(D1, D2) == pytest.approx(1.0, abs=1e-9)
-    with pytest.raises(DimensionMismatch):
-        euclidean_radius(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
+    assert numerical_radius(D1 + 1j * D2).value == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("scale", [1e-160, 1e-11, 1e160])
 def test_euclidean_radius_scale_invariance(scale):
-    # np.linalg.norm of the unscaled pair overflows (or underflows) at
-    # 1e+-160, and at 1e-11 the Hermitian test had an absolute floor; either
-    # would let a general pair pass the Hermitian test
+    # at 1e+-160 sums of squares of the entries overflow (or underflow)
     rng = stream_rng(30, "wescale")
     A, B = complex_gaussian(rng, (3, 3)), complex_gaussian(rng, (3, 3))
-    assert euclidean_radius(scale * A, scale * B) / scale == pytest.approx(euclidean_radius(A, B), rel=1e-9)
     H, K = A + A.conj().T, B + B.conj().T
-    assert euclidean_radius(scale * H, scale * K) / scale == pytest.approx(euclidean_radius(H, K), rel=1e-9)
+    assert numerical_radius(scale * H + 1j * (scale * K)).value / scale == pytest.approx(
+        numerical_radius(H + 1j * K).value, rel=1e-9
+    )
 
 
 def test_euclidean_radius_hermitian_vs_sampling():
@@ -355,7 +341,7 @@ def test_euclidean_radius_hermitian_vs_sampling():
         G2 = complex_gaussian(rng, (n, n))
         A = G1.conj().T @ G1
         B = G2.conj().T @ G2
-        sweep = euclidean_radius(A, B)
+        sweep = numerical_radius(A + 1j * B).value
         sampled, _ = sphere_sup(
             lambda X: np.hypot(np.abs(quad_forms(A, X)), np.abs(quad_forms(B, X))),
             n,
@@ -378,7 +364,9 @@ def lockstep_rows(n, rng):
         rows.append(D)
     if n >= 3:
         rows.append(np.eye(n, k=1, dtype=complex))  # J_n: the cut cap
-    rows += [1e150 * rows[0], 1e-150 * rows[2]]
+    # inside (2^-500, 2^500) every exponent is 0; beyond it the stack mixes
+    # scaled and unscaled rows
+    rows += [1e150 * rows[0], 1e-150 * rows[2], 1e160 * rows[0], 1e-160 * rows[2]]
     return rows
 
 
@@ -428,6 +416,23 @@ def test_radius_stack_matches_single_calls(n, monkeypatch):
     witness = [shape for name, shape in calls if name == "eigh"]
     assert len(witness) == 1 and len(rows) <= witness[0][0] <= 3 * len(rows)
     assert numerical_radius(np.zeros((0, n, n))) == []
+
+
+def test_radius_stack_of_large_matrices_is_cut_in_groups(monkeypatch):
+    # At n = 64 and grid 16 a group holds two matrices, so five make three
+    # groups, each with its own initial solve and witness eigh; every result
+    # is still bitwise that of its matrix alone.
+    n = 64
+    rng = stream_rng(35, "groups")
+    rows = [complex_gaussian(rng, (n, n)) for _ in range(5)]
+    stacked, calls = recorded_solves(monkeypatch, numerical_radius, np.stack(rows))
+    for A, res in zip(rows, stacked):
+        one = numerical_radius(A)
+        assert (res.value, res.upper, res.theta_star) == (one.value, one.upper, one.theta_star)
+        assert np.array_equal(res.witness, one.witness)
+    initial = [shape[0] for name, shape in calls if name == "eigvalsh" and len(shape) == 3 and shape[0] > 2]
+    assert initial == [16, 16, 8]
+    assert len([name for name, _ in calls if name == "eigh"]) == 3
 
 
 def test_radius_rejects_malformed_stacks():
