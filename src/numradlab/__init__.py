@@ -14,10 +14,7 @@ seen through the package at once.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "catalog": (
-        "CheckInstance CheckResult EvalOptions InequalityId Status evaluate norm_convexity_check "
-        "pointwise_lemma_check verify_hypotheses"
-    ),
+    "catalog": "CheckInstance CheckResult EvalOptions InequalityId Status evaluate verify_hypotheses",
     "ensembles": "EnsembleSpec sample",
     "errors": (
         "BudgetExhausted DimensionMismatch DomainViolation InvalidBounds MatrixFormatError NoConvergence "
@@ -31,7 +28,7 @@ _EXPORTS = {
         "HermitianEigen abs_operator adjoint apply_scalar_function hermitian_eigen lambda_max lambda_min "
         "loewner_leq operator_norm"
     ),
-    "means": "deformed_exp f_connection gamma_factor refined_amgm_factor weighted_arithmetic weighted_geometric",
+    "means": "f_connection gamma_factor weighted_geometric",
     "radius": "RadiusResult numerical_radius",
     "report": "IneqRecord SuiteReport",
     "suite": "draw_instance run_suite",

@@ -1,5 +1,15 @@
-"""Inequality catalog: member enumeration, hypothesis verification, and
-two-sided evaluation with slack accounting.
+"""Inequality catalog: one record per member, and the two-sided evaluation
+with slack accounting that the records feed.
+
+``MEMBERS`` maps each ``InequalityId`` to a ``Member``. Its ``build`` draws a
+chunk of seeded instances, each a deterministic function of (ensemble seed,
+member, draw index) and bitwise what it is alone; hypothesis-bearing members
+are drawn constructively, so essentially every draw verifies, and parameter
+grids cycle with the draw index to cover interior weights and the special
+cases (v = 1/2, r = 1). Its ``check`` verifies the hypotheses, its
+``evaluate`` computes both sides, and ``subtracts_infimum`` marks a right
+side that subtracts an infimum. Adding a member takes one ``InequalityId``
+value and one record.
 
 Every member computes its left and right side exactly as displayed, using
 the kernel modules. Numerical radii are attained lower bounds, which are
@@ -13,14 +23,15 @@ there is reported Inconclusive.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainViolation, NotInvertible, NotPositive, UnsupportedParameter
+from .ensembles import EnsembleSpec, _haar, sample_stack, sandwich_operands
+from .errors import DomainViolation, NotInvertible, NotPositive
 from .functions import (
     CONCAVE,
     CONVEX,
@@ -30,6 +41,9 @@ from .functions import (
     ScalarFunction,
     SchwarzPair,
     jensen_gap_mu,
+    parse_function,
+    power,
+    schwarz_power_pair,
     superquadratic_defect,
 )
 from .linalg import (
@@ -39,7 +53,6 @@ from .linalg import (
     abs_power,
     adjoint,
     apply_scalar_function,
-    as_matrix,
     check_hermitian,
     gram_function,
     hermitian_part,
@@ -49,7 +62,7 @@ from .linalg import (
     operator_norm,
 )
 from .means import gamma_factor, pd_roots, weighted_geometric
-from .radius import _boundary_inf, numerical_radius, quad_forms
+from .radius import _boundary_inf, complex_gaussian, numerical_radius, quad_forms, stream_rng
 
 
 class InequalityId(enum.Enum):
@@ -96,28 +109,6 @@ class Status(enum.Enum):
     VIOLATED = "violated"
     INCONCLUSIVE = "inconclusive"
     NOT_APPLICABLE = "not-applicable"
-
-
-#: Members whose right side subtracts an infimum over the sphere; a failed
-#: stricter test on these may legitimately be Inconclusive rather than Violated.
-INCONCLUSIVE_CAPABLE = frozenset(
-    {
-        InequalityId.REFINED_CONVEXITY,
-        InequalityId.IMPROVED_CONVEX_PRODUCT,
-        InequalityId.HOSSEINI_GEO,
-        InequalityId.HOSSEINI_GEO_NORMS,
-    }
-)
-
-#: Members evaluated pointwise at supplied vectors rather than as norm bounds.
-POINTWISE_MEMBERS = frozenset(
-    {
-        InequalityId.MIXED_SCHWARZ,
-        InequalityId.MOND_PECARIC,
-        InequalityId.DRAGOMIR_VECTOR,
-        InequalityId.SUPERQUAD_DEFECT,
-    }
-)
 
 
 @dataclass(frozen=True)
@@ -192,6 +183,27 @@ class CheckResult:
     semantics: list = field(default_factory=list)
 
 
+@dataclass(frozen=True)
+class Member:
+    """One catalog member. Each callable takes a chunk: instances of the
+    member that share one dimension, whose matrices it stacks.
+
+    - ``build(ensemble, indices)`` draws one instance per index;
+    - ``check(insts, reports, operands)`` fills each report's conditions
+      and bounds, and stores in the dict ``operands`` the stacks that the
+      evaluator reuses (the sandwich sides S and T);
+    - ``evaluate(insts, hyps, operands, radii)`` takes the instances whose
+      hypotheses hold, and returns one outcome each (see the evaluators);
+    - ``subtracts_infimum`` marks a right side that subtracts an infimum
+      over the sphere: a failed check there is Inconclusive, not Violated.
+    """
+
+    build: Callable
+    check: Callable
+    evaluate: Callable
+    subtracts_infimum: bool = False
+
+
 # ---------------------------------------------------------------------------
 # small shared helpers; they take a chunk: the instances of one member, whose
 # matrices are stacked along a leading axis
@@ -203,13 +215,13 @@ def _stack(insts, name):
 
 def _psd_rows(H, invertible=False):
     lam = np.linalg.eigvalsh(hermitian_part(H))
-    scale = np.maximum(1.0, np.abs(lam).max(axis=-1, initial=0.0))
+    scale = np.abs(lam).max(axis=-1, initial=0.0)
     return lam[:, 0] > INV_CUTOFF * scale if invertible else lam[:, 0] >= -1e-10 * scale
 
 
 def _normal_rows(A):
     dev = np.linalg.norm(A @ _adj(A) - _adj(A) @ A, axis=(1, 2))
-    return dev <= 1e-10 * np.maximum(1.0, np.linalg.norm(A, axis=(1, 2)) ** 2)
+    return dev <= 1e-10 * np.linalg.norm(A, axis=(1, 2)) ** 2
 
 
 def _pair_gram(X, fns, adjoint_side=False):
@@ -270,7 +282,210 @@ _INF_NOTE = "subtracted infimum: exact 0 or an attained minimum over the joint n
 
 
 # ---------------------------------------------------------------------------
-# hypothesis verification
+# instance builders. Each takes an ensemble and the draw indices of a chunk
+# and returns one instance per index; the draws' matrices are made in
+# stacks, and every draw is bitwise what it is alone.
+
+V_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
+R_GRID = (1.0, 1.5, 2.0, 3.0)
+R_SUPER_GRID = (2.0, 2.5, 3.0, 4.0)
+PQ_GRID = ((2.0, 2.0), (3.0, 1.5))
+ALPHA_GRID = (0.3, 0.5, 0.7)
+FCONN_FUNCS = ("pow:0.5", "pow:0.25", "pow:1", "expr:1")
+
+VECTORS_PER_TRIAL = 6
+_PI_BAND = {"lam_lo": 0.5, "lam_hi": 3.0}
+
+
+def _spec(ens, kind, **kw):
+    return EnsembleSpec(dim=ens.dim, kind=kind, scale=ens.scale, seed=ens.seed, **kw)
+
+
+def _draws(ens, member, indices, field, kind="generic", **kw):
+    return sample_stack(_spec(ens, kind, **kw), indices, stream=f"{member.value}:{field}")
+
+
+def _rng(ens, member, index, tag="aux"):
+    # the tag, "suite:" prefix included, keys every draw: a new tag changes every report
+    return stream_rng(ens.seed, f"suite:{member.value}:{tag}", index)
+
+
+def _unit_rows(rng, count, n):
+    Z = complex_gaussian(rng, (count, n))
+    return Z / np.linalg.norm(Z, axis=1)[:, None]
+
+
+def _build_operands(member, *fields, params=lambda i: {}):
+    """Builder of a member from stacked matrix draws, one per field ("A",
+    or "A:kind" for a kind other than generic; positive-invertible draws
+    take spectra in [0.5, 3]), with each draw's parameters from
+    ``params(index)``."""
+    kinds = [field.partition(":")[::2] for field in fields]
+
+    def build(ens, indices):
+        stacks = [
+            _draws(ens, member, indices, name, kind or "generic", **(_PI_BAND if kind == "positive-invertible" else {}))
+            for name, kind in kinds
+        ]
+        names = [name for name, _ in kinds]
+        return [CheckInstance(**dict(zip(names, mats)), **params(i)) for i, *mats in zip(indices, *stacks)]
+
+    return build
+
+
+def _r_v(i):
+    return {"r": R_GRID[i % len(R_GRID)], "v": V_GRID[(i // len(R_GRID)) % len(V_GRID)]}
+
+
+def _pair_h_v(i):
+    return {
+        "pair": schwarz_power_pair(ALPHA_GRID[i % len(ALPHA_GRID)]),
+        "h": power(R_GRID[(i // len(ALPHA_GRID)) % len(R_GRID)]),
+        "v": V_GRID[(i // (len(ALPHA_GRID) * len(R_GRID))) % len(V_GRID)],
+    }
+
+
+def _pair_r(i):
+    return {
+        "pair": schwarz_power_pair(ALPHA_GRID[i % len(ALPHA_GRID)]),
+        "r": R_GRID[(i // len(ALPHA_GRID)) % len(R_GRID)],
+    }
+
+
+def _f_v(i):
+    return {"f": power(R_GRID[i % len(R_GRID)]), "v": V_GRID[(i // len(R_GRID)) % len(V_GRID)]}
+
+
+def _hosseini_params(i):
+    p, q = PQ_GRID[i % len(PQ_GRID)]
+    admissible = tuple(r for r in R_GRID if r >= 2.0 / q - 1e-12)
+    r = admissible[(i // len(PQ_GRID)) % len(admissible)]
+    return {"p": p, "q": q, "r": r}
+
+
+def _build_dragomir(ens, indices):
+    n = ens.dim
+    out = []
+    for i in indices:
+        rng = _rng(ens, InequalityId.DRAGOMIR_VECTOR, i)
+        triples = []
+        for _ in range(VECTORS_PER_TRIAL):
+            x = complex_gaussian(rng, n) * rng.uniform(0.5, 2.0)
+            y = complex_gaussian(rng, n) * rng.uniform(0.5, 2.0)
+            z = complex_gaussian(rng, n)
+            z = z / np.linalg.norm(z)
+            triples.append((x, y, z))
+        out.append(CheckInstance(vectors=tuple(triples)))
+    return out
+
+
+def _build_scalar_amgm(ens, indices):
+    out = []
+    for i in indices:
+        rng = _rng(ens, InequalityId.SCALAR_REFINED_AMGM, i)
+        a = rng.uniform(0.2, 5.0)
+        b = a * float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0) + 1.0)
+        b = max(b, 0.05)
+        lo, hi = min(a, b), max(a, b)
+        span = hi - lo
+        m = lo + rng.uniform(0.05, 0.45) * span
+        M = lo + rng.uniform(0.55, 0.95) * span
+        out.append(CheckInstance(a=a, b=b, m=m, M=M))
+    return out
+
+
+def _build_sandwich(member):
+    def build(ens, indices):
+        rngs = [_rng(ens, member, i, tag="triple") for i in indices]
+        A, B, X, alpha = sandwich_operands(rngs, ens.dim, gap=ens.gap)
+        return [
+            CheckInstance(A=A[k], B=B[k], X=X[k], pair=schwarz_power_pair(alpha[k]), h=power(R_GRID[i % len(R_GRID)]))
+            for k, i in enumerate(indices)
+        ]
+
+    return build
+
+
+def _build_conditioned_specials(ens, indices):
+    """Variant 0 is a sandwich at weight v (2(1 - v) in place of 2 alpha),
+    variant 1 a lone X whose singular values clear 1 on the side v picks,
+    variant 2 two scaled unitaries. Each variant's Haar factors come from
+    one QR."""
+    member = InequalityId.CONDITIONED_SPECIALS
+    n = ens.dim
+    out = {}
+    rows = {0: [], 1: [], 2: []}
+    for i in indices:
+        rows[i % 3].append(i)
+    if rows[0]:
+        vs = [V_GRID[(i // 12) % len(V_GRID)] for i in rows[0]]
+        rngs = [_rng(ens, member, i, tag="build") for i in rows[0]]
+        A, B, X, _ = sandwich_operands(rngs, n, ens.gap, weights=[1 - v for v in vs])
+        for k, (i, v) in enumerate(zip(rows[0], vs)):
+            out[i] = CheckInstance(A=A[k], B=B[k], X=X[k], r=R_GRID[(i // 3) % len(R_GRID)], v=v, variant=0)
+    if rows[1]:
+        choices = (0.1, 0.25, 0.75, 0.9)  # v = 1/2 admits no spectral gap here
+        vs = [choices[(i // 12) % len(choices)] for i in rows[1]]
+        sig, Z = [], []
+        for i, v in zip(rows[1], vs):
+            rng = _rng(ens, member, i, tag="build")
+            c = 2.0 if v > 0.5 else 0.45
+            sig.append(rng.uniform(c, 1.1 * c, size=n))
+            Z.append([complex_gaussian(rng, (n, n)) for _ in range(2)])
+        U = _haar(np.array(Z))
+        X = (U[:, 0] * np.array(sig)[:, None, :]) @ _adj(U[:, 1])
+        for k, (i, v) in enumerate(zip(rows[1], vs)):
+            out[i] = CheckInstance(X=X[k], r=R_GRID[(i // 3) % len(R_GRID)], v=v, variant=1)
+    if rows[2]:
+        Z, lam = [], []
+        for i in rows[2]:
+            rng = _rng(ens, member, i, tag="build")
+            ZA, lam_a = complex_gaussian(rng, (n, n)), rng.uniform(2.2, 3.0, size=n)
+            ZB, lam_b = complex_gaussian(rng, (n, n)), rng.uniform(0.8, 1.2, size=n)
+            Z.append([ZA, ZB, complex_gaussian(rng, (n, n)), complex_gaussian(rng, (n, n))])
+            lam.append([lam_a, lam_b])
+        U = _haar(np.array(Z))
+        P = _spectral(U[:, :2], np.array(lam))
+        A, B = U[:, 2] @ P[:, 0], U[:, 3] @ P[:, 1]
+        for k, i in enumerate(rows[2]):
+            out[i] = CheckInstance(A=A[k], B=B[k], r=R_GRID[(i // 3) % len(R_GRID)], variant=2)
+    return [out[i] for i in indices]
+
+
+def _build_mixed_schwarz(ens, indices):
+    member = InequalityId.MIXED_SCHWARZ
+    A = _draws(ens, member, indices, "A")
+    out = []
+    for k, i in enumerate(indices):
+        X = _unit_rows(_rng(ens, member, i), 2 * VECTORS_PER_TRIAL, ens.dim)
+        pairs = tuple((X[2 * j], X[2 * j + 1]) for j in range(VECTORS_PER_TRIAL))
+        out.append(CheckInstance(A=A[k], pair=schwarz_power_pair(ALPHA_GRID[i % len(ALPHA_GRID)]), vectors=pairs))
+    return out
+
+
+def _build_mond_pecaric(ens, indices):
+    member = InequalityId.MOND_PECARIC
+    A = _draws(ens, member, indices, "A", kind="positive")
+    funcs = (power(2.0), power(3.0), power(1.5), power(0.5))
+    out = []
+    for k, i in enumerate(indices):
+        X = _unit_rows(_rng(ens, member, i), VECTORS_PER_TRIAL, ens.dim)
+        out.append(CheckInstance(A=A[k], f=funcs[i % len(funcs)], vectors=tuple((x,) for x in X)))
+    return out
+
+
+def _build_superquad_defect(ens, indices):
+    out = []
+    for i in indices:
+        rng = _rng(ens, InequalityId.SUPERQUAD_DEFECT, i)
+        pts = tuple((float(s), float(t)) for s, t in rng.uniform(0.0, 10.0, size=(VECTORS_PER_TRIAL, 2)))
+        out.append(CheckInstance(f=power(R_SUPER_GRID[i % len(R_SUPER_GRID)]), vectors=pts))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# hypothesis checks. Each takes a chunk, its reports and the operands dict
+# (see ``Member``); records share the checks of common conditions.
 
 
 def verify_hypotheses(ineq: InequalityId, inst: CheckInstance) -> HypothesisReport:
@@ -283,119 +498,124 @@ def _verify_chunk(ineq, insts):
     member's evaluator reuses (the sandwich sides S and T)."""
     reports = [HypothesisReport(satisfied=True) for _ in insts]
     operands = {}
-    M = InequalityId
-
-    def each(name, oks):
-        for rep, ok in zip(reports, oks, strict=True):
-            rep.conditions[name] = bool(ok)
-
-    def scalar(name, test):
-        each(name, [test(inst) for inst in insts])
-
-    def r_at_least(bound):
-        scalar(f"r >= {bound:g}", lambda i: i.r is not None and i.r >= bound)
-
-    def v_open():
-        scalar("0 < v < 1", lambda i: i.v is not None and 0.0 < i.v < 1.0)
-
-    def h_convex():
-        scalar("h nonneg increasing convex", lambda i: _has_flags(i.h, NONNEG, INCREASING, CONVEX))
-
-    def psd(name, invertible=False):
-        kind = "positive invertible" if invertible else "positive semidefinite"
-        each(f"{name} {kind}", _psd_rows(_stack(insts, name), invertible))
-
-    if ineq in (M.POWER_MIX, M.GENERAL_PRODUCT):
-        r_at_least(1)
-        v_open()
-    elif ineq in (M.PRODUCT_POWER, M.CONVEX_PRODUCT_POWER):
-        r_at_least(1)
-    elif ineq is M.SUM_NEW_NORMAL:
-        each("A normal", _normal_rows(_stack(insts, "A")))
-        each("B normal", _normal_rows(_stack(insts, "B")))
-    elif ineq in (M.CONVEX_PRODUCT, M.IMPROVED_CONVEX_PRODUCT):
-        v_open()
-        h_convex()
-    elif ineq is M.SCALAR_REFINED_AMGM:
-        for rep, i in zip(reports, insts):
-            a, b, m, M_ = i.a, i.b, i.m, i.M
-            ok = all(x is not None for x in (a, b, m, M_)) and 0 < min(a, b) <= m < M_ <= max(a, b)
-            rep.conditions["min{a,b} <= m < M <= max{a,b}"] = bool(ok)
-            if ok:
-                rep.bounds.update(m=float(m), M=float(M_))
-    elif ineq is M.CONDITIONED_PRODUCT:
-        h_convex()
-        operands["S"], operands["T"] = _schwarz_sides(insts)
-        _sandwich_gap(operands["S"], operands["T"], reports)
-    elif ineq is M.CONDITIONED_SPECIALS:
-        r_at_least(1)
-        for rep, i in zip(reports, insts):
-            if i.variant != 2:
-                rep.conditions["0 <= v <= 1"] = bool(i.v is not None and 0.0 <= i.v <= 1.0)
-        operands["S"], operands["T"] = _specials_sides(insts)
-        _sandwich_gap(operands["S"], operands["T"], reports)
-    elif ineq is M.GAMMA_PRODUCT:
-        h_convex()
-        S, T_star = operands["S"], operands["T"] = _schwarz_sides(insts)
-        A = _stack(insts, "A")
-        T_plain = hermitian_part(adjoint(A) @ _pair_gram(_stack(insts, "X"), [i.pair.g for i in insts]) @ A)
-        lam_s, lam_t = np.linalg.eigvalsh(S), np.linalg.eigvalsh(T_star)
-        star, plain = _either_order(S, T_star), _either_order(S, T_plain)
-        for k, rep in enumerate(reports):
-            m_lo = float(min(lam_s[k, 0], lam_t[k, 0]))
-            M_hi = float(max(lam_s[k, -1], lam_t[k, -1]))
-            scale = max(1.0, M_hi)
-            rep.conditions["operands positive invertible"] = m_lo > INV_CUTOFF * scale
-            rep.conditions["Loewner sandwich (conclusion operands, either order)"] = bool(star[k])
-            rep.notes.append(
-                "hypothesis reading with g^2(|X|) on the A side " + ("also holds" if plain[k] else "does not hold")
-            )
-            rep.bounds.update(m_lo=m_lo, M_hi=M_hi)
-    elif ineq in (M.REFINED_CONVEXITY, M.NORM_CONVEXITY):
-        v_open()
-        scalar("f nonneg nondecreasing convex", lambda i: _has_flags(i.f, NONNEG, INCREASING, CONVEX))
-        psd("A")
-        psd("B")
-    elif ineq is M.SUPERQUAD_RADIUS:
-        scalar("f nonneg superquadratic", lambda i: _has_flags(i.f, NONNEG, SUPERQUADRATIC))
-    elif ineq is M.SUPERQUAD_POWER:
-        r_at_least(2)
-    elif ineq in (M.HOSSEINI_GEO, M.HOSSEINI_GEO_NORMS):
-        scalar(
-            "p >= q > 1 with 1/p + 1/q = 1",
-            lambda i: i.p is not None
-            and i.q is not None
-            and i.p >= i.q > 1.0
-            and abs(1.0 / i.p + 1.0 / i.q - 1.0) <= 1e-12,
-        )
-        scalar("r >= 2/q", lambda i: i.r is not None and i.q is not None and i.q > 0 and i.r >= 2.0 / i.q - 1e-12)
-        psd("A", invertible=True)
-        psd("B", invertible=True)
-    elif ineq in (M.EUCLIDEAN_SANDWICH, M.GEO_RADIUS, M.FCONN_RADIUS):
-        psd("A", invertible=True)
-        psd("B")
-    elif ineq is M.MOND_PECARIC:
-        scalar("f convex or concave", lambda i: i.f is not None and (CONVEX in i.f.flags or CONCAVE in i.f.flags))
-    elif ineq is M.SUPERQUAD_DEFECT:
-        scalar("f superquadratic", lambda i: _has_flags(i.f, SUPERQUADRATIC))
-        scalar(
-            "s, t >= 0",
-            lambda i: all(
-                s is not None and t is not None and s >= 0 and t >= 0 for s, t in (i.vectors or ((i.s, i.t),))
-            ),
-        )
-    elif ineq is M.DRAGOMIR_VECTOR:
-        scalar(
-            "unit z",
-            lambda i: bool(i.vectors)
-            and all(abs(np.linalg.norm(np.asarray(tr[2])) - 1.0) <= 1e-10 for tr in i.vectors),
-        )
-    # remaining members (NORM_SANDWICH, KITTANEH_CHAIN, SUM_SQ_KITTANEH,
-    # SUM_NEW_BOUND, WSQ_SUM, MIXED_SCHWARZ) have no hypotheses beyond shape.
-
+    MEMBERS[ineq].check(insts, reports, operands)
     for rep in reports:
-        rep.satisfied = all(rep.conditions.values()) if rep.conditions else True
+        rep.satisfied = all(rep.conditions.values())
     return reports, operands
+
+
+def _each(reports, name, oks):
+    for rep, ok in zip(reports, oks, strict=True):
+        rep.conditions[name] = bool(ok)
+
+
+def _checks(*parts):
+    """One check that runs several in order."""
+
+    def check(insts, reports, operands):
+        for part in parts:
+            part(insts, reports, operands)
+
+    return check
+
+
+def _scalar(name, test):
+    """A condition on each instance's own parameters."""
+
+    def check(insts, reports, operands):
+        _each(reports, name, [test(inst) for inst in insts])
+
+    return check
+
+
+def _r_at_least(bound):
+    return _scalar(f"r >= {bound:g}", lambda i: i.r is not None and i.r >= bound)
+
+
+def _psd(name, invertible=False):
+    kind = "positive invertible" if invertible else "positive semidefinite"
+
+    def check(insts, reports, operands):
+        _each(reports, f"{name} {kind}", _psd_rows(_stack(insts, name), invertible))
+
+    return check
+
+
+def _normal(name):
+    def check(insts, reports, operands):
+        _each(reports, f"{name} normal", _normal_rows(_stack(insts, name)))
+
+    return check
+
+
+_no_hypotheses = _checks()  # none beyond shape
+_v_open = _scalar("0 < v < 1", lambda i: i.v is not None and 0.0 < i.v < 1.0)
+_h_convex = _scalar("h nonneg increasing convex", lambda i: _has_flags(i.h, NONNEG, INCREASING, CONVEX))
+_convexity = _checks(
+    _v_open,
+    _scalar("f nonneg nondecreasing convex", lambda i: _has_flags(i.f, NONNEG, INCREASING, CONVEX)),
+    _psd("A"),
+    _psd("B"),
+)
+_hosseini = _checks(
+    _scalar(
+        "p >= q > 1 with 1/p + 1/q = 1",
+        lambda i: i.p is not None
+        and i.q is not None
+        and i.p >= i.q > 1.0
+        and abs(1.0 / i.p + 1.0 / i.q - 1.0) <= 1e-12,
+    ),
+    _scalar("r >= 2/q", lambda i: i.r is not None and i.q is not None and i.q > 0 and i.r >= 2.0 / i.q - 1e-12),
+    _psd("A", invertible=True),
+    _psd("B", invertible=True),
+)
+_mean_operands = _checks(_psd("A", invertible=True), _psd("B"))
+_superquad_points = _checks(
+    _scalar("f superquadratic", lambda i: _has_flags(i.f, SUPERQUADRATIC)),
+    _scalar(
+        "s, t >= 0",
+        lambda i: all(s is not None and t is not None and s >= 0 and t >= 0 for s, t in (i.vectors or ((i.s, i.t),))),
+    ),
+)
+
+
+def _check_scalar_amgm(insts, reports, operands):
+    for rep, i in zip(reports, insts):
+        a, b, m, M = i.a, i.b, i.m, i.M
+        ok = all(x is not None for x in (a, b, m, M)) and 0 < min(a, b) <= m < M <= max(a, b)
+        rep.conditions["min{a,b} <= m < M <= max{a,b}"] = bool(ok)
+        if ok:
+            rep.bounds.update(m=float(m), M=float(M))
+
+
+def _check_conditioned(insts, reports, operands):
+    operands["S"], operands["T"] = _schwarz_sides(insts)
+    _sandwich_gap(operands["S"], operands["T"], reports)
+
+
+def _check_specials(insts, reports, operands):
+    for rep, i in zip(reports, insts):
+        if i.variant != 2:
+            rep.conditions["0 <= v <= 1"] = bool(i.v is not None and 0.0 <= i.v <= 1.0)
+    operands["S"], operands["T"] = _specials_sides(insts)
+    _sandwich_gap(operands["S"], operands["T"], reports)
+
+
+def _check_gamma(insts, reports, operands):
+    S, T_star = operands["S"], operands["T"] = _schwarz_sides(insts)
+    A = _stack(insts, "A")
+    T_plain = hermitian_part(adjoint(A) @ _pair_gram(_stack(insts, "X"), [i.pair.g for i in insts]) @ A)
+    lam_s, lam_t = np.linalg.eigvalsh(S), np.linalg.eigvalsh(T_star)
+    star, plain = _either_order(S, T_star), _either_order(S, T_plain)
+    for k, rep in enumerate(reports):
+        m_lo = float(min(lam_s[k, 0], lam_t[k, 0]))
+        M_hi = float(max(lam_s[k, -1], lam_t[k, -1]))
+        rep.conditions["operands positive invertible"] = m_lo > INV_CUTOFF * M_hi
+        rep.conditions["Loewner sandwich (conclusion operands, either order)"] = bool(star[k])
+        rep.notes.append(
+            "hypothesis reading with g^2(|X|) on the A side " + ("also holds" if plain[k] else "does not hold")
+        )
+        rep.bounds.update(m_lo=m_lo, M_hi=M_hi)
 
 
 def _either_order(P, Q):
@@ -418,7 +638,7 @@ def _sandwich_gap(S, T, reports):
     m < M (which forces lower <= m < M <= upper in the Loewner order)."""
     for rep, lam_s, lam_t in zip(reports, np.linalg.eigvalsh(S), np.linalg.eigvalsh(T)):
         cond, bounds = rep.conditions, rep.bounds
-        scale = max(1.0, float(lam_s[-1]), float(lam_t[-1]))
+        scale = max(float(lam_s[-1]), float(lam_t[-1]))
         for lam_lo, lam_up, label in ((lam_s, lam_t, "S <= m < M <= T"), (lam_t, lam_s, "T <= m < M <= S")):
             positive = lam_lo[0] > INV_CUTOFF * scale
             m = float(lam_lo[-1])
@@ -901,53 +1121,131 @@ def _ev_superquad_defect(insts, hyps, ops, radii):
     ]
 
 
-def pointwise_lemma_check(ineq, inst, vectors=None, tol_rel=1e-8) -> "CheckResult":
-    """Evaluate a pointwise lemma at supplied (or instance) vector tuples."""
-    if ineq not in POINTWISE_MEMBERS:
-        raise UnsupportedParameter(f"{ineq} is not a pointwise member")
-    if vectors is None:
-        vectors = inst.vectors
-    inst = dataclasses.replace(inst, vectors=tuple(vectors))
-    return evaluate(ineq, inst, tol_rel=tol_rel)
+_M = InequalityId
 
-
-def norm_convexity_check(f, A, B, v, refined=False, tol_rel=1e-8) -> "CheckResult":
-    """Convexity-of-norm check, plain or with the subtracted Jensen-gap term."""
-    ineq = InequalityId.REFINED_CONVEXITY if refined else InequalityId.NORM_CONVEXITY
-    inst = CheckInstance(A=as_matrix(A), B=as_matrix(B), v=float(v), f=f)
-    return evaluate(ineq, inst, tol_rel=tol_rel)
-
-
-_EVALUATORS = {
-    InequalityId.NORM_SANDWICH: _ev_norm_sandwich,
-    InequalityId.KITTANEH_CHAIN: _ev_kittaneh_chain,
-    InequalityId.POWER_MIX: _ev_power_mix,
-    InequalityId.SUM_SQ_KITTANEH: _ev_sum_sq_kittaneh,
-    InequalityId.PRODUCT_POWER: _ev_product_power,
-    InequalityId.GENERAL_PRODUCT: _ev_general_product,
-    InequalityId.DRAGOMIR_VECTOR: _ev_dragomir_vector,
-    InequalityId.SUM_NEW_BOUND: _ev_sum_new(normal_form=False),
-    InequalityId.SUM_NEW_NORMAL: _ev_sum_new(normal_form=True),
-    InequalityId.WSQ_SUM: _ev_wsq_sum,
-    InequalityId.CONVEX_PRODUCT: _ev_convex_product,
-    InequalityId.CONVEX_PRODUCT_POWER: _ev_convex_product_power,
-    InequalityId.SCALAR_REFINED_AMGM: _ev_scalar_refined_amgm,
-    InequalityId.CONDITIONED_PRODUCT: _ev_conditioned_product,
-    InequalityId.CONDITIONED_SPECIALS: _ev_conditioned_specials,
-    InequalityId.GAMMA_PRODUCT: _ev_gamma_product,
-    InequalityId.REFINED_CONVEXITY: _ev_refined_convexity,
-    InequalityId.IMPROVED_CONVEX_PRODUCT: _ev_improved_convex_product,
-    InequalityId.SUPERQUAD_RADIUS: _ev_superquad_radius,
-    InequalityId.SUPERQUAD_POWER: _ev_superquad_power,
-    InequalityId.HOSSEINI_GEO: _ev_hosseini_geo,
-    InequalityId.HOSSEINI_GEO_NORMS: _ev_hosseini_geo_norms,
-    InequalityId.EUCLIDEAN_SANDWICH: _ev_euclidean_sandwich,
-    InequalityId.FCONN_RADIUS: _ev_fconn_radius,
-    InequalityId.GEO_RADIUS: _ev_geo_radius,
-    InequalityId.MIXED_SCHWARZ: _ev_mixed_schwarz,
-    InequalityId.MOND_PECARIC: _ev_mond_pecaric,
-    InequalityId.NORM_CONVEXITY: _ev_norm_convexity,
-    InequalityId.SUPERQUAD_DEFECT: _ev_superquad_defect,
+MEMBERS = {
+    _M.NORM_SANDWICH: Member(_build_operands(_M.NORM_SANDWICH, "A"), _no_hypotheses, _ev_norm_sandwich),
+    _M.KITTANEH_CHAIN: Member(_build_operands(_M.KITTANEH_CHAIN, "A"), _no_hypotheses, _ev_kittaneh_chain),
+    _M.POWER_MIX: Member(
+        _build_operands(_M.POWER_MIX, "A", params=_r_v), _checks(_r_at_least(1), _v_open), _ev_power_mix
+    ),
+    _M.SUM_SQ_KITTANEH: Member(_build_operands(_M.SUM_SQ_KITTANEH, "A", "B"), _no_hypotheses, _ev_sum_sq_kittaneh),
+    _M.PRODUCT_POWER: Member(
+        _build_operands(_M.PRODUCT_POWER, "A", "B", params=lambda i: {"r": R_GRID[i % len(R_GRID)]}),
+        _r_at_least(1),
+        _ev_product_power,
+    ),
+    _M.GENERAL_PRODUCT: Member(
+        _build_operands(_M.GENERAL_PRODUCT, "A", "X", "B", params=_r_v),
+        _checks(_r_at_least(1), _v_open),
+        _ev_general_product,
+    ),
+    _M.DRAGOMIR_VECTOR: Member(
+        _build_dragomir,
+        _scalar(
+            "unit z",
+            lambda i: bool(i.vectors)
+            and all(abs(np.linalg.norm(np.asarray(tr[2])) - 1.0) <= 1e-10 for tr in i.vectors),
+        ),
+        _ev_dragomir_vector,
+    ),
+    _M.SUM_NEW_BOUND: Member(
+        _build_operands(_M.SUM_NEW_BOUND, "A", "B"), _no_hypotheses, _ev_sum_new(normal_form=False)
+    ),
+    _M.SUM_NEW_NORMAL: Member(
+        _build_operands(_M.SUM_NEW_NORMAL, "A:normal", "B:normal"),
+        _checks(_normal("A"), _normal("B")),
+        _ev_sum_new(normal_form=True),
+    ),
+    _M.WSQ_SUM: Member(_build_operands(_M.WSQ_SUM, "A", "B"), _no_hypotheses, _ev_wsq_sum),
+    _M.CONVEX_PRODUCT: Member(
+        _build_operands(_M.CONVEX_PRODUCT, "A", "X", "B", params=_pair_h_v),
+        _checks(_v_open, _h_convex),
+        _ev_convex_product,
+    ),
+    _M.CONVEX_PRODUCT_POWER: Member(
+        _build_operands(_M.CONVEX_PRODUCT_POWER, "A", "X", "B", params=_pair_r),
+        _r_at_least(1),
+        _ev_convex_product_power,
+    ),
+    _M.SCALAR_REFINED_AMGM: Member(_build_scalar_amgm, _check_scalar_amgm, _ev_scalar_refined_amgm),
+    _M.CONDITIONED_PRODUCT: Member(
+        _build_sandwich(_M.CONDITIONED_PRODUCT), _checks(_h_convex, _check_conditioned), _ev_conditioned_product
+    ),
+    _M.CONDITIONED_SPECIALS: Member(
+        _build_conditioned_specials, _checks(_r_at_least(1), _check_specials), _ev_conditioned_specials
+    ),
+    _M.GAMMA_PRODUCT: Member(_build_sandwich(_M.GAMMA_PRODUCT), _checks(_h_convex, _check_gamma), _ev_gamma_product),
+    _M.REFINED_CONVEXITY: Member(
+        _build_operands(_M.REFINED_CONVEXITY, "A:positive", "B:positive", params=_f_v),
+        _convexity,
+        _ev_refined_convexity,
+        subtracts_infimum=True,
+    ),
+    _M.IMPROVED_CONVEX_PRODUCT: Member(
+        _build_operands(_M.IMPROVED_CONVEX_PRODUCT, "A", "X", "B", params=_pair_h_v),
+        _checks(_v_open, _h_convex),
+        _ev_improved_convex_product,
+        subtracts_infimum=True,
+    ),
+    _M.SUPERQUAD_RADIUS: Member(
+        _build_operands(_M.SUPERQUAD_RADIUS, "A", params=lambda i: {"f": power(R_SUPER_GRID[i % len(R_SUPER_GRID)])}),
+        _scalar("f nonneg superquadratic", lambda i: _has_flags(i.f, NONNEG, SUPERQUADRATIC)),
+        _ev_superquad_radius,
+    ),
+    _M.SUPERQUAD_POWER: Member(
+        _build_operands(_M.SUPERQUAD_POWER, "A", params=lambda i: {"r": R_SUPER_GRID[i % len(R_SUPER_GRID)]}),
+        _r_at_least(2),
+        _ev_superquad_power,
+    ),
+    _M.HOSSEINI_GEO: Member(
+        _build_operands(
+            _M.HOSSEINI_GEO, "A:positive-invertible", "B:positive-invertible", "X", params=_hosseini_params
+        ),
+        _hosseini,
+        _ev_hosseini_geo,
+        subtracts_infimum=True,
+    ),
+    _M.HOSSEINI_GEO_NORMS: Member(
+        _build_operands(
+            _M.HOSSEINI_GEO_NORMS,
+            "A:positive-invertible",
+            "B:positive-invertible",
+            params=lambda i: {**_hosseini_params(i), "variant": i % 3},
+        ),
+        _hosseini,
+        _ev_hosseini_geo_norms,
+        subtracts_infimum=True,
+    ),
+    _M.EUCLIDEAN_SANDWICH: Member(
+        _build_operands(_M.EUCLIDEAN_SANDWICH, "A:positive-invertible", "B:positive-invertible"),
+        _mean_operands,
+        _ev_euclidean_sandwich,
+    ),
+    _M.FCONN_RADIUS: Member(
+        _build_operands(
+            _M.FCONN_RADIUS,
+            "A:positive-invertible",
+            "B:positive",
+            "X",
+            params=lambda i: {"f": parse_function(FCONN_FUNCS[i % len(FCONN_FUNCS)])},
+        ),
+        _mean_operands,
+        _ev_fconn_radius,
+    ),
+    _M.GEO_RADIUS: Member(
+        _build_operands(_M.GEO_RADIUS, "A:positive-invertible", "B:positive", "X"), _mean_operands, _ev_geo_radius
+    ),
+    _M.MIXED_SCHWARZ: Member(_build_mixed_schwarz, _no_hypotheses, _ev_mixed_schwarz),
+    _M.MOND_PECARIC: Member(
+        _build_mond_pecaric,
+        _scalar("f convex or concave", lambda i: i.f is not None and (CONVEX in i.f.flags or CONCAVE in i.f.flags)),
+        _ev_mond_pecaric,
+    ),
+    _M.NORM_CONVEXITY: Member(
+        _build_operands(_M.NORM_CONVEXITY, "A:positive", "B:positive", params=_f_v), _convexity, _ev_norm_convexity
+    ),
+    _M.SUPERQUAD_DEFECT: Member(_build_superquad_defect, _superquad_points, _ev_superquad_defect),
 }
 
 # A draw that raises one of these is refused (reported NotApplicable); the
@@ -999,7 +1297,7 @@ def evaluate_many(ineq: InequalityId, insts, tol_rel=1e-8, options=None) -> list
             outcomes = {}
             if live:
                 chunk = {name: M[live] for name, M in operands.items()}
-                found = _EVALUATORS[ineq]([insts[k] for k in live], [hyps[k] for k in live], chunk, radii)
+                found = MEMBERS[ineq].evaluate([insts[k] for k in live], [hyps[k] for k in live], chunk, radii)
                 outcomes = dict(zip(live, found, strict=True))
     except _REFUSALS + _FLOAT_RANGE as exc:
         if len(insts) > 1:
@@ -1030,7 +1328,7 @@ def _verdict(ineq, hyp, outcome, tol_rel):
     tol = tol_rel * (1.0 + abs(lhs) + abs(rhs))
     if slack >= -tol:
         status = Status.HOLDS
-    elif ineq in INCONCLUSIVE_CAPABLE:
+    elif MEMBERS[ineq].subtracts_infimum:
         status = Status.INCONCLUSIVE
     else:
         status = Status.VIOLATED

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBounds, UnsupportedParameter
-from .functions import SchwarzPair, schwarz_power_pair
-from .linalg import _adj, _spectral, adjoint, gram_function, hermitian_part
+from .linalg import _adj, _spectral, hermitian_part
 from .radius import complex_gaussian, stream_rng
 
 KINDS = (
@@ -24,7 +23,6 @@ KINDS = (
     "positive",
     "positive-invertible",
     "ordered-pair",
-    "sandwich-triple",
 )
 
 
@@ -49,20 +47,8 @@ class EnsembleSpec:
             raise InvalidBounds("scale must be positive")
         if self.kind == "positive-invertible" and not 0 < self.lam_lo <= self.lam_hi:
             raise InvalidBounds("need 0 < lam_lo <= lam_hi")
-        if self.kind in ("ordered-pair", "sandwich-triple") and self.gap <= 0:
+        if self.kind == "ordered-pair" and self.gap <= 0:
             raise InvalidBounds("gap must be positive")
-
-
-@dataclass(frozen=True)
-class SandwichSample:
-    """Constructed (A, B, X, f, g) with verified scalar sandwich bounds."""
-
-    A: np.ndarray
-    B: np.ndarray
-    X: np.ndarray
-    pair: SchwarzPair
-    m: float
-    M: float
 
 
 def _haar(Z):
@@ -117,8 +103,8 @@ def sample_stack(spec: EnsembleSpec, indices, stream: str = "0") -> np.ndarray:
     stack's Haar factors then come from one QR and its products from stacked
     matmuls, so each matrix is bitwise the one ``sample`` draws.
     """
-    if spec.kind in ("ordered-pair", "sandwich-triple"):
-        raise UnsupportedParameter(f"{spec.kind} draws are not single matrices")
+    if spec.kind == "ordered-pair":
+        raise UnsupportedParameter("ordered-pair draws are not single matrices")
     rows = [_kind_draws(spec, stream_rng(spec.seed, f"ensemble:{spec.kind}:{stream}", i)) for i in indices]
     return _kind_matrices(spec, [np.stack(part) for part in zip(*rows)], len(rows))
 
@@ -169,29 +155,13 @@ def sandwich_operands(rngs, n, gap=1.0, weights=None):
     return _spectral(U[:, 3], lam_a), _spectral(U[:, 2], lam_b), X, alpha.tolist()
 
 
-def sandwich_triple(rng, n, gap=1.0):
-    """``sandwich_operands`` with the attained sandwich bounds m and M."""
-    A, B, X, (alpha,) = sandwich_operands([rng], n, gap)
-    A, B, X, pair = A[0], B[0], X[0], schwarz_power_pair(alpha)
-    f, g = pair.f, pair.g
-    S = hermitian_part(adjoint(B) @ gram_function(X, lambda s: np.asarray(f(s)) ** 2) @ B)
-    T = hermitian_part(
-        adjoint(A) @ gram_function(X, lambda s: np.asarray(g(s)) ** 2, adjoint_side=True) @ A
-    )
-    m = float(np.linalg.eigvalsh(S)[-1])
-    M = float(np.linalg.eigvalsh(T)[0])
-    return SandwichSample(A=A, B=B, X=X, pair=pair, m=m, M=M)
-
-
 def sample(spec: EnsembleSpec, index: int, stream: str = "0"):
     """Draw the instance for (spec.seed, index); deterministic and pure.
 
     ``stream`` separates independent draws of the same kind within one
     logical instance (e.g. the A-side and B-side of a pair).
     """
-    if spec.kind not in ("ordered-pair", "sandwich-triple"):
+    if spec.kind != "ordered-pair":
         return sample_stack(spec, [index], stream)[0]
     rng = stream_rng(spec.seed, f"ensemble:{spec.kind}:{stream}", index)
-    if spec.kind == "ordered-pair":
-        return ordered_pair(rng, spec.dim, spec.scale, spec.gap)
-    return sandwich_triple(rng, spec.dim, spec.gap)
+    return ordered_pair(rng, spec.dim, spec.scale, spec.gap)

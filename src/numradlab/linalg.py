@@ -270,11 +270,11 @@ def hermitian_power(H, p) -> np.ndarray:
     q = np.broadcast_to(np.asarray(p, dtype=np.float64), lam.shape[:-1])
     scale = np.abs(lam).max(axis=-1, initial=0.0)
     low = lam[..., 0]
-    refused = (q < 0) & (low <= INV_CUTOFF * np.maximum(scale, 1.0))
+    refused = (q < 0) & (low <= INV_CUTOFF * scale)
     if refused.any():
         raise NotInvertible(f"min eigenvalue {low[_first(refused)]:.3e} below invertibility cutoff")
     fractional = q != np.trunc(q)
-    negative = fractional & (low < -PSD_SLACK * (1.0 + scale))
+    negative = fractional & (low < -PSD_SLACK * scale)
     if negative.any():
         raise NotPositive(f"min eigenvalue {low[_first(negative)]:.3e} negative beyond tolerance")
     if fractional.any():

@@ -1,14 +1,19 @@
-"""Sampled optimizer over the complex unit sphere: an oracle independent of
-the support-line enclosure that the tests check against.
+"""Oracles that the tests check the package against.
 
-Every value it returns is attained at its witness vector, so it is a lower
-bound of the supremum it searches for.
+- A sampled optimizer over the complex unit sphere, independent of the
+  support-line enclosure. Every value it returns is attained at its witness
+  vector, so it is a lower bound of the supremum it searches for.
+- ``sandwich_triple``: one sandwich draw with its attained bounds m and M,
+  the reference for the catalog's sandwich builders.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from numradlab.ensembles import sandwich_operands
+from numradlab.functions import SchwarzPair, schwarz_power_pair
+from numradlab.linalg import adjoint, gram_function, hermitian_part
 from numradlab.radius import complex_gaussian, stream_rng
 
 
@@ -95,3 +100,29 @@ def sphere_sup(objective, n, sampler: SphereSampler):
     if cur[j] > best_v:
         best_v, best_x = float(cur[j]), P[j].copy()
     return best_v, best_x
+
+
+@dataclass(frozen=True)
+class SandwichSample:
+    """Constructed (A, B, X, f, g) with verified scalar sandwich bounds."""
+
+    A: np.ndarray
+    B: np.ndarray
+    X: np.ndarray
+    pair: SchwarzPair
+    m: float
+    M: float
+
+
+def sandwich_triple(rng, n, gap=1.0):
+    """``sandwich_operands`` with the attained sandwich bounds m and M."""
+    A, B, X, (alpha,) = sandwich_operands([rng], n, gap)
+    A, B, X, pair = A[0], B[0], X[0], schwarz_power_pair(alpha)
+    f, g = pair.f, pair.g
+    S = hermitian_part(adjoint(B) @ gram_function(X, lambda s: np.asarray(f(s)) ** 2) @ B)
+    T = hermitian_part(
+        adjoint(A) @ gram_function(X, lambda s: np.asarray(g(s)) ** 2, adjoint_side=True) @ A
+    )
+    m = float(np.linalg.eigvalsh(S)[-1])
+    M = float(np.linalg.eigvalsh(T)[0])
+    return SandwichSample(A=A, B=B, X=X, pair=pair, m=m, M=M)

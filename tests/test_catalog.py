@@ -11,19 +11,17 @@ from numradlab.catalog import (
     Status,
     evaluate,
     lookup_id,
-    norm_convexity_check,
-    pointwise_lemma_check,
     verify_hypotheses,
     _INF_NOTE,
     _schwarz_sides,
 )
-from numradlab.ensembles import EnsembleSpec, sandwich_triple
+from numradlab.ensembles import EnsembleSpec
 from numradlab.errors import BudgetExhausted, NotInvertible
 from numradlab.functions import SchwarzPair, affine_power, power
 from numradlab.linalg import adjoint, hermitian_part, hermitian_power
 from numradlab.radius import complex_gaussian, numerical_radius, quad_forms, stream_rng
 from numradlab.suite import draw_instance, run_suite
-from oracles import SphereSampler, sphere_sup
+from oracles import SphereSampler, sandwich_triple, sphere_sup
 
 EX1_A = np.array([[1, 0], [-3, 1]], dtype=complex)
 EX1_B = np.array([[-1, 2], [0, 1]], dtype=complex)
@@ -37,6 +35,8 @@ def test_ids_complete_and_resolvable():
         assert lookup_id(member.value) is member
     with pytest.raises(KeyError):
         lookup_id("nope")
+    # one record per member, and no record without a member
+    assert set(catalog.MEMBERS) == set(InequalityId)
 
 
 def test_example_pair_one_values():
@@ -168,8 +168,8 @@ def test_pointwise_mixed_schwarz_equality_case():
     H = np.diag([2.0, -1.0, 0.5]).astype(complex)
     x = np.array([1.0, 0.0, 0.0], dtype=complex)
     pair = SchwarzPair(power(0.5), power(0.5))
-    inst = CheckInstance(A=H, pair=pair)
-    res = pointwise_lemma_check(InequalityId.MIXED_SCHWARZ, inst, vectors=[(x, x)])
+    inst = CheckInstance(A=H, pair=pair, vectors=((x, x),))
+    res = evaluate(InequalityId.MIXED_SCHWARZ, inst)
     assert res.status is Status.HOLDS
     assert res.slack == pytest.approx(0.0, abs=1e-10)
 
@@ -177,20 +177,20 @@ def test_pointwise_mixed_schwarz_equality_case():
 def test_pointwise_mond_pecaric_hand_value():
     A = np.diag([1.0, 3.0]).astype(complex)
     x = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    inst = CheckInstance(A=A, f=power(2.0))
-    res = pointwise_lemma_check(InequalityId.MOND_PECARIC, inst, vectors=[(x,)])
+    inst = CheckInstance(A=A, f=power(2.0), vectors=((x,),))
+    res = evaluate(InequalityId.MOND_PECARIC, inst)
     assert res.status is Status.HOLDS
     assert res.lhs == pytest.approx(4.0, abs=1e-12)
     assert res.rhs == pytest.approx(5.0, abs=1e-12)
     # concave functions check the reversed inequality
-    inst_c = CheckInstance(A=A, f=power(0.5))
-    res_c = pointwise_lemma_check(InequalityId.MOND_PECARIC, inst_c, vectors=[(x,)])
+    inst_c = CheckInstance(A=A, f=power(0.5), vectors=((x,),))
+    res_c = evaluate(InequalityId.MOND_PECARIC, inst_c)
     assert res_c.status is Status.HOLDS
 
 
 def test_pointwise_superquad_defect_zero_at_equal_points():
-    inst = CheckInstance(f=power(2.0))
-    res = pointwise_lemma_check(InequalityId.SUPERQUAD_DEFECT, inst, vectors=[(0.7, 0.7)])
+    inst = CheckInstance(f=power(2.0), vectors=((0.7, 0.7),))
+    res = evaluate(InequalityId.SUPERQUAD_DEFECT, inst)
     assert res.status is Status.HOLDS
     assert res.slack == pytest.approx(0.0, abs=1e-12)
 
@@ -209,12 +209,12 @@ def test_dragomir_requires_unit_z():
 def test_norm_convexity_check_hand_value():
     A = np.diag([2.0, 0.0]).astype(complex)
     B = np.diag([0.0, 2.0]).astype(complex)
-    res = norm_convexity_check(power(2.0), A, B, 0.5)
+    res = evaluate(InequalityId.NORM_CONVEXITY, CheckInstance(A=A, B=B, v=0.5, f=power(2.0)))
     assert res.status is Status.HOLDS
     assert res.lhs == pytest.approx(1.0, abs=1e-12)
     assert res.rhs == pytest.approx(2.0, abs=1e-12)
     # identity function: both sides agree for any v
-    res_id = norm_convexity_check(power(1.0), A, B, 0.3)
+    res_id = evaluate(InequalityId.NORM_CONVEXITY, CheckInstance(A=A, B=B, v=0.3, f=power(1.0)))
     assert res_id.slack == pytest.approx(0.0, abs=1e-12)
 
 
@@ -222,7 +222,7 @@ def test_refined_convexity_equal_operands():
     rng = stream_rng(45, "refined")
     G = complex_gaussian(rng, (3, 3))
     A = hermitian_part(G.conj().T @ G)
-    res = norm_convexity_check(power(2.0), A, A, 0.4, refined=True)
+    res = evaluate(InequalityId.REFINED_CONVEXITY, CheckInstance(A=A, B=A, v=0.4, f=power(2.0)))
     assert res.status is Status.HOLDS
     assert res.details["mu_estimate"] == pytest.approx(0.0, abs=1e-9)
     assert res.slack == pytest.approx(0.0, abs=1e-8)
@@ -292,7 +292,7 @@ def test_inconclusive_path_never_violates():
     A = hermitian_part(G.conj().T @ G)
     # zero tolerance forces the stricter test to fail on the tight instance;
     # members that subtract an infimum report at worst Inconclusive
-    res = norm_convexity_check(power(2.0), A, A, 0.4, refined=True, tol_rel=0.0)
+    res = evaluate(InequalityId.REFINED_CONVEXITY, CheckInstance(A=A, B=A, v=0.4, f=power(2.0)), tol_rel=0.0)
     assert res.status in (Status.HOLDS, Status.INCONCLUSIVE)
     # the note that explains an inconclusive result rides on every result
     assert _INF_NOTE in res.semantics
@@ -356,15 +356,26 @@ def test_run_suite_norm_sandwich_hundred_holds():
 
 
 def test_run_suite_budget_exhausted(monkeypatch):
-    from numradlab import suite as suite_mod
-
     def hopeless_builder(ens, indices):
         return [CheckInstance(A=np.eye(ens.dim, dtype=complex), f=affine_power(-1.0, 0.0, 1.0)) for _ in indices]
 
-    monkeypatch.setitem(suite_mod.BUILDERS, InequalityId.MOND_PECARIC, hopeless_builder)
+    member = InequalityId.MOND_PECARIC
+    monkeypatch.setitem(catalog.MEMBERS, member, dataclasses.replace(catalog.MEMBERS[member], build=hopeless_builder))
     ens = EnsembleSpec(dim=2, kind="generic", seed=1)
     with pytest.raises(BudgetExhausted):
         run_suite([InequalityId.MOND_PECARIC], ens, trials=1)
+
+
+def test_verdict_counts_do_not_depend_on_magnitude():
+    # the hypothesis and kernel floors are relative to the operands' size, so
+    # a scaled draw verifies and certifies as its unscaled twin does
+    def counts(scale):
+        rep = run_suite(list(InequalityId), EnsembleSpec(dim=3, seed=1, scale=scale), trials=20)
+        return {r.ineq: (r.holds, r.violated, r.inconclusive, r.not_applicable) for r in rep.records}
+
+    unscaled = counts(1.0)
+    for scale in (2.0**-500, 2.0**-60, 1e-20, 2.0**60):
+        assert counts(scale) == unscaled, scale
 
 
 def test_sampled_members_note_semantics():

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from numradlab.catalog import CheckInstance, InequalityId, verify_hypotheses
-from numradlab.ensembles import EnsembleSpec, SandwichSample, sample, sandwich_triple
+from numradlab.catalog import CheckInstance, InequalityId, _rng, verify_hypotheses
+from numradlab.ensembles import EnsembleSpec, sample
 from numradlab.errors import InvalidBounds, UnsupportedParameter
 from numradlab.functions import power
 from numradlab.linalg import loewner_leq, operator_norm
-from numradlab.suite import _rng, draw_instance
+from numradlab.radius import stream_rng
+from numradlab.suite import draw_instance
+from oracles import SandwichSample, sandwich_triple
 
 DIMS = (2, 3, 5, 8)
 BULK = 1000
@@ -78,10 +80,12 @@ def test_ordered_pair_guarantee(dim):
 
 @pytest.mark.parametrize("dim", DIMS)
 def test_sandwich_triple_guarantee(dim):
-    spec = EnsembleSpec(dim=dim, kind="sandwich-triple", seed=dim, gap=1.0)
+    def draw(i):
+        return sandwich_triple(stream_rng(dim, "ensemble:sandwich-triple:0", i), dim, gap=1.0)
+
     accepted = 0
     for i in range(BULK):
-        tri = sample(spec, i)
+        tri = draw(i)
         assert isinstance(tri, SandwichSample)
         if tri.m < tri.M and tri.m > 0:
             accepted += 1
@@ -89,7 +93,7 @@ def test_sandwich_triple_guarantee(dim):
     assert accepted >= 0.9 * BULK
     # build-then-verify through the hypothesis checker on a subset
     for i in range(50):
-        tri = sample(spec, i)
+        tri = draw(i)
         inst = CheckInstance(A=tri.A, B=tri.B, X=tri.X, pair=tri.pair, h=power(2.0))
         rep = verify_hypotheses(InequalityId.CONDITIONED_PRODUCT, inst)
         assert rep.satisfied

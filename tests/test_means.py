@@ -4,32 +4,13 @@ import pytest
 from numradlab import errors
 from numradlab.functions import affine_power, power
 from numradlab.linalg import hermitian_part, loewner_leq, norm_hermitian, operator_norm
-from numradlab.means import (
-    deformed_exp,
-    f_connection,
-    gamma_factor,
-    refined_amgm_factor,
-    weighted_arithmetic,
-    weighted_geometric,
-)
+from numradlab.means import f_connection, gamma_factor, weighted_geometric
 from numradlab.radius import complex_gaussian, stream_rng
 
 
 def random_pd(rng, n, shift=0.05):
     G = complex_gaussian(rng, (n, n))
     return hermitian_part(G.conj().T @ G) + shift * np.eye(n)
-
-
-def test_weighted_arithmetic_examples():
-    A = np.diag([2.0, 0.0]).astype(complex)
-    B = np.diag([4.0, 6.0]).astype(complex)
-    np.testing.assert_allclose(weighted_arithmetic(A, A, 0.5), A)
-    np.testing.assert_allclose(weighted_arithmetic(A, B, 0.5), np.diag([3.0, 3.0]))
-    # scalar case: (1-v) a + v b
-    got = weighted_arithmetic(np.array([[0.0]]), np.array([[8.0]]), 0.25)
-    assert got[0, 0] == pytest.approx(2.0)
-    with pytest.raises(errors.InvalidBounds):
-        weighted_arithmetic(A, B, 0.0)
 
 
 def test_weighted_geometric_scalars_and_idempotence():
@@ -82,7 +63,7 @@ def test_am_gm_loewner_order():
         B = random_pd(rng, n)
         for v in (0.25, 0.5, 0.75):
             geo = weighted_geometric(A, B, v)
-            ari = weighted_arithmetic(A, B, v)
+            ari = (1 - v) * A + v * B
             assert loewner_leq(geo, ari)
 
 
@@ -98,19 +79,10 @@ def test_f_connection_reductions():
     # arithmetic-mean function reproduces the weighted arithmetic mean
     for v in (0.25, 0.5, 0.75):
         aff = affine_power(v, 1.0 - v, 1.0)
-        np.testing.assert_allclose(f_connection(A, B, aff), weighted_arithmetic(A, B, v), atol=1e-9)
+        np.testing.assert_allclose(f_connection(A, B, aff), (1 - v) * A + v * B, atol=1e-9)
         np.testing.assert_allclose(
             f_connection(A, B, power(v)), weighted_geometric(A, B, v), atol=1e-9
         )
-
-
-def test_deformed_exp_examples():
-    assert deformed_exp(1.0, 0.5) == pytest.approx(1.5)
-    assert deformed_exp(-1.0, 0.5) == pytest.approx(2.0)
-    with pytest.raises(errors.DomainViolation):
-        deformed_exp(-1.0, 1.5)
-    with pytest.raises(errors.UnsupportedParameter):
-        deformed_exp(0.0, 1.0)
 
 
 def test_gamma_factor_examples():
@@ -121,16 +93,6 @@ def test_gamma_factor_examples():
         gamma_factor(2.0, 1.0)
     with pytest.raises(errors.InvalidBounds):
         gamma_factor(0.0, 1.0)
-
-
-def test_refined_amgm_factor_examples():
-    assert refined_amgm_factor(1.0, 4.0) == pytest.approx(1.25)
-    assert refined_amgm_factor(1.0, 1.0 + 1e-9) == pytest.approx(1.0, abs=1e-9)
-    with pytest.raises(errors.InvalidBounds):
-        refined_amgm_factor(4.0, 4.0)
-    # hand-checked scalar conclusion: a=1, b=9, m=2, M=8
-    assert refined_amgm_factor(2.0, 8.0) * np.sqrt(9.0) == pytest.approx(3.75)
-    assert 3.75 <= (1.0 + 9.0) / 2
 
 
 def test_scalar_refined_amgm_bulk():
