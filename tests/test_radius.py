@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,9 @@ def dense_sweep_oracle(A, grid=100_000):
     """Independent oracle: plain dense angle grid, no refinement."""
     best = -np.inf
     th = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
-    for i in range(0, grid, 10_000):
-        vals = np.linalg.eigvalsh(_rotated_stack(A, th[i : i + 10_000]))[:, -1]
+    step = min(10_000, 2**20 // A.size)  # at most 16 MiB of rotations at a time
+    for i in range(0, grid, step):
+        vals = np.linalg.eigvalsh(_rotated_stack(A, th[i : i + step]))[:, -1]
         best = max(best, float(vals.max()))
     return best
 
@@ -58,10 +61,11 @@ def enclosed_radius(A, monkeypatch, solves=None, exact=None):
     """numerical_radius(A), checked against the enclosure's own guarantees:
     value <= upper, upper above the dense-sweep oracle (or above ``exact``,
     a known w(A), when given), at most the initial stack plus the cut cap of
-    eigenvalue-only matrices, and eigenvectors only for one stacked witness
-    solve of at most three lines plus at most one SVD for Kittaneh's bound.
-    Every solve is appended to ``solves`` as (function name, input shape)
-    when given."""
+    solved lines (eigenvalue-only or reference), eigenvectors only for one
+    stacked witness solve of at most three lines, for reference solves from
+    n = ``_NEAR_DIM`` on and for their 2x2 and 3x3 Ritz problems, and at
+    most one SVD for Kittaneh's bound. Every solve is appended to ``solves``
+    as (function name, input shape) when given."""
     calls = []
     with monkeypatch.context() as m:
         for name in ("eigh", "eigvalsh", "svd"):
@@ -76,17 +80,28 @@ def enclosed_radius(A, monkeypatch, solves=None, exact=None):
         solves.extend(calls)
     assert res.value <= res.upper
     assert res.upper >= (dense_sweep_oracle(A, grid=4096) if exact is None else exact)
+    n = A.shape[0]
     values_only = [shape for name, shape in calls if name == "eigvalsh"]
-    assert sum(1 if len(shape) == 2 else shape[0] for shape in values_only) <= 8 + radius._MAX_CUTS
+    references = reference_solves(calls, n)
+    assert not references or n >= radius._NEAR_DIM
+    assert sum(1 if len(shape) == 2 else shape[0] for shape in values_only) + len(references) <= 8 + radius._MAX_CUTS
     witness = [shape for name, shape in calls if name == "eigh" and len(shape) == 3]
     assert len(witness) == 1 and witness[0][0] <= 3
-    assert kittaneh_solves(calls, A.shape[0]) <= 1
+    ritz = [shape for name, shape in calls if name == "eigh" and len(shape) == 2 and shape != (n, n)]
+    assert set(ritz) <= {(2, 2), (3, 3)} and (not ritz or references)
+    assert kittaneh_solves(calls, n) <= 1
     return res
 
 
 def kittaneh_solves(solves, n):
     """How many of the recorded solves are SVDs for Kittaneh's bound."""
     return solves.count(("svd", (n, n)))
+
+
+def reference_solves(solves, n):
+    """The recorded eigenvector solves of single n x n lines: the reference
+    lines that bound cuts near them (n >= ``_NEAR_DIM``)."""
+    return [shape for name, shape in solves if name == "eigh" and shape == (n, n)]
 
 
 def square_zero_solves(n):
@@ -137,7 +152,7 @@ def test_radius_converged_witness_is_the_top_line(monkeypatch):
     # max h, so the witness solve takes that line alone.
     rng = stream_rng(32, "top-line")
     eps = np.finfo(float).eps
-    for n in (2, 3, 5, 8, 32):
+    for n in (2, 3, 5, 8, 32, 64):
         A = complex_gaussian(rng, (n, n))
         solves = []
         res = enclosed_radius(A, monkeypatch, solves)
@@ -180,7 +195,7 @@ def test_radius_rotation_transpose_unitary_invariance(monkeypatch):
 
 
 def test_radius_jordan_blocks(monkeypatch):
-    for n in range(2, 9):
+    for n in [*range(2, 9), 48, 64]:
         J = np.eye(n, k=1, dtype=complex)
         solves = []
         res = enclosed_radius(J, monkeypatch, solves)
@@ -228,6 +243,102 @@ def test_radius_square_zero_stops_on_kittaneh_bound(n, monkeypatch):
         assert res.upper - res.value <= 1e-10 * res.upper
         assert res.value == pytest.approx(scale * half_norm, rel=1e-12)
         assert solves == square_zero_solves(n)
+
+
+@pytest.mark.parametrize("kind, n", [("real", 48), ("complex", 64)])
+def test_radius_near_lines_on_large_matrices(kind, n, monkeypatch):
+    # From n = _NEAR_DIM on, cuts near the top line are bounded from the
+    # eigenbasis of a reference line; the enclosure keeps its guarantees and
+    # closes to tol as before.
+    A = complex_gaussian(stream_rng(37, "near", n), (n, n))
+    if kind == "real":
+        A = A.real.astype(complex)
+    solves = []
+    res = enclosed_radius(A, monkeypatch, solves)
+    assert len(reference_solves(solves, n)) >= 1
+    assert ("eigh", (3, 3)) in solves  # the bound ran on some cut
+    assert witness_lines(solves) == 1
+    eps = np.finfo(float).eps
+    assert res.upper - res.value <= 1e-10 * res.upper + 2 * (n + 3) * eps * np.linalg.norm(A)
+
+
+def near_degenerate(rng, n, gap):
+    """A matrix whose Hermitian part has top eigenvalues 1 and 1 - gap, plus a
+    small skew-Hermitian part: its top line at angle 0 is nearly double."""
+    U, _ = np.linalg.qr(complex_gaussian(rng, (n, n)))
+    lam = np.concatenate([[1.0, 1.0 - gap], rng.uniform(-0.5, 0.5, n - 2)])
+    G = complex_gaussian(rng, (n, n))
+    return (U * lam) @ U.conj().T + 1e-3 * (G - G.conj().T) / 2
+
+
+@pytest.mark.parametrize("n", [48, 64])
+def test_reference_bounds_nearby_lines(n):
+    # A reference at the top angle bounds the lines at offsets up to 3e-3 rad:
+    # an accepted bound is an upper bound up to roundoff, above the solved line
+    # by at most its Temple allowance; a refused one is None.
+    rng = stream_rng(38, "reference", n)
+    eps = np.finfo(float).eps
+    G = complex_gaussian(rng, (n, n))
+    matrices = [G, G.real.astype(complex), 1e-150 * G, 1e150 * G, near_degenerate(rng, n, 1e-6)]
+    accepted, refused = 0, 0
+    for k, A in enumerate(matrices):
+        for tol in (1e-12, 1e-10):
+            t0 = numerical_radius(A, tol=tol).theta_star
+            ref = radius._Reference(t0, A / 2)
+            pad = n * eps * np.linalg.norm(A)
+            for d in (1e-6, 1e-4, 1e-3, 3e-3):
+                for t in (t0 + d, t0 - d):
+                    top = float(np.linalg.eigvalsh(_rotated_stack(A, np.array([t])))[0, -1])
+                    line = ref.line(t, tol)
+                    if line is None:
+                        refused += 1
+                        continue
+                    accepted += 1
+                    h, theta = line
+                    assert theta <= h
+                    assert h >= top - pad
+                    assert h <= top + 0.01 * tol * theta + pad
+                    assert theta <= top + pad
+        if k == len(matrices) - 1:
+            assert refused > 0  # the near-double top line refuses some bounds
+    assert accepted >= 60
+
+
+@pytest.mark.parametrize("n", [48, 64])
+def test_radius_near_lines_raise_no_floating_point_error(n, monkeypatch):
+    # Degenerate tops make the bound divide by zero or fail Weyl's test; each
+    # such cut falls back to a reference solve, and nothing raises or warns.
+    rng = stream_rng(39, "fp", n)
+    U, _ = np.linalg.qr(complex_gaussian(rng, (n, n)))
+    lam = np.concatenate([[2.0, 2.0], rng.uniform(-1.0, 1.0, n - 2)])
+    B = complex_gaussian(rng, (n // 2, n // 2))
+    cases = {
+        "c I": (complex(-1.5, 2.0) * np.eye(n), 2.5),
+        "zero": (np.zeros((n, n), dtype=complex), 0.0),
+        "J_n": (np.eye(n, k=1, dtype=complex), np.cos(np.pi / (n + 1))),
+        "repeated top modulus": (np.diag(np.exp(2j * np.pi * np.arange(n) / n) * np.where(np.arange(n) < 3, 1, 0.5)), 1.0),
+        "double top eigenvalue": ((U * lam) @ U.conj().T, 2.0),
+        # every line's top eigenvalue is double: the first near cut becomes a
+        # reference that bounds nothing, and later near cuts are solved
+        "B + B": (np.kron(np.eye(2), B), numerical_radius(B, tol=1e-12).value),
+    }
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for name, (A, w) in cases.items():
+            solves = []
+            res = enclosed_radius(A, monkeypatch, solves, exact=w)
+            assert res.value == pytest.approx(w, rel=1e-10, abs=0.0), name
+            if name == "B + B":
+                assert 1 <= len(reference_solves(solves, n)) <= 2
+                t0 = res.theta_star
+                ref = radius._Reference(t0, A / 2)
+                assert ref.double and ref.line(t0 + 1e-6, 1e-10) is None
+        # At c I every diagonal entry of M equals the Ritz value: the first
+        # Davidson step divides by zero and the bound is refused.
+        A = cases["c I"][0]
+        t0 = numerical_radius(A).theta_star
+        ref = radius._Reference(t0, A / 2)
+        assert all(ref.line(t0 + d, 1e-10) is None for d in (1e-6, -1e-4, 3e-3))
 
 
 def test_radius_witness_from_resolved_corner(monkeypatch):
@@ -392,22 +503,30 @@ def cut_solves(calls):
     return shapes
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 8])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 48, 64])
 def test_radius_stack_matches_single_calls(n, monkeypatch):
     # Each row of a stack makes exactly the cuts it makes alone, so every
     # result is bitwise that of its single call; each round of cuts is one
-    # eigenvalue solve, and all witnesses come from one stacked eigh.
+    # eigenvalue solve, and all witnesses come from one stacked eigh. From
+    # n = _NEAR_DIM on, each row also bounds its near cuts from its own
+    # reference lines, as it does alone.
     rows = lockstep_rows(n, stream_rng(34, "lockstep", n))
-    singles, cuts = [], []
+    singles, cuts, references = [], [], []
     for A in rows:
         res, calls = recorded_solves(monkeypatch, numerical_radius, A, tol=1e-12)
         singles.append(res)
         cuts.append(len(cut_solves(calls)))
+        references.append(len(reference_solves(calls, n)))
     stacked, calls = recorded_solves(monkeypatch, numerical_radius, np.stack(rows), tol=1e-12)
     assert len(stacked) == len(rows)
     for one, res in zip(singles, stacked):
         assert (res.value, res.upper, res.theta_star) == (one.value, one.upper, one.theta_star)
         assert np.array_equal(res.witness, one.witness)
+    assert len(reference_solves(calls, n)) == sum(references)
+    if n >= radius._NEAR_DIM:
+        # The stack is cut in groups, each with its own initial solve.
+        assert sum(references) > 0
+        return
     m = 8  # grid 16 over a half-turn
     assert calls[0] == ("eigvalsh", (m * len(rows), n, n))
     rounds = cut_solves(calls)
@@ -432,7 +551,10 @@ def test_radius_stack_of_large_matrices_is_cut_in_groups(monkeypatch):
         assert np.array_equal(res.witness, one.witness)
     initial = [shape[0] for name, shape in calls if name == "eigvalsh" and len(shape) == 3 and shape[0] > 2]
     assert initial == [16, 16, 8]
-    assert len([name for name, _ in calls if name == "eigh"]) == 3
+    # One stacked witness eigh per group, and each row's own reference solves.
+    assert len([shape for name, shape in calls if name == "eigh" and len(shape) == 3]) == 3
+    references = sum(len(reference_solves(recorded_solves(monkeypatch, numerical_radius, A)[1], n)) for A in rows)
+    assert len(reference_solves(calls, n)) == references > 0
 
 
 def test_radius_rejects_malformed_stacks():
