@@ -6,11 +6,12 @@ The enclosure uses the identity  w(A) = max_theta lambda_max((e^{i theta} A
 top eigenvalue gives a support line and whose negated bottom eigenvalue gives
 the antipodal one, the lines' outer polygon gives an upper bound, and one top
 eigenvector attains the lower bound. From n = 44 on, a cut within 3e-3 rad
-of the top line is not solved but bounded, in O(n^2), from the eigenbasis
-of a solved reference line near it: two Davidson steps give a Ritz value,
-which a unit vector attains, and the Kato-Temple inequality, with Weyl's
-bound on the second eigenvalue, an upper bound on the line; a bound looser
-than 0.01 tol is refused, and that cut is solved as a new reference. The
+of the top line is not solved but bounded, in O(n), from a solved reference
+line near it: a Ritz pair on a fixed 3-dimensional subspace of the
+reference's eigenbasis gives a value and a vector that attains it, which is
+the line's witness vector, and the Kato-Temple inequality, with Weyl's bound
+on the second eigenvalue, an upper bound on the line; a bound looser than
+0.01 tol is refused, and that cut is solved as a new reference. The
 boundary search reports values attained by top eigenvectors, so its infima
 are upper estimates.
 """
@@ -83,12 +84,12 @@ _EPS = float(np.finfo(float).eps)
 # large matrices is cut in groups, so its memory stays that of a few matrices.
 _GROUP_ENTRIES = 2**16
 # From n = _NEAR_DIM on, a cut within _NEAR_SPAN rad of the top line, or of a
-# reference line, is bounded in O(n^2) from a reference line's eigenbasis
+# reference line, is bounded in O(n) from a reference line's Ritz subspace
 # (``_Reference``) instead of solved. With one BLAS thread a bounded line
-# costs about 80 us at any n and a reference about 2.3 `eigvalsh`: enclosures
-# of complex Gaussian matrices (tol 1e-12 and 1e-10) took 1.2 times as long
-# with bounds at n = 32, about as long at n = 40 to 48, and 0.82-0.86 times
-# as long at n = 64.
+# costs 25-40 us at any n and a reference about 3.2 `eigvalsh` at n = 64:
+# enclosures of complex Gaussian matrices (tol 1e-12 and 1e-10) took about
+# as long with bounds at n = 24 and 32, 0.8-1.0 times as long at n = 40,
+# and 0.63-0.8 times at n = 48 and 64. A lower _NEAR_DIM moves results below 44.
 _NEAR_DIM = 44
 _NEAR_SPAN = 3e-3
 # A bound is kept when its Temple term is at most this share of tol times
@@ -102,69 +103,70 @@ class _Reference:
     With B = e^{i t0} A / 2, the line at t0 is H(t0) = B + B* = Q diag(lam) Q*
     and H(t0 + pi/2) = i (B - B*). As H(t0 + d) = cos d H(t0) + sin d H(t0 +
     pi/2) exactly, H(t0 + d) is M = cos d diag(lam) + sin d K in the basis Q,
-    with K = Q* H(t0 + pi/2) Q, so a nearby line costs O(n^2). lam and K are
-    held divided by a power of two that brings ||M|| below 1, so no square
-    formed in a bound overflows or underflows.
+    with K = Q* H(t0 + pi/2) Q. lam and K are held divided by a power of two
+    that brings ||M|| below 1, so no square formed in a bound overflows or
+    underflows.
+
+    M is proportional to diag(lam) + tan d K, so the top eigenvector e of
+    diag(lam) and its perturbation corrections R K e and R K R K e, with R =
+    (lam_1 - diag(lam))^+, span a subspace V that holds M's top eigenvector
+    to second order at every offset. V, lam V, K V and the projections of
+    diag(lam) and K onto V are formed once: a nearby line costs O(n).
     """
 
-    __slots__ = ("t0", "h", "scale", "lam", "K", "k_diag", "k_norm", "double")
+    __slots__ = ("t0", "h", "scale", "lam", "Q", "k_norm", "double", "V", "lam_V", "K_V", "lam_VV", "K_VV")
 
     def __init__(self, t0, half):
         B = cmath.exp(1j * t0) * half
         lam, Q = np.linalg.eigh(B + B.conj().T)
         C = Q.conj().T @ B @ Q
         K = 1j * (C - C.conj().T)  # exactly Hermitian, with a real diagonal
-        self.t0, self.h = t0, float(lam[-1])
+        self.t0, self.h, self.Q = t0, float(lam[-1]), Q
         size = max(-lam[0], lam[-1]) + float(np.linalg.norm(K))
         self.scale = math.ldexp(1.0, math.frexp(size)[1])
-        self.lam, self.K = lam / self.scale, K / self.scale
-        self.k_diag = self.K.diagonal().real.copy()
-        self.k_norm = float(np.linalg.norm(self.K))  # ||K||_2 <= ||K||_F
+        self.lam = lam = lam / self.scale
+        K = K / self.scale
+        self.k_norm = float(np.linalg.norm(K))  # ||K||_2 <= ||K||_F
         # With lam_1 - lam_2 within the roundoff slack of ``line``, Weyl's test
         # fails at every offset: such a line bounds no line near it.
-        self.double = self.lam[-1] - self.lam[-2] <= len(lam) * _EPS
+        self.double = lam[-1] - lam[-2] <= len(lam) * _EPS
+        if self.double:
+            return
+        gap = lam[-1] - lam
+        gap[-1] = math.inf  # R has no e component
+        first = K[:, -1] / gap
+        V = np.zeros((len(lam), 3), dtype=np.complex128)
+        V[-1, 0], V[:, 1], V[:, 2] = 1.0, first, (K @ first) / gap
+        # Householder QR: orthonormal even where a correction vanishes (a normal A).
+        self.V = np.linalg.qr(V)[0]
+        self.lam_V, self.K_V = lam[:, None] * self.V, K @ self.V
+        self.lam_VV, self.K_VV = self.V.conj().T @ self.lam_V, self.V.conj().T @ self.K_V
 
     def offset(self, t):
         """The angle from this line to t, in [-pi, pi] (exact)."""
         return math.remainder(t - self.t0, _TWO_PI)
 
     def line(self, t, tol):
-        """The line at t as (h, a), or None where the bound is refused.
+        """The line at t as (h, a, y), or None where the bound is refused.
 
-        Two Davidson steps from the top eigenvector e of diag(lam), each
-        preconditioned by (theta - diag M)^-1, give a unit Ritz vector y with
-        Rayleigh quotient a = theta, which y attains, and residual r. By Weyl,
-        lambda_2(M) <= mu = cos d lam_2 + |sin d| ||K||, and where theta > mu
-        the Kato-Temple inequality gives lambda_max(M) <= h = theta +
-        ||r||^2 / (theta - mu). The bound is refused when that Temple term
-        exceeds _TEMPLE_SHARE * tol * theta, or when the arithmetic
+        The top Ritz pair of M on V gives a unit vector y = V x, with Rayleigh
+        quotient a = theta, which y attains, and residual r = M y - theta y,
+        formed explicitly. By Weyl, lambda_2(M) <= mu = cos d lam_2 + |sin d|
+        ||K||, and where theta > mu the Kato-Temple inequality gives
+        lambda_max(M) <= h = theta + ||r||^2 / (theta - mu). Q y is the line's
+        witness vector. The bound is refused at a double top, when the Temple
+        term exceeds _TEMPLE_SHARE * tol * theta, or when the arithmetic
         overflows, divides by zero or turns invalid.
         """
+        if self.double:
+            return None
         d = self.offset(t)
         c, s = cos(d), sin(d)
-        lam, K = self.lam, self.K
-        n = len(lam)
-        diag = c * lam + s * self.k_diag  # M is never formed: M v = c lam v + s K v
-        V = np.zeros((n, 3), dtype=np.complex128)
-        MV = np.empty((n, 3), dtype=np.complex128)
-        V[-1, 0] = 1.0
-        MV[:, 0] = s * K[:, -1]
-        MV[-1, 0] += c * lam[-1]
-        theta, y, My = diag[-1], V[:, 0], MV[:, 0]
+        n = len(self.lam)
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                for k in (1, 2):
-                    den = theta - diag
-                    if k == 1:
-                        den[-1] = 1.0  # the residual of e has no e component
-                    v = (My - theta * y) / den
-                    if k == 2:  # v is orthogonal to e from the start; Gram-Schmidt, twice
-                        for _ in range(2):
-                            v -= V[:, :k] @ (V[:, :k].conj().T @ v)
-                    v /= np.linalg.norm(v)
-                    V[:, k], MV[:, k] = v, s * (K @ v) + c * (lam * v)
-                    ritz, X = np.linalg.eigh(V[:, : k + 1].conj().T @ MV[:, : k + 1])
-                    theta, y, My = ritz[-1], V[:, : k + 1] @ X[:, -1], MV[:, : k + 1] @ X[:, -1]
+                x = np.linalg.eigh(c * self.lam_VV + s * self.K_VV)[1][:, -1]
+                y, My = self.V @ x, (c * self.lam_V + s * self.K_V) @ x
                 unit = np.linalg.norm(y)
                 y, My = y / unit, My / unit
                 theta = float(np.vdot(y, My).real)
@@ -175,14 +177,14 @@ class _Reference:
         # the exact values for M and y; raising ||r|| and mu by n eps keeps the
         # Temple term a bound on lambda_max(M) - theta.
         slack = n * _EPS
-        mu = c * float(lam[-2]) + abs(s) * self.k_norm + slack
+        mu = c * float(self.lam[-2]) + abs(s) * self.k_norm + slack
         if not theta > mu:
             return None
         res += slack
         temple = res * (res / (theta - mu))
         if not temple <= _TEMPLE_SHARE * tol * theta:
             return None
-        return self.scale * (theta + temple), self.scale * theta
+        return self.scale * (theta + temple), self.scale * theta, y
 
 
 def _rotated_stack(A, thetas):
@@ -295,6 +297,9 @@ def _enclose(A, exps, grid, tol):
     loops = [_cuts(A[r], list(thetas), tops[r] + bottoms[r], tol) for r in range(len(A))]
     ends = [None] * len(A)
     refs = [[] for _ in range(len(A))] if n >= _NEAR_DIM else None
+    # Each row's reference and bounded lines by angle, as (Q, y): the line's
+    # witness vector is Q y, or Q's last column where y is None.
+    vectors = [{} for _ in range(len(A))]
 
     def near_line(r, t, top):
         """The line at t of row r from its references, or None to solve it
@@ -309,11 +314,14 @@ def _enclose(A, exps, grid, tol):
                 return None
             line = ref.line(t, tol)
             if line is not None:
-                return line
+                h, a, y = line
+                vectors[r][t] = ref.Q, y
+                return h, a
         elif abs(math.remainder(t - top, _TWO_PI)) > _NEAR_SPAN:
             return None
         ref = _Reference(t, half[r])
         refs[r].append(ref)
+        vectors[r][t] = ref.Q, None
         return ref.h, ref.h
 
     def solved(rows, ts):
@@ -359,17 +367,27 @@ def _enclose(A, exps, grid, tol):
                 t, top = loop.send(line)
         except StopIteration as stop:
             ends[r] = stop.value
-    angles = [t for _, _, lines in ends for t in lines]
-    owner = [r for r, (_, _, lines) in enumerate(ends) for _ in lines]
-    X = np.linalg.eigh(_rotated_halves(half[owner], np.array(angles)))[1][:, :, -1]
+    # A witness line that is a reference or a bounded line brings its own
+    # vector, which attains its value a; the lines solved values-only take
+    # one stacked eigh.
+    solve = [(r, t) for r, (_, _, lines) in enumerate(ends) for t in lines if t not in vectors[r]]
+    if solve:
+        owner, angles = zip(*solve)
+        solved_vectors = iter(np.linalg.eigh(_rotated_halves(half[list(owner)], np.array(angles)))[1][:, :, -1])
+
+    def witness_vector(r, t):
+        if t not in vectors[r]:
+            return next(solved_vectors)
+        Q, y = vectors[r][t]
+        return Q[:, -1] if y is None else Q @ y
+
     out = []
-    j = 0
     for r, (hi, cap, lines) in enumerate(ends):
-        M, Xr = A[r], X[j : j + len(lines)]
+        M = A[r]
+        Xr = np.array([witness_vector(r, t) for t in lines])
         mods = np.abs(np.einsum("ki,ij,kj->k", Xr.conj(), M, Xr))
         best = int(np.argmax(mods))
         lo, t_best, witness = float(mods[best]), lines[best], Xr[best]
-        j += len(lines)
         # Each computed h is within a small multiple of n eps ||H|| of the true
         # eigenvalue (backward stability), and ||H|| <= ||A||_F.
         # A bounded line is too. Its reference eigh is exact for H(t0) + E with
@@ -378,7 +396,7 @@ def _enclose(A, exps, grid, tol):
         # M is within a small multiple of n eps ||A||_F of Q* H(t) Q for a unitary
         # Q. The offset d = t - t0 is exact, and cos d and sin d are within eps.
         # The bound raises ||r|| and mu by n eps ||M|| for the roundoff of the
-        # Davidson steps, so h >= lambda_max(M) up to theta's own roundoff, and
+        # Ritz step, so h >= lambda_max(M) up to theta's own roundoff, and
         # it is within a small multiple of n eps ||A||_F of a true upper bound.
         eps_f = _EPS * float(np.linalg.norm(M))
         pad = M.shape[0] * eps_f
@@ -421,7 +439,8 @@ def numerical_radius(A, grid=16, tol=1e-10):
     cut in lockstep, in groups whose initial rotations hold at most
     ``_GROUP_ENTRIES`` entries (at grid 16, 128 matrices at n = 8 and 2 at
     n = 64): the initial lines of a group form one stacked solve, each round
-    of cuts one more, and the witnesses one stacked ``eigh``.
+    of cuts one more, and the witness lines solved values-only one stacked
+    ``eigh``.
     """
     M = np.asarray(A, dtype=np.complex128)
     stacked = M.ndim == 3

@@ -5,12 +5,19 @@
   vector, so it is a lower bound of the supremum it searches for.
 - ``sandwich_triple``: one sandwich draw with its attained bounds m and M,
   the reference for the catalog's sandwich builders.
+- ``DavidsonReference``: the two-step Davidson bound on the support lines
+  near a solved reference line, which the enclosure's fixed Ritz subspace
+  replaced; the new bound must accept wherever it does.
 """
 
+import cmath
+import math
 from dataclasses import dataclass
+from math import cos, sin
 
 import numpy as np
 
+from numradlab import radius
 from numradlab.ensembles import sandwich_operands
 from numradlab.functions import SchwarzPair, schwarz_power_pair
 from numradlab.linalg import adjoint, gram_function, hermitian_part
@@ -126,3 +133,94 @@ def sandwich_triple(rng, n, gap=1.0):
     m = float(np.linalg.eigvalsh(S)[-1])
     M = float(np.linalg.eigvalsh(T)[0])
     return SandwichSample(A=A, B=B, X=X, pair=pair, m=m, M=M)
+
+
+class DavidsonReference:
+    """The near-line bound that ``radius._Reference`` replaced, kept verbatim
+    as the tests' oracle: the eigenbasis of a solved line, which bounds the
+    lines near it by two Davidson steps.
+
+    With B = e^{i t0} A / 2, the line at t0 is H(t0) = B + B* = Q diag(lam) Q*
+    and H(t0 + pi/2) = i (B - B*). As H(t0 + d) = cos d H(t0) + sin d H(t0 +
+    pi/2) exactly, H(t0 + d) is M = cos d diag(lam) + sin d K in the basis Q,
+    with K = Q* H(t0 + pi/2) Q, so a nearby line costs O(n^2). lam and K are
+    held divided by a power of two that brings ||M|| below 1, so no square
+    formed in a bound overflows or underflows.
+    """
+
+    __slots__ = ("t0", "h", "scale", "lam", "K", "k_diag", "k_norm", "double")
+
+    def __init__(self, t0, half):
+        B = cmath.exp(1j * t0) * half
+        lam, Q = np.linalg.eigh(B + B.conj().T)
+        C = Q.conj().T @ B @ Q
+        K = 1j * (C - C.conj().T)  # exactly Hermitian, with a real diagonal
+        self.t0, self.h = t0, float(lam[-1])
+        size = max(-lam[0], lam[-1]) + float(np.linalg.norm(K))
+        self.scale = math.ldexp(1.0, math.frexp(size)[1])
+        self.lam, self.K = lam / self.scale, K / self.scale
+        self.k_diag = self.K.diagonal().real.copy()
+        self.k_norm = float(np.linalg.norm(self.K))  # ||K||_2 <= ||K||_F
+        # With lam_1 - lam_2 within the roundoff slack of ``line``, Weyl's test
+        # fails at every offset: such a line bounds no line near it.
+        self.double = self.lam[-1] - self.lam[-2] <= len(lam) * radius._EPS
+
+    def offset(self, t):
+        """The angle from this line to t, in [-pi, pi] (exact)."""
+        return math.remainder(t - self.t0, radius._TWO_PI)
+
+    def line(self, t, tol):
+        """The line at t as (h, a), or None where the bound is refused.
+
+        Two Davidson steps from the top eigenvector e of diag(lam), each
+        preconditioned by (theta - diag M)^-1, give a unit Ritz vector y with
+        Rayleigh quotient a = theta, which y attains, and residual r. By Weyl,
+        lambda_2(M) <= mu = cos d lam_2 + |sin d| ||K||, and where theta > mu
+        the Kato-Temple inequality gives lambda_max(M) <= h = theta +
+        ||r||^2 / (theta - mu). The bound is refused when that Temple term
+        exceeds radius._TEMPLE_SHARE * tol * theta, or when the arithmetic
+        overflows, divides by zero or turns invalid.
+        """
+        d = self.offset(t)
+        c, s = cos(d), sin(d)
+        lam, K = self.lam, self.K
+        n = len(lam)
+        diag = c * lam + s * self.k_diag  # M is never formed: M v = c lam v + s K v
+        V = np.zeros((n, 3), dtype=np.complex128)
+        MV = np.empty((n, 3), dtype=np.complex128)
+        V[-1, 0] = 1.0
+        MV[:, 0] = s * K[:, -1]
+        MV[-1, 0] += c * lam[-1]
+        theta, y, My = diag[-1], V[:, 0], MV[:, 0]
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                for k in (1, 2):
+                    den = theta - diag
+                    if k == 1:
+                        den[-1] = 1.0  # the residual of e has no e component
+                    v = (My - theta * y) / den
+                    if k == 2:  # v is orthogonal to e from the start; Gram-Schmidt, twice
+                        for _ in range(2):
+                            v -= V[:, :k] @ (V[:, :k].conj().T @ v)
+                    v /= np.linalg.norm(v)
+                    V[:, k], MV[:, k] = v, s * (K @ v) + c * (lam * v)
+                    ritz, X = np.linalg.eigh(V[:, : k + 1].conj().T @ MV[:, : k + 1])
+                    theta, y, My = ritz[-1], V[:, : k + 1] @ X[:, -1], MV[:, : k + 1] @ X[:, -1]
+                unit = np.linalg.norm(y)
+                y, My = y / unit, My / unit
+                theta = float(np.vdot(y, My).real)
+                res = float(np.linalg.norm(My - theta * y))
+        except (FloatingPointError, np.linalg.LinAlgError):
+            return None
+        # theta, ||r|| and mu are computed within about n eps ||M|| < n eps of
+        # the exact values for M and y; raising ||r|| and mu by n eps keeps the
+        # Temple term a bound on lambda_max(M) - theta.
+        slack = n * radius._EPS
+        mu = c * float(lam[-2]) + abs(s) * self.k_norm + slack
+        if not theta > mu:
+            return None
+        res += slack
+        temple = res * (res / (theta - mu))
+        if not temple <= radius._TEMPLE_SHARE * tol * theta:
+            return None
+        return self.scale * (theta + temple), self.scale * theta

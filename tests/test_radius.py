@@ -7,7 +7,7 @@ from numradlab import radius
 from numradlab.ensembles import EnsembleSpec, sample
 from numradlab.linalg import operator_norm
 from numradlab.radius import _rotated_stack, complex_gaussian, numerical_radius, quad_forms, stream_rng
-from oracles import SphereSampler, sphere_sup
+from oracles import DavidsonReference, SphereSampler, sphere_sup
 
 
 def dense_sweep_oracle(A, grid=100_000):
@@ -61,11 +61,13 @@ def enclosed_radius(A, monkeypatch, solves=None, exact=None):
     """numerical_radius(A), checked against the enclosure's own guarantees:
     value <= upper, upper above the dense-sweep oracle (or above ``exact``,
     a known w(A), when given), at most the initial stack plus the cut cap of
-    solved lines (eigenvalue-only or reference), eigenvectors only for one
-    stacked witness solve of at most three lines, for reference solves from
-    n = ``_NEAR_DIM`` on and for their 2x2 and 3x3 Ritz problems, and at
-    most one SVD for Kittaneh's bound. Every solve is appended to ``solves``
-    as (function name, input shape) when given."""
+    solved lines (eigenvalue-only or reference), eigenvectors only for at
+    most one stacked witness solve of at most three lines, for reference
+    solves from n = ``_NEAR_DIM`` on and for their 3x3 Ritz problems, and at
+    most one SVD for Kittaneh's bound. The witness solve is missing only
+    where every witness line is a reference or a bounded line, which brings
+    its own vector. Every solve is appended to ``solves`` as (function name,
+    input shape) when given."""
     calls = []
     with monkeypatch.context() as m:
         for name in ("eigh", "eigvalsh", "svd"):
@@ -86,9 +88,10 @@ def enclosed_radius(A, monkeypatch, solves=None, exact=None):
     assert not references or n >= radius._NEAR_DIM
     assert sum(1 if len(shape) == 2 else shape[0] for shape in values_only) + len(references) <= 8 + radius._MAX_CUTS
     witness = [shape for name, shape in calls if name == "eigh" and len(shape) == 3]
-    assert len(witness) == 1 and witness[0][0] <= 3
+    assert len(witness) <= 1 and all(shape[0] <= 3 for shape in witness)
+    assert witness or references
     ritz = [shape for name, shape in calls if name == "eigh" and len(shape) == 2 and shape != (n, n)]
-    assert set(ritz) <= {(2, 2), (3, 3)} and (not ritz or references)
+    assert set(ritz) <= {(3, 3)} and (not ritz or references)
     assert kittaneh_solves(calls, n) <= 1
     return res
 
@@ -111,9 +114,11 @@ def square_zero_solves(n):
 
 
 def witness_lines(solves):
-    """How many lines the stacked witness solve among ``solves`` took."""
-    (shape,) = [shape for name, shape in solves if name == "eigh" and len(shape) == 3]
-    return shape[0]
+    """How many lines the stacked witness solve among ``solves`` took: 0 when
+    no witness line needed one."""
+    shapes = [shape for name, shape in solves if name == "eigh" and len(shape) == 3]
+    assert len(shapes) <= 1
+    return shapes[0][0] if shapes else 0
 
 
 @pytest.mark.parametrize("grid, m", [(16, 8), (17, 9)])
@@ -149,14 +154,16 @@ def test_radius_half_turn_stack_matches_full_turn(grid, m, monkeypatch):
 
 def test_radius_converged_witness_is_the_top_line(monkeypatch):
     # Once the gap is within tol, the top line's eigenvector attains at least
-    # max h, so the witness solve takes that line alone.
+    # max h, so the witness comes from that line alone: a solved top line takes
+    # a one-line witness solve, and from n = _NEAR_DIM on a top line that is a
+    # reference or a bounded line brings its own vector and takes none.
     rng = stream_rng(32, "top-line")
     eps = np.finfo(float).eps
     for n in (2, 3, 5, 8, 32, 64):
         A = complex_gaussian(rng, (n, n))
         solves = []
         res = enclosed_radius(A, monkeypatch, solves)
-        assert witness_lines(solves) == 1
+        assert witness_lines(solves) == (0 if n >= radius._NEAR_DIM else 1)
         assert res.upper - res.value <= 1e-10 * res.upper + 2 * (n + 3) * eps * np.linalg.norm(A)
 
 
@@ -257,7 +264,7 @@ def test_radius_near_lines_on_large_matrices(kind, n, monkeypatch):
     res = enclosed_radius(A, monkeypatch, solves)
     assert len(reference_solves(solves, n)) >= 1
     assert ("eigh", (3, 3)) in solves  # the bound ran on some cut
-    assert witness_lines(solves) == 1
+    assert witness_lines(solves) == 0  # the top line brings its own vector
     eps = np.finfo(float).eps
     assert res.upper - res.value <= 1e-10 * res.upper + 2 * (n + 3) * eps * np.linalg.norm(A)
 
@@ -271,43 +278,78 @@ def near_degenerate(rng, n, gap):
     return (U * lam) @ U.conj().T + 1e-3 * (G - G.conj().T) / 2
 
 
+def reference_lines(n):
+    """Test matrices at size n, each with a tol, the top angle t0 of its
+    enclosure, and the lines (t, top) at offsets up to 3e-3 rad from t0, where
+    top is the solved support value: (A, tol, t0, lines). The last matrix has
+    a near-double top line."""
+    rng = stream_rng(38, "reference", n)
+    G = complex_gaussian(rng, (n, n))
+    for A in (G, G.real.astype(complex), 1e-150 * G, 1e150 * G, near_degenerate(rng, n, 1e-6)):
+        for tol in (1e-12, 1e-10):
+            t0 = numerical_radius(A, tol=tol).theta_star
+            ts = [t0 + sign * d for d in (1e-6, 1e-4, 1e-3, 3e-3) for sign in (1, -1)]
+            tops = np.linalg.eigvalsh(_rotated_stack(A, np.array(ts)))[:, -1]
+            yield A, tol, t0, list(zip(ts, tops.tolist()))
+
+
 @pytest.mark.parametrize("n", [48, 64])
 def test_reference_bounds_nearby_lines(n):
     # A reference at the top angle bounds the lines at offsets up to 3e-3 rad:
     # an accepted bound is an upper bound up to roundoff, above the solved line
-    # by at most its Temple allowance; a refused one is None.
-    rng = stream_rng(38, "reference", n)
+    # by at most its Temple allowance, and Q y attains its Ritz value there; a
+    # refused one is None.
     eps = np.finfo(float).eps
-    G = complex_gaussian(rng, (n, n))
-    matrices = [G, G.real.astype(complex), 1e-150 * G, 1e150 * G, near_degenerate(rng, n, 1e-6)]
     accepted, refused = 0, 0
-    for k, A in enumerate(matrices):
-        for tol in (1e-12, 1e-10):
-            t0 = numerical_radius(A, tol=tol).theta_star
-            ref = radius._Reference(t0, A / 2)
-            pad = n * eps * np.linalg.norm(A)
-            for d in (1e-6, 1e-4, 1e-3, 3e-3):
-                for t in (t0 + d, t0 - d):
-                    top = float(np.linalg.eigvalsh(_rotated_stack(A, np.array([t])))[0, -1])
-                    line = ref.line(t, tol)
-                    if line is None:
-                        refused += 1
-                        continue
-                    accepted += 1
-                    h, theta = line
-                    assert theta <= h
-                    assert h >= top - pad
-                    assert h <= top + 0.01 * tol * theta + pad
-                    assert theta <= top + pad
-        if k == len(matrices) - 1:
-            assert refused > 0  # the near-double top line refuses some bounds
+    for A, tol, t0, lines in reference_lines(n):
+        ref = radius._Reference(t0, A / 2)
+        pad = n * eps * np.linalg.norm(A)
+        for t, top in lines:
+            line = ref.line(t, tol)
+            if line is None:
+                refused += 1
+                continue
+            accepted += 1
+            h, theta, y = line
+            assert theta <= h
+            assert h >= top - pad
+            assert h <= top + 0.01 * tol * theta + pad
+            assert theta <= top + pad
+            x = ref.Q @ y
+            assert abs(np.linalg.norm(x) - 1.0) <= n * eps
+            assert abs(np.vdot(x, _rotated_stack(A, np.array([t]))[0] @ x).real - theta) <= pad
+    assert refused > 0  # the near-double top line refuses some bounds
     assert accepted >= 60
 
 
 @pytest.mark.parametrize("n", [48, 64])
+def test_ritz_subspace_accepts_where_davidson_steps_do(n):
+    # The reference's fixed Ritz subspace holds the top eigenvector to second
+    # order in the offset, so it bounds every line that the two Davidson steps
+    # it replaced bound (tests/oracles.py), with their Ritz value to roundoff;
+    # both bounds lie within their Temple allowance above the solved line.
+    eps = np.finfo(float).eps
+    compared = 0
+    for A, tol, t0, lines in reference_lines(n):
+        ref, oracle = radius._Reference(t0, A / 2), DavidsonReference(t0, A / 2)
+        pad = n * eps * np.linalg.norm(A)
+        for t, top in lines:
+            old = oracle.line(t, tol)
+            if old is None:
+                continue
+            new = ref.line(t, tol)
+            assert new is not None
+            compared += 1
+            assert new[1] == pytest.approx(old[1], rel=1e-14, abs=0.0)
+            for h, theta in (new[:2], old):
+                assert top - pad <= h <= top + 0.01 * tol * theta + pad
+    assert compared >= 60
+
+
+@pytest.mark.parametrize("n", [48, 64])
 def test_radius_near_lines_raise_no_floating_point_error(n, monkeypatch):
-    # Degenerate tops make the bound divide by zero or fail Weyl's test; each
-    # such cut falls back to a reference solve, and nothing raises or warns.
+    # Degenerate tops make a reference double or fail Weyl's test; each such
+    # cut is solved instead, and nothing raises or warns.
     rng = stream_rng(39, "fp", n)
     U, _ = np.linalg.qr(complex_gaussian(rng, (n, n)))
     lam = np.concatenate([[2.0, 2.0], rng.uniform(-1.0, 1.0, n - 2)])
@@ -333,12 +375,12 @@ def test_radius_near_lines_raise_no_floating_point_error(n, monkeypatch):
                 t0 = res.theta_star
                 ref = radius._Reference(t0, A / 2)
                 assert ref.double and ref.line(t0 + 1e-6, 1e-10) is None
-        # At c I every diagonal entry of M equals the Ritz value: the first
-        # Davidson step divides by zero and the bound is refused.
+        # At c I every eigenvalue of the reference line equals its top one: the
+        # reference is double, so it bounds no line near it.
         A = cases["c I"][0]
         t0 = numerical_radius(A).theta_star
         ref = radius._Reference(t0, A / 2)
-        assert all(ref.line(t0 + d, 1e-10) is None for d in (1e-6, -1e-4, 3e-3))
+        assert ref.double and all(ref.line(t0 + d, 1e-10) is None for d in (1e-6, -1e-4, 3e-3))
 
 
 def test_radius_witness_from_resolved_corner(monkeypatch):
@@ -539,22 +581,51 @@ def test_radius_stack_matches_single_calls(n, monkeypatch):
 
 def test_radius_stack_of_large_matrices_is_cut_in_groups(monkeypatch):
     # At n = 64 and grid 16 a group holds two matrices, so five make three
-    # groups, each with its own initial solve and witness eigh; every result
-    # is still bitwise that of its matrix alone.
+    # groups, each with its own initial solve; every result is still bitwise
+    # that of its matrix alone.
     n = 64
     rng = stream_rng(35, "groups")
     rows = [complex_gaussian(rng, (n, n)) for _ in range(5)]
+    singles = [recorded_solves(monkeypatch, numerical_radius, A) for A in rows]
     stacked, calls = recorded_solves(monkeypatch, numerical_radius, np.stack(rows))
-    for A, res in zip(rows, stacked):
-        one = numerical_radius(A)
+    for (one, _), res in zip(singles, stacked):
         assert (res.value, res.upper, res.theta_star) == (one.value, one.upper, one.theta_star)
         assert np.array_equal(res.witness, one.witness)
     initial = [shape[0] for name, shape in calls if name == "eigvalsh" and len(shape) == 3 and shape[0] > 2]
     assert initial == [16, 16, 8]
-    # One stacked witness eigh per group, and each row's own reference solves.
-    assert len([shape for name, shape in calls if name == "eigh" and len(shape) == 3]) == 3
-    references = sum(len(reference_solves(recorded_solves(monkeypatch, numerical_radius, A)[1], n)) for A in rows)
+    # A group takes one stacked witness eigh over the witness lines its rows
+    # solve alone, and none where they solve none; each row makes its own
+    # reference solves.
+    lines = [witness_lines(one_calls) for _, one_calls in singles]
+    groups = [sum(lines[k : k + 2]) for k in range(0, 5, 2)]
+    witness = [shape[0] for name, shape in calls if name == "eigh" and len(shape) == 3]
+    assert witness == [count for count in groups if count]
+    references = sum(len(reference_solves(one_calls, n)) for _, one_calls in singles)
     assert len(reference_solves(calls, n)) == references > 0
+
+
+def test_radius_bounded_top_line_is_its_own_witness(monkeypatch):
+    # From n = _NEAR_DIM on, a top line bounded from a reference brings its
+    # Ritz vector Q y, which attains its Ritz value: no witness eigh re-solves
+    # it, and the witness attains the reported value.
+    n = 64
+    A = complex_gaussian(stream_rng(40, "bounded witness"), (n, n))
+    bounded = []
+
+    def line(ref, t, tol, _line=radius._Reference.line):
+        out = _line(ref, t, tol)
+        if out is not None:
+            bounded.append(t % (2 * np.pi))
+        return out
+
+    monkeypatch.setattr(radius._Reference, "line", line)
+    res, calls = recorded_solves(monkeypatch, numerical_radius, A, tol=1e-12)
+    assert res.theta_star in bounded
+    assert witness_lines(calls) == 0
+    x = res.witness
+    assert abs(np.vdot(x, A @ x)) >= res.value * (1 - 1e-12)
+    assert res.value <= res.upper
+    assert res.upper >= dense_sweep_oracle(A, grid=4096)
 
 
 def test_radius_rejects_malformed_stacks():
