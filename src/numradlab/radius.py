@@ -11,7 +11,14 @@ line near it: a Ritz pair on a fixed 3-dimensional subspace of the
 reference's eigenbasis gives a value and a vector that attains it, which is
 the line's witness vector, and the Kato-Temple inequality, with Weyl's bound
 on the second eigenvalue, an upper bound on the line; a bound looser than
-0.01 tol is refused, and that cut is solved as a new reference. The
+0.01 tol is refused, and that cut is solved as a new reference. A cut
+farther out needs only an upper line that resolves its corner: its level c,
+the largest support value at t whose corners with the neighbouring lines lie
+within radius lo, the best attained value, shrunk by 1e-3 tol. Where a
+Cholesky of c I - H(t) completes, lambda_max(H(t)) <= c (Sylvester's inertia
+law) and the cut takes the line c, which attains nothing; else it is solved.
+A solved line there lies below c too, so neither is ever the farthest
+corner's line again, and results stay those of solving every cut. The
 boundary search reports values attained by top eigenvectors, so its infima
 are upper estimates.
 """
@@ -19,7 +26,7 @@ are upper estimates.
 import cmath
 import math
 from dataclasses import dataclass
-from math import atan2, cos, hypot, sin
+from math import acos, atan2, cos, hypot, sin
 
 import numpy as np
 
@@ -85,11 +92,11 @@ _EPS = float(np.finfo(float).eps)
 _GROUP_ENTRIES = 2**16
 # From n = _NEAR_DIM on, a cut within _NEAR_SPAN rad of the top line, or of a
 # reference line, is bounded in O(n) from a reference line's Ritz subspace
-# (``_Reference``) instead of solved. With one BLAS thread a bounded line
-# costs 25-40 us at any n and a reference about 3.2 `eigvalsh` at n = 64:
-# enclosures of complex Gaussian matrices (tol 1e-12 and 1e-10) took about
-# as long with bounds at n = 24 and 32, 0.8-1.0 times as long at n = 40,
-# and 0.63-0.8 times at n = 48 and 64. A lower _NEAR_DIM moves results below 44.
+# (``_Reference``) instead of solved, and a cut farther out is first tried as
+# a level line. With one BLAS thread, enclosures of complex Gaussian matrices
+# (tol 1e-12 and 1e-10) took 0.94-1.0 times as long with both as with every
+# cut solved at n = 24, 0.84-0.87 at n = 32, 0.71-0.74 at n = 40 and 44, and
+# 0.64-0.71 at n = 48 and 64. A lower _NEAR_DIM moves results below 44.
 _NEAR_DIM = 44
 _NEAR_SPAN = 3e-3
 # A bound is kept when its Temple term is at most this share of tol times
@@ -232,9 +239,9 @@ def _kittaneh_bound(A):
 
 def _cuts(A, thetas, hs, tol):
     """The cutting loop of one matrix's enclosure, as a generator: it yields
-    the angle of each cut and that of the top line, and is sent the cut's
-    line as a pair (h, a): its support value h and a value a <= h that a
-    unit vector attains there (a = h for a solved line).
+    the angle of each cut, that of the top line and the cut's level or None,
+    and is sent the cut's line as a pair (h, a): its support value h and a
+    value a <= h that a unit vector attains there (a = h for a solved line).
 
     Line k is Re(e^{i t_k} z) <= h_k; corner k joins lines k and k + 1, and
     the last line repeats the first one turn on, so corners need no wrap.
@@ -246,7 +253,7 @@ def _cuts(A, thetas, hs, tol):
     lo = max(hs)
     t_lo = thetas[hs.index(lo)]
     corners = [_corner(thetas[k], hs[k], thetas[k + 1], hs[k + 1]) for k in range(len(hs) - 1)]
-    cap, cuts = math.inf, _MAX_CUTS
+    cap, cuts, levels = math.inf, _MAX_CUTS, A.shape[-1] >= _NEAR_DIM
     if lo - min(hs) <= tol * lo:
         cap, cuts = _kittaneh_bound(A), _MAX_CUTS - 1
     for _ in range(cuts):
@@ -258,7 +265,11 @@ def _cuts(A, thetas, hs, tol):
         t = thetas[k] + step
         if not thetas[k] < t < thetas[k + 1]:  # the corner is resolved to roundoff
             break
-        h, a = yield t, t_lo
+        level = None
+        if levels and abs(hs[k]) < lo and abs(hs[k + 1]) < lo:
+            below = min(cos(t - thetas[k] - acos(hs[k] / lo)), cos(thetas[k + 1] - t - acos(hs[k + 1] / lo)))
+            level = lo * below * (1 - 1e-3 * tol)
+        h, a = yield t, t_lo, level
         if a > lo:
             lo, t_lo = a, t
         corners[k] = _corner(thetas[k], hs[k], t, h)
@@ -283,7 +294,8 @@ def _enclose(A, exps, grid, tol):
 
     Each row makes exactly the cuts it makes alone, and each round solves
     the cuts of all rows still cutting at once, except, from n = _NEAR_DIM
-    on, the cuts that each row bounds from its own references.
+    on, the cuts that each row bounds from its own references or closes
+    with a level line.
     """
     n = A.shape[-1]
     half = A / 2
@@ -300,6 +312,7 @@ def _enclose(A, exps, grid, tol):
     # Each row's reference and bounded lines by angle, as (Q, y): the line's
     # witness vector is Q y, or Q's last column where y is None.
     vectors = [{} for _ in range(len(A))]
+    eye = np.eye(n)
 
     def near_line(r, t, top):
         """The line at t of row r from its references, or None to solve it
@@ -324,6 +337,18 @@ def _enclose(A, exps, grid, tol):
         vectors[r][t] = ref.Q, None
         return ref.h, ref.h
 
+    def level_line(r, t, level):
+        """The line (level, -inf) at t of row r where a Cholesky of level I -
+        H(t) completes, proving lambda_max(H(t)) <= level; else None."""
+        if level is None:
+            return None
+        H = cmath.exp(1j * t) * half[r]
+        try:
+            np.linalg.cholesky(level * eye - (H + H.conj().T))
+        except np.linalg.LinAlgError:
+            return None
+        return level, -math.inf
+
     def solved(rows, ts):
         """The lines (h, h) at angles ts of rows, from one values-only solve."""
         H = np.array([cmath.exp(1j * t) for t in ts])[:, None, None] * half[list(rows)]
@@ -331,7 +356,7 @@ def _enclose(A, exps, grid, tol):
         return list(zip(hs, hs))
 
     def advance(rows, lines):
-        """Send each row its line; return (row, angle, top angle) of the next cuts."""
+        """Send each row its line; return (row, angle, top angle, level) of the next cuts."""
         live = []
         for r, line in zip(rows, lines):
             try:
@@ -343,11 +368,11 @@ def _enclose(A, exps, grid, tol):
     # Cuts form their rotations as _rotated_halves does, with cmath.exp phases.
     live = advance(range(len(A)), [None] * len(A))
     while len(live) > 1:
-        rows, ts, _ = zip(*live)
+        rows, ts, *_ = zip(*live)
         if refs is None:  # below _NEAR_DIM every cut is solved
             lines = solved(rows, ts)
         else:
-            lines = [near_line(*cut) for cut in live]
+            lines = [near_line(r, t, top) or level_line(r, t, level) for r, t, top, level in live]
             solve = [k for k, line in enumerate(lines) if line is None]
             if solve:
                 for k, line in zip(solve, solved([rows[k] for k in solve], [ts[k] for k in solve])):
@@ -355,16 +380,16 @@ def _enclose(A, exps, grid, tol):
         live = advance(rows, lines)
     if live:
         # The last row cutting solves its lines one at a time.
-        ((r, t, top),) = live
+        ((r, t, top, level),) = live
         loop, half_r = loops[r], half[r]
         try:
             while True:
-                line = near_line(r, t, top)
+                line = near_line(r, t, top) or level_line(r, t, level)
                 if line is None:
                     H = cmath.exp(1j * t) * half_r
                     h = float(np.linalg.eigvalsh(H + H.conj().T)[-1])
                     line = (h, h)
-                t, top = loop.send(line)
+                t, top, level = loop.send(line)
         except StopIteration as stop:
             ends[r] = stop.value
     # A witness line that is a reference or a bounded line brings its own
@@ -398,6 +423,9 @@ def _enclose(A, exps, grid, tol):
         # The bound raises ||r|| and mu by n eps ||M|| for the roundoff of the
         # Ritz step, so h >= lambda_max(M) up to theta's own roundoff, and
         # it is within a small multiple of n eps ||A||_F of a true upper bound.
+        # So is a level line: a completed Cholesky of c I - H proves c I - H + E
+        # >= 0, ||E|| within a small multiple of n eps (|c| + ||H||) (Demmel,
+        # LAPACK Working Note 14; Higham, Accuracy and Stability, 10.1), |c| <= lo.
         eps_f = _EPS * float(np.linalg.norm(M))
         pad = M.shape[0] * eps_f
         # An antipodal line is recorded at fl(t + pi), within 6e-16 < 3 eps rad of
@@ -427,9 +455,11 @@ def numerical_radius(A, grid=16, tol=1e-10):
     of max h (Uhlig 2009), or a fixed cut cap is reached. The rotation at
     t + pi is the negated one at t, so the initial lines take grid / 2
     eigenvalue-only solves over a half-turn, and the cuts solve eigenvalues
-    only. The attained lower bound max |x*Ax| >= max h comes from the top
-    eigenvector x of the top line once the gap is within ``tol``, and from
-    at most three lines otherwise.
+    only. From n = _NEAR_DIM on, cuts near the top line are bounded from
+    reference lines and far ones may be level lines (module docstring). The
+    attained lower bound max |x*Ax| >= max h comes from the top eigenvector
+    x of the top line once the gap is within ``tol``, and from at most
+    three lines otherwise.
     When the initial support values are flat to ``tol``, W(A) looks like a
     disk centred at 0, where the polygon closes slowly; Kittaneh's bound,
     which is exact for square-zero A, then also caps the upper bound.

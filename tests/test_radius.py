@@ -57,11 +57,30 @@ def test_radius_result_invariants():
         assert nrm / 2 - 1e-10 <= res.value <= nrm + 1e-10
 
 
+def record_solves(m, calls):
+    """Make np.linalg's solvers, within the monkeypatch context m, append
+    (function name, input shape) to ``calls``; a Cholesky that does not
+    complete is recorded as "cholesky failed"."""
+    for name in ("eigh", "eigvalsh", "svd", "cholesky"):
+
+        def recording(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            try:
+                out = _solve(a, *args, **kwargs)
+            except np.linalg.LinAlgError:
+                calls.append((_name + " failed", a.shape))
+                raise
+            calls.append((_name, a.shape))
+            return out
+
+        m.setattr(np.linalg, name, recording)
+
+
 def enclosed_radius(A, monkeypatch, solves=None, exact=None):
     """numerical_radius(A), checked against the enclosure's own guarantees:
     value <= upper, upper above the dense-sweep oracle (or above ``exact``,
     a known w(A), when given), at most the initial stack plus the cut cap of
-    solved lines (eigenvalue-only or reference), eigenvectors only for at
+    solved lines (eigenvalue-only or reference) and level lines (completed
+    Cholesky tests, from n = ``_NEAR_DIM`` on only), eigenvectors only for at
     most one stacked witness solve of at most three lines, for reference
     solves from n = ``_NEAR_DIM`` on and for their 3x3 Ritz problems, and at
     most one SVD for Kittaneh's bound. The witness solve is missing only
@@ -70,13 +89,7 @@ def enclosed_radius(A, monkeypatch, solves=None, exact=None):
     input shape) when given."""
     calls = []
     with monkeypatch.context() as m:
-        for name in ("eigh", "eigvalsh", "svd"):
-
-            def recording(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
-                calls.append((_name, a.shape))
-                return _solve(a, *args, **kwargs)
-
-            m.setattr(np.linalg, name, recording)
+        record_solves(m, calls)
         res = numerical_radius(A)
     if solves is not None:
         solves.extend(calls)
@@ -86,7 +99,10 @@ def enclosed_radius(A, monkeypatch, solves=None, exact=None):
     values_only = [shape for name, shape in calls if name == "eigvalsh"]
     references = reference_solves(calls, n)
     assert not references or n >= radius._NEAR_DIM
-    assert sum(1 if len(shape) == 2 else shape[0] for shape in values_only) + len(references) <= 8 + radius._MAX_CUTS
+    levels = calls.count(("cholesky", (n, n)))
+    assert n >= radius._NEAR_DIM or not any(name.startswith("cholesky") for name, _ in calls)
+    solved = sum(1 if len(shape) == 2 else shape[0] for shape in values_only) + len(references)
+    assert solved + levels <= 8 + radius._MAX_CUTS
     witness = [shape for name, shape in calls if name == "eigh" and len(shape) == 3]
     assert len(witness) <= 1 and all(shape[0] <= 3 for shape in witness)
     assert witness or references
@@ -349,11 +365,17 @@ def test_ritz_subspace_accepts_where_davidson_steps_do(n):
 @pytest.mark.parametrize("n", [48, 64])
 def test_radius_near_lines_raise_no_floating_point_error(n, monkeypatch):
     # Degenerate tops make a reference double or fail Weyl's test; each such
-    # cut is solved instead, and nothing raises or warns.
+    # cut is solved instead, and nothing raises or warns. The level lines of
+    # far cuts are tried too: at the zero matrix lo = 0 and no level is
+    # defined; on J_n every Cholesky fails and the cut is solved.
     rng = stream_rng(39, "fp", n)
     U, _ = np.linalg.qr(complex_gaussian(rng, (n, n)))
     lam = np.concatenate([[2.0, 2.0], rng.uniform(-1.0, 1.0, n - 2)])
     B = complex_gaussian(rng, (n // 2, n // 2))
+    # W(c I + 1e-14 D) is within 1e-14 of the point c, off the angle grid:
+    # its lowest support value lies within 1e-14 of -lo, at the edge of the
+    # domain of acos(h / lo)
+    shifted = complex(1.5, -2.0) * np.eye(n) + 1e-14 * np.diag(np.exp(2j * np.pi * rng.uniform(size=n)))
     cases = {
         "c I": (complex(-1.5, 2.0) * np.eye(n), 2.5),
         "zero": (np.zeros((n, n), dtype=complex), 0.0),
@@ -363,13 +385,17 @@ def test_radius_near_lines_raise_no_floating_point_error(n, monkeypatch):
         # every line's top eigenvalue is double: the first near cut becomes a
         # reference that bounds nothing, and later near cuts are solved
         "B + B": (np.kron(np.eye(2), B), numerical_radius(B, tol=1e-12).value),
+        "shifted": (shifted, float(np.abs(np.diagonal(shifted)).max())),
     }
+    tested = set()
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         for name, (A, w) in cases.items():
             solves = []
             res = enclosed_radius(A, monkeypatch, solves, exact=w)
             assert res.value == pytest.approx(w, rel=1e-10, abs=0.0), name
+            if any(call[0].startswith("cholesky") for call in solves):
+                tested.add(name)
             if name == "B + B":
                 assert 1 <= len(reference_solves(solves, n)) <= 2
                 t0 = res.theta_star
@@ -381,6 +407,52 @@ def test_radius_near_lines_raise_no_floating_point_error(n, monkeypatch):
         t0 = numerical_radius(A).theta_star
         ref = radius._Reference(t0, A / 2)
         assert ref.double and all(ref.line(t0 + d, 1e-10) is None for d in (1e-6, -1e-4, 3e-3))
+    assert "zero" not in tested and "J_n" in tested
+
+
+@pytest.mark.parametrize("n", [44, 48, 64])
+def test_level_lines_bound_lambda_max(n, monkeypatch):
+    # From n = _NEAR_DIM on, a far cut whose Cholesky of c I - H(t) completes
+    # takes the level line (c, -inf) instead of a solve. Every such c bounds
+    # lambda_max(H(t)), and the result is bitwise that of solving every cut.
+    levels = []  # (t, c) of each level line taken
+
+    def cuts(*args, _cuts=radius._cuts):
+        loop, line = _cuts(*args), None
+        try:
+            while True:
+                t, top, level = loop.send(line)
+                line = yield t, top, level
+                if line[1] == -np.inf:
+                    assert line[0] == level
+                    levels.append((t, level))
+        except StopIteration as stop:
+            return stop.value
+
+    def no_cholesky(a):
+        raise np.linalg.LinAlgError("the solve-only path")
+
+    rng = stream_rng(41, "level lines", n)
+    taken = 0
+    for A in (complex_gaussian(rng, (n, n)), rng.standard_normal((n, n))):
+        oracle = dense_sweep_oracle(A, grid=4096)
+        pad = n * np.finfo(float).eps * np.linalg.norm(A)
+        for tol in (1e-12, 1e-10):
+            levels.clear()
+            with monkeypatch.context() as m:
+                m.setattr(radius, "_cuts", cuts)
+                res = numerical_radius(A, tol=tol)
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "cholesky", no_cholesky)
+                solved = numerical_radius(A, tol=tol)
+            assert (res.value, res.upper, res.theta_star) == (solved.value, solved.upper, solved.theta_star)
+            assert np.array_equal(res.witness, solved.witness)
+            assert res.upper >= oracle
+            if levels:
+                ts, cs = map(np.array, zip(*levels))
+                assert np.all(np.linalg.eigvalsh(_rotated_stack(A, ts))[:, -1] <= cs + pad)
+            taken += len(levels)
+    assert taken > 0
 
 
 def test_radius_witness_from_resolved_corner(monkeypatch):
@@ -527,13 +599,7 @@ def recorded_solves(monkeypatch, f, *args, **kwargs):
     """f(*args, **kwargs) and the (name, input shape) of each solve it made."""
     calls = []
     with monkeypatch.context() as m:
-        for name in ("eigh", "eigvalsh", "svd"):
-
-            def recording(a, *a_args, _name=name, _solve=getattr(np.linalg, name), **a_kwargs):
-                calls.append((_name, a.shape))
-                return _solve(a, *a_args, **a_kwargs)
-
-            m.setattr(np.linalg, name, recording)
+        record_solves(m, calls)
         return f(*args, **kwargs), calls
 
 
@@ -551,24 +617,41 @@ def test_radius_stack_matches_single_calls(n, monkeypatch):
     # result is bitwise that of its single call; each round of cuts is one
     # eigenvalue solve, and all witnesses come from one stacked eigh. From
     # n = _NEAR_DIM on, each row also bounds its near cuts from its own
-    # reference lines, as it does alone.
+    # reference lines and makes its own Cholesky tests of level lines, as it
+    # does alone.
     rows = lockstep_rows(n, stream_rng(34, "lockstep", n))
+    tests = []  # (input bytes, completed) of each Cholesky test
+
+    def cholesky(a, _cholesky=np.linalg.cholesky):
+        try:
+            out = _cholesky(a)
+        except np.linalg.LinAlgError:
+            tests.append((a.tobytes(), False))
+            raise
+        tests.append((a.tobytes(), True))
+        return out
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
     singles, cuts, references = [], [], []
     for A in rows:
         res, calls = recorded_solves(monkeypatch, numerical_radius, A, tol=1e-12)
         singles.append(res)
         cuts.append(len(cut_solves(calls)))
         references.append(len(reference_solves(calls, n)))
+    alone, tests[:] = sorted(tests), []
     stacked, calls = recorded_solves(monkeypatch, numerical_radius, np.stack(rows), tol=1e-12)
     assert len(stacked) == len(rows)
     for one, res in zip(singles, stacked):
         assert (res.value, res.upper, res.theta_star) == (one.value, one.upper, one.theta_star)
         assert np.array_equal(res.witness, one.witness)
     assert len(reference_solves(calls, n)) == sum(references)
+    # c I - H(t) is bitwise the same matrix in the stack and alone.
+    assert sorted(tests) == alone
     if n >= radius._NEAR_DIM:
         # The stack is cut in groups, each with its own initial solve.
-        assert sum(references) > 0
+        assert sum(references) > 0 and any(done for _, done in alone)
         return
+    assert not alone
     m = 8  # grid 16 over a half-turn
     assert calls[0] == ("eigvalsh", (m * len(rows), n, n))
     rounds = cut_solves(calls)
