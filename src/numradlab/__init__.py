@@ -14,20 +14,16 @@ seen through the package at once.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "catalog": "CheckInstance CheckResult EvalOptions InequalityId Status evaluate verify_hypotheses",
+    "catalog": "CheckInstance CheckResult EvalOptions InequalityId Status evaluate",
     "ensembles": "EnsembleSpec sample",
     "errors": (
         "BudgetExhausted DimensionMismatch DomainViolation InvalidBounds MatrixFormatError NoConvergence "
         "NotHermitian NotInvertible NotPositive NotSuperquadratic NumradError UnsupportedParameter"
     ),
     "functions": (
-        "ScalarFunction SchwarzPair jensen_gap_mu parse_function parse_pair power schwarz_power_pair "
-        "superquadratic_defect"
+        "ScalarFunction SchwarzPair jensen_gap_mu parse_function power schwarz_power_pair superquadratic_defect"
     ),
-    "linalg": (
-        "HermitianEigen abs_operator adjoint apply_scalar_function hermitian_eigen lambda_max lambda_min "
-        "loewner_leq operator_norm"
-    ),
+    "linalg": "HermitianEigen adjoint apply_scalar_function hermitian_eigen loewner_leq operator_norm",
     "means": "f_connection gamma_factor weighted_geometric",
     "radius": "RadiusResult numerical_radius",
     "report": "IneqRecord SuiteReport",

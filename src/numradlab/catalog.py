@@ -61,7 +61,7 @@ from .linalg import (
     norm_hermitian,
     operator_norm,
 )
-from .means import gamma_factor, pd_roots, weighted_geometric
+from .means import f_connection, gamma_factor, weighted_geometric
 from .radius import _boundary_inf, complex_gaussian, numerical_radius, quad_forms, stream_rng
 
 
@@ -486,11 +486,6 @@ def _build_superquad_defect(ens, indices):
 # ---------------------------------------------------------------------------
 # hypothesis checks. Each takes a chunk, its reports and the operands dict
 # (see ``Member``); records share the checks of common conditions.
-
-
-def verify_hypotheses(ineq: InequalityId, inst: CheckInstance) -> HypothesisReport:
-    """Check a member's hypotheses; failures are reported, never thrown."""
-    return _verify_chunk(ineq, [inst])[0][0]
 
 
 def _verify_chunk(ineq, insts):
@@ -1042,15 +1037,9 @@ def _ev_euclidean_sandwich(insts, hyps, ops, radii):
 
 def _ev_fconn_radius(insts, hyps, ops, radii):
     A, B, X = _stack(insts, "A"), _stack(insts, "B"), _stack(insts, "X")
-    half, inv_half = pd_roots(A)
-    mid = hermitian_part(inv_half @ hermitian_part(B) @ inv_half)
-    lam, V = np.linalg.eigh(mid)
-    f_vals = np.stack([np.asarray(i.f(row), dtype=float) for i, row in zip(insts, lam)])
-    f_mid = _spectral(V, f_vals)
-    f2_mid = _spectral(V, f_vals**2)
-    connection = hermitian_part(half @ f_mid @ half)
+    connection, square = f_connection(A, B, [i.f for i in insts])
     res = radii(connection @ X)
-    inner = hermitian_part(adjoint(X) @ (half @ f2_mid @ half) @ X)
+    inner = hermitian_part(adjoint(X) @ square @ X)
     rhs = (norm_hermitian(inner + A) / 2).tolist()
     return _w_outcomes([w.value for w in res], rhs, res)
 

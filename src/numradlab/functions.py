@@ -178,20 +178,6 @@ def schwarz_power_pair(alpha) -> SchwarzPair:
     return SchwarzPair(power(alpha), power(1.0 - alpha))
 
 
-def validate_schwarz_pair(pair: SchwarzPair, t_max=100.0, points=1000, tol=1e-12):
-    """Check f*g = t on a dense grid; raises UnsupportedParameter on failure."""
-    t = np.linspace(0.0, t_max, points)
-    ft = np.asarray(pair.f(t))
-    gt = np.asarray(pair.g(t))
-    if np.any(ft < -tol) or np.any(gt < -tol):
-        raise UnsupportedParameter("pair functions must be non-negative")
-    err = np.abs(ft * gt - t)
-    bad = err > tol * (1.0 + t)
-    if np.any(bad):
-        k = int(np.argmax(err / (1.0 + t)))
-        raise UnsupportedParameter(f"f(t)g(t) != t at t={t[k]:g} (error {err[k]:.3e})")
-
-
 def parse_function(name) -> ScalarFunction:
     """Resolve catalog names: "pow:<r>", "expr:<r>", "affine:<shift>:<scale>[:<exp>]"."""
     parts = name.strip().split(":")
@@ -207,16 +193,6 @@ def parse_function(name) -> ScalarFunction:
     except ValueError as exc:
         raise UnsupportedParameter(f"bad function name {name!r}: {exc}") from exc
     raise UnsupportedParameter(f"unknown function name {name!r}")
-
-
-def parse_pair(name) -> SchwarzPair:
-    """Resolve pair names like "pow:0.3|pow:0.7"; the pair is validated."""
-    halves = name.split("|")
-    if len(halves) != 2:
-        raise UnsupportedParameter(f"pair name must have two parts, got {name!r}")
-    pair = SchwarzPair(parse_function(halves[0]), parse_function(halves[1]))
-    validate_schwarz_pair(pair)
-    return pair
 
 
 def superquadratic_defect(f: ScalarFunction, s, t) -> float:

@@ -1,5 +1,6 @@
-"""Dense complex matrix kernels: adjoint, Hermitian eigendecomposition,
-operator norm, absolute value, functional calculus, and order tests.
+"""Dense complex matrix kernels: adjoint, Hermitian part and check,
+Hermitian eigendecomposition, operator norm, powers and functions of |A|
+and |A*|, functional calculus, Hermitian powers, and the Loewner order test.
 
 All operations are pure functions of ``complex128`` input. Besides square
 matrices, the kernels the catalog evaluates with take (m, n, n) stacks and
@@ -92,8 +93,8 @@ def _pow2_rows(A):
     return np.stack([row for row, _ in rows]), np.array([e for _, e in rows])
 
 
-def check_hermitian(H, eps=EPS_HERM) -> np.ndarray:
-    """Assert H is Hermitian up to eps*||H|| and return its symmetrization.
+def check_hermitian(H) -> np.ndarray:
+    """Assert H is Hermitian up to EPS_HERM*||H|| and return its symmetrization.
 
     The norms are taken in power-of-two-scaled units (see ``_pow2_scaled``),
     so they neither overflow nor underflow. A stack passes when each of its
@@ -105,7 +106,7 @@ def check_hermitian(H, eps=EPS_HERM) -> np.ndarray:
     axes = (-2, -1) if H.ndim == 3 else None
     scale = np.linalg.norm(S, axis=axes)
     dev = np.linalg.norm(S - _adj(S), axis=axes)
-    bad = dev > eps * scale
+    bad = dev > EPS_HERM * scale
     if bad.any():
         k = np.flatnonzero(bad)[0] if H.ndim == 3 else ()
         e_k = int(np.asarray(e)[k])
@@ -131,17 +132,16 @@ class HermitianEigen:
     vectors: np.ndarray
 
 
-def hermitian_eigen(H, eps_res=None) -> HermitianEigen:
+def hermitian_eigen(H) -> HermitianEigen:
     """Diagonalize a Hermitian matrix and verify the residual contract.
 
     Raises NotHermitian if the input is not Hermitian within EPS_HERM, and
     NoConvergence if the factorization misses the residual target
-    ``eps_res * (1 + ||H||)`` (default eps_res = 1e-11 * n).
+    ``eps_res * (1 + ||H||)`` with eps_res = 1e-11 * n.
     """
     H = check_hermitian(as_matrix(H))
     n = H.shape[0]
-    if eps_res is None:
-        eps_res = 1e-11 * n
+    eps_res = 1e-11 * n
     lam, V = _eigh(H)
     scale = 1.0 + float(np.abs(lam).max(initial=0.0))
     resid = np.linalg.norm(H @ V - V * lam, 2)
@@ -216,12 +216,6 @@ def _gram_eigh(A, adjoint_side=False):
     return np.ldexp(np.sqrt(np.clip(lam, 0.0, None)), np.asarray(e)[..., None]), V
 
 
-def abs_operator(A) -> np.ndarray:
-    """Positive square root of A*A."""
-    root, V = _gram_eigh(A)
-    return _spectral(V, root)
-
-
 def gram_function(A, fn, adjoint_side=False):
     """Apply ``t -> fn(sqrt(t))`` to the spectrum of A*A, i.e. compute fn(|A|).
 
@@ -282,22 +276,10 @@ def hermitian_power(H, p) -> np.ndarray:
     return _spectral(V, _rows_pow(lam, p))
 
 
-def lambda_min(H) -> float:
-    """Smallest eigenvalue; equals the infimum of <Hx,x> over unit vectors."""
-    H = check_hermitian(as_matrix(H))
-    return float(np.linalg.eigvalsh(H)[0])
-
-
-def lambda_max(H) -> float:
-    """Largest eigenvalue; equals the supremum of <Hx,x> over unit vectors."""
-    H = check_hermitian(as_matrix(H))
-    return float(np.linalg.eigvalsh(H)[-1])
-
-
-def loewner_leq(A, B, tol=1e-10) -> bool:
+def loewner_leq(A, B) -> bool:
     """Test A <= B in the positive semidefinite order, up to relative slack.
 
-    True iff lambda_min(B - A) >= -tol * (1 + ||A|| + ||B||); for stacks,
+    True iff lambda_min(B - A) >= -1e-10 * (1 + ||A|| + ||B||); for stacks,
     an array of one verdict per pair.
     """
     A = check_hermitian(A)
@@ -307,5 +289,5 @@ def loewner_leq(A, B, tol=1e-10) -> bool:
 
         raise DimensionMismatch(f"shapes {A.shape} and {B.shape} differ")
     gap = np.linalg.eigvalsh(B - A)[..., 0]
-    ok = gap >= -tol * (1.0 + norm_hermitian(A) + norm_hermitian(B))
+    ok = gap >= -1e-10 * (1.0 + norm_hermitian(A) + norm_hermitian(B))
     return bool(ok) if ok.ndim == 0 else ok

@@ -1,13 +1,12 @@
-"""The weighted geometric mean, the f-connection, and the scalar refinement
-factor of the gamma-refined product bound."""
+"""The weighted geometric mean, the f-connection with its f^2 companion, and
+the scalar refinement factor of the gamma-refined product bound."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidBounds, NotInvertible, NotPositive
-from .functions import ScalarFunction
-from .linalg import INV_CUTOFF, PSD_SLACK, _eigh, _first, _spectral, check_hermitian, hermitian_part
+from .linalg import INV_CUTOFF, PSD_SLACK, _eigh, _first, _rows_apply, _spectral, check_hermitian, hermitian_part
 
 
 def _positive_spectrum(A, name, invertible):
@@ -55,17 +54,20 @@ def weighted_geometric(A, B, v) -> np.ndarray:
     return hermitian_part(half @ _spectral(V, lam**v) @ half)
 
 
-def f_connection(A, B, f: ScalarFunction) -> np.ndarray:
-    """A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2}; generalizes both weighted means."""
+def f_connection(A, B, f):
+    """The f-connection A^{1/2} f(M) A^{1/2}, M = A^{-1/2} B A^{-1/2}, for
+    positive invertible A and Hermitian B, and A^{1/2} f(M)^2 A^{1/2} from the
+    same spectrum of M, left unsymmetrized for a caller that symmetrizes a
+    product of it. f = t^v gives A #_v B, and f = t gives B. For stacks,
+    ``f`` may be a sequence of one function per pair (see ``_rows_apply``)."""
     A = np.asarray(A, dtype=np.complex128)
     B = check_hermitian(B)
     if A.shape != B.shape:
         raise DimensionMismatch(f"shapes {A.shape} and {B.shape} differ")
     half, inv_half = pd_roots(A)
-    mid = hermitian_part(inv_half @ B @ inv_half)
-    lam, V = _eigh(mid)
-    vals = f(lam)  # DomainViolation if the spectrum escapes f's domain
-    return hermitian_part(half @ _spectral(V, vals) @ half)
+    lam, V = _eigh(hermitian_part(inv_half @ B @ inv_half))
+    vals = _rows_apply(f, lam)  # DomainViolation if the spectrum escapes f's domain
+    return hermitian_part(half @ _spectral(V, vals) @ half), half @ _spectral(V, vals**2) @ half
 
 
 def gamma_factor(m_lo, M_hi) -> float:

@@ -289,7 +289,7 @@ def _cuts(A, thetas, hs, tol):
     return hi, cap, [thetas[j] for j in sorted({attained.index(lo), k, (k + 1) % (len(thetas) - 1)})]
 
 
-def _enclose(A, exps, grid, tol):
+def _enclose(A, exps, tol):
     """Enclosures of the matrices 2^e A_r of the stack A, cut in lockstep.
 
     Each row makes exactly the cuts it makes alone, and each round solves
@@ -299,8 +299,9 @@ def _enclose(A, exps, grid, tol):
     """
     n = A.shape[-1]
     half = A / 2
-    # Line k + m is the antipode of line k: h(t + pi) = -lambda_min at t.
-    m = (grid + 1) // 2
+    # 16 initial lines: line k + m is the antipode of line k, h(t + pi) =
+    # -lambda_min at t, so m = 8 solves cover them.
+    m = 8
     thetas = [_TWO_PI * k / (2 * m) for k in range(m)]
     rotations = _rotated_halves(half[:, None], np.array(thetas))
     ev = np.linalg.eigvalsh(rotations.reshape(-1, n, n)).reshape(len(A), m, n)
@@ -439,27 +440,33 @@ def _enclose(A, exps, grid, tol):
         # ||A||_F, and solving its top eigenvalue add about a pad each. 8 pads
         # round that up; on square-zero A (n = 2..64) |cap - w| stays below 1 pad.
         upper = max(min(max(hi, lo) + pad + 3 * eps_f, cap + 8 * pad), lo + pad)
+        # Into the subnormal range ldexp rounds to nearest, a step far above the
+        # pads, so a bound it moved inward is stepped back out.
         e = exps[r]
-        out.append(RadiusResult(math.ldexp(lo, e), t_best % _TWO_PI, witness, math.ldexp(upper, e)))
+        value, top = math.ldexp(lo, e), math.ldexp(upper, e)
+        if math.ldexp(value, -e) > lo:
+            value = math.nextafter(value, -math.inf)
+        if math.ldexp(top, -e) < upper:
+            top = math.nextafter(top, math.inf)
+        out.append(RadiusResult(value, t_best % _TWO_PI, witness, top))
     return out
 
 
-def numerical_radius(A, grid=16, tol=1e-10):
+def numerical_radius(A, tol=1e-10):
     """Numerical radius by a two-sided support-line enclosure.
 
     Each angle t gives the support line Re(e^{it} z) <= h(t) of W(A), with
     h(t) = lambda_max((e^{it} A + e^{-it} A*) / 2) <= w(A). The lines bound
     W(A) by a polygon whose farthest vertex is an upper bound (Johnson 1978).
-    Starting from ``grid`` (>= 16, rounded up to even) uniform angles, one
-    line is cut at the farthest vertex until it is within ``tol`` (relative)
-    of max h (Uhlig 2009), or a fixed cut cap is reached. The rotation at
-    t + pi is the negated one at t, so the initial lines take grid / 2
-    eigenvalue-only solves over a half-turn, and the cuts solve eigenvalues
-    only. From n = _NEAR_DIM on, cuts near the top line are bounded from
-    reference lines and far ones may be level lines (module docstring). The
-    attained lower bound max |x*Ax| >= max h comes from the top eigenvector
-    x of the top line once the gap is within ``tol``, and from at most
-    three lines otherwise.
+    Starting from 16 uniform angles, one line is cut at the farthest vertex
+    until it is within ``tol`` (relative) of max h (Uhlig 2009), or a fixed
+    cut cap is reached. The rotation at t + pi is the negated one at t, so
+    the initial lines take 8 eigenvalue-only solves over a half-turn, and
+    the cuts solve eigenvalues only. From n = _NEAR_DIM on, cuts near the
+    top line are bounded from reference lines and far ones may be level
+    lines (module docstring). The attained lower bound max |x*Ax| >= max h
+    comes from the top eigenvector x of the top line once the gap is within
+    ``tol``, and from at most three lines otherwise.
     When the initial support values are flat to ``tol``, W(A) looks like a
     disk centred at 0, where the polygon closes slowly; Kittaneh's bound,
     which is exact for square-zero A, then also caps the upper bound.
@@ -467,30 +474,27 @@ def numerical_radius(A, grid=16, tol=1e-10):
     ``A`` may also be an (m, n, n) stack; the result is then a list of m
     results, each bitwise equal to that of its matrix alone. The matrices are
     cut in lockstep, in groups whose initial rotations hold at most
-    ``_GROUP_ENTRIES`` entries (at grid 16, 128 matrices at n = 8 and 2 at
-    n = 64): the initial lines of a group form one stacked solve, each round
-    of cuts one more, and the witness lines solved values-only one stacked
-    ``eigh``.
+    ``_GROUP_ENTRIES`` entries (128 matrices at n = 8 and 2 at n = 64): the
+    initial lines of a group form one stacked solve, each round of cuts one
+    more, and the witness lines solved values-only one stacked ``eigh``.
     """
     M = np.asarray(A, dtype=np.complex128)
     stacked = M.ndim == 3
     M = _as_square(M, 3) if stacked else as_matrix(M)[None]
-    if grid < 16:
-        raise ValueError("grid must be at least 16")
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     # w(2^e A) = 2^e w(A) exactly, and the scaled rotations and norm stay in range.
     M, exps = _pow2_rows(M)
     exps = exps.tolist()
     n = M.shape[-1]
-    step = max(1, _GROUP_ENTRIES // ((grid + 1) // 2 * n * n))
+    step = max(1, _GROUP_ENTRIES // (8 * n * n))
     results = []
     # An underflow here is roundoff far below the pads (an SVD factor of J_n
     # underflows in Kittaneh's bound), so it does not raise even where the
     # caller makes it.
     with np.errstate(under="ignore"):
         for k in range(0, len(M), step):
-            results += _enclose(M[k : k + step], exps[k : k + step], grid, tol)
+            results += _enclose(M[k : k + step], exps[k : k + step], tol)
     return results if stacked else results[0]
 
 

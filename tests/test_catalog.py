@@ -11,7 +11,6 @@ from numradlab.catalog import (
     Status,
     evaluate,
     lookup_id,
-    verify_hypotheses,
     _INF_NOTE,
     _schwarz_sides,
 )
@@ -104,7 +103,7 @@ def test_verify_hypotheses_conditioned_example():
         pair=pair,
         h=power(1.0),
     )
-    rep = verify_hypotheses(InequalityId.CONDITIONED_PRODUCT, inst)
+    rep = evaluate(InequalityId.CONDITIONED_PRODUCT, inst).hypothesis
     assert rep.satisfied
     assert rep.bounds["m"] == pytest.approx(1.0)
     assert rep.bounds["M"] == pytest.approx(9.0)
@@ -116,20 +115,20 @@ def test_verify_hypotheses_conditioned_example():
         pair=pair,
         h=power(1.0),
     )
-    rep2 = verify_hypotheses(InequalityId.CONDITIONED_PRODUCT, flat)
-    assert not rep2.satisfied
-    assert evaluate(InequalityId.CONDITIONED_PRODUCT, flat).status is Status.NOT_APPLICABLE
+    res2 = evaluate(InequalityId.CONDITIONED_PRODUCT, flat)
+    assert not res2.hypothesis.satisfied
+    assert res2.status is Status.NOT_APPLICABLE
 
 
 def test_gamma_product_reports_both_readings():
     rng = stream_rng(41, "gammatri")
     tri = sandwich_triple(rng, 3, gap=1.0)
     inst = CheckInstance(A=tri.A, B=tri.B, X=tri.X, pair=tri.pair, h=power(2.0))
-    rep = verify_hypotheses(InequalityId.GAMMA_PRODUCT, inst)
+    res = evaluate(InequalityId.GAMMA_PRODUCT, inst)
+    rep = res.hypothesis
     assert rep.satisfied
     assert rep.bounds["m_lo"] > 0 and rep.bounds["M_hi"] > rep.bounds["m_lo"]
     assert any("g^2(|X|)" in note for note in rep.notes)
-    res = evaluate(InequalityId.GAMMA_PRODUCT, inst)
     assert res.status is Status.HOLDS
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from numradlab.catalog import CheckInstance, InequalityId, _rng, verify_hypotheses
+from numradlab.catalog import CheckInstance, InequalityId, _rng, evaluate
 from numradlab.ensembles import EnsembleSpec, sample
 from numradlab.errors import InvalidBounds, UnsupportedParameter
 from numradlab.functions import power
@@ -95,7 +95,7 @@ def test_sandwich_triple_guarantee(dim):
     for i in range(50):
         tri = draw(i)
         inst = CheckInstance(A=tri.A, B=tri.B, X=tri.X, pair=tri.pair, h=power(2.0))
-        rep = verify_hypotheses(InequalityId.CONDITIONED_PRODUCT, inst)
+        rep = evaluate(InequalityId.CONDITIONED_PRODUCT, inst).hypothesis
         assert rep.satisfied
         assert rep.bounds["m"] == pytest.approx(tri.m)
         assert rep.bounds["M"] == pytest.approx(tri.M)

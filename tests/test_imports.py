@@ -61,3 +61,17 @@ def test_public_names_resolve_and_are_listed():
     assert numradlab.numerical_radius is numradlab.radius.numerical_radius
     with pytest.raises(AttributeError):
         numradlab.no_such_name
+
+
+def test_readme_library_example_runs():
+    # The README's library example, run as a user would, in a fresh
+    # interpreter: a name it uses that the package no longer has fails here.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert '"records"' in proc.stdout

@@ -3,7 +3,6 @@ import pytest
 
 from numradlab import errors
 from numradlab.linalg import (
-    abs_operator,
     abs_power,
     adjoint,
     apply_scalar_function,
@@ -11,8 +10,6 @@ from numradlab.linalg import (
     hermitian_eigen,
     hermitian_part,
     hermitian_power,
-    lambda_max,
-    lambda_min,
     loewner_leq,
     norm_hermitian,
     operator_norm,
@@ -102,8 +99,8 @@ def test_gram_kernels_scale_invariance(scale):
     rng = stream_rng(6, "gramscale")
     for n in (1, 2, 3, 8):
         A = random_complex(rng, n)
-        absA = abs_operator(A)
-        err = np.linalg.norm(abs_operator(scale * A) / scale - absA, 2)
+        absA = abs_power(A, 1.0)
+        err = np.linalg.norm(abs_power(scale * A, 1.0) / scale - absA, 2)
         assert err <= 1e-12 * norm_hermitian(absA)
         root = abs_power(A, 0.5, adjoint_side=n == 3)
         err = np.linalg.norm(abs_power(scale * A, 0.5, adjoint_side=n == 3) / np.sqrt(scale) - root, 2)
@@ -124,16 +121,16 @@ def test_check_hermitian_scale_invariance(scale):
 
 def test_abs_operator_examples():
     A = np.array([[0, 2], [0, 0]], dtype=complex)
-    np.testing.assert_allclose(abs_operator(A), np.diag([0.0, 2.0]), atol=1e-12)
+    np.testing.assert_allclose(abs_power(A, 1.0), np.diag([0.0, 2.0]), atol=1e-12)
     rng = stream_rng(3, "abspos")
     H = random_hermitian(rng, 4)
     P = hermitian_power(H @ H, 0.5)  # PSD by construction
-    np.testing.assert_allclose(abs_operator(P), P, atol=1e-10)
+    np.testing.assert_allclose(abs_power(P, 1.0), P, atol=1e-10)
 
 
 def test_abs_operator_cross_checked_by_singular_values():
     A = np.array([[1, 0], [-3, 1]], dtype=complex)
-    absA = abs_operator(A)
+    absA = abs_power(A, 1.0)
     assert norm_hermitian(absA) == pytest.approx(operator_norm(A), rel=1e-12)
     sv = np.linalg.svd(A, compute_uv=False)
     np.testing.assert_allclose(np.linalg.eigvalsh(absA), np.sort(sv), atol=1e-12)
@@ -143,7 +140,7 @@ def test_abs_operator_square_reconstructs_gram():
     rng = stream_rng(4, "abssquare")
     for n in (2, 5, 8):
         A = random_complex(rng, n)
-        absA = abs_operator(A)
+        absA = abs_power(A, 1.0)
         err = np.linalg.norm(absA @ absA - adjoint(A) @ A, 2)
         assert err <= 1e-11 * n * (1.0 + operator_norm(A) ** 2)
 
@@ -187,39 +184,14 @@ def test_apply_scalar_function_domain_violation():
         apply_scalar_function(power(0.5), H)
 
 
-def test_lambda_extremes_examples():
-    assert lambda_min(np.diag([1.0, 4.0]).astype(complex)) == pytest.approx(1.0)
-    assert lambda_max(np.diag([1.0, 4.0]).astype(complex)) == pytest.approx(4.0)
-    Z = np.zeros((3, 3), dtype=complex)
-    assert lambda_min(Z) == 0.0
-    assert lambda_max(Z) == 0.0
-
-
 def test_lambda_min_matches_hand_computed_radius_gap():
     # 2x2 nilpotent Jordan block: |A| has spectrum {0, 1} and w(A) = 1/2,
-    # so (|A| - w I)^2 has minimum eigenvalue 1/4.
+    # so the subtracted term inf ||(|A| - w I) x||^2, the least eigenvalue
+    # of (|A| - w I)^2, is 1/4.
     A = np.array([[0, 1], [0, 0]], dtype=complex)
     w = numerical_radius(A).value
-    T = (abs_operator(A) - w * np.eye(2)) @ (abs_operator(A) - w * np.eye(2))
-    assert lambda_min(T) == pytest.approx(0.25, abs=1e-10)
-
-
-def test_lambda_min_is_quadratic_form_infimum():
-    rng = stream_rng(7, "rayleigh")
-    H = random_hermitian(rng, 4)
-    lam = lambda_min(H)
-    X = complex_gaussian(rng, (10_000, 4))
-    X /= np.linalg.norm(X, axis=1)[:, None]
-    forms = np.einsum("ij,ij->i", X.conj(), X @ H.T).real
-    assert forms.min() >= lam - 1e-12
-    # dimension-2 exhaustive parametrization tightens the sampled gap
-    H2 = random_hermitian(rng, 2)
-    t = np.linspace(0, np.pi / 2, 400)
-    phi = np.linspace(0, 2 * np.pi, 400, endpoint=False)
-    tt, pp = np.meshgrid(t, phi)
-    xs = np.stack([np.cos(tt).ravel(), (np.exp(1j * pp) * np.sin(tt)).ravel()], axis=1)
-    forms2 = np.einsum("ij,ij->i", xs.conj(), xs @ H2.T).real
-    assert abs(forms2.min() - lambda_min(H2)) <= 1e-4 * (1 + abs(lambda_min(H2)))
+    D = abs_power(A, 1.0) - w * np.eye(2)
+    assert np.linalg.eigvalsh(D @ D)[0] == pytest.approx(0.25, abs=1e-10)
 
 
 def test_loewner_examples():

@@ -71,18 +71,28 @@ def test_f_connection_reductions():
     rng = stream_rng(34, "fconn")
     A = random_pd(rng, 3)
     B = random_pd(rng, 3)
-    np.testing.assert_allclose(f_connection(A, B, power(1.0)), B, atol=1e-9)
+    conn, square = f_connection(A, B, power(1.0))
+    np.testing.assert_allclose(conn, B, atol=1e-9)
+    np.testing.assert_allclose(square, B @ np.linalg.inv(A) @ B, atol=1e-8)
     one = affine_power(0.0, 1.0, 1.0)
-    np.testing.assert_allclose(f_connection(A, B, one), A, atol=1e-10)
-    got = f_connection(4 * np.eye(2, dtype=complex), 9 * np.eye(2, dtype=complex), power(0.5))
-    np.testing.assert_allclose(got, 6 * np.eye(2), atol=1e-10)
+    for got in f_connection(A, B, one):
+        np.testing.assert_allclose(got, A, atol=1e-10)
+    conn, square = f_connection(4 * np.eye(2, dtype=complex), 9 * np.eye(2, dtype=complex), power(0.5))
+    np.testing.assert_allclose(conn, 6 * np.eye(2), atol=1e-10)
+    np.testing.assert_allclose(square, 9 * np.eye(2), atol=1e-10)
     # arithmetic-mean function reproduces the weighted arithmetic mean
     for v in (0.25, 0.5, 0.75):
         aff = affine_power(v, 1.0 - v, 1.0)
-        np.testing.assert_allclose(f_connection(A, B, aff), (1 - v) * A + v * B, atol=1e-9)
-        np.testing.assert_allclose(
-            f_connection(A, B, power(v)), weighted_geometric(A, B, v), atol=1e-9
-        )
+        np.testing.assert_allclose(f_connection(A, B, aff)[0], (1 - v) * A + v * B, atol=1e-9)
+        np.testing.assert_allclose(f_connection(A, B, power(v))[0], weighted_geometric(A, B, v), atol=1e-9)
+    # a stack takes one function per pair, and each pair's result is bitwise its own
+    fs = [power(0.5), one, affine_power(0.25, 0.75, 1.0)]
+    P = np.stack([A, 2 * A, A + B])
+    Q = np.stack([B, B, 3 * B])
+    stacked = f_connection(P, Q, fs)
+    for k, fk in enumerate(fs):
+        for got, alone in zip(stacked, f_connection(P[k], Q[k], fk)):
+            np.testing.assert_array_equal(got[k], alone)
 
 
 def test_gamma_factor_examples():

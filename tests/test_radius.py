@@ -137,10 +137,10 @@ def witness_lines(solves):
     return shapes[0][0] if shapes else 0
 
 
-@pytest.mark.parametrize("grid, m", [(16, 8), (17, 9)])
-def test_radius_half_turn_stack_matches_full_turn(grid, m, monkeypatch):
-    # The initial polygon's 2m lines come from m eigenvalue-only solves over a
-    # half-turn: line k + m, at t_k + pi, is read from -lambda_min at t_k.
+def test_radius_half_turn_stack_matches_full_turn(monkeypatch):
+    # The initial polygon's 2m = 16 lines come from m eigenvalue-only solves
+    # over a half-turn: line k + m, at t_k + pi, is read from -lambda_min at t_k.
+    m = 8
     rng = stream_rng(31, "half-turn")
     eps = np.finfo(float).eps
     for n in (1, 2, 3, 5, 8):
@@ -158,7 +158,7 @@ def test_radius_half_turn_stack_matches_full_turn(grid, m, monkeypatch):
 
             mp.setattr(radius, "_corner", corner)
             mp.setattr(np.linalg, "eigvalsh", eigvalsh)
-            numerical_radius(A, grid=grid)
+            numerical_radius(A)
         assert stacks[0] == (m, n, n)
         assert all(len(shape) == 2 for shape in stacks[1:])
         thetas, hs = np.array(lines[: 2 * m]).T
@@ -205,6 +205,25 @@ def test_radius_scale_invariance(scale, monkeypatch):
         w = enclosed_radius(A, monkeypatch, solves).value
         assert enclosed_radius(c * A, monkeypatch, solves).value / scale == pytest.approx(w, rel=1e-10)
         assert kittaneh_solves(solves, n) == 0  # a generic field is not flat
+
+
+def test_radius_subnormal_bounds_keep_their_sides():
+    # 2^e B is exact for integer B with |entries| <= 8 and e >= -1070, so
+    # w(2^e B) = 2^e w(B) lies in 2^e [value(B), upper(B)]. The subnormal
+    # enclosure must overlap that interval, compared exactly.
+    from fractions import Fraction
+
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        n = int(rng.integers(2, 6))
+        e = int(rng.integers(-1070, -1039))
+        B = rng.integers(-8, 9, size=(n, n)) + 1j * rng.integers(-8, 9, size=(n, n))
+        A = np.ldexp(B.real, e) + 1j * np.ldexp(B.imag, e)
+        assert np.array_equal(np.ldexp(A.real, -e) + 1j * np.ldexp(A.imag, -e), B)
+        small, ref = numerical_radius(A), numerical_radius(B)
+        scale = Fraction(2) ** e
+        assert Fraction(small.upper) >= scale * Fraction(ref.value)
+        assert Fraction(small.value) <= scale * Fraction(ref.upper)
 
 
 def test_radius_rotation_transpose_unitary_invariance(monkeypatch):
@@ -470,8 +489,6 @@ def test_radius_witness_from_resolved_corner(monkeypatch):
 
 def test_radius_rejects_bad_arguments():
     A = np.eye(2, dtype=complex)
-    with pytest.raises(ValueError):
-        numerical_radius(A, grid=8)
     for tol in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             numerical_radius(A, tol=tol)
@@ -482,7 +499,7 @@ def test_sandwich_property_bulk():
         ens = EnsembleSpec(dim=dim, kind="generic", seed=100 + dim)
         for i in range(500):
             A = sample(ens, i)
-            res = numerical_radius(A, grid=64, tol=1e-7)
+            res = numerical_radius(A, tol=1e-7)
             nrm = operator_norm(A)
             assert nrm / 2 - 1e-8 <= res.value <= nrm + 1e-8
 
