@@ -14,7 +14,7 @@ seen through the package at once.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "catalog": "CheckInstance CheckResult EvalOptions InequalityId Status evaluate",
+    "catalog": "CheckInstance CheckResult InequalityId Status evaluate",
     "ensembles": "EnsembleSpec sample",
     "errors": (
         "BudgetExhausted DimensionMismatch DomainViolation InvalidBounds MatrixFormatError NoConvergence "

@@ -111,16 +111,9 @@ class Status(enum.Enum):
     NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass(frozen=True)
-class EvalOptions:
-    """Numeric knobs for the evaluators: the radius enclosure's relative gap."""
-
-    radius_tol: float = 1e-10
-
-
-DEFAULT_OPTIONS = EvalOptions()
-# Suite preset: a radius gap far below the certification tolerance.
-SUITE_OPTIONS = EvalOptions(radius_tol=1e-12)
+# Relative gap of every radius enclosure the evaluators make, far below the
+# default certification tolerance of 1e-8.
+_RADIUS_TOL = 1e-12
 
 
 @dataclass
@@ -1244,7 +1237,7 @@ _FLOAT_RANGE = (FloatingPointError, OverflowError, np.linalg.LinAlgError)
 _RANGE_NOTE = "beyond the float range"
 
 
-def evaluate(ineq: InequalityId, inst: CheckInstance, tol_rel=1e-8, options=None) -> CheckResult:
+def evaluate(ineq: InequalityId, inst: CheckInstance, tol_rel=1e-8) -> CheckResult:
     """Verify hypotheses and evaluate both sides of one catalog member.
 
     Status is Holds when the hypotheses are met and slack clears
@@ -1254,10 +1247,10 @@ def evaluate(ineq: InequalityId, inst: CheckInstance, tol_rel=1e-8, options=None
     whose evaluation is refused: an operand outside a function's domain, or
     a side beyond the float range.
     """
-    return evaluate_many(ineq, [inst], tol_rel=tol_rel, options=options)[0]
+    return evaluate_many(ineq, [inst], tol_rel=tol_rel)[0]
 
 
-def evaluate_many(ineq: InequalityId, insts, tol_rel=1e-8, options=None) -> list:
+def evaluate_many(ineq: InequalityId, insts, tol_rel=1e-8) -> list:
     """``evaluate`` on each of several instances of one member, in order.
 
     The instances share one dimension and form one chunk: the hypotheses
@@ -1271,12 +1264,11 @@ def evaluate_many(ineq: InequalityId, insts, tol_rel=1e-8, options=None) -> list
     """
     if not insts:
         return []
-    options = options or DEFAULT_OPTIONS
 
     def radii(M):
         if not np.isfinite(M).all():
             raise OverflowError(_RANGE_NOTE)
-        return numerical_radius(M, tol=options.radius_tol)
+        return numerical_radius(M, tol=_RADIUS_TOL)
 
     hyps = []
     try:
@@ -1290,7 +1282,7 @@ def evaluate_many(ineq: InequalityId, insts, tol_rel=1e-8, options=None) -> list
                 outcomes = dict(zip(live, found, strict=True))
     except _REFUSALS + _FLOAT_RANGE as exc:
         if len(insts) > 1:
-            return [result for inst in insts for result in evaluate_many(ineq, [inst], tol_rel, options)]
+            return [result for inst in insts for result in evaluate_many(ineq, [inst], tol_rel)]
         hyp = hyps[0] if hyps else HypothesisReport(satisfied=False)
         return [_refused(ineq, hyp, _RANGE_NOTE if isinstance(exc, _FLOAT_RANGE) else str(exc))]
     return [

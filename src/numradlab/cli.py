@@ -100,7 +100,7 @@ def _parse_ids(text):
 
 
 def _cmd_certify(args):
-    from .catalog import SUITE_OPTIONS, InequalityId
+    from .catalog import InequalityId
     from .ensembles import EnsembleSpec
     from .suite import run_suite
 
@@ -112,7 +112,7 @@ def _cmd_certify(args):
         return 1
     try:
         ensemble = EnsembleSpec(dim=args.dim, kind="generic", scale=1.0, seed=args.seed)
-        report = run_suite(ids, ensemble, args.trials, tol_rel=args.tol, options=SUITE_OPTIONS)
+        report = run_suite(ids, ensemble, args.trials, tol_rel=args.tol)
     except NumradError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -222,7 +222,7 @@ def _perturbed(inst, rng, sigma):
 
 
 def _cmd_search(args):
-    from .catalog import SUITE_OPTIONS, InequalityId, Status, evaluate, lookup_id
+    from .catalog import InequalityId, Status, evaluate, lookup_id
     from .ensembles import EnsembleSpec
     from .suite import draw_instance
 
@@ -248,7 +248,7 @@ def _cmd_search(args):
                 raise BudgetExhausted(f"no hypothesis-satisfying instance within {budget} draws")
             inst = draw_instance(ineq, ensemble, draws)
             draws += 1
-            result = evaluate(ineq, inst, options=SUITE_OPTIONS)
+            result = evaluate(ineq, inst)
             if result.status is not Status.NOT_APPLICABLE:
                 return inst, result
 
@@ -272,7 +272,7 @@ def _cmd_search(args):
         for _ in range(30):
             cand = _perturbed(inst, rng, sigma)
             try:
-                cand_result = evaluate(ineq, cand, options=SUITE_OPTIONS)
+                cand_result = evaluate(ineq, cand)
             except NumradError:
                 sigma *= 0.6
                 continue
@@ -333,7 +333,9 @@ def _tolerance(text):
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="numradlab", description=__doc__)
-    default_seed = int(os.environ.get("NUMRAD_SEED", "0"))
+    # argparse converts a string default with the flag's type, so a malformed
+    # value fails only the commands that take a seed, as a usage error
+    default_seed = os.environ.get("NUMRAD_SEED", "0")
     sub = parser.add_subparsers(dest="command", required=True)
 
     cert = sub.add_parser("certify", help="run the inequality certification suite")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from . import __version__
 
@@ -44,35 +44,11 @@ class IneqRecord:
     notes: list
 
     def to_dict(self):
-        return {
-            "ineq": self.ineq,
-            "trials": self.trials,
-            "holds": self.holds,
-            "violated": self.violated,
-            "inconclusive": self.inconclusive,
-            "not_applicable": self.not_applicable,
-            "min_slack": self.min_slack,
-            "median_slack": self.median_slack,
-            "min_slack_index": self.min_slack_index,
-            "min_slack_params": self.min_slack_params,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            ineq=d["ineq"],
-            trials=d["trials"],
-            holds=d["holds"],
-            violated=d["violated"],
-            inconclusive=d["inconclusive"],
-            not_applicable=d["not_applicable"],
-            min_slack=d["min_slack"],
-            median_slack=d["median_slack"],
-            min_slack_index=d["min_slack_index"],
-            min_slack_params=d["min_slack_params"],
-            notes=list(d["notes"]),
-        )
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 @dataclass

@@ -6,7 +6,7 @@ trials, and collects one record per member into a report.
 
 from __future__ import annotations
 
-from .catalog import MEMBERS, SUITE_OPTIONS, CheckInstance, InequalityId, Status, evaluate_many
+from .catalog import MEMBERS, CheckInstance, InequalityId, Status, evaluate_many
 from .ensembles import EnsembleSpec
 from .errors import BudgetExhausted
 
@@ -27,7 +27,7 @@ def draw_instance(ineq: InequalityId, ensemble: EnsembleSpec, index: int) -> Che
     return draw_chunk(ineq, ensemble, [index])[0]
 
 
-def _run_member(ineq, ensemble, trials, tol_rel, options):
+def _run_member(ineq, ensemble, trials, tol_rel):
     from .report import IneqRecord
     import statistics
 
@@ -49,7 +49,7 @@ def _run_member(ineq, ensemble, trials, tol_rel, options):
         indices = range(draws, min(draws + min(trials - len(slacks), CHUNK), budget))
         insts = draw_chunk(ineq, ensemble, indices)
         draws = indices.stop
-        results = evaluate_many(ineq, insts, tol_rel=tol_rel, options=options)
+        results = evaluate_many(ineq, insts, tol_rel=tol_rel)
         for index, inst, result in zip(indices, insts, results):
             if result.status is Status.NOT_APPLICABLE:
                 continue
@@ -75,15 +75,11 @@ def _run_member(ineq, ensemble, trials, tol_rel, options):
     )
 
 
-def _worker(args):
-    return _run_member(*args)
-
-
-def run_suite(ids, ensemble: EnsembleSpec, trials: int, tol_rel=1e-8, options=None, jobs=1):
+def run_suite(ids, ensemble: EnsembleSpec, trials: int, tol_rel=1e-8):
     """Evaluate each member on `trials` hypothesis-satisfying instances.
 
     Fully deterministic given the ensemble seed: per-member results do not
-    depend on the order members are evaluated in or on the worker count.
+    depend on the order members are evaluated in.
     """
     from .report import SuiteReport
     import time
@@ -91,21 +87,8 @@ def run_suite(ids, ensemble: EnsembleSpec, trials: int, tol_rel=1e-8, options=No
     if trials < 0:
         raise ValueError("trials must be >= 0")
     ids = list(ids)
-    options = options or SUITE_OPTIONS
     start = time.perf_counter()
-    if trials == 0:
-        from .report import IneqRecord
-
-        records = [
-            IneqRecord(i.value, 0, 0, 0, 0, 0, None, None, None, {}, []) for i in ids
-        ]
-    elif jobs > 1 and len(ids) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; serial runs skip it
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_worker, [(i, ensemble, trials, tol_rel, options) for i in ids]))
-    else:
-        records = [_run_member(i, ensemble, trials, tol_rel, options) for i in ids]
+    records = [_run_member(i, ensemble, trials, tol_rel) for i in ids]
     wall = time.perf_counter() - start
     config = {
         "ids": [i.value for i in ids],

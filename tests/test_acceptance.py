@@ -68,7 +68,7 @@ def test_criterion_3_soundness_suite():
     stray_inconclusive = 0
     for dim in (2, 3, 5, 8):
         ens = EnsembleSpec(dim=dim, kind="generic", scale=1.0, seed=1000 + dim)
-        rep = run_suite(list(InequalityId), ens, trials=1000, tol_rel=1e-8, jobs=2)
+        rep = run_suite(list(InequalityId), ens, trials=1000, tol_rel=1e-8)
         violated += rep.total_violated
         inconclusive += rep.total_inconclusive
         capable = {"refined-convexity", "improved-convex-product", "hosseini-geo", "hosseini-geo-norms"}

@@ -5,7 +5,6 @@ import pytest
 
 from numradlab import catalog
 from numradlab.catalog import (
-    SUITE_OPTIONS,
     CheckInstance,
     InequalityId,
     Status,
@@ -17,6 +16,7 @@ from numradlab.catalog import (
 from numradlab.ensembles import EnsembleSpec
 from numradlab.errors import BudgetExhausted, NotInvertible
 from numradlab.functions import SchwarzPair, affine_power, power
+from numradlab.report import IneqRecord
 from numradlab.linalg import adjoint, hermitian_part, hermitian_power
 from numradlab.radius import complex_gaussian, numerical_radius, quad_forms, stream_rng
 from numradlab.suite import draw_instance, run_suite
@@ -344,7 +344,27 @@ def test_run_suite_deterministic_and_empty():
     r2 = run_suite(ids, ens, trials=20)
     assert r1.to_json() == r2.to_json()
     empty = run_suite(ids, ens, trials=0)
-    assert all(r.trials == 0 and r.min_slack is None for r in empty.records)
+    assert empty.records == [IneqRecord(i.value, 0, 0, 0, 0, 0, None, None, None, {}, []) for i in ids]
+
+
+def test_every_catalog_enclosure_takes_the_one_tolerance(monkeypatch, tmp_path):
+    from numradlab import cli
+
+    tols = []
+
+    def recording_radius(A, tol=None):
+        tols.append(tol)
+        return numerical_radius(A, tol=tol)
+
+    monkeypatch.setattr(catalog, "numerical_radius", recording_radius)
+    ens = EnsembleSpec(dim=3, kind="generic", seed=5)
+    member = InequalityId.NORM_SANDWICH
+    evaluate(member, draw_instance(member, ens, 0))
+    catalog.evaluate_many(member, [draw_instance(member, ens, i) for i in range(3)])
+    run_suite([member, InequalityId.REFINED_CONVEXITY], ens, trials=2)
+    out = str(tmp_path / "s.json")
+    assert cli.main(["search", "--ineq", member.value, "--dim", "2", "--restarts", "1", "--out", out]) == 0
+    assert tols and set(tols) == {catalog._RADIUS_TOL}
 
 
 def test_run_suite_norm_sandwich_hundred_holds():
@@ -401,10 +421,10 @@ def test_evaluate_many_matches_one_by_one(dim, monkeypatch):
     ens = EnsembleSpec(dim=dim, kind="generic", seed=41)
     for member in InequalityId:
         insts = [draw_instance(member, ens, i) for i in range(12 if dim <= 8 else 2)]
-        batch = catalog.evaluate_many(member, insts, tol_rel=1e-8, options=SUITE_OPTIONS)
+        batch = catalog.evaluate_many(member, insts, tol_rel=1e-8)
         assert len(batch) == len(insts)
         for inst, res in zip(insts, batch):
-            same_result(res, evaluate(member, inst, tol_rel=1e-8, options=SUITE_OPTIONS))
+            same_result(res, evaluate(member, inst, tol_rel=1e-8))
     # a draw that fails its hypotheses (r < 1), and one whose evaluator is
     # refused after its radius came back, beside draws that hold
     ens = EnsembleSpec(dim=dim, kind="generic", seed=42)
@@ -447,12 +467,11 @@ def test_evaluate_many_matches_one_by_one(dim, monkeypatch):
         same_result(res, evaluate(InequalityId.NORM_SANDWICH, inst))
 
 
-def one_by_one_record(ineq, ensemble, trials, tol_rel, options, draws):
+def one_by_one_record(ineq, ensemble, trials, tol_rel, draws):
     """Reference for ``suite._run_member``: draw, evaluate and keep one index at a time."""
     import statistics
 
     from numradlab import suite as suite_mod
-    from numradlab.report import IneqRecord
 
     kept, budget = [], 100 * max(trials, 1)
     while len(kept) < trials:
@@ -461,7 +480,7 @@ def one_by_one_record(ineq, ensemble, trials, tol_rel, options, draws):
         index = draws[0]
         inst = suite_mod.draw_instance(ineq, ensemble, index)
         draws[0] += 1
-        result = evaluate(ineq, inst, tol_rel=tol_rel, options=options)
+        result = evaluate(ineq, inst, tol_rel=tol_rel)
         if result.status is not Status.NOT_APPLICABLE:
             kept.append((index, inst, result))
     slacks = [r.slack for _, _, r in kept]
@@ -507,9 +526,9 @@ def test_run_member_chunks_keep_the_one_by_one_draws(monkeypatch):
     monkeypatch.setattr(catalog, "_verify_chunk", rejecting_verify)
     ens = EnsembleSpec(dim=3, kind="generic", seed=43)
     member = InequalityId.PRODUCT_POWER
-    record = suite_mod._run_member(member, ens, 10, 1e-8, SUITE_OPTIONS)
+    record = suite_mod._run_member(member, ens, 10, 1e-8)
     draws = [0]
-    assert record == one_by_one_record(member, ens, 10, 1e-8, SUITE_OPTIONS, draws)
+    assert record == one_by_one_record(member, ens, 10, 1e-8, draws)
     assert record.min_slack_index not in rejected
     # a budget spent at the same draw count: only two indices below 100 verify
     rejected = set(range(300)) - {3, 7}
@@ -517,11 +536,11 @@ def test_run_member_chunks_keep_the_one_by_one_draws(monkeypatch):
     calls = []
     monkeypatch.setattr(suite_mod, "draw_chunk", lambda *a: calls.extend(a[2]) or tagged_draw(*a))
     with pytest.raises(BudgetExhausted):
-        suite_mod._run_member(member, ens, 3, 1e-8, SUITE_OPTIONS)
+        suite_mod._run_member(member, ens, 3, 1e-8)
     assert calls == list(range(300))
     draws = [0]
     with pytest.raises(BudgetExhausted):
-        one_by_one_record(member, ens, 3, 1e-8, SUITE_OPTIONS, draws)
+        one_by_one_record(member, ens, 3, 1e-8, draws)
     assert draws == [300]
 
 
@@ -545,13 +564,13 @@ def test_draws_beyond_the_float_range_are_refused(member, scale):
     from numradlab.suite import draw_chunk
 
     insts = draw_chunk(member, ens, range(20))
-    batch = catalog.evaluate_many(member, insts, options=SUITE_OPTIONS)
+    batch = catalog.evaluate_many(member, insts)
     refused = [r for r in batch if r.status is Status.NOT_APPLICABLE]
     assert refused and len(refused) < len(batch)
     assert all(r.hypothesis.notes[-1] == "evaluation refused: beyond the float range" for r in refused)
     assert all(r.status is Status.HOLDS for r in batch if r.status is not Status.NOT_APPLICABLE)
     for inst, res in zip(insts, batch):  # the refusals do not sink their chunk-mates
-        same_result(res, evaluate(member, inst, options=SUITE_OPTIONS))
+        same_result(res, evaluate(member, inst))
 
 
 @pytest.mark.parametrize("dim", [2, 8])

@@ -56,6 +56,15 @@ def test_report_round_trip_hundred_random():
         assert back.to_json() == text
 
 
+def test_record_from_dict_needs_every_field_and_ignores_extra_keys():
+    rec = random_record(stream_rng(62, "from-dict"), "a")
+    doc = rec.to_dict()
+    assert IneqRecord.from_dict({**doc, "extra": 1}) == rec
+    del doc["notes"]
+    with pytest.raises(KeyError):
+        IneqRecord.from_dict(doc)
+
+
 def test_report_csv_columns():
     rng = stream_rng(61, "csv")
     rep = SuiteReport.build(
@@ -455,7 +464,7 @@ def test_search_descends_norm_sandwich(tmp_path, capsys):
 def test_certify_exit_two_on_violation(monkeypatch, tmp_path):
     from numradlab.report import IneqRecord, SuiteReport
 
-    def doctored_run_suite(ids, ensemble, trials, tol_rel=1e-8, options=None, jobs=1):
+    def doctored_run_suite(ids, ensemble, trials, tol_rel=1e-8):
         rec = IneqRecord("norm-sandwich", trials, trials - 1, 1, 0, 0, -1.0, 0.5, 0, {}, [])
         return SuiteReport.build(config={"ids": ["norm-sandwich"], "seed": ensemble.seed}, records=[rec], wall_time=0.0)
 
@@ -492,8 +501,8 @@ def test_search_reports_unwritable_output(tmp_path, capsys):
 def test_search_flags_violated_theorem_member(monkeypatch, tmp_path, capsys):
     evaluate = catalog.evaluate
 
-    def violated(ineq, inst, options=None):
-        return dataclasses.replace(evaluate(ineq, inst, options=options), slack=-1.0, status=catalog.Status.VIOLATED)
+    def violated(ineq, inst):
+        return dataclasses.replace(evaluate(ineq, inst), slack=-1.0, status=catalog.Status.VIOLATED)
 
     monkeypatch.setattr(catalog, "evaluate", violated)
     out = tmp_path / "inst.json"
@@ -516,6 +525,20 @@ def test_seed_env_override(monkeypatch, tmp_path):
         monkeypatch.setenv("NUMRAD_SEED", seed)
         assert cli.main(["certify", "--ineq", "norm-sandwich", "--trials", "0", "--report", str(report)]) == 0
         assert json.loads(report.read_text())["config"]["seed"] == int(seed)
+
+
+def test_malformed_seed_env_fails_only_the_seeded_commands(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("NUMRAD_SEED", "abc")
+    assert cli.main(["examples"]) == 0
+    path = tmp_path / "m.json"
+    save_matrix(np.eye(2), path)
+    assert cli.main(["radius", "--matrix", str(path)]) == 0
+    capsys.readouterr()
+    for argv in (["certify", "--dim", "2", "--trials", "1"], ["search", "--ineq", "norm-sandwich", "--restarts", "0"]):
+        assert cli.main(argv) == 1
+        assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
+    # an explicit --seed does not read the variable
+    assert cli.main(["certify", "--ineq", "norm-sandwich", "--trials", "0", "--seed", "3"]) == 0
 
 
 def test_matrix_to_dict_shape():
