@@ -60,6 +60,7 @@ from .linalg import (
     loewner_leq,
     norm_hermitian,
     operator_norm,
+    singular_values,
 )
 from .means import f_connection, gamma_factor, weighted_geometric
 from .radius import _boundary_inf, complex_gaussian, numerical_radius, quad_forms, stream_rng
@@ -95,13 +96,6 @@ class InequalityId(enum.Enum):
     MOND_PECARIC = "mond-pecaric"
     NORM_CONVEXITY = "norm-convexity"
     SUPERQUAD_DEFECT = "superquad-defect"
-
-
-def lookup_id(name: str) -> InequalityId:
-    for member in InequalityId:
-        if member.value == name:
-            return member
-    raise KeyError(name)
 
 
 class Status(enum.Enum):
@@ -242,11 +236,6 @@ def _h_matrix(hs, H, pre=None):
     plain = [p == 1.0 for p in pre]
     M[plain] = H[plain]
     return apply_scalar_function(hs, M)
-
-
-def _singular_values(A):
-    lam = np.linalg.eigvalsh(hermitian_part(adjoint(A) @ A))
-    return np.sqrt(np.clip(lam, 0.0, None))
 
 
 def _amgm_factor(m, M):
@@ -903,7 +892,7 @@ def _ev_superquad_radius(insts, hyps, ops, radii):
     res = radii(A)
     sem = [_W_NOTE, "infimum term computed exactly as the smallest eigenvalue"]
     out = []
-    for i, w, sigma in zip(insts, res, _singular_values(A)):
+    for i, w, sigma in zip(insts, res, singular_values(A)):
         f = i.f
         inf_term = float(np.min(np.asarray(f(np.abs(sigma - w.value)))))
         rhs = float(np.max(np.asarray(f(sigma)))) - inf_term
@@ -916,7 +905,7 @@ def _ev_superquad_power(insts, hyps, ops, radii):
     res = radii(A)
     sem = [_W_NOTE, "infimum terms computed exactly as smallest eigenvalues"]
     out = []
-    for i, w, sigma in zip(insts, res, _singular_values(A)):
+    for i, w, sigma in zip(insts, res, singular_values(A)):
         r = i.r
         nrm = float(sigma.max())
         inf_r = float(np.min(np.abs(sigma - w.value) ** r))

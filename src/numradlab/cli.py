@@ -81,7 +81,7 @@ def paper_examples():
 
 
 def _parse_ids(text):
-    from .catalog import InequalityId, lookup_id
+    from .catalog import InequalityId
 
     if text.strip() == "all":
         return list(InequalityId)
@@ -91,8 +91,8 @@ def _parse_ids(text):
         if not token:
             continue
         try:
-            ids.append(lookup_id(token))
-        except KeyError:
+            ids.append(InequalityId(token))
+        except ValueError:
             raise ValueError(token) from None
     if not ids:
         raise ValueError("(empty)")
@@ -222,13 +222,13 @@ def _perturbed(inst, rng, sigma):
 
 
 def _cmd_search(args):
-    from .catalog import InequalityId, Status, evaluate, lookup_id
+    from .catalog import InequalityId, Status, evaluate
     from .ensembles import EnsembleSpec
     from .suite import draw_instance
 
     try:
-        ineq = lookup_id(args.ineq)
-    except KeyError:
+        ineq = InequalityId(args.ineq)
+    except ValueError:
         valid = ", ".join(m.value for m in InequalityId)
         print(f"error: unknown inequality id {args.ineq!r}; valid ids: {valid}", file=sys.stderr)
         return 1

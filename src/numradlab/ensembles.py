@@ -1,8 +1,8 @@
 """Deterministic random-instance generation.
 
 Every draw is a pure function of (seed, index, stream tag) through a
-counter-based Philox generator, so parallel evaluation cannot perturb the
-streams. Structured kinds are constructive (spectra designed first, then
+counter-based Philox generator, so the order of evaluation cannot perturb
+the streams. Structured kinds are constructive (spectra designed first, then
 conjugated by Haar-approximate unitaries) rather than rejection-sampled.
 """
 

@@ -5,7 +5,7 @@ and |A*|, functional calculus, Hermitian powers, and the Loewner order test.
 All operations are pure functions of ``complex128`` input. Besides square
 matrices, the kernels the catalog evaluates with take (m, n, n) stacks and
 return one result per matrix: ``adjoint``, ``hermitian_part``,
-``check_hermitian``, ``operator_norm``, ``norm_hermitian``,
+``check_hermitian``, ``singular_values``, ``operator_norm``, ``norm_hermitian``,
 ``gram_function``, ``abs_power``, ``apply_scalar_function``,
 ``hermitian_power`` and ``loewner_leq``. Each matrix's result is bitwise
 what it is alone, because stacked matmul, eigh and eigvalsh are, and two
@@ -154,14 +154,20 @@ def hermitian_eigen(H) -> HermitianEigen:
     return HermitianEigen(eigenvalues=lam, vectors=V)
 
 
-def operator_norm(A):
-    """Largest singular value, computed from the Gram matrix spectrum; an
-    array of them for a stack."""
+def singular_values(A):
+    """Singular values in ascending order, from the Gram matrix spectrum
+    formed in power-of-two-scaled units, so the squares neither overflow nor
+    underflow; one row of them per matrix of a stack."""
     A, e = _pow2_rows(_as_stack_or_matrix(A))
     lam = np.linalg.eigvalsh(hermitian_part(_adj(A) @ A))
-    if A.ndim == 2:
-        return math.ldexp(math.sqrt(max(float(lam[-1]), 0.0)), e)
-    return np.ldexp(np.sqrt(np.maximum(lam[:, -1], 0.0)), e)
+    return np.ldexp(np.sqrt(np.maximum(lam, 0.0)), np.asarray(e)[..., None])
+
+
+def operator_norm(A):
+    """Largest singular value (``singular_values``); an array of them for a
+    stack."""
+    top = singular_values(A)[..., -1]
+    return float(top) if top.ndim == 0 else top
 
 
 def norm_hermitian(H):

@@ -237,23 +237,61 @@ def _kittaneh_bound(A):
     return float(np.linalg.eigvalsh((U * s) @ U.conj().T + (V * s) @ Vh)[-1]) / 2
 
 
-def _cuts(A, thetas, hs, tol):
-    """The cutting loop of one matrix's enclosure, as a generator: it yields
-    the angle of each cut, that of the top line and the cut's level or None,
-    and is sent the cut's line as a pair (h, a): its support value h and a
-    value a <= h that a unit vector attains there (a = h for a solved line).
+def _near_line(refs, half, t, top, tol):
+    """The line at t as (h, a, (Q, y)) from the references ``refs`` of the
+    matrix 2 half, or None to solve it values-only: a cut near a reference is
+    bounded from the nearest one, unless that one's top is double, and one
+    near the top line at angle ``top`` that no reference bounds becomes a new
+    reference, solved with eigenvectors and appended to ``refs``. The line's
+    witness vector is Q y, or Q's last column where y is None."""
+    ref = min(refs, key=lambda ref: abs(ref.offset(t)), default=None)
+    if ref is not None and abs(ref.offset(t)) <= _NEAR_SPAN:
+        if ref.double:  # a new reference this near would have a double top too
+            return None
+        line = ref.line(t, tol)
+        if line is not None:
+            h, a, y = line
+            return h, a, (ref.Q, y)
+    elif abs(math.remainder(t - top, _TWO_PI)) > _NEAR_SPAN:
+        return None
+    ref = _Reference(t, half)
+    refs.append(ref)
+    return ref.h, ref.h, (ref.Q, None)
+
+
+def _level_line(half, t, level):
+    """The line (level, -inf, None) at t of the matrix 2 half where a Cholesky
+    of level I - H(t) completes, proving lambda_max(H(t)) <= level; else None."""
+    H = cmath.exp(1j * t) * half
+    try:
+        np.linalg.cholesky(level * np.eye(len(half)) - (H + H.conj().T))
+    except np.linalg.LinAlgError:
+        return None
+    return level, -math.inf, None
+
+
+def _cuts(A, half, thetas, hs, tol):
+    """The cutting loop of one matrix's enclosure, half = A / 2, as a
+    generator: it yields the angle of each cut to be solved values-only and
+    is sent that line's support value. From n = _NEAR_DIM on it first bounds
+    a cut near the top line from its own references (``_near_line``) or
+    closes a far one with a level line (``_level_line``), and yields only the
+    cuts that neither settles. Each line has a value a <= h that a unit
+    vector attains there: a = h for a solved line.
 
     Line k is Re(e^{i t_k} z) <= h_k; corner k joins lines k and k + 1, and
     the last line repeats the first one turn on, so corners need no wrap.
-    Returns the farthest corner's distance, the cap, and the angles of the
-    lines the witness comes from.
+    Returns the farthest corner's distance, the cap, the angles of the lines
+    the witness comes from, and the witness vectors of the reference and
+    bounded lines by angle, as (Q, y) (``_near_line``).
     """
     hs.append(hs[0])
     attained = list(hs)
     lo = max(hs)
     t_lo = thetas[hs.index(lo)]
     corners = [_corner(thetas[k], hs[k], thetas[k + 1], hs[k + 1]) for k in range(len(hs) - 1)]
-    cap, cuts, levels = math.inf, _MAX_CUTS, A.shape[-1] >= _NEAR_DIM
+    cap, cuts, near = math.inf, _MAX_CUTS, A.shape[-1] >= _NEAR_DIM
+    refs, vectors = [], {}
     if lo - min(hs) <= tol * lo:
         cap, cuts = _kittaneh_bound(A), _MAX_CUTS - 1
     for _ in range(cuts):
@@ -265,11 +303,18 @@ def _cuts(A, thetas, hs, tol):
         t = thetas[k] + step
         if not thetas[k] < t < thetas[k + 1]:  # the corner is resolved to roundoff
             break
-        level = None
-        if levels and abs(hs[k]) < lo and abs(hs[k + 1]) < lo:
-            below = min(cos(t - thetas[k] - acos(hs[k] / lo)), cos(thetas[k + 1] - t - acos(hs[k + 1] / lo)))
-            level = lo * below * (1 - 1e-3 * tol)
-        h, a = yield t, t_lo, level
+        line = None
+        if near:
+            line = _near_line(refs, half, t, t_lo, tol)
+            if line is None and abs(hs[k]) < lo and abs(hs[k + 1]) < lo:
+                below = min(cos(t - thetas[k] - acos(hs[k] / lo)), cos(thetas[k + 1] - t - acos(hs[k + 1] / lo)))
+                line = _level_line(half, t, lo * below * (1 - 1e-3 * tol))
+        if line is None:
+            h = yield t
+            line = h, h, None
+        h, a, vector = line
+        if vector is not None:
+            vectors[t] = vector
         if a > lo:
             lo, t_lo = a, t
         corners[k] = _corner(thetas[k], hs[k], t, h)
@@ -281,21 +326,20 @@ def _cuts(A, thetas, hs, tol):
     top = min(hi, cap)
     if top - lo <= tol * top:
         # The top line's eigenvector attains at least lo, so the gap stays within tol.
-        return hi, cap, [thetas[attained.index(lo)]]
+        return hi, cap, [thetas[attained.index(lo)]], vectors
     # On a cut cap or a resolved corner, the witness also comes from both
     # lines of the farthest corner: the vertex lies on those lines,
     # although none of them need point at it.
     k = corners.index((hi, step))
-    return hi, cap, [thetas[j] for j in sorted({attained.index(lo), k, (k + 1) % (len(thetas) - 1)})]
+    return hi, cap, [thetas[j] for j in sorted({attained.index(lo), k, (k + 1) % (len(thetas) - 1)})], vectors
 
 
 def _enclose(A, exps, tol):
     """Enclosures of the matrices 2^e A_r of the stack A, cut in lockstep.
 
-    Each row makes exactly the cuts it makes alone, and each round solves
-    the cuts of all rows still cutting at once, except, from n = _NEAR_DIM
-    on, the cuts that each row bounds from its own references or closes
-    with a level line.
+    Each row makes exactly the cuts it makes alone (``_cuts``), and each
+    round stacks the next values-only solve of every row still cutting into
+    one eigenvalue solve; the last row cutting solves its own.
     """
     n = A.shape[-1]
     half = A / 2
@@ -307,61 +351,15 @@ def _enclose(A, exps, tol):
     ev = np.linalg.eigvalsh(rotations.reshape(-1, n, n)).reshape(len(A), m, n)
     thetas += [t + math.pi for t in thetas] + [_TWO_PI]
     tops, bottoms = ev[:, :, -1].tolist(), (-ev[:, :, 0]).tolist()
-    loops = [_cuts(A[r], list(thetas), tops[r] + bottoms[r], tol) for r in range(len(A))]
+    loops = [_cuts(A[r], half[r], list(thetas), tops[r] + bottoms[r], tol) for r in range(len(A))]
     ends = [None] * len(A)
-    refs = [[] for _ in range(len(A))] if n >= _NEAR_DIM else None
-    # Each row's reference and bounded lines by angle, as (Q, y): the line's
-    # witness vector is Q y, or Q's last column where y is None.
-    vectors = [{} for _ in range(len(A))]
-    eye = np.eye(n)
 
-    def near_line(r, t, top):
-        """The line at t of row r from its references, or None to solve it
-        values-only: a cut near a reference is bounded from the nearest one,
-        unless that one's top is double, and one near the top line that no
-        reference bounds becomes a new reference, solved with eigenvectors."""
-        if refs is None:
-            return None
-        ref = min(refs[r], key=lambda ref: abs(ref.offset(t)), default=None)
-        if ref is not None and abs(ref.offset(t)) <= _NEAR_SPAN:
-            if ref.double:  # a new reference this near would have a double top too
-                return None
-            line = ref.line(t, tol)
-            if line is not None:
-                h, a, y = line
-                vectors[r][t] = ref.Q, y
-                return h, a
-        elif abs(math.remainder(t - top, _TWO_PI)) > _NEAR_SPAN:
-            return None
-        ref = _Reference(t, half[r])
-        refs[r].append(ref)
-        vectors[r][t] = ref.Q, None
-        return ref.h, ref.h
-
-    def level_line(r, t, level):
-        """The line (level, -inf) at t of row r where a Cholesky of level I -
-        H(t) completes, proving lambda_max(H(t)) <= level; else None."""
-        if level is None:
-            return None
-        H = cmath.exp(1j * t) * half[r]
-        try:
-            np.linalg.cholesky(level * eye - (H + H.conj().T))
-        except np.linalg.LinAlgError:
-            return None
-        return level, -math.inf
-
-    def solved(rows, ts):
-        """The lines (h, h) at angles ts of rows, from one values-only solve."""
-        H = np.array([cmath.exp(1j * t) for t in ts])[:, None, None] * half[list(rows)]
-        hs = np.linalg.eigvalsh(H + H.conj().swapaxes(1, 2))[:, -1].tolist()
-        return list(zip(hs, hs))
-
-    def advance(rows, lines):
-        """Send each row its line; return (row, angle, top angle, level) of the next cuts."""
+    def advance(rows, hs):
+        """Send each row its line's support value; return (row, angle) of the next solves."""
         live = []
-        for r, line in zip(rows, lines):
+        for r, h in zip(rows, hs):
             try:
-                live.append((r, *loops[r].send(line)))
+                live.append((r, loops[r].send(h)))
             except StopIteration as stop:
                 ends[r] = stop.value
         return live
@@ -369,48 +367,37 @@ def _enclose(A, exps, tol):
     # Cuts form their rotations as _rotated_halves does, with cmath.exp phases.
     live = advance(range(len(A)), [None] * len(A))
     while len(live) > 1:
-        rows, ts, *_ = zip(*live)
-        if refs is None:  # below _NEAR_DIM every cut is solved
-            lines = solved(rows, ts)
-        else:
-            lines = [near_line(r, t, top) or level_line(r, t, level) for r, t, top, level in live]
-            solve = [k for k, line in enumerate(lines) if line is None]
-            if solve:
-                for k, line in zip(solve, solved([rows[k] for k in solve], [ts[k] for k in solve])):
-                    lines[k] = line
-        live = advance(rows, lines)
+        rows, ts = zip(*live)
+        H = np.array([cmath.exp(1j * t) for t in ts])[:, None, None] * half[list(rows)]
+        live = advance(rows, np.linalg.eigvalsh(H + H.conj().swapaxes(1, 2))[:, -1].tolist())
     if live:
         # The last row cutting solves its lines one at a time.
-        ((r, t, top, level),) = live
+        ((r, t),) = live
         loop, half_r = loops[r], half[r]
         try:
             while True:
-                line = near_line(r, t, top) or level_line(r, t, level)
-                if line is None:
-                    H = cmath.exp(1j * t) * half_r
-                    h = float(np.linalg.eigvalsh(H + H.conj().T)[-1])
-                    line = (h, h)
-                t, top, level = loop.send(line)
+                H = cmath.exp(1j * t) * half_r
+                t = loop.send(float(np.linalg.eigvalsh(H + H.conj().T)[-1]))
         except StopIteration as stop:
             ends[r] = stop.value
     # A witness line that is a reference or a bounded line brings its own
     # vector, which attains its value a; the lines solved values-only take
     # one stacked eigh.
-    solve = [(r, t) for r, (_, _, lines) in enumerate(ends) for t in lines if t not in vectors[r]]
+    solve = [(r, t) for r, (_, _, lines, vectors) in enumerate(ends) for t in lines if t not in vectors]
     if solve:
         owner, angles = zip(*solve)
         solved_vectors = iter(np.linalg.eigh(_rotated_halves(half[list(owner)], np.array(angles)))[1][:, :, -1])
 
-    def witness_vector(r, t):
-        if t not in vectors[r]:
+    def witness_vector(vectors, t):
+        if t not in vectors:
             return next(solved_vectors)
-        Q, y = vectors[r][t]
+        Q, y = vectors[t]
         return Q[:, -1] if y is None else Q @ y
 
     out = []
-    for r, (hi, cap, lines) in enumerate(ends):
+    for r, (hi, cap, lines, vectors) in enumerate(ends):
         M = A[r]
-        Xr = np.array([witness_vector(r, t) for t in lines])
+        Xr = np.array([witness_vector(vectors, t) for t in lines])
         mods = np.abs(np.einsum("ki,ij,kj->k", Xr.conj(), M, Xr))
         best = int(np.argmax(mods))
         lo, t_best, witness = float(mods[best]), lines[best], Xr[best]
@@ -475,8 +462,9 @@ def numerical_radius(A, tol=1e-10):
     results, each bitwise equal to that of its matrix alone. The matrices are
     cut in lockstep, in groups whose initial rotations hold at most
     ``_GROUP_ENTRIES`` entries (128 matrices at n = 8 and 2 at n = 64): the
-    initial lines of a group form one stacked solve, each round of cuts one
-    more, and the witness lines solved values-only one stacked ``eigh``.
+    initial lines of a group form one stacked solve, each round stacks the
+    next values-only solve of every row still cutting, and the witness lines
+    solved values-only form one stacked ``eigh``.
     """
     M = np.asarray(A, dtype=np.complex128)
     stacked = M.ndim == 3

@@ -9,7 +9,6 @@ from numradlab.catalog import (
     InequalityId,
     Status,
     evaluate,
-    lookup_id,
     _INF_NOTE,
     _schwarz_sides,
 )
@@ -31,9 +30,9 @@ EX2_B = np.array([[0, 1], [0, 1]], dtype=complex)
 def test_ids_complete_and_resolvable():
     assert len(InequalityId) == 29
     for member in InequalityId:
-        assert lookup_id(member.value) is member
-    with pytest.raises(KeyError):
-        lookup_id("nope")
+        assert InequalityId(member.value) is member
+    with pytest.raises(ValueError):
+        InequalityId("nope")
     # one record per member, and no record without a member
     assert set(catalog.MEMBERS) == set(InequalityId)
 
@@ -325,6 +324,16 @@ def test_superquad_members_hold_on_random():
         assert res.status is Status.HOLDS
         res_p = evaluate(InequalityId.SUPERQUAD_POWER, CheckInstance(A=A, r=2.0 + k % 3))
         assert res_p.status is Status.HOLDS
+
+
+def test_superquad_norm_keeps_its_scale_at_small_magnitudes():
+    # The singular values come from A*A formed in power-of-two-scaled units:
+    # unscaled, its entries underflow, and at 2^-600 the norm read 0.
+    A = complex_gaussian(stream_rng(49, "squad scale"), (4, 4))
+    norm = evaluate(InequalityId.SUPERQUAD_POWER, CheckInstance(A=A, r=2.0)).details["norm"]
+    for scale in (2.0**-600, 2.0**-520):
+        res = evaluate(InequalityId.SUPERQUAD_POWER, CheckInstance(A=scale * A, r=2.0))
+        assert res.details["norm"] == pytest.approx(scale * norm, rel=1e-14, abs=0.0), scale
 
 
 def test_suite_smoke_all_members_two_dims():

@@ -436,17 +436,12 @@ def test_level_lines_bound_lambda_max(n, monkeypatch):
     # lambda_max(H(t)), and the result is bitwise that of solving every cut.
     levels = []  # (t, c) of each level line taken
 
-    def cuts(*args, _cuts=radius._cuts):
-        loop, line = _cuts(*args), None
-        try:
-            while True:
-                t, top, level = loop.send(line)
-                line = yield t, top, level
-                if line[1] == -np.inf:
-                    assert line[0] == level
-                    levels.append((t, level))
-        except StopIteration as stop:
-            return stop.value
+    def level_line(half, t, level, _level_line=radius._level_line):
+        line = _level_line(half, t, level)
+        if line is not None:
+            assert line == (level, -np.inf, None)
+            levels.append((t, level))
+        return line
 
     def no_cholesky(a):
         raise np.linalg.LinAlgError("the solve-only path")
@@ -459,7 +454,7 @@ def test_level_lines_bound_lambda_max(n, monkeypatch):
         for tol in (1e-12, 1e-10):
             levels.clear()
             with monkeypatch.context() as m:
-                m.setattr(radius, "_cuts", cuts)
+                m.setattr(radius, "_level_line", level_line)
                 res = numerical_radius(A, tol=tol)
             with monkeypatch.context() as m:
                 m.setattr(np.linalg, "cholesky", no_cholesky)
@@ -677,6 +672,21 @@ def test_radius_stack_matches_single_calls(n, monkeypatch):
     witness = [shape for name, shape in calls if name == "eigh"]
     assert len(witness) == 1 and len(rows) <= witness[0][0] <= 3 * len(rows)
     assert numerical_radius(np.zeros((0, n, n))) == []
+
+
+@pytest.mark.parametrize("n, rows", [(48, 3), (64, 2)])
+def test_radius_lockstep_round_stacks_one_solve_per_live_row(n, rows, monkeypatch):
+    # From n = _NEAR_DIM on, each row bounds its near cuts and closes its
+    # level lines before it yields a cut, so every lockstep round of a group
+    # stacks the next values-only solve of each row still cutting: the group
+    # makes as many cut solves as its busiest row does alone.
+    group = complex_gaussian(stream_rng(50, "rounds", n), (rows, n, n))
+    cuts = [len(cut_solves(recorded_solves(monkeypatch, numerical_radius, A, tol=1e-12)[1])) for A in group]
+    _, calls = recorded_solves(monkeypatch, numerical_radius, group, tol=1e-12)
+    assert calls[0] == ("eigvalsh", (8 * rows, n, n))  # one group
+    rounds = cut_solves(calls)
+    assert len(rounds) == max(cuts)
+    assert sum(shape[0] if len(shape) == 3 else 1 for shape in rounds) == sum(cuts)
 
 
 def test_radius_stack_of_large_matrices_is_cut_in_groups(monkeypatch):
