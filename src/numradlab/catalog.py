@@ -49,6 +49,7 @@ from .functions import (
 from .linalg import (
     INV_CUTOFF,
     _adj,
+    _pow2_rows,
     _spectral,
     abs_power,
     adjoint,
@@ -122,8 +123,6 @@ class CheckInstance:
     b: float | None = None
     m: float | None = None
     M: float | None = None
-    s: float | None = None
-    t: float | None = None
     r: float | None = None
     v: float | None = None
     p: float | None = None
@@ -135,7 +134,7 @@ class CheckInstance:
 
     def params(self) -> dict:
         out = {}
-        for key in ("r", "v", "p", "q", "a", "b", "m", "M", "s", "t"):
+        for key in ("r", "v", "p", "q", "a", "b", "m", "M"):
             val = getattr(self, key)
             if val is not None:
                 out[key] = float(val)
@@ -207,6 +206,7 @@ def _psd_rows(H, invertible=False):
 
 
 def _normal_rows(A):
+    A, _ = _pow2_rows(A)  # normality is scale-free; scaled, neither side underflows
     dev = np.linalg.norm(A @ _adj(A) - _adj(A) @ A, axis=(1, 2))
     return dev <= 1e-10 * np.linalg.norm(A, axis=(1, 2)) ** 2
 
@@ -276,15 +276,11 @@ ALPHA_GRID = (0.3, 0.5, 0.7)
 FCONN_FUNCS = ("pow:0.5", "pow:0.25", "pow:1", "expr:1")
 
 VECTORS_PER_TRIAL = 6
-_PI_BAND = {"lam_lo": 0.5, "lam_hi": 3.0}
 
 
-def _spec(ens, kind, **kw):
-    return EnsembleSpec(dim=ens.dim, kind=kind, scale=ens.scale, seed=ens.seed, **kw)
-
-
-def _draws(ens, member, indices, field, kind="generic", **kw):
-    return sample_stack(_spec(ens, kind, **kw), indices, stream=f"{member.value}:{field}")
+def _draws(ens, member, indices, field, kind="generic"):
+    spec = EnsembleSpec(dim=ens.dim, kind=kind, scale=ens.scale, seed=ens.seed)
+    return sample_stack(spec, indices, stream=f"{member.value}:{field}")
 
 
 def _rng(ens, member, index, tag="aux"):
@@ -298,17 +294,14 @@ def _unit_rows(rng, count, n):
 
 
 def _build_operands(member, *fields, params=lambda i: {}):
-    """Builder of a member from stacked matrix draws, one per field ("A",
-    or "A:kind" for a kind other than generic; positive-invertible draws
-    take spectra in [0.5, 3]), with each draw's parameters from
-    ``params(index)``."""
+    """Builder of a member from stacked matrix draws, one per field: "A"
+    for a generic draw, or "A:kind" for another kind of ``ensembles.KINDS``
+    drawn at the ensemble's dim, scale and seed. Each draw's parameters
+    come from ``params(index)``."""
     kinds = [field.partition(":")[::2] for field in fields]
 
     def build(ens, indices):
-        stacks = [
-            _draws(ens, member, indices, name, kind or "generic", **(_PI_BAND if kind == "positive-invertible" else {}))
-            for name, kind in kinds
-        ]
+        stacks = [_draws(ens, member, indices, name, kind or "generic") for name, kind in kinds]
         names = [name for name, _ in kinds]
         return [CheckInstance(**dict(zip(names, mats)), **params(i)) for i, *mats in zip(indices, *stacks)]
 
@@ -379,7 +372,7 @@ def _build_scalar_amgm(ens, indices):
 def _build_sandwich(member):
     def build(ens, indices):
         rngs = [_rng(ens, member, i, tag="triple") for i in indices]
-        A, B, X, alpha = sandwich_operands(rngs, ens.dim, gap=ens.gap)
+        A, B, X, alpha = sandwich_operands(rngs, ens.dim)
         return [
             CheckInstance(A=A[k], B=B[k], X=X[k], pair=schwarz_power_pair(alpha[k]), h=power(R_GRID[i % len(R_GRID)]))
             for k, i in enumerate(indices)
@@ -402,7 +395,7 @@ def _build_conditioned_specials(ens, indices):
     if rows[0]:
         vs = [V_GRID[(i // 12) % len(V_GRID)] for i in rows[0]]
         rngs = [_rng(ens, member, i, tag="build") for i in rows[0]]
-        A, B, X, _ = sandwich_operands(rngs, n, ens.gap, weights=[1 - v for v in vs])
+        A, B, X, _ = sandwich_operands(rngs, n, weights=[1 - v for v in vs])
         for k, (i, v) in enumerate(zip(rows[0], vs)):
             out[i] = CheckInstance(A=A[k], B=B[k], X=X[k], r=R_GRID[(i // 3) % len(R_GRID)], v=v, variant=0)
     if rows[1]:
@@ -547,12 +540,12 @@ _hosseini = _checks(
     _psd("B", invertible=True),
 )
 _mean_operands = _checks(_psd("A", invertible=True), _psd("B"))
+# The pointwise members evaluate one link per entry of ``vectors``.
+_vectors_given = _scalar("vectors given", lambda i: bool(i.vectors))
 _superquad_points = _checks(
+    _vectors_given,
     _scalar("f superquadratic", lambda i: _has_flags(i.f, SUPERQUADRATIC)),
-    _scalar(
-        "s, t >= 0",
-        lambda i: all(s is not None and t is not None and s >= 0 and t >= 0 for s, t in (i.vectors or ((i.s, i.t),))),
-    ),
+    _scalar("s, t >= 0", lambda i: all(s is not None and t is not None and s >= 0 and t >= 0 for s, t in i.vectors)),
 )
 
 
@@ -690,10 +683,11 @@ def _ev_kittaneh_chain(insts, hyps, ops, radii):
     absAs = gram_function(A, lambda s: s, adjoint_side=True)
     mids = (norm_hermitian(absA + absAs) / 2).tolist()
     rights = operator_norm(A).tolist()
-    squares = operator_norm(A @ A).tolist()
+    S, e = _pow2_rows(A)  # ||A^2|| in scaled units, so that it cannot underflow
+    roots = np.ldexp(np.sqrt(operator_norm(S @ S)), e).tolist()
     out = []
-    for res, mid, nrm, sq in zip(radii(A), mids, rights, squares):
-        links = [("w <= mid", res.value, mid), ("mid <= right", mid, (nrm + math.sqrt(sq)) / 2)]
+    for res, mid, nrm, root in zip(radii(A), mids, rights, roots):
+        links = [("w <= mid", res.value, mid), ("mid <= right", mid, (nrm + root) / 2)]
         out.append(_chain(links, {"w": res.value}, [_W_NOTE], res.witness))
     return out
 
@@ -1113,10 +1107,9 @@ MEMBERS = {
     ),
     _M.DRAGOMIR_VECTOR: Member(
         _build_dragomir,
-        _scalar(
-            "unit z",
-            lambda i: bool(i.vectors)
-            and all(abs(np.linalg.norm(np.asarray(tr[2])) - 1.0) <= 1e-10 for tr in i.vectors),
+        _checks(
+            _vectors_given,
+            _scalar("unit z", lambda i: all(abs(np.linalg.norm(np.asarray(tr[2])) - 1.0) <= 1e-10 for tr in i.vectors)),
         ),
         _ev_dragomir_vector,
     ),
@@ -1207,10 +1200,13 @@ MEMBERS = {
     _M.GEO_RADIUS: Member(
         _build_operands(_M.GEO_RADIUS, "A:positive-invertible", "B:positive", "X"), _mean_operands, _ev_geo_radius
     ),
-    _M.MIXED_SCHWARZ: Member(_build_mixed_schwarz, _no_hypotheses, _ev_mixed_schwarz),
+    _M.MIXED_SCHWARZ: Member(_build_mixed_schwarz, _vectors_given, _ev_mixed_schwarz),
     _M.MOND_PECARIC: Member(
         _build_mond_pecaric,
-        _scalar("f convex or concave", lambda i: i.f is not None and (CONVEX in i.f.flags or CONCAVE in i.f.flags)),
+        _checks(
+            _vectors_given,
+            _scalar("f convex or concave", lambda i: i.f is not None and (CONVEX in i.f.flags or CONCAVE in i.f.flags)),
+        ),
         _ev_mond_pecaric,
     ),
     _M.NORM_CONVEXITY: Member(

@@ -214,7 +214,7 @@ def _perturbed(inst, rng, sigma):
         M = getattr(inst, name)
         if M is not None:
             changes[name] = M + sigma * complex_gaussian(rng, M.shape)
-    for name in ("a", "b", "s", "t"):
+    for name in ("a", "b"):
         val = getattr(inst, name)
         if val is not None:
             changes[name] = abs(float(val) * (1.0 + sigma * rng.standard_normal()))

@@ -4,6 +4,8 @@ Every draw is a pure function of (seed, index, stream tag) through a
 counter-based Philox generator, so the order of evaluation cannot perturb
 the streams. Structured kinds are constructive (spectra designed first, then
 conjugated by Haar-approximate unitaries) rather than rejection-sampled.
+Each kind draws one matrix; ``ordered_pair`` and ``sandwich_operands``
+construct operand tuples from caller-supplied generators.
 """
 
 from __future__ import annotations
@@ -22,21 +24,21 @@ KINDS = (
     "square-zero",
     "positive",
     "positive-invertible",
-    "ordered-pair",
 )
+# Spectral band of positive-invertible draws, before scaling.
+_PI_LO, _PI_HI = 0.5, 3.0
 
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Recipe for deterministic random matrices of one structural kind."""
+    """Recipe for deterministic random dim x dim matrices of one ``KINDS``
+    entry, drawn from ``seed`` at magnitude ``scale``; positive-invertible
+    spectra lie in [0.5, 3] * scale."""
 
     dim: int
     kind: str = "generic"
     scale: float = 1.0
     seed: int = 0
-    lam_lo: float = 0.5
-    lam_hi: float = 4.0
-    gap: float = 1.0
 
     def __post_init__(self):
         if self.dim < 1:
@@ -45,10 +47,6 @@ class EnsembleSpec:
             raise UnsupportedParameter(f"unknown ensemble kind {self.kind!r} (valid: {', '.join(KINDS)})")
         if self.scale <= 0:
             raise InvalidBounds("scale must be positive")
-        if self.kind == "positive-invertible" and not 0 < self.lam_lo <= self.lam_hi:
-            raise InvalidBounds("need 0 < lam_lo <= lam_hi")
-        if self.kind == "ordered-pair" and self.gap <= 0:
-            raise InvalidBounds("gap must be positive")
 
 
 def _haar(Z):
@@ -72,7 +70,7 @@ def _kind_draws(spec, rng):
             return ()
         return complex_gaussian(rng, (n // 2, n - n // 2)), complex_gaussian(rng, (n, n))
     # positive-invertible: Haar factor, then eigenvalues
-    return complex_gaussian(rng, (n, n)), rng.uniform(spec.lam_lo * spec.scale, spec.lam_hi * spec.scale, size=n)
+    return complex_gaussian(rng, (n, n)), rng.uniform(_PI_LO * spec.scale, _PI_HI * spec.scale, size=n)
 
 
 def _kind_matrices(spec, draws, count):
@@ -103,13 +101,13 @@ def sample_stack(spec: EnsembleSpec, indices, stream: str = "0") -> np.ndarray:
     stack's Haar factors then come from one QR and its products from stacked
     matmuls, so each matrix is bitwise the one ``sample`` draws.
     """
-    if spec.kind == "ordered-pair":
-        raise UnsupportedParameter("ordered-pair draws are not single matrices")
     rows = [_kind_draws(spec, stream_rng(spec.seed, f"ensemble:{spec.kind}:{stream}", i)) for i in indices]
     return _kind_matrices(spec, [np.stack(part) for part in zip(*rows)], len(rows))
 
 
 def ordered_pair(rng, n, scale=1.0, gap=1.0):
+    """Hermitian (A, B) with B - A positive semidefinite and its top
+    eigenvalue in [gap, 2 gap)."""
     A = hermitian_part(complex_gaussian(rng, (n, n)) * scale)
     W = complex_gaussian(rng, (n, n))
     P = hermitian_part(W.conj().T @ W)
@@ -118,7 +116,7 @@ def ordered_pair(rng, n, scale=1.0, gap=1.0):
     return A, hermitian_part(A + P)
 
 
-def _sandwich_draws(rng, n, gap, weight):
+def _sandwich_draws(rng, n, weight):
     """The random numbers of one ``sandwich_operands`` draw, in stream order:
     alpha (drawn when weight is None), X's singular values, the Gaussian
     matrices of X's two Haar factors and of B's and A's eigenvectors, and
@@ -128,40 +126,37 @@ def _sandwich_draws(rng, n, gap, weight):
     Z = [complex_gaussian(rng, (n, n)) for _ in range(3)]
     lam_b = rng.uniform(0.7, 1.0, size=n)
     s_cap = 1.3 ** (2 * alpha)  # >= lambda_max(B* f^2(|X|) B)
-    target = max(3.0 * s_cap, s_cap + gap) * 1.15
+    target = max(3.0 * s_cap, s_cap + 1.0) * 1.15
     a_lo = np.sqrt(target)
     Z.append(complex_gaussian(rng, (n, n)))
     lam_a = rng.uniform(a_lo, 1.25 * a_lo, size=n)
     return alpha, sig, np.stack(Z), lam_b, lam_a
 
 
-def sandwich_operands(rngs, n, gap=1.0, weights=None):
-    """Draw (A, B, X, alpha) with lambda_max(B* f^2(|X|) B) + gap below
+def sandwich_operands(rngs, n, weights=None):
+    """Draw (A, B, X, alpha) with lambda_max(B* f^2(|X|) B) + 1 below
     lambda_min(A* g^2(|X*|) A) for the power pair (t^alpha, t^(1 - alpha)),
     plus a comfortable multiplicative margin; one draw per generator of
     ``rngs``, returned as stacks A, B, X and the list of alphas.
 
     Bands: X singular values in [1, 1.3], B spectrum in [0.7, 1], A spectrum
-    sized so the upper block clears both the additive gap and a ratio of 3,
+    sized so the upper block clears both a gap of 1 and a ratio of 3,
     which keeps the pointwise refined AM-GM factors valid on every unit
     vector (needed by the gamma-refined product bound). alpha is drawn from
     [0.25, 0.75], or taken from ``weights`` (one per generator).
     """
     weights = [None] * len(rngs) if weights is None else weights
-    rows = [_sandwich_draws(rng, n, gap, w) for rng, w in zip(rngs, weights, strict=True)]
+    rows = [_sandwich_draws(rng, n, w) for rng, w in zip(rngs, weights, strict=True)]
     alpha, sig, Z, lam_b, lam_a = (np.stack(part) for part in zip(*rows))
     U = _haar(Z)
     X = (U[:, 0] * sig[:, None, :]) @ _adj(U[:, 1])
     return _spectral(U[:, 3], lam_a), _spectral(U[:, 2], lam_b), X, alpha.tolist()
 
 
-def sample(spec: EnsembleSpec, index: int, stream: str = "0"):
-    """Draw the instance for (spec.seed, index); deterministic and pure.
+def sample(spec: EnsembleSpec, index: int, stream: str = "0") -> np.ndarray:
+    """Draw the matrix for (spec.seed, index); deterministic and pure.
 
     ``stream`` separates independent draws of the same kind within one
     logical instance (e.g. the A-side and B-side of a pair).
     """
-    if spec.kind != "ordered-pair":
-        return sample_stack(spec, [index], stream)[0]
-    rng = stream_rng(spec.seed, f"ensemble:{spec.kind}:{stream}", index)
-    return ordered_pair(rng, spec.dim, spec.scale, spec.gap)
+    return sample_stack(spec, [index], stream)[0]

@@ -71,9 +71,6 @@ class ScalarFunction:
         if self.kind == "power":
             (r,) = self.params
             y = x**r
-        elif self.kind == "affine-power":
-            scale, shift, r = self.params
-            y = shift + scale * x**r
         elif self.kind == "deformed-exp":
             (r,) = self.params
             y = (1.0 + r * x) ** (1.0 / r)
@@ -87,20 +84,13 @@ class ScalarFunction:
         if self.kind == "power":
             (r,) = self.params
             return r * x ** (r - 1.0) if r != 0 else 0.0
-        if self.kind == "affine-power":
-            scale, shift, r = self.params
-            return scale * r * x ** (r - 1.0) if r != 0 else 0.0
         (r,) = self.params
         return (1.0 + r * x) ** (1.0 / r - 1.0)
 
     @property
     def name(self):
-        if self.kind == "power":
-            return f"pow:{self.params[0]:g}"
-        if self.kind == "deformed-exp":
-            return f"expr:{self.params[0]:g}"
-        scale, shift, r = self.params
-        return f"affine:{shift:g}:{scale:g}:{r:g}"
+        prefix = "pow" if self.kind == "power" else "expr"
+        return f"{prefix}:{self.params[0]:g}"
 
 
 def power(r) -> ScalarFunction:
@@ -123,22 +113,6 @@ def power(r) -> ScalarFunction:
     else:
         domain = Interval(0.0, np.inf, lo_open=r < 0)
     return ScalarFunction("power", (r,), frozenset(flags), domain)
-
-
-def affine_power(scale, shift, exponent=1.0) -> ScalarFunction:
-    """t -> shift + scale * t**exponent on [0, inf)."""
-    scale, shift, exponent = float(scale), float(shift), float(exponent)
-    flags = set()
-    if scale >= 0 and shift >= 0:
-        flags.add(NONNEG)
-        if scale > 0 and exponent > 0:
-            flags.add(INCREASING)
-        if exponent >= 1:
-            flags.add(CONVEX)
-        if exponent <= 1:
-            flags.add(CONCAVE)
-    domain = Interval(0.0, np.inf, lo_open=exponent < 0)
-    return ScalarFunction("affine-power", (scale, shift, exponent), frozenset(flags), domain)
 
 
 def deformed_exp_function(r) -> ScalarFunction:
@@ -179,17 +153,13 @@ def schwarz_power_pair(alpha) -> SchwarzPair:
 
 
 def parse_function(name) -> ScalarFunction:
-    """Resolve catalog names: "pow:<r>", "expr:<r>", "affine:<shift>:<scale>[:<exp>]"."""
+    """Resolve catalog names "pow:<r>" and "expr:<r>"; others raise UnsupportedParameter."""
     parts = name.strip().split(":")
     try:
         if parts[0] == "pow" and len(parts) == 2:
             return power(float(parts[1]))
         if parts[0] == "expr" and len(parts) == 2:
             return deformed_exp_function(float(parts[1]))
-        if parts[0] == "affine" and len(parts) in (3, 4):
-            shift, scale = float(parts[1]), float(parts[2])
-            exponent = float(parts[3]) if len(parts) == 4 else 1.0
-            return affine_power(scale, shift, exponent)
     except ValueError as exc:
         raise UnsupportedParameter(f"bad function name {name!r}: {exc}") from exc
     raise UnsupportedParameter(f"unknown function name {name!r}")

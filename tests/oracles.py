@@ -121,9 +121,9 @@ class SandwichSample:
     M: float
 
 
-def sandwich_triple(rng, n, gap=1.0):
+def sandwich_triple(rng, n):
     """``sandwich_operands`` with the attained sandwich bounds m and M."""
-    A, B, X, (alpha,) = sandwich_operands([rng], n, gap)
+    A, B, X, (alpha,) = sandwich_operands([rng], n)
     A, B, X, pair = A[0], B[0], X[0], schwarz_power_pair(alpha)
     f, g = pair.f, pair.g
     S = hermitian_part(adjoint(B) @ gram_function(X, lambda s: np.asarray(f(s)) ** 2) @ B)

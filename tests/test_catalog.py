@@ -14,7 +14,7 @@ from numradlab.catalog import (
 )
 from numradlab.ensembles import EnsembleSpec
 from numradlab.errors import BudgetExhausted, NotInvertible
-from numradlab.functions import SchwarzPair, affine_power, power
+from numradlab.functions import SchwarzPair, power
 from numradlab.report import IneqRecord
 from numradlab.linalg import adjoint, hermitian_part, hermitian_power
 from numradlab.radius import complex_gaussian, numerical_radius, quad_forms, stream_rng
@@ -121,7 +121,7 @@ def test_verify_hypotheses_conditioned_example():
 
 def test_gamma_product_reports_both_readings():
     rng = stream_rng(41, "gammatri")
-    tri = sandwich_triple(rng, 3, gap=1.0)
+    tri = sandwich_triple(rng, 3)
     inst = CheckInstance(A=tri.A, B=tri.B, X=tri.X, pair=tri.pair, h=power(2.0))
     res = evaluate(InequalityId.GAMMA_PRODUCT, inst)
     rep = res.hypothesis
@@ -135,7 +135,7 @@ def test_conditioned_improves_general_product_bound():
     rng = stream_rng(42, "improve")
     for k in range(25):
         n = 2 + k % 3
-        tri = sandwich_triple(rng, n, gap=1.0)
+        tri = sandwich_triple(rng, n)
         alpha = tri.pair.f.params[0]
         r = (1.0, 1.5, 2.0)[k % 3]
         cond = evaluate(
@@ -191,6 +191,42 @@ def test_pointwise_superquad_defect_zero_at_equal_points():
     res = evaluate(InequalityId.SUPERQUAD_DEFECT, inst)
     assert res.status is Status.HOLDS
     assert res.slack == pytest.approx(0.0, abs=1e-12)
+
+
+def test_pointwise_members_without_vectors_are_not_applicable():
+    # each link is one entry of vectors; with none, the chain has no link to bind
+    eye = np.eye(2, dtype=complex)
+    cases = {
+        InequalityId.MIXED_SCHWARZ: CheckInstance(A=eye, pair=SchwarzPair(power(0.5), power(0.5))),
+        InequalityId.MOND_PECARIC: CheckInstance(A=eye, f=power(2.0)),
+        InequalityId.DRAGOMIR_VECTOR: CheckInstance(),
+        InequalityId.SUPERQUAD_DEFECT: CheckInstance(f=power(2.0)),
+    }
+    for member, inst in cases.items():
+        res = evaluate(member, inst)
+        assert res.status is Status.NOT_APPLICABLE, member
+        assert not res.hypothesis.satisfied
+
+
+@pytest.mark.parametrize("k", [520, 600])
+def test_normality_test_does_not_underflow(k):
+    # unscaled, A A* - A* A and ||A||_F^2 underflow here, and A would pass as normal
+    A = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    for s in (1.0, 2.0**-k):
+        res = evaluate(InequalityId.SUM_NEW_NORMAL, CheckInstance(A=s * A, B=s * np.eye(2, dtype=complex)))
+        assert res.status is Status.NOT_APPLICABLE
+        assert res.hypothesis.conditions["A normal"] is False
+        assert res.hypothesis.conditions["B normal"] is True
+
+
+@pytest.mark.parametrize("k", [520, 600])
+def test_kittaneh_chain_square_norm_keeps_its_scale(k):
+    # an unscaled A @ A underflows here: ||A^2|| would read 0 at 2^-600
+    A = complex_gaussian(stream_rng(5, "kittaneh-scale"), (4, 4))
+    base = evaluate(InequalityId.KITTANEH_CHAIN, CheckInstance(A=A)).details["mid <= right.rhs"]
+    s = 2.0**-k
+    res = evaluate(InequalityId.KITTANEH_CHAIN, CheckInstance(A=s * A))
+    assert res.details["mid <= right.rhs"] == pytest.approx(s * base, rel=1e-14, abs=0.0)
 
 
 def test_dragomir_requires_unit_z():
@@ -385,7 +421,7 @@ def test_run_suite_norm_sandwich_hundred_holds():
 
 def test_run_suite_budget_exhausted(monkeypatch):
     def hopeless_builder(ens, indices):
-        return [CheckInstance(A=np.eye(ens.dim, dtype=complex), f=affine_power(-1.0, 0.0, 1.0)) for _ in indices]
+        return [CheckInstance(A=np.eye(ens.dim, dtype=complex), f=dataclasses.replace(power(2.0), flags=frozenset())) for _ in indices]
 
     member = InequalityId.MOND_PECARIC
     monkeypatch.setitem(catalog.MEMBERS, member, dataclasses.replace(catalog.MEMBERS[member], build=hopeless_builder))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from numradlab.catalog import CheckInstance, InequalityId, _rng, evaluate
-from numradlab.ensembles import EnsembleSpec, sample
+from numradlab.ensembles import EnsembleSpec, ordered_pair, sample
 from numradlab.errors import InvalidBounds, UnsupportedParameter
 from numradlab.functions import power
 from numradlab.linalg import loewner_leq, operator_norm
@@ -19,10 +19,8 @@ def test_spec_validation():
         EnsembleSpec(dim=2, kind="weird")
     with pytest.raises(InvalidBounds):
         EnsembleSpec(dim=0)
-    with pytest.raises(InvalidBounds):
-        EnsembleSpec(dim=2, kind="positive-invertible", lam_lo=0.0)
-    with pytest.raises(InvalidBounds):
-        EnsembleSpec(dim=2, kind="ordered-pair", gap=0.0)
+    with pytest.raises(UnsupportedParameter):
+        EnsembleSpec(dim=2, kind="ordered-pair")
 
 
 def test_determinism_bitwise():
@@ -60,20 +58,19 @@ def test_square_zero_guarantee(dim):
 @pytest.mark.parametrize("dim", DIMS)
 def test_positive_kinds_guarantees(dim):
     pos = EnsembleSpec(dim=dim, kind="positive", seed=dim)
-    pin = EnsembleSpec(dim=dim, kind="positive-invertible", seed=dim, lam_lo=0.5, lam_hi=4.0)
+    pin = EnsembleSpec(dim=dim, kind="positive-invertible", seed=dim)
     for i in range(BULK):
         P = sample(pos, i)
         assert np.linalg.eigvalsh(P)[0] >= -1e-12
         Q = sample(pin, i)
         lam = np.linalg.eigvalsh(Q)
-        assert lam[0] >= 0.5 - 1e-10 and lam[-1] <= 4.0 + 1e-10
+        assert lam[0] >= 0.5 - 1e-10 and lam[-1] <= 3.0 + 1e-10
 
 
 @pytest.mark.parametrize("dim", DIMS)
 def test_ordered_pair_guarantee(dim):
-    spec = EnsembleSpec(dim=dim, kind="ordered-pair", seed=dim, gap=1.0)
     for i in range(200):
-        A, B = sample(spec, i)
+        A, B = ordered_pair(stream_rng(dim, "ensemble:ordered-pair:0", i), dim)
         assert loewner_leq(A, B)
         assert operator_norm(B - A) >= 1.0 - 1e-10
 
@@ -81,7 +78,7 @@ def test_ordered_pair_guarantee(dim):
 @pytest.mark.parametrize("dim", DIMS)
 def test_sandwich_triple_guarantee(dim):
     def draw(i):
-        return sandwich_triple(stream_rng(dim, "ensemble:sandwich-triple:0", i), dim, gap=1.0)
+        return sandwich_triple(stream_rng(dim, "ensemble:sandwich-triple:0", i), dim)
 
     accepted = 0
     for i in range(BULK):
@@ -108,7 +105,7 @@ def test_sandwich_builders_draw_sandwich_triple_operands(member):
         ens = EnsembleSpec(dim=dim, seed=dim)
         for i in range(5):
             inst = draw_instance(member, ens, i)
-            tri = sandwich_triple(_rng(ens, member, i, tag="triple"), dim, gap=ens.gap)
+            tri = sandwich_triple(_rng(ens, member, i, tag="triple"), dim)
             for name in ("A", "B", "X"):
                 assert getattr(inst, name).tobytes() == getattr(tri, name).tobytes()
             assert inst.pair == tri.pair

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from numradlab import errors
-from numradlab.functions import affine_power, power
+from numradlab.functions import power
 from numradlab.linalg import hermitian_part, loewner_leq, norm_hermitian, operator_norm
 from numradlab.means import f_connection, gamma_factor, weighted_geometric
 from numradlab.radius import complex_gaussian, stream_rng
@@ -74,7 +74,9 @@ def test_f_connection_reductions():
     conn, square = f_connection(A, B, power(1.0))
     np.testing.assert_allclose(conn, B, atol=1e-9)
     np.testing.assert_allclose(square, B @ np.linalg.inv(A) @ B, atol=1e-8)
-    one = affine_power(0.0, 1.0, 1.0)
+    def one(t):
+        return np.ones_like(t)
+
     for got in f_connection(A, B, one):
         np.testing.assert_allclose(got, A, atol=1e-10)
     conn, square = f_connection(4 * np.eye(2, dtype=complex), 9 * np.eye(2, dtype=complex), power(0.5))
@@ -82,11 +84,13 @@ def test_f_connection_reductions():
     np.testing.assert_allclose(square, 9 * np.eye(2), atol=1e-10)
     # arithmetic-mean function reproduces the weighted arithmetic mean
     for v in (0.25, 0.5, 0.75):
-        aff = affine_power(v, 1.0 - v, 1.0)
+        def aff(t, v=v):
+            return (1.0 - v) + v * t
+
         np.testing.assert_allclose(f_connection(A, B, aff)[0], (1 - v) * A + v * B, atol=1e-9)
         np.testing.assert_allclose(f_connection(A, B, power(v))[0], weighted_geometric(A, B, v), atol=1e-9)
     # a stack takes one function per pair, and each pair's result is bitwise its own
-    fs = [power(0.5), one, affine_power(0.25, 0.75, 1.0)]
+    fs = [power(0.5), one, lambda t: 0.75 + 0.25 * t]
     P = np.stack([A, 2 * A, A + B])
     Q = np.stack([B, B, 3 * B])
     stacked = f_connection(P, Q, fs)
