@@ -179,7 +179,8 @@ class Member:
       and bounds, and stores in the dict ``operands`` the stacks that the
       evaluator reuses (the sandwich sides S and T);
     - ``evaluate(insts, hyps, operands, radii)`` takes the instances whose
-      hypotheses hold, and returns one outcome each (see the evaluators);
+      hypotheses hold, and returns one outcome each: its named links
+      ``(name, lhs, rhs)``, details, semantics and witness (see ``_chain``);
     - ``subtracts_infimum`` marks a right side that subtracts an infimum
       over the sphere: a failed check there is Inconclusive, not Violated.
     """
@@ -240,23 +241,6 @@ def _h_matrix(hs, H, pre=None):
 
 def _amgm_factor(m, M):
     return math.sqrt(M * m) / (M + m)
-
-
-def _chain(links, details, semantics, witness=None):
-    """An outcome from named (lhs, rhs) links; the binding link wins."""
-    slacks = [r - l for _, l, r in links]
-    k = int(np.argmin(slacks))
-    name, lhs, rhs = links[k]
-    for nm, l, r in links:
-        details[f"{nm}.lhs"] = float(l)
-        details[f"{nm}.rhs"] = float(r)
-    details["binding"] = name
-    return float(lhs), float(rhs), details, semantics, witness
-
-
-def _w_outcomes(lhs, rhs, radii):
-    """Outcomes of a chunk whose details hold w alone, from per-draw sides."""
-    return [(l, r, {"w": res.value}, [_W_NOTE], res.witness) for l, r, res in zip(lhs, rhs, radii)]
 
 
 _W_NOTE = "numerical radius: attained lower bound of a support-line enclosure"
@@ -662,10 +646,10 @@ def _specials_sides(insts):
 # evaluators (one per member). Each takes a chunk of instances whose
 # hypotheses hold, their reports, the stacked operands of the hypothesis
 # check, and ``radii``, which encloses a stack of matrices; it returns one
-# outcome (lhs, rhs, details, semantics, witness) per instance. Every
-# kernel call takes the chunk's stack, and each round of radius requests
-# forms one stack. Scalar arithmetic stays per draw, in Python floats, as
-# the one-draw formulas write it.
+# outcome (links, details, semantics, witness) per instance, with one named
+# link (name, lhs, rhs) per inequality. Every kernel call takes the chunk's
+# stack, and each round of radius requests forms one stack. Scalar arithmetic
+# stays per draw, in Python floats, as the one-draw formulas write it.
 
 
 def _ev_norm_sandwich(insts, hyps, ops, radii):
@@ -673,7 +657,7 @@ def _ev_norm_sandwich(insts, hyps, ops, radii):
     out = []
     for res, nrm in zip(radii(A), operator_norm(A).tolist()):
         links = [("half-norm <= w", nrm / 2, res.value), ("w <= norm", res.value, nrm)]
-        out.append(_chain(links, {"w": res.value, "norm": nrm}, [_W_NOTE], res.witness))
+        out.append((links, {"w": res.value, "norm": nrm}, [_W_NOTE], res.witness))
     return out
 
 
@@ -688,7 +672,7 @@ def _ev_kittaneh_chain(insts, hyps, ops, radii):
     out = []
     for res, mid, nrm, root in zip(radii(A), mids, rights, roots):
         links = [("w <= mid", res.value, mid), ("mid <= right", mid, (nrm + root) / 2)]
-        out.append(_chain(links, {"w": res.value}, [_W_NOTE], res.witness))
+        out.append((links, {"w": res.value}, [_W_NOTE], res.witness))
     return out
 
 
@@ -700,14 +684,14 @@ def _ev_power_mix(insts, hyps, ops, radii):
     adj = abs_power(A, [2 * ri * (1 - vi) for ri, vi in zip(r, v)], adjoint_side=True)
     rhs = (norm_hermitian(fwd + adj) / 2).tolist()
     res = radii(A)
-    return _w_outcomes([w.value**ri for w, ri in zip(res, r)], rhs, res)
+    return [([("w^r <= mix", w.value**ri, h)], {"w": w.value}, [_W_NOTE], w.witness) for w, ri, h in zip(res, r, rhs)]
 
 
 def _ev_sum_sq_kittaneh(insts, hyps, ops, radii):
     A, B = _stack(insts, "A"), _stack(insts, "B")
     lhs = [x**2 for x in operator_norm(A + B).tolist()]
     rhs = (norm_hermitian(adjoint(A) @ A + adjoint(B) @ B) + norm_hermitian(A @ adjoint(A) + B @ adjoint(B))).tolist()
-    return [(l, r, {}, [], None) for l, r in zip(lhs, rhs)]
+    return [([("norm^2 <= kittaneh", l, r)], {}, [], None) for l, r in zip(lhs, rhs)]
 
 
 def _ev_product_power(insts, hyps, ops, radii):
@@ -715,7 +699,7 @@ def _ev_product_power(insts, hyps, ops, radii):
     r = [i.r for i in insts]
     res = radii(adjoint(B) @ A)
     rhs = (norm_hermitian(abs_power(A, [2 * ri for ri in r]) + abs_power(B, [2 * ri for ri in r])) / 2).tolist()
-    return _w_outcomes([w.value**ri for w, ri in zip(res, r)], rhs, res)
+    return [([("w^r <= mean", w.value**ri, h)], {"w": w.value}, [_W_NOTE], w.witness) for w, ri, h in zip(res, r, rhs)]
 
 
 def _ev_general_product(insts, hyps, ops, radii):
@@ -726,25 +710,25 @@ def _ev_general_product(insts, hyps, ops, radii):
     T = hermitian_part(adjoint(A) @ abs_power(X, [2 * vi for vi in v], adjoint_side=True) @ A)
     S = hermitian_part(adjoint(B) @ abs_power(X, [2 * (1 - vi) for vi in v]) @ B)
     rhs = (norm_hermitian(hermitian_power(T, r) + hermitian_power(S, r)) / 2).tolist()
-    return _w_outcomes([w.value**ri for w, ri in zip(res, r)], rhs, res)
+    return [([("w^r <= mean", w.value**ri, h)], {"w": w.value}, [_W_NOTE], w.witness) for w, ri, h in zip(res, r, rhs)]
+
+
+def _half_sum_diff(A, B, normal_form=False):
+    """(||P + Q|| + ||P - Q||) / 2 with P = AA*, Q = BB* (A*A, B*B in normal form)."""
+    P, Q = (hermitian_part(adjoint(M) @ M if normal_form else M @ adjoint(M)) for M in (A, B))
+    return ((norm_hermitian(P + Q) + norm_hermitian(P - Q)) / 2).tolist()
 
 
 def _ev_sum_new(normal_form):
     def ev(insts, hyps, ops, radii):
         A, B = _stack(insts, "A"), _stack(insts, "B")
         lhs = [x**2 for x in operator_norm(A + B).tolist()]
-        if normal_form:
-            P = hermitian_part(adjoint(A) @ A)
-            Q = hermitian_part(adjoint(B) @ B)
-        else:
-            P = hermitian_part(A @ adjoint(A))
-            Q = hermitian_part(B @ adjoint(B))
+        half = _half_sum_diff(A, B, normal_form)
         res = radii(B @ adjoint(A))
-        half = ((norm_hermitian(P + Q) + norm_hermitian(P - Q)) / 2).tolist()
         na, nb = operator_norm(A).tolist(), operator_norm(B).tolist()
         sem = ["w(BA*) on the rhs is a lower bound (stricter test)"]
         return [
-            (l, h + w.value + 2 * a * b, {"w(BA*)": w.value}, sem, None)
+            ([("norm^2 <= new bound", l, h + w.value + 2 * a * b)], {"w(BA*)": w.value}, sem, None)
             for l, h, w, a, b in zip(lhs, half, res, na, nb)
         ]
 
@@ -753,16 +737,14 @@ def _ev_sum_new(normal_form):
 
 def _ev_wsq_sum(insts, hyps, ops, radii):
     A, B = _stack(insts, "A"), _stack(insts, "B")
-    P = hermitian_part(A @ adjoint(A))
-    Q = hermitian_part(B @ adjoint(B))
-    half = ((norm_hermitian(P + Q) + norm_hermitian(P - Q)) / 2).tolist()
+    half = _half_sum_diff(A, B)
     res = radii(np.concatenate([A + B, B @ adjoint(A), A, B]))
     m = len(insts)
     out = []
     for h, w_sum, w_ba, w_a, w_b in zip(half, res[:m], res[m : 2 * m], res[2 * m : 3 * m], res[3 * m :]):
         rhs = h + w_ba.value + 2 * w_a.value * w_b.value
         details = {"w(A+B)": w_sum.value, "w(BA*)": w_ba.value, "w(A)": w_a.value, "w(B)": w_b.value}
-        out.append((w_sum.value**2, rhs, details, [_W_NOTE], w_sum.witness))
+        out.append(([("w^2 <= bound", w_sum.value**2, rhs)], details, [_W_NOTE], w_sum.witness))
     return out
 
 
@@ -772,9 +754,11 @@ def _ev_convex_product(insts, hyps, ops, radii):
     h = [i.h for i in insts]
     S, T = _schwarz_sides(insts)
     res = radii(adjoint(A) @ X @ B)
-    lhs = [hk(w.value**2) for hk, w in zip(h, res)]
     mix = (1 - v) * _h_matrix(h, S, [1.0 / (1.0 - i.v) for i in insts]) + v * _h_matrix(h, T, [1.0 / i.v for i in insts])
-    return _w_outcomes(lhs, norm_hermitian(mix).tolist(), res)
+    return [
+        ([("h(w^2) <= mix", hk(w.value**2), rhs)], {"w": w.value}, [_W_NOTE], w.witness)
+        for hk, w, rhs in zip(h, res, norm_hermitian(mix).tolist())
+    ]
 
 
 def _ev_convex_product_power(insts, hyps, ops, radii):
@@ -783,7 +767,7 @@ def _ev_convex_product_power(insts, hyps, ops, radii):
     S, T = _schwarz_sides(insts)
     res = radii(adjoint(A) @ X @ B)
     rhs = (norm_hermitian(hermitian_power(S, r2) + hermitian_power(T, r2)) / 2).tolist()
-    return _w_outcomes([w.value**e for w, e in zip(res, r2)], rhs, res)
+    return [([("w^2r <= mean", w.value**e, h)], {"w": w.value}, [_W_NOTE], w.witness) for w, e, h in zip(res, r2, rhs)]
 
 
 def _ev_scalar_refined_amgm(insts, hyps, ops, radii):
@@ -791,7 +775,7 @@ def _ev_scalar_refined_amgm(insts, hyps, ops, radii):
     for i in insts:
         a, b, m, M = i.a, i.b, i.m, i.M
         lhs = (M + m) / (2 * math.sqrt(M * m)) * math.sqrt(a * b)
-        out.append((lhs, (a + b) / 2, {}, [], None))
+        out.append(([("scaled geometric <= arithmetic", lhs, (a + b) / 2)], {}, [], None))
     return out
 
 
@@ -803,7 +787,8 @@ def _ev_conditioned_product(insts, hyps, ops, radii):
     out = []
     for hk, hyp, w, nrm in zip(h, hyps, res, norms):
         m, M = hyp.bounds["m"], hyp.bounds["M"]
-        out.append((hk(w.value), _amgm_factor(m, M) * nrm, {"w": w.value, "m": m, "M": M}, [_W_NOTE], w.witness))
+        links = [("h(w) <= amgm norm", hk(w.value), _amgm_factor(m, M) * nrm)]
+        out.append((links, {"w": w.value, "m": m, "M": M}, [_W_NOTE], w.witness))
     return out
 
 
@@ -823,7 +808,7 @@ def _ev_conditioned_specials(insts, hyps, ops, radii):
     for i, rk, hyp, w, nrm in zip(insts, r, hyps, res, norms):
         m, M = hyp.bounds["m"], hyp.bounds["M"]
         details = {"w": w.value, "m": m, "M": M, "variant": i.variant}
-        out.append((w.value**rk, _amgm_factor(m, M) * nrm, details, [_W_NOTE], w.witness))
+        out.append(([("w^r <= amgm norm", w.value**rk, _amgm_factor(m, M) * nrm)], details, [_W_NOTE], w.witness))
     return out
 
 
@@ -836,7 +821,7 @@ def _ev_gamma_product(insts, hyps, ops, radii):
     for hk, hyp, w, nrm in zip(h, hyps, res, norms):
         gamma = gamma_factor(hyp.bounds["m_lo"], hyp.bounds["M_hi"])
         details = {"w": w.value, "gamma": gamma, **hyp.bounds}
-        out.append((hk(w.value), nrm / (2 * gamma), details, [_W_NOTE], w.witness))
+        out.append(([("h(w) <= norm / 2 gamma", hk(w.value), nrm / (2 * gamma))], details, [_W_NOTE], w.witness))
     return out
 
 
@@ -855,14 +840,14 @@ def _ev_refined_convexity(insts, hyps, ops, radii):
     lhs, base, A, B, f = _convexity_sides(insts)
     mu = jensen_gap_mu(f, A, B)
     return [
-        (l, b - min(i.v, 1 - i.v) * m, {"mu_estimate": m, "base": b}, [_INF_NOTE], None)
+        ([("f(mix) <= refined", l, b - min(i.v, 1 - i.v) * m)], {"mu_estimate": m, "base": b}, [_INF_NOTE], None)
         for i, l, b, m in zip(insts, lhs, base, mu)
     ]
 
 
 def _ev_norm_convexity(insts, hyps, ops, radii):
     lhs, base, *_ = _convexity_sides(insts)
-    return [(l, b, {}, [], None) for l, b in zip(lhs, base)]
+    return [([("f(mix) <= mix of f", l, b)], {}, [], None) for l, b in zip(lhs, base)]
 
 
 def _ev_improved_convex_product(insts, hyps, ops, radii):
@@ -875,10 +860,11 @@ def _ev_improved_convex_product(insts, hyps, ops, radii):
     res = radii(adjoint(A) @ X @ B)
     base = norm_hermitian((1 - v) * apply_scalar_function(h, S_pow) + v * apply_scalar_function(h, T_pow)).tolist()
     gaps = jensen_gap_mu(h, S_pow, T_pow)
-    return [
-        (hk(w.value**2), b - min(i.v, 1 - i.v) * gap, {"w": w.value, "gap_estimate": gap}, [_W_NOTE, _INF_NOTE], w.witness)
-        for i, hk, w, b, gap in zip(insts, h, res, base, gaps)
-    ]
+    out = []
+    for i, hk, w, b, gap in zip(insts, h, res, base, gaps):
+        links = [("h(w^2) <= refined mix", hk(w.value**2), b - min(i.v, 1 - i.v) * gap)]
+        out.append((links, {"w": w.value, "gap_estimate": gap}, [_W_NOTE, _INF_NOTE], w.witness))
+    return out
 
 
 def _ev_superquad_radius(insts, hyps, ops, radii):
@@ -890,7 +876,7 @@ def _ev_superquad_radius(insts, hyps, ops, radii):
         f = i.f
         inf_term = float(np.min(np.asarray(f(np.abs(sigma - w.value)))))
         rhs = float(np.max(np.asarray(f(sigma)))) - inf_term
-        out.append((f(w.value), rhs, {"w": w.value, "inf_term": inf_term}, sem, w.witness))
+        out.append(([("f(w) <= f(norm) - inf", f(w.value), rhs)], {"w": w.value, "inf_term": inf_term}, sem, w.witness))
     return out
 
 
@@ -910,7 +896,7 @@ def _ev_superquad_power(insts, hyps, ops, radii):
             ("w <= sqrt form", w.value, mid),
             ("sqrt form <= norm", mid, nrm),
         ]
-        out.append(_chain(links, {"w": w.value, "norm": nrm}, sem, w.witness))
+        out.append((links, {"w": w.value, "norm": nrm}, sem, w.witness))
     return out
 
 
@@ -958,7 +944,7 @@ def _ev_hosseini_geo(insts, hyps, ops, radii):
     base, delta = _hosseini_base(A, K, p, q, r, 2)
     sem = [_W_NOTE, _INF_NOTE, "X unconstrained (no contraction assumption imposed)"]
     return [
-        (w.value**rk, b - dk / pk, {"w": w.value, "delta_estimate": dk}, sem, w.witness)
+        ([("w^r <= refined mean", w.value**rk, b - dk / pk)], {"w": w.value, "delta_estimate": dk}, sem, w.witness)
         for w, rk, pk, b, dk in zip(res, r, p, base, delta)
     ]
 
@@ -993,7 +979,7 @@ def _ev_hosseini_geo_norms(insts, hyps, ops, radii):
                 lhs, rhs = g_norm**2, base[j] - inf_sq / 2
                 details["inf_term"] = inf_sq
                 sem = ["infimum of <(A-B)x,x>^2 computed exactly from the spectrum of A-B"]
-            out[k] = (lhs, rhs, details, sem, None)
+            out[k] = ([("sharp norm power <= refined mean", lhs, rhs)], details, sem, None)
     return out
 
 
@@ -1007,7 +993,7 @@ def _ev_euclidean_sandwich(insts, hyps, ops, radii):
     for w, g, up in zip(res, sharp, uppers):
         we, upper = w.value, math.sqrt(up)
         links = [("sqrt2 |sharp| <= w_e", math.sqrt(2.0) * g, we), ("w_e <= sqrt norm", we, upper)]
-        out.append(_chain(links, {"w_e": we}, sem))
+        out.append((links, {"w_e": we}, sem, None))
     return out
 
 
@@ -1017,21 +1003,17 @@ def _ev_fconn_radius(insts, hyps, ops, radii):
     res = radii(connection @ X)
     inner = hermitian_part(adjoint(X) @ square @ X)
     rhs = (norm_hermitian(inner + A) / 2).tolist()
-    return _w_outcomes([w.value for w in res], rhs, res)
+    return [([("w <= half norm", w.value, h)], {"w": w.value}, [_W_NOTE], w.witness) for w, h in zip(res, rhs)]
 
 
 def _ev_geo_radius(insts, hyps, ops, radii):
     A, B, X = _stack(insts, "A"), _stack(insts, "B"), _stack(insts, "X")
     res = radii(weighted_geometric(A, B, 0.5) @ X)
     rhs = (norm_hermitian(hermitian_part(adjoint(X) @ hermitian_part(B) @ X) + hermitian_part(A)) / 2).tolist()
-    return _w_outcomes([w.value for w in res], rhs, res)
+    return [([("w <= half norm", w.value, h)], {"w": w.value}, [_W_NOTE], w.witness) for w, h in zip(res, rhs)]
 
 
 # pointwise members -----------------------------------------------------------
-
-
-def _pointwise(links):
-    return _chain(links, {"checks": float(len(links))}, [])
 
 
 def _ev_mixed_schwarz(insts, hyps, ops, radii):
@@ -1045,7 +1027,7 @@ def _ev_mixed_schwarz(insts, hyps, ops, radii):
             lhs = abs(np.vdot(y, i.A @ x))
             rhs = np.linalg.norm(fk @ x) * np.linalg.norm(gk @ y)
             links.append((f"pair {k}", float(lhs), float(rhs)))
-        out.append(_pointwise(links))
+        out.append((links, {}, [], None))
     return out
 
 
@@ -1061,7 +1043,7 @@ def _ev_mond_pecaric(insts, hyps, ops, radii):
             qa = float(np.vdot(x, Ak @ x).real)
             qf = float(np.vdot(x, fk @ x).real)
             links.append((f"x {k}", f(qa), qf) if convex else (f"x {k}", qf, f(qa)))
-        out.append(_pointwise(links))
+        out.append((links, {}, [], None))
     return out
 
 
@@ -1075,15 +1057,16 @@ def _ev_dragomir_vector(insts, hyps, ops, radii):
             ny = np.linalg.norm(y) ** 2
             rhs = float(np.linalg.norm(z) ** 2 * max(nx, ny) + abs(np.vdot(x, y)))
             links.append((f"triple {k}", float(lhs), rhs))
-        out.append(_pointwise(links))
+        out.append((links, {}, [], None))
     return out
 
 
 def _ev_superquad_defect(insts, hyps, ops, radii):
-    return [
-        _pointwise([(f"(s,t) {k}", 0.0, float(superquadratic_defect(i.f, s, t))) for k, (s, t) in enumerate(i.vectors)])
-        for i in insts
-    ]
+    out = []
+    for i in insts:
+        links = [(f"(s,t) {k}", 0.0, float(superquadratic_defect(i.f, s, t))) for k, (s, t) in enumerate(i.vectors)]
+        out.append((links, {}, [], None))
+    return out
 
 
 _M = InequalityId
@@ -1264,7 +1247,7 @@ def evaluate_many(ineq: InequalityId, insts, tol_rel=1e-8) -> list:
             if live:
                 chunk = {name: M[live] for name, M in operands.items()}
                 found = MEMBERS[ineq].evaluate([insts[k] for k in live], [hyps[k] for k in live], chunk, radii)
-                outcomes = dict(zip(live, found, strict=True))
+                outcomes = {k: _chain(*outcome) for k, outcome in zip(live, found, strict=True)}
     except _REFUSALS + _FLOAT_RANGE as exc:
         if len(insts) > 1:
             return [result for inst in insts for result in evaluate_many(ineq, [inst], tol_rel)]
@@ -1286,6 +1269,19 @@ def _refused(ineq, hyp, reason):
     return _not_applicable(ineq, hyp)
 
 
+def _chain(links, details, semantics, witness):
+    """(lhs, rhs, details, semantics, witness) from an outcome's named links: the binding
+    link, the first of least slack (or the first NaN), gives lhs and rhs; details name all."""
+    slacks = [r - l for _, l, r in links]
+    k = int(np.argmin(slacks))
+    name, lhs, rhs = links[k]
+    for nm, l, r in links:
+        details[f"{nm}.lhs"] = float(l)
+        details[f"{nm}.rhs"] = float(r)
+    details["binding"] = name
+    return float(lhs), float(rhs), details, semantics, witness
+
+
 def _verdict(ineq, hyp, outcome, tol_rel):
     lhs, rhs, details, semantics, witness = outcome
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
@@ -1298,4 +1294,4 @@ def _verdict(ineq, hyp, outcome, tol_rel):
         status = Status.INCONCLUSIVE
     else:
         status = Status.VIOLATED
-    return CheckResult(ineq, float(lhs), float(rhs), float(slack), status, hyp, witness, details, list(semantics))
+    return CheckResult(ineq, lhs, rhs, slack, status, hyp, witness, details, list(semantics))

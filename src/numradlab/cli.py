@@ -209,6 +209,7 @@ def _instance_document(ineq, inst, result):
 
 
 def _perturbed(inst, rng, sigma):
+    """``inst`` with its matrices, a and b perturbed at step sigma; None if it has none."""
     changes = {}
     for name in ("A", "B", "X"):
         M = getattr(inst, name)
@@ -218,7 +219,7 @@ def _perturbed(inst, rng, sigma):
         val = getattr(inst, name)
         if val is not None:
             changes[name] = abs(float(val) * (1.0 + sigma * rng.standard_normal()))
-    return dataclasses.replace(inst, **changes) if changes else inst
+    return dataclasses.replace(inst, **changes) if changes else None
 
 
 def _cmd_search(args):
@@ -271,6 +272,8 @@ def _cmd_search(args):
         sigma = 0.1
         for _ in range(30):
             cand = _perturbed(inst, rng, sigma)
+            if cand is None:
+                break
             try:
                 cand_result = evaluate(ineq, cand)
             except NumradError:

@@ -37,6 +37,16 @@ def test_ids_complete_and_resolvable():
     assert set(catalog.MEMBERS) == set(InequalityId)
 
 
+@pytest.mark.parametrize("member", list(InequalityId), ids=lambda m: m.value)
+def test_every_outcome_names_its_links(member):
+    inst = draw_instance(member, EnsembleSpec(dim=3, seed=1), 0)
+    res = evaluate(member, inst)
+    assert res.status is not Status.NOT_APPLICABLE
+    binding = res.details["binding"]
+    assert res.details[binding + ".lhs"] == res.lhs
+    assert res.details[binding + ".rhs"] == res.rhs
+
+
 def test_example_pair_one_values():
     inst = CheckInstance(A=EX1_A, B=EX1_B)
     new = evaluate(InequalityId.SUM_NEW_BOUND, inst)

@@ -461,6 +461,22 @@ def test_search_descends_norm_sandwich(tmp_path, capsys):
     assert final >= -1e-8
 
 
+@pytest.mark.parametrize("ineq", ["superquad-defect", "dragomir-vector"])
+def test_search_does_not_reevaluate_an_instance_it_cannot_move(ineq, monkeypatch, tmp_path):
+    evaluate = catalog.evaluate
+    calls = []
+
+    def counted(member, inst):
+        calls.append(inst)
+        return evaluate(member, inst)
+
+    monkeypatch.setattr(catalog, "evaluate", counted)
+    out = tmp_path / "inst.json"
+    code = cli.main(["search", "--ineq", ineq, "--restarts", "2", "--dim", "3", "--seed", "1", "--out", str(out)])
+    assert code == 0
+    assert len(calls) <= 2
+
+
 def test_certify_exit_two_on_violation(monkeypatch, tmp_path):
     from numradlab.report import IneqRecord, SuiteReport
 
