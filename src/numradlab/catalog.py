@@ -196,8 +196,20 @@ class Member:
 # matrices are stacked along a leading axis
 
 
+class _MissingOperand(Exception):
+    """An instance lacks an operand its member reads; the draw is refused."""
+
+
+def _given(insts, name):
+    """Each instance's operand ``name``, which none may lack."""
+    values = [getattr(inst, name) for inst in insts]
+    if any(value is None for value in values):
+        raise _MissingOperand(f"operand {name} missing")
+    return values
+
+
 def _stack(insts, name):
-    return np.stack([getattr(inst, name) for inst in insts])
+    return np.stack(_given(insts, name))
 
 
 def _psd_rows(H, invertible=False):
@@ -221,9 +233,9 @@ def _pair_gram(X, fns, adjoint_side=False):
 
 def _schwarz_sides(insts):
     """S = B* f^2(|X|) B and T = A* g^2(|X*|) A for the product members."""
-    A, X, B = _stack(insts, "A"), _stack(insts, "X"), _stack(insts, "B")
-    S = hermitian_part(adjoint(B) @ _pair_gram(X, [inst.pair.f for inst in insts]) @ B)
-    T = hermitian_part(adjoint(A) @ _pair_gram(X, [inst.pair.g for inst in insts], adjoint_side=True) @ A)
+    A, X, B, pairs = _stack(insts, "A"), _stack(insts, "X"), _stack(insts, "B"), _given(insts, "pair")
+    S = hermitian_part(adjoint(B) @ _pair_gram(X, [pair.f for pair in pairs]) @ B)
+    T = hermitian_part(adjoint(A) @ _pair_gram(X, [pair.g for pair in pairs], adjoint_side=True) @ A)
     return S, T
 
 
@@ -524,6 +536,8 @@ _hosseini = _checks(
     _psd("B", invertible=True),
 )
 _mean_operands = _checks(_psd("A", invertible=True), _psd("B"))
+# The members that specialize a theorem three ways, one per variant.
+_variants = _scalar("variant in {0, 1, 2}", lambda i: i.variant in (0, 1, 2))
 # The pointwise members evaluate one link per entry of ``vectors``.
 _vectors_given = _scalar("vectors given", lambda i: bool(i.vectors))
 _superquad_points = _checks(
@@ -549,7 +563,7 @@ def _check_conditioned(insts, reports, operands):
 
 def _check_specials(insts, reports, operands):
     for rep, i in zip(reports, insts):
-        if i.variant != 2:
+        if i.variant in (0, 1):
             rep.conditions["0 <= v <= 1"] = bool(i.v is not None and 0.0 <= i.v <= 1.0)
     operands["S"], operands["T"] = _specials_sides(insts)
     _sandwich_gap(operands["S"], operands["T"], reports)
@@ -611,34 +625,30 @@ def _sandwich_gap(S, T, reports):
             bounds.update(m=float(min(lam_s[-1], lam_t[-1])), M=float(max(lam_s[0], lam_t[0])))
 
 
-def _variant_group(inst):
-    """0 or 1 for those variants; every other variant is evaluated as 2."""
-    return inst.variant if inst.variant in (0, 1) else 2
-
-
 def _specials_sides(insts):
     """The lower/upper operands of each Remark-style specialization, stacked
-    variant by variant."""
-    n = next(M.shape[-1] for M in (insts[0].X, insts[0].A) if M is not None)
-    S = np.empty((len(insts), n, n), dtype=np.complex128)
-    T = np.empty_like(S)
+    variant by variant; zero for another variant, whose hypotheses fail."""
+    groups = []
     for variant in (0, 1, 2):
-        rows = [k for k, inst in enumerate(insts) if _variant_group(inst) == variant]
+        rows = [k for k, inst in enumerate(insts) if inst.variant == variant]
         if not rows:
             continue
         group = [insts[k] for k in rows]
         v = [inst.v if inst.v is not None else 0.5 for inst in group]
         if variant == 0:
             A, X, B = _stack(group, "A"), _stack(group, "X"), _stack(group, "B")
-            S[rows] = hermitian_part(adjoint(B) @ abs_power(X, [2 * (1 - w) for w in v]) @ B)
-            T[rows] = hermitian_part(adjoint(A) @ abs_power(X, [2 * w for w in v], adjoint_side=True) @ A)
+            S = hermitian_part(adjoint(B) @ abs_power(X, [2 * (1 - w) for w in v]) @ B)
+            T = hermitian_part(adjoint(A) @ abs_power(X, [2 * w for w in v], adjoint_side=True) @ A)
         elif variant == 1:
             X = _stack(group, "X")
-            S[rows] = abs_power(X, [2 * (1 - w) for w in v])
-            T[rows] = abs_power(X, [2 * w for w in v], adjoint_side=True)
+            S, T = abs_power(X, [2 * (1 - w) for w in v]), abs_power(X, [2 * w for w in v], adjoint_side=True)
         else:
-            S[rows] = abs_power(_stack(group, "B"), 2.0)
-            T[rows] = abs_power(_stack(group, "A"), 2.0)
+            S, T = abs_power(_stack(group, "B"), 2.0), abs_power(_stack(group, "A"), 2.0)
+        groups.append((rows, S, T))
+    n = groups[0][1].shape[-1] if groups else 1
+    S, T = np.zeros((2, len(insts), n, n), dtype=np.complex128)
+    for rows, S_g, T_g in groups:
+        S[rows], T[rows] = S_g, T_g
     return S, T
 
 
@@ -954,7 +964,7 @@ def _ev_hosseini_geo_norms(insts, hyps, ops, radii):
     g_norms = norm_hermitian(weighted_geometric(A, B, 0.5)).tolist()
     out = [None] * len(insts)
     for variant, d in ((0, 2), (1, 1), (2, None)):
-        rows = [k for k, i in enumerate(insts) if _variant_group(i) == variant]
+        rows = [k for k, i in enumerate(insts) if i.variant == variant]
         if not rows:
             continue
         group = [insts[k] for k in rows]
@@ -999,7 +1009,7 @@ def _ev_euclidean_sandwich(insts, hyps, ops, radii):
 
 def _ev_fconn_radius(insts, hyps, ops, radii):
     A, B, X = _stack(insts, "A"), _stack(insts, "B"), _stack(insts, "X")
-    connection, square = f_connection(A, B, [i.f for i in insts])
+    connection, square = f_connection(A, B, _given(insts, "f"))
     res = radii(connection @ X)
     inner = hermitian_part(adjoint(X) @ square @ X)
     rhs = (norm_hermitian(inner + A) / 2).tolist()
@@ -1017,9 +1027,9 @@ def _ev_geo_radius(insts, hyps, ops, radii):
 
 
 def _ev_mixed_schwarz(insts, hyps, ops, radii):
-    A = _stack(insts, "A")
-    f_abs = gram_function(A, [i.pair.f for i in insts])
-    g_abs = gram_function(A, [i.pair.g for i in insts], adjoint_side=True)
+    A, pairs = _stack(insts, "A"), _given(insts, "pair")
+    f_abs = gram_function(A, [pair.f for pair in pairs])
+    g_abs = gram_function(A, [pair.g for pair in pairs], adjoint_side=True)
     out = []
     for i, fk, gk in zip(insts, f_abs, g_abs):
         links = []
@@ -1120,7 +1130,7 @@ MEMBERS = {
         _build_sandwich(_M.CONDITIONED_PRODUCT), _checks(_h_convex, _check_conditioned), _ev_conditioned_product
     ),
     _M.CONDITIONED_SPECIALS: Member(
-        _build_conditioned_specials, _checks(_r_at_least(1), _check_specials), _ev_conditioned_specials
+        _build_conditioned_specials, _checks(_r_at_least(1), _variants, _check_specials), _ev_conditioned_specials
     ),
     _M.GAMMA_PRODUCT: Member(_build_sandwich(_M.GAMMA_PRODUCT), _checks(_h_convex, _check_gamma), _ev_gamma_product),
     _M.REFINED_CONVEXITY: Member(
@@ -1160,7 +1170,7 @@ MEMBERS = {
             "B:positive-invertible",
             params=lambda i: {**_hosseini_params(i), "variant": i % 3},
         ),
-        _hosseini,
+        _checks(_variants, _hosseini),
         _ev_hosseini_geo_norms,
         subtracts_infimum=True,
     ),
@@ -1200,7 +1210,7 @@ MEMBERS = {
 
 # A draw that raises one of these is refused (reported NotApplicable); the
 # float errors come from operands or sides beyond the float range.
-_REFUSALS = (NotInvertible, NotPositive, DomainViolation)
+_REFUSALS = (NotInvertible, NotPositive, DomainViolation, _MissingOperand)
 _FLOAT_RANGE = (FloatingPointError, OverflowError, np.linalg.LinAlgError)
 _RANGE_NOTE = "beyond the float range"
 

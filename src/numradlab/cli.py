@@ -6,13 +6,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import json
 import math
 import os
 import sys
 
 import numpy as np
 
-from .errors import BudgetExhausted, MatrixFormatError, NumradError
+from .errors import BudgetExhausted, NumradError
 from .linalg import operator_norm
 from .matio import load_matrix, matrix_to_dict
 from .radius import complex_gaussian, numerical_radius, stream_rng
@@ -80,42 +81,12 @@ def paper_examples():
     return out
 
 
-def _parse_ids(text):
-    from .catalog import InequalityId
-
-    if text.strip() == "all":
-        return list(InequalityId)
-    ids = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            ids.append(InequalityId(token))
-        except ValueError:
-            raise ValueError(token) from None
-    if not ids:
-        raise ValueError("(empty)")
-    return ids
-
-
 def _cmd_certify(args):
-    from .catalog import InequalityId
     from .ensembles import EnsembleSpec
     from .suite import run_suite
 
-    try:
-        ids = _parse_ids(args.ineq)
-    except ValueError as exc:
-        valid = ", ".join(m.value for m in InequalityId)
-        print(f"error: unknown inequality id {exc}; valid ids: {valid}", file=sys.stderr)
-        return 1
-    try:
-        ensemble = EnsembleSpec(dim=args.dim, kind="generic", scale=1.0, seed=args.seed)
-        report = run_suite(ids, ensemble, args.trials, tol_rel=args.tol)
-    except NumradError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    ensemble = EnsembleSpec(dim=args.dim, kind="generic", scale=1.0, seed=args.seed)
+    report = run_suite(args.ineq, ensemble, args.trials, tol_rel=args.tol)
     for line in report.summary_lines():
         print(line)
     print(
@@ -160,17 +131,11 @@ def _cmd_radius(args):
     except OSError as exc:
         print(f"error: cannot read matrix: {exc}", file=sys.stderr)
         return 1
-    except MatrixFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     try:
         res = numerical_radius(A, tol=args.tol)
         nrm = operator_norm(A)
     except OverflowError:
         print("error: the numerical radius or the norm exceeds the float range", file=sys.stderr)
-        return 1
-    except ValueError as exc:  # a --tol that is not positive and finite
-        print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"w(A)        = {res.value:.12g}")
     print(f"||A||       = {nrm:.12g}")
@@ -222,77 +187,51 @@ def _perturbed(inst, rng, sigma):
     return dataclasses.replace(inst, **changes) if changes else None
 
 
+def _descend(ineq, inst, result, rng):
+    """Random descent from ``inst``: 30 perturbations, each kept when it lowers the slack."""
+    from .catalog import Status, evaluate
+
+    sigma = 0.1
+    for _ in range(30):
+        cand = _perturbed(inst, rng, sigma)
+        if cand is None:
+            break
+        try:
+            cand_result = evaluate(ineq, cand)
+        except NumradError:
+            sigma *= 0.6
+            continue
+        if cand_result.status is Status.NOT_APPLICABLE or not math.isfinite(cand_result.slack):
+            sigma *= 0.6
+            continue
+        if cand_result.slack < result.slack:
+            inst, result = cand, cand_result
+            sigma *= 1.2
+        else:
+            sigma *= 0.6
+    return inst, result
+
+
 def _cmd_search(args):
-    from .catalog import InequalityId, Status, evaluate
+    from .catalog import Status
     from .ensembles import EnsembleSpec
-    from .suite import draw_instance
+    from .suite import _kept_draws
 
-    try:
-        ineq = InequalityId(args.ineq)
-    except ValueError:
-        valid = ", ".join(m.value for m in InequalityId)
-        print(f"error: unknown inequality id {args.ineq!r}; valid ids: {valid}", file=sys.stderr)
-        return 1
-    try:
-        ensemble = EnsembleSpec(dim=args.dim, kind="generic", scale=1.0, seed=args.seed)
-    except NumradError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    best = None
-    draws = 0
-    budget = 100 * max(args.restarts, 1)
-
-    def satisfying_instance():
-        nonlocal draws
-        while True:
-            if draws >= budget:
-                raise BudgetExhausted(f"no hypothesis-satisfying instance within {budget} draws")
-            inst = draw_instance(ineq, ensemble, draws)
-            draws += 1
-            result = evaluate(ineq, inst)
-            if result.status is not Status.NOT_APPLICABLE:
-                return inst, result
-
-    try:
-        inst, result = satisfying_instance()
-    except NumradError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    best = (inst, result)
+    ineq = args.ineq
+    ensemble = EnsembleSpec(dim=args.dim, kind="generic", scale=1.0, seed=args.seed)
     rng = stream_rng(args.seed, f"search:{ineq.value}")
-    for restart in range(args.restarts):
-        if restart > 0:
-            try:
-                inst, result = satisfying_instance()
-            except BudgetExhausted:
-                break
-            except NumradError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-        sigma = 0.1
-        for _ in range(30):
-            cand = _perturbed(inst, rng, sigma)
-            if cand is None:
-                break
-            try:
-                cand_result = evaluate(ineq, cand)
-            except NumradError:
-                sigma *= 0.6
-                continue
-            if cand_result.status is Status.NOT_APPLICABLE or not math.isfinite(cand_result.slack):
-                sigma *= 0.6
-                continue
-            if cand_result.slack < result.slack:
-                inst, result = cand, cand_result
-                sigma *= 1.2
-            else:
-                sigma *= 0.6
-        if result.slack < best[1].slack:
-            best = (inst, result)
+    best = None
+    try:
+        for _, inst, result in _kept_draws(ineq, ensemble, max(args.restarts, 1)):
+            if args.restarts:  # with --restarts 0, the first start is written as drawn
+                inst, result = _descend(ineq, inst, result, rng)
+            if best is None or result.slack < best[1].slack:
+                best = (inst, result)
+    except BudgetExhausted:
+        if best is None:
+            raise
     inst, result = best
     out_path = args.out or f"{ineq.value}-min-slack.json"
-    import json
-
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
             json.dump(_instance_document(ineq, inst, result), fh, indent=1, sort_keys=True)
@@ -312,6 +251,27 @@ def _cmd_search(args):
     return 0
 
 
+def _member_id(text):
+    """Parse one inequality id."""
+    from .catalog import InequalityId
+
+    try:
+        return InequalityId(text.strip())
+    except ValueError:
+        valid = ", ".join(m.value for m in InequalityId)
+        raise argparse.ArgumentTypeError(f"unknown inequality id {text.strip()!r}; valid ids: {valid}") from None
+
+
+def _member_ids(text):
+    """Parse comma-separated inequality ids, or 'all'."""
+    from .catalog import InequalityId
+
+    ids = list(InequalityId) if text.strip() == "all" else [_member_id(t) for t in text.split(",") if t.strip()]
+    if not ids:
+        raise argparse.ArgumentTypeError("no inequality id given")
+    return ids
+
+
 def _count(text):
     """Parse a flag that counts something: an integer >= 0."""
     try:
@@ -323,14 +283,14 @@ def _count(text):
     return value
 
 
-def _tolerance(text):
-    """Parse a relative tolerance flag: a finite float >= 0."""
+def _tolerance(text, positive=False):
+    """Parse a tolerance flag: a finite float >= 0, or > 0 when ``positive``."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    if not 0 <= value < math.inf or (positive and value == 0):
+        raise argparse.ArgumentTypeError(f"must be finite and {'> 0' if positive else '>= 0'}, got {text}")
     return value
 
 
@@ -342,7 +302,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     cert = sub.add_parser("certify", help="run the inequality certification suite")
-    cert.add_argument("--ineq", default="all", help="comma-separated inequality ids, or 'all'")
+    cert.add_argument("--ineq", type=_member_ids, default="all", help="comma-separated inequality ids, or 'all'")
     cert.add_argument("--dim", type=int, default=4)
     cert.add_argument("--trials", type=_count, default=100)
     cert.add_argument("--seed", type=int, default=default_seed)
@@ -356,11 +316,11 @@ def build_parser():
 
     rad = sub.add_parser("radius", help="numerical radius of a matrix file")
     rad.add_argument("--matrix", required=True, help="matrix exchange document path")
-    rad.add_argument("--tol", type=float, default=1e-10)
+    rad.add_argument("--tol", type=functools.partial(_tolerance, positive=True), default=1e-10)
     rad.set_defaults(func=_cmd_radius)
 
     sea = sub.add_parser("search", help="random-restart search for minimal slack")
-    sea.add_argument("--ineq", required=True)
+    sea.add_argument("--ineq", type=_member_id, required=True, help="one inequality id")
     sea.add_argument("--dim", type=int, default=4)
     sea.add_argument("--restarts", type=_count, default=50)
     sea.add_argument("--seed", type=int, default=default_seed)
@@ -383,7 +343,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except NumradError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry():  # console script hook

@@ -1,14 +1,15 @@
 """The certification suite: draws each member's instances with its
 ``catalog.MEMBERS`` builder, in chunks of up to ``CHUNK`` draws, evaluates
 them until the member has the requested number of hypothesis-satisfying
-trials, and collects one record per member into a report.
+trials, and collects one record per member into a report. ``search`` draws
+its starting instances through the same loop and draw budget.
 """
 
 from __future__ import annotations
 
 from .catalog import MEMBERS, CheckInstance, InequalityId, Status, evaluate_many
 from .ensembles import EnsembleSpec
-from .errors import BudgetExhausted
+from .errors import BudgetExhausted, UnsupportedParameter
 
 # Draws built and evaluated together by the suite, as stacks of matrices; at
 # most this many instances are held at once.
@@ -27,46 +28,48 @@ def draw_instance(ineq: InequalityId, ensemble: EnsembleSpec, index: int) -> Che
     return draw_chunk(ineq, ensemble, [index])[0]
 
 
+def _kept_draws(ineq, ensemble, count, tol_rel=1e-8):
+    """Yield ``(index, instance, result)`` for the first ``count`` draws
+    that are not NotApplicable, in index order. Raises BudgetExhausted when
+    100 draws per requested one do not suffice."""
+    kept = draws = 0
+    budget = 100 * max(count, 1)
+    while kept < count:
+        if draws >= budget:
+            raise BudgetExhausted(f"{ineq.value}: no hypothesis-satisfying instance within {budget} draws")
+        # A draw's outcome depends on its index alone, so evaluating the next
+        # indices together keeps exactly the draws a one-by-one loop keeps.
+        indices = range(draws, min(draws + min(count - kept, CHUNK), budget))
+        insts = draw_chunk(ineq, ensemble, indices)
+        draws = indices.stop
+        for index, inst, result in zip(indices, insts, evaluate_many(ineq, insts, tol_rel=tol_rel)):
+            if result.status is not Status.NOT_APPLICABLE:
+                kept += 1
+                yield index, inst, result
+
+
 def _run_member(ineq, ensemble, trials, tol_rel):
     from .report import IneqRecord
     import statistics
 
-    counts = {Status.HOLDS: 0, Status.VIOLATED: 0, Status.INCONCLUSIVE: 0, Status.NOT_APPLICABLE: 0}
+    counts = dict.fromkeys((Status.HOLDS, Status.VIOLATED, Status.INCONCLUSIVE), 0)
     slacks = []
     notes = set()
-    min_slack = None
-    min_index = None
+    min_slack = min_index = None
     min_params = {}
-    draws = 0
-    budget = 100 * max(trials, 1)
-    while len(slacks) < trials:
-        if draws >= budget:
-            raise BudgetExhausted(
-                f"{ineq.value}: no hypothesis-satisfying instance within {budget} draws"
-            )
-        # A draw's outcome depends on its index alone, so evaluating the next
-        # indices together keeps exactly the draws a one-by-one loop keeps.
-        indices = range(draws, min(draws + min(trials - len(slacks), CHUNK), budget))
-        insts = draw_chunk(ineq, ensemble, indices)
-        draws = indices.stop
-        results = evaluate_many(ineq, insts, tol_rel=tol_rel)
-        for index, inst, result in zip(indices, insts, results):
-            if result.status is Status.NOT_APPLICABLE:
-                continue
-            counts[result.status] += 1
-            slacks.append(result.slack)
-            notes.update(result.semantics)
-            if min_slack is None or result.slack < min_slack:
-                min_slack = result.slack
-                min_index = index
-                min_params = inst.params()
+    for index, inst, result in _kept_draws(ineq, ensemble, trials, tol_rel):
+        counts[result.status] += 1
+        slacks.append(result.slack)
+        notes.update(result.semantics)
+        if min_slack is None or result.slack < min_slack:
+            min_slack, min_index, min_params = result.slack, index, inst.params()
     return IneqRecord(
         ineq=ineq.value,
         trials=trials,
         holds=counts[Status.HOLDS],
         violated=counts[Status.VIOLATED],
         inconclusive=counts[Status.INCONCLUSIVE],
-        not_applicable=counts[Status.NOT_APPLICABLE],
+        not_applicable=0,
         min_slack=min_slack,
         median_slack=(statistics.median(slacks) if slacks else None),
         min_slack_index=min_index,
@@ -79,13 +82,16 @@ def run_suite(ids, ensemble: EnsembleSpec, trials: int, tol_rel=1e-8):
     """Evaluate each member on `trials` hypothesis-satisfying instances.
 
     Fully deterministic given the ensemble seed: per-member results do not
-    depend on the order members are evaluated in.
+    depend on the order members are evaluated in. Members draw their own
+    kinds, so the ensemble's kind must be "generic".
     """
     from .report import SuiteReport
     import time
 
     if trials < 0:
         raise ValueError("trials must be >= 0")
+    if ensemble.kind != "generic":
+        raise UnsupportedParameter(f"members draw their own kinds; the suite takes 'generic', not {ensemble.kind!r}")
     ids = list(ids)
     start = time.perf_counter()
     records = [_run_member(i, ensemble, trials, tol_rel) for i in ids]

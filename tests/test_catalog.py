@@ -13,7 +13,7 @@ from numradlab.catalog import (
     _schwarz_sides,
 )
 from numradlab.ensembles import EnsembleSpec
-from numradlab.errors import BudgetExhausted, NotInvertible
+from numradlab.errors import BudgetExhausted, NotInvertible, UnsupportedParameter
 from numradlab.functions import SchwarzPair, power
 from numradlab.report import IneqRecord
 from numradlab.linalg import adjoint, hermitian_part, hermitian_power
@@ -420,6 +420,35 @@ def test_every_catalog_enclosure_takes_the_one_tolerance(monkeypatch, tmp_path):
     out = str(tmp_path / "s.json")
     assert cli.main(["search", "--ineq", member.value, "--dim", "2", "--restarts", "1", "--out", out]) == 0
     assert tols and set(tols) == {catalog._RADIUS_TOL}
+
+
+def test_run_suite_refuses_a_kind_it_never_draws():
+    # each member's builder picks its own kinds, so a report under kind
+    # "normal" would record draws that were generic
+    with pytest.raises(UnsupportedParameter):
+        run_suite([InequalityId.NORM_SANDWICH], EnsembleSpec(dim=2, kind="normal", seed=1), trials=1)
+
+
+@pytest.mark.parametrize("member", list(InequalityId), ids=lambda m: m.value)
+def test_missing_operands_are_not_applicable(member):
+    # an empty instance, and drawn ones that each lack one matrix, scalar or function
+    names = [f.name for f in dataclasses.fields(CheckInstance) if f.name not in ("vectors", "variant")]
+    cases = [CheckInstance()]
+    for index in range(3):  # the specials members cycle through three variants
+        inst = draw_instance(member, EnsembleSpec(dim=3, seed=1), index)
+        cases += [dataclasses.replace(inst, **{name: None}) for name in names if getattr(inst, name) is not None]
+    for inst in cases:
+        assert evaluate(member, inst).status is Status.NOT_APPLICABLE
+
+
+@pytest.mark.parametrize("member", [InequalityId.CONDITIONED_SPECIALS, InequalityId.HOSSEINI_GEO_NORMS], ids=lambda m: m.value)
+def test_variants_outside_the_three_are_not_evaluated(member):
+    # a variant outside the three fails its hypotheses instead of being read as another
+    ens = EnsembleSpec(dim=3, seed=1)
+    for index in range(3):
+        res = evaluate(member, dataclasses.replace(draw_instance(member, ens, index), variant=7))
+        assert res.status is Status.NOT_APPLICABLE
+        assert res.hypothesis.conditions["variant in {0, 1, 2}"] is False
 
 
 def test_run_suite_norm_sandwich_hundred_holds():

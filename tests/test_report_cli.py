@@ -341,6 +341,10 @@ def test_certify_trials_zero_and_unknown_id(capsys):
         ["radius", "--tol", "nan"],
         ["radius", "--tol", "inf"],
         ["search", "--ineq", "norm-sandwich", "--restarts", "-3"],
+        ["certify", "--ineq", "norm-sandwich,nope"],
+        ["certify", "--ineq", ","],
+        ["search", "--ineq", "nope"],
+        ["search", "--ineq", "norm-sandwich,kittaneh-chain"],
     ],
     ids="_".join,
 )
@@ -463,14 +467,21 @@ def test_search_descends_norm_sandwich(tmp_path, capsys):
 
 @pytest.mark.parametrize("ineq", ["superquad-defect", "dragomir-vector"])
 def test_search_does_not_reevaluate_an_instance_it_cannot_move(ineq, monkeypatch, tmp_path):
-    evaluate = catalog.evaluate
+    # the starts are evaluated in chunks, the descent's candidates one by one:
+    # count the instances through both
+    evaluate, evaluate_many = catalog.evaluate, suite.evaluate_many
     calls = []
 
     def counted(member, inst):
         calls.append(inst)
         return evaluate(member, inst)
 
+    def counted_many(member, insts, tol_rel=1e-8):
+        calls.extend(insts)
+        return evaluate_many(member, insts, tol_rel=tol_rel)
+
     monkeypatch.setattr(catalog, "evaluate", counted)
+    monkeypatch.setattr(suite, "evaluate_many", counted_many)
     out = tmp_path / "inst.json"
     code = cli.main(["search", "--ineq", ineq, "--restarts", "2", "--dim", "3", "--seed", "1", "--out", str(out)])
     assert code == 0
@@ -499,10 +510,35 @@ def test_certify_reports_kernel_errors(monkeypatch, capsys):
 
 
 def test_search_reports_kernel_errors(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(catalog, "evaluate", _no_convergence)
+    monkeypatch.setattr(suite, "evaluate_many", _no_convergence)
     out = tmp_path / "inst.json"
     assert cli.main(["search", "--ineq", "norm-sandwich", "--restarts", "0", "--out", str(out)]) == 1
     assert "did not converge" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_examples_reports_kernel_errors(monkeypatch, capsys):
+    monkeypatch.setattr(catalog, "evaluate", _no_convergence)
+    assert cli.main(["examples"]) == 1
+    err = capsys.readouterr().err
+    assert "error: eigensolver did not converge" in err and "Traceback" not in err
+
+
+def test_search_spends_the_certify_draw_budget(monkeypatch, tmp_path, capsys):
+    # search draws its starts through the suite's loop, in index order and
+    # within 100 draws per start; the budget's error names the member
+    drawn = []
+    draw_chunk = suite.draw_chunk
+
+    def never_applicable(ineq, insts, tol_rel=1e-8):
+        return [catalog._not_applicable(ineq, catalog.HypothesisReport(satisfied=False)) for _ in insts]
+
+    monkeypatch.setattr(suite, "draw_chunk", lambda ineq, ens, idx: drawn.append(list(idx)) or draw_chunk(ineq, ens, idx))
+    monkeypatch.setattr(suite, "evaluate_many", never_applicable)
+    out = tmp_path / "inst.json"
+    assert cli.main(["search", "--ineq", "norm-sandwich", "--dim", "2", "--restarts", "2", "--out", str(out)]) == 1
+    assert "error: norm-sandwich: no hypothesis-satisfying instance within 200 draws" in capsys.readouterr().err
+    assert [i for chunk in drawn for i in chunk] == list(range(200))
     assert not out.exists()
 
 
@@ -515,12 +551,13 @@ def test_search_reports_unwritable_output(tmp_path, capsys):
 
 
 def test_search_flags_violated_theorem_member(monkeypatch, tmp_path, capsys):
-    evaluate = catalog.evaluate
+    evaluate_many = suite.evaluate_many
 
-    def violated(ineq, inst):
-        return dataclasses.replace(evaluate(ineq, inst), slack=-1.0, status=catalog.Status.VIOLATED)
+    def violated(ineq, insts, tol_rel=1e-8):
+        results = evaluate_many(ineq, insts, tol_rel=tol_rel)
+        return [dataclasses.replace(r, slack=-1.0, status=catalog.Status.VIOLATED) for r in results]
 
-    monkeypatch.setattr(catalog, "evaluate", violated)
+    monkeypatch.setattr(suite, "evaluate_many", violated)
     out = tmp_path / "inst.json"
     code = cli.main(["search", "--ineq", "norm-sandwich", "--dim", "2", "--restarts", "0", "--out", str(out)])
     assert code == 2
