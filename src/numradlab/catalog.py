@@ -47,8 +47,8 @@ from .functions import (
     superquadratic_defect,
 )
 from .linalg import (
-    INV_CUTOFF,
     _adj,
+    _clears,
     _pow2_rows,
     _spectral,
     abs_power,
@@ -214,8 +214,7 @@ def _stack(insts, name):
 
 def _psd_rows(H, invertible=False):
     lam = np.linalg.eigvalsh(hermitian_part(H))
-    scale = np.abs(lam).max(axis=-1, initial=0.0)
-    return lam[:, 0] > INV_CUTOFF * scale if invertible else lam[:, 0] >= -1e-10 * scale
+    return _clears(lam[:, 0], np.abs(lam).max(axis=-1, initial=0.0), invertible)
 
 
 def _normal_rows(A):
@@ -578,7 +577,7 @@ def _check_gamma(insts, reports, operands):
     for k, rep in enumerate(reports):
         m_lo = float(min(lam_s[k, 0], lam_t[k, 0]))
         M_hi = float(max(lam_s[k, -1], lam_t[k, -1]))
-        rep.conditions["operands positive invertible"] = m_lo > INV_CUTOFF * M_hi
+        rep.conditions["operands positive invertible"] = _clears(m_lo, M_hi, invertible=True)
         rep.conditions["Loewner sandwich (conclusion operands, either order)"] = bool(star[k])
         rep.notes.append(
             "hypothesis reading with g^2(|X|) on the A side " + ("also holds" if plain[k] else "does not hold")
@@ -608,19 +607,16 @@ def _sandwich_gap(S, T, reports):
         cond, bounds = rep.conditions, rep.bounds
         scale = max(float(lam_s[-1]), float(lam_t[-1]))
         for lam_lo, lam_up, label in ((lam_s, lam_t, "S <= m < M <= T"), (lam_t, lam_s, "T <= m < M <= S")):
-            positive = lam_lo[0] > INV_CUTOFF * scale
             m = float(lam_lo[-1])
             M = float(lam_up[0])
-            if positive and m < M:
+            if _clears(lam_lo[0], scale, invertible=True) and m < M:
                 cond["lower side positive invertible"] = True
                 cond["spectral gap m < M"] = True
                 bounds.update(m=m, M=M)
                 rep.notes.append(f"ordering {label}")
                 break
         else:
-            cond["lower side positive invertible"] = bool(
-                lam_s[0] > INV_CUTOFF * scale or lam_t[0] > INV_CUTOFF * scale
-            )
+            cond["lower side positive invertible"] = bool(_clears(max(lam_s[0], lam_t[0]), scale, invertible=True))
             cond["spectral gap m < M"] = False
             bounds.update(m=float(min(lam_s[-1], lam_t[-1])), M=float(max(lam_s[0], lam_t[0])))
 

@@ -3,7 +3,8 @@ pairs (f, g) with f(t) g(t) = t, the superquadratic defect, and the
 Jensen-gap infimum for Hermitian pairs.
 
 Flags are declared by the constructors and spot-validated by the test suite,
-not derived symbolically.
+not derived symbolically. A domain test scales with the largest |point| it
+is given, with no absolute floor.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainViolation, NotSuperquadratic, UnsupportedParameter
-from .linalg import check_hermitian
+from .linalg import _clears, check_hermitian
 from .radius import _boundary_inf
 
 NONNEG = "nonnegative"
@@ -21,10 +22,6 @@ INCREASING = "increasing"
 CONVEX = "convex"
 CONCAVE = "concave"
 SUPERQUADRATIC = "superquadratic"
-
-# Relative clip slack at closed endpoints and exclusion margin at open ones.
-_CLOSED_SLACK = 1e-12
-_OPEN_MARGIN = 1e-10
 
 
 @dataclass(frozen=True)
@@ -35,25 +32,25 @@ class Interval:
     hi_open: bool = False
 
     def admit(self, x):
-        """Validate an array of points, clipping roundoff at closed endpoints."""
+        """Validate an array of points, clipping roundoff at closed endpoints. Their
+        distance inside each finite endpoint must pass ``_clears`` at the largest |point|."""
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
         lo_val = float(x.min(initial=np.inf))
         hi_val = float(x.max(initial=-np.inf))
-        scale = max(1.0, abs(lo_val), abs(hi_val))
-        out = x
-        if np.isfinite(self.lo) and lo_val < self.lo:
-            if self.lo_open or lo_val < self.lo - _CLOSED_SLACK * scale:
-                raise DomainViolation(f"value {lo_val:.6e} outside domain (lower endpoint {self.lo:g})")
-            out = np.maximum(out, self.lo)
-        elif self.lo_open and np.isfinite(self.lo) and lo_val <= self.lo + _OPEN_MARGIN * scale:
-            raise DomainViolation(f"value {lo_val:.6e} too close to open lower endpoint {self.lo:g}")
-        if np.isfinite(self.hi) and hi_val > self.hi:
-            if self.hi_open or hi_val > self.hi + _CLOSED_SLACK * scale:
-                raise DomainViolation(f"value {hi_val:.6e} outside domain (upper endpoint {self.hi:g})")
-            out = np.minimum(out, self.hi)
-        elif self.hi_open and np.isfinite(self.hi) and hi_val >= self.hi - _OPEN_MARGIN * scale:
-            raise DomainViolation(f"value {hi_val:.6e} too close to open upper endpoint {self.hi:g}")
-        return out
+        scale = max(abs(lo_val), abs(hi_val))
+        for val, end, inside, is_open, side in (
+            (lo_val, self.lo, lo_val - self.lo, self.lo_open, "lower"),
+            (hi_val, self.hi, self.hi - hi_val, self.hi_open, "upper"),
+        ):
+            if np.isfinite(end) and not _clears(inside, scale, is_open):
+                if inside < 0:
+                    raise DomainViolation(f"value {val:.6e} outside domain ({side} endpoint {end:g})")
+                raise DomainViolation(f"value {val:.6e} too close to open {side} endpoint {end:g}")
+        if lo_val < self.lo:
+            x = np.maximum(x, self.lo)
+        if hi_val > self.hi:
+            x = np.minimum(x, self.hi)
+        return x
 
 
 @dataclass(frozen=True)

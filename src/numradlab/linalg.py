@@ -12,6 +12,10 @@ what it is alone, because stacked matmul, eigh and eigvalsh are, and two
 rules keep it so: a per-matrix exponent or function is applied to that
 matrix's eigenvalue row alone, and Frobenius norms of a stack (not bitwise
 those of its matrices) only decide pass/fail tests.
+
+Roundoff tests scale with the magnitudes they compare, with no absolute
+floor. ``_clears`` decides positivity, invertibility, the Loewner order and
+(for ``functions``) a function's domain.
 """
 
 from __future__ import annotations
@@ -21,14 +25,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotHermitian, NotInvertible, NotPositive
+from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotInvertible, NotPositive
 
 # Relative tolerance for accepting an input as Hermitian.
 EPS_HERM = 1e-10
-# Relative spectral cutoff below which negative powers refuse to evaluate.
+# Relative margin by which a spectrum must clear zero to count as invertible.
 INV_CUTOFF = 1e-10
-# Slack granted to closed domain endpoints (absorbs eigenvalue roundoff).
+# Relative slack by which a nonnegative spectrum may dip below zero (roundoff).
 PSD_SLACK = 1e-12
+
+
+def _clears(low, scale, invertible=False):
+    """Whether a least eigenvalue is nonnegative within roundoff (if invertible, clear of zero), relative to scale."""
+    return low > INV_CUTOFF * scale if invertible else low >= -PSD_SLACK * scale
 
 
 def as_matrix(A) -> np.ndarray:
@@ -137,13 +146,13 @@ def hermitian_eigen(H) -> HermitianEigen:
 
     Raises NotHermitian if the input is not Hermitian within EPS_HERM, and
     NoConvergence if the factorization misses the residual target
-    ``eps_res * (1 + ||H||)`` with eps_res = 1e-11 * n.
+    ``eps_res * ||H||`` with eps_res = 1e-11 * n.
     """
     H = check_hermitian(as_matrix(H))
     n = H.shape[0]
     eps_res = 1e-11 * n
     lam, V = _eigh(H)
-    scale = 1.0 + float(np.abs(lam).max(initial=0.0))
+    scale = float(np.abs(lam).max(initial=0.0))
     resid = np.linalg.norm(H @ V - V * lam, 2)
     unit = np.linalg.norm(V.conj().T @ V - np.eye(n), 2)
     if resid > eps_res * scale or unit > eps_res:
@@ -270,11 +279,11 @@ def hermitian_power(H, p) -> np.ndarray:
     q = np.broadcast_to(np.asarray(p, dtype=np.float64), lam.shape[:-1])
     scale = np.abs(lam).max(axis=-1, initial=0.0)
     low = lam[..., 0]
-    refused = (q < 0) & (low <= INV_CUTOFF * scale)
+    refused = (q < 0) & ~_clears(low, scale, invertible=True)
     if refused.any():
         raise NotInvertible(f"min eigenvalue {low[_first(refused)]:.3e} below invertibility cutoff")
     fractional = q != np.trunc(q)
-    negative = fractional & (low < -PSD_SLACK * scale)
+    negative = fractional & ~_clears(low, scale)
     if negative.any():
         raise NotPositive(f"min eigenvalue {low[_first(negative)]:.3e} negative beyond tolerance")
     if fractional.any():
@@ -285,15 +294,13 @@ def hermitian_power(H, p) -> np.ndarray:
 def loewner_leq(A, B) -> bool:
     """Test A <= B in the positive semidefinite order, up to relative slack.
 
-    True iff lambda_min(B - A) >= -1e-10 * (1 + ||A|| + ||B||); for stacks,
-    an array of one verdict per pair.
+    True iff lambda_min(B - A) >= -PSD_SLACK * (||A|| + ||B||), at any
+    magnitude; for stacks, an array of one verdict per pair.
     """
     A = check_hermitian(A)
     B = check_hermitian(B)
     if A.shape != B.shape:
-        from .errors import DimensionMismatch
-
         raise DimensionMismatch(f"shapes {A.shape} and {B.shape} differ")
     gap = np.linalg.eigvalsh(B - A)[..., 0]
-    ok = gap >= -1e-10 * (1.0 + norm_hermitian(A) + norm_hermitian(B))
+    ok = _clears(gap, norm_hermitian(A) + norm_hermitian(B))
     return bool(ok) if ok.ndim == 0 else ok

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidBounds, NotInvertible, NotPositive
-from .linalg import INV_CUTOFF, PSD_SLACK, _eigh, _first, _rows_apply, _spectral, check_hermitian, hermitian_part
+from .linalg import _clears, _eigh, _first, _rows_apply, _spectral, check_hermitian, hermitian_part
 
 
 def _positive_spectrum(A, name, invertible):
@@ -16,10 +16,10 @@ def _positive_spectrum(A, name, invertible):
     lam, V = _eigh(A)
     scale = np.abs(lam).max(axis=-1, initial=0.0)
     low = lam[..., 0]
-    negative = low < -PSD_SLACK * scale
+    negative = ~_clears(low, scale)
     if negative.any():
         raise NotPositive(f"{name} has negative eigenvalue {low[_first(negative)]:.3e}")
-    singular = low <= INV_CUTOFF * scale
+    singular = ~_clears(low, scale, invertible=True)
     if invertible and singular.any():
         raise NotInvertible(f"{name} min eigenvalue {low[_first(singular)]:.3e} is below the invertibility cutoff")
     return np.clip(lam, 0.0, None), V

@@ -13,10 +13,11 @@ from numradlab.catalog import (
     _schwarz_sides,
 )
 from numradlab.ensembles import EnsembleSpec
-from numradlab.errors import BudgetExhausted, NotInvertible, UnsupportedParameter
+from numradlab.errors import BudgetExhausted, NotInvertible, NotPositive, UnsupportedParameter
 from numradlab.functions import SchwarzPair, power
 from numradlab.report import IneqRecord
 from numradlab.linalg import adjoint, hermitian_part, hermitian_power
+from numradlab.means import weighted_geometric
 from numradlab.radius import complex_gaussian, numerical_radius, quad_forms, stream_rng
 from numradlab.suite import draw_instance, run_suite
 from oracles import SphereSampler, sandwich_triple, sphere_sup
@@ -479,6 +480,25 @@ def test_verdict_counts_do_not_depend_on_magnitude():
     unscaled = counts(1.0)
     for scale in (2.0**-500, 2.0**-60, 1e-20, 2.0**60):
         assert counts(scale) == unscaled, scale
+
+
+def test_psd_hypothesis_agrees_with_the_kernels():
+    # the hypothesis test and the kernels share one relative slack: both refuse
+    # a spectrum whose least eigenvalue is -1e-11 of its norm, and both accept
+    # one at -1e-13, at any magnitude
+    U, _ = np.linalg.qr(complex_gaussian(stream_rng(5, "psd-agree"), (3, 3)))
+    for scale in (1.0, 2.0**-600):
+        for low, positive in ((-1e-11, False), (-1e-13, True)):
+            H = scale * hermitian_part(U @ np.diag([low, 0.5, 1.0]) @ adjoint(U))
+            assert bool(catalog._psd_rows(H[None])[0]) is positive
+            if positive:
+                hermitian_power(H, 0.5)
+                weighted_geometric(np.eye(3), H, 0.5)
+            else:
+                with pytest.raises(NotPositive):
+                    hermitian_power(H, 0.5)
+                with pytest.raises(NotPositive):
+                    weighted_geometric(np.eye(3), H, 0.5)
 
 
 def test_sampled_members_note_semantics():

@@ -43,6 +43,13 @@ def test_eval_examples():
         deformed_exp_function(0.0)
     with pytest.raises(errors.DomainViolation):
         power(-0.5)(0.0)
+    # domain slack and margin are relative to the largest |point|: a point a
+    # tenth of the scale outside a closed endpoint is refused, and one a tenth
+    # inside an open endpoint admitted, at any magnitude
+    for scale in (1.0, 1e-13, 1e-19, 2.0**-600):
+        with pytest.raises(errors.DomainViolation):
+            power(0.5)(scale * np.array([-0.1, 1.0]))
+        np.testing.assert_allclose(power(-1.0)(scale * np.array([0.1, 1.0])), [10.0 / scale, 1.0 / scale])
 
 
 def test_parse_names():

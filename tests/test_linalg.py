@@ -64,6 +64,17 @@ def test_hermitian_eigen_rejects_non_hermitian():
         hermitian_eigen(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+def test_hermitian_eigen_residual_budget_scales_with_the_matrix(monkeypatch):
+    # identity "eigenvectors" of a non-diagonal H miss the residual target at
+    # every magnitude; a budget with an absolute floor let them pass below 1e-11
+    from numradlab import linalg
+
+    monkeypatch.setattr(linalg, "_eigh", lambda H: (np.linalg.eigvalsh(H), np.eye(len(H), dtype=complex)))
+    for scale in (1.0, 1e-12, 1e-20):
+        with pytest.raises(errors.NoConvergence):
+            hermitian_eigen(scale * np.array([[0, 1], [1, 0]], dtype=complex))
+
+
 def test_operator_norm_examples():
     assert operator_norm(np.diag([2.0, -5.0]).astype(complex)) == pytest.approx(5.0)
     assert operator_norm(np.array([[0, 3], [0, 0]], dtype=complex)) == pytest.approx(3.0)
@@ -182,6 +193,11 @@ def test_apply_scalar_function_domain_violation():
     H = np.diag([1.0, -2.0]).astype(complex)
     with pytest.raises(errors.DomainViolation):
         apply_scalar_function(power(0.5), H)
+    # the domain slack is relative to the spectrum, so a negative eigenvalue
+    # a tenth of the spectrum's size is refused at any magnitude, not clipped
+    for scale in (1.0, 1e-13, 1e-19, 2.0**-600):
+        with pytest.raises(errors.DomainViolation):
+            apply_scalar_function(power(0.5), scale * np.diag([-1.0, 0.1]).astype(complex))
 
 
 def test_lambda_min_matches_hand_computed_radius_gap():
@@ -195,12 +211,17 @@ def test_lambda_min_matches_hand_computed_radius_gap():
 
 
 def test_loewner_examples():
-    assert loewner_leq(np.diag([1.0, 2.0]).astype(complex), np.diag([2.0, 3.0]).astype(complex))
-    A = np.diag([1.0, 5.0]).astype(complex)
-    assert loewner_leq(A, A)
-    B = np.diag([2.0, 3.0]).astype(complex)
-    assert not loewner_leq(np.diag([1.0, 5.0]).astype(complex), B)
-    assert not loewner_leq(B, np.diag([1.0, 5.0]).astype(complex))
+    # the slack is relative to ||A|| + ||B||, so the verdicts hold at any
+    # magnitude; an absolute floor ordered the unordered pair both ways at 2^-40
+    P = np.array([[1, 1j], [-1j, 1]])  # positive semidefinite, rank one
+    for scale in (1.0, 2.0**-40, 2.0**-600, 2.0**60):
+        assert loewner_leq(scale * np.diag([1.0, 2.0]).astype(complex), scale * np.diag([2.0, 3.0]).astype(complex))
+        A = scale * np.diag([1.0, 5.0]).astype(complex)
+        assert loewner_leq(A, A)
+        assert loewner_leq(A, A + scale * P)
+        B = scale * np.diag([2.0, 3.0]).astype(complex)
+        assert not loewner_leq(A, B)
+        assert not loewner_leq(B, A)
 
 
 def test_loewner_reflexive_transitive_on_psd_chains():
