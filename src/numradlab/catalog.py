@@ -49,6 +49,7 @@ from .functions import (
 from .linalg import (
     _adj,
     _clears,
+    _leq,
     _pow2_rows,
     _spectral,
     abs_power,
@@ -180,7 +181,7 @@ class Member:
       evaluator reuses (the sandwich sides S and T);
     - ``evaluate(insts, hyps, operands, radii)`` takes the instances whose
       hypotheses hold, and returns one outcome each: its named links
-      ``(name, lhs, rhs)``, details, semantics and witness (see ``_chain``);
+      ``(name, lhs, rhs)``, details, semantics and witness (see ``_verdict``);
     - ``subtracts_infimum`` marks a right side that subtracts an infimum
       over the sphere: a failed check there is Inconclusive, not Violated.
     """
@@ -1214,8 +1215,8 @@ _RANGE_NOTE = "beyond the float range"
 def evaluate(ineq: InequalityId, inst: CheckInstance, tol_rel=1e-8) -> CheckResult:
     """Verify hypotheses and evaluate both sides of one catalog member.
 
-    Status is Holds when the hypotheses are met and slack clears
-    ``-tol_rel * (1 + |lhs| + |rhs|)``; a failed check on a member that
+    Status is Holds when the hypotheses are met and every link passes
+    ``linalg._leq`` at ``tol_rel``; a failed check on a member that
     subtracts an infimum is Inconclusive, on any other member Violated.
     Hypothesis failures yield NotApplicable, never raise, and so does a draw
     whose evaluation is refused: an operand outside a function's domain, or
@@ -1253,7 +1254,7 @@ def evaluate_many(ineq: InequalityId, insts, tol_rel=1e-8) -> list:
             if live:
                 chunk = {name: M[live] for name, M in operands.items()}
                 found = MEMBERS[ineq].evaluate([insts[k] for k in live], [hyps[k] for k in live], chunk, radii)
-                outcomes = {k: _chain(*outcome) for k, outcome in zip(live, found, strict=True)}
+                outcomes = dict(zip(live, found, strict=True))
     except _REFUSALS + _FLOAT_RANGE as exc:
         if len(insts) > 1:
             return [result for inst in insts for result in evaluate_many(ineq, [inst], tol_rel)]
@@ -1275,29 +1276,23 @@ def _refused(ineq, hyp, reason):
     return _not_applicable(ineq, hyp)
 
 
-def _chain(links, details, semantics, witness):
-    """(lhs, rhs, details, semantics, witness) from an outcome's named links: the binding
-    link, the first of least slack (or the first NaN), gives lhs and rhs; details name all."""
-    slacks = [r - l for _, l, r in links]
-    k = int(np.argmin(slacks))
-    name, lhs, rhs = links[k]
-    for nm, l, r in links:
-        details[f"{nm}.lhs"] = float(l)
-        details[f"{nm}.rhs"] = float(r)
-    details["binding"] = name
-    return float(lhs), float(rhs), details, semantics, witness
-
-
 def _verdict(ineq, hyp, outcome, tol_rel):
-    lhs, rhs, details, semantics, witness = outcome
+    """The result of an outcome's named links: it holds when every link passes ``_leq``. The binding
+    link gives lhs and rhs: the failing link, else the link, of least slack (or the first NaN)."""
+    links, details, semantics, witness = outcome
+    links = [(name, float(lhs), float(rhs)) for name, lhs, rhs in links]
+    for name, lhs, rhs in links:
+        details[f"{name}.lhs"], details[f"{name}.rhs"] = lhs, rhs
+    failing = [link for link in links if not _leq(link[1], link[2], tol_rel)]
+    candidates = failing or links
+    name, lhs, rhs = candidates[int(np.argmin([rhs - lhs for _, lhs, rhs in candidates]))]
+    details["binding"] = name
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         return _refused(ineq, hyp, _RANGE_NOTE)
-    slack = rhs - lhs
-    tol = tol_rel * (1.0 + abs(lhs) + abs(rhs))
-    if slack >= -tol:
+    if not failing:
         status = Status.HOLDS
     elif MEMBERS[ineq].subtracts_infimum:
         status = Status.INCONCLUSIVE
     else:
         status = Status.VIOLATED
-    return CheckResult(ineq, lhs, rhs, slack, status, hyp, witness, details, list(semantics))
+    return CheckResult(ineq, lhs, rhs, rhs - lhs, status, hyp, witness, details, list(semantics))

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .errors import BudgetExhausted, NumradError
-from .linalg import operator_norm
+from .linalg import _leq, operator_norm
 from .matio import load_matrix, matrix_to_dict
 from .radius import complex_gaussian, numerical_radius, stream_rng
 
@@ -81,6 +81,15 @@ def paper_examples():
     return out
 
 
+def _write(path, what, text):
+    """Write ``text`` to ``path``; a failure raises NumradError("cannot write <what>: ...")."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise NumradError(f"cannot write {what}: {exc}") from None
+
+
 def _cmd_certify(args):
     from .ensembles import EnsembleSpec
     from .suite import run_suite
@@ -94,13 +103,7 @@ def _cmd_certify(args):
         f"wall={report.wall_time:.2f}s"
     )
     if args.report:
-        try:
-            payload = report.to_csv() if args.format == "csv" else report.to_json()
-            with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            print(f"error: cannot write report: {exc}", file=sys.stderr)
-            return 1
+        _write(args.report, "report", report.to_csv() if args.format == "csv" else report.to_json())
         print(f"report written to {args.report} ({args.format})")
     return 2 if report.total_violated else 0
 
@@ -129,24 +132,21 @@ def _cmd_radius(args):
     try:
         A = load_matrix(args.matrix)
     except OSError as exc:
-        print(f"error: cannot read matrix: {exc}", file=sys.stderr)
-        return 1
+        raise NumradError(f"cannot read matrix: {exc}") from None
     try:
         res = numerical_radius(A, tol=args.tol)
         nrm = operator_norm(A)
     except OverflowError:
-        print("error: the numerical radius or the norm exceeds the float range", file=sys.stderr)
-        return 1
+        raise NumradError("the numerical radius or the norm exceeds the float range") from None
     print(f"w(A)        = {res.value:.12g}")
     print(f"||A||       = {nrm:.12g}")
     print(f"theta*      = {res.theta_star:.12g}")
     print(f"upper       = {res.upper:.12g}")
     print(f"gap         = {res.refinement_width:.3g}")
     print("witness     = [" + ", ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in res.witness) + "]")
-    slack_lo = res.value - nrm / 2
-    slack_hi = nrm - res.value
-    ok = slack_lo >= -1e-8 * (1 + nrm) and slack_hi >= -1e-8 * (1 + nrm)
-    print(f"sandwich ||A||/2 <= w <= ||A||: {'OK' if ok else 'FAIL'} (slacks {slack_lo:.3g}, {slack_hi:.3g})")
+    ok = _leq(nrm / 2, res.value, 1e-8) and _leq(res.value, nrm, 1e-8)
+    slacks = f"{res.value - nrm / 2:.3g}, {nrm - res.value:.3g}"
+    print(f"sandwich ||A||/2 <= w <= ||A||: {'OK' if ok else 'FAIL'} (slacks {slacks})")
     return 0 if ok else 2
 
 
@@ -232,13 +232,7 @@ def _cmd_search(args):
             raise
     inst, result = best
     out_path = args.out or f"{ineq.value}-min-slack.json"
-    try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(_instance_document(ineq, inst, result), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        print(f"error: cannot write instance: {exc}", file=sys.stderr)
-        return 1
+    _write(out_path, "instance", json.dumps(_instance_document(ineq, inst, result), indent=1, sort_keys=True) + "\n")
     print(f"{ineq.value}: min slack {result.slack:.6g} (status {result.status.value}) after {args.restarts} restarts")
     print(f"instance written to {out_path}")
     if result.status is Status.VIOLATED:

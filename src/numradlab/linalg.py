@@ -13,9 +13,9 @@ rules keep it so: a per-matrix exponent or function is applied to that
 matrix's eigenvalue row alone, and Frobenius norms of a stack (not bitwise
 those of its matrices) only decide pass/fail tests.
 
-Roundoff tests scale with the magnitudes they compare, with no absolute
-floor. ``_clears`` decides positivity, invertibility, the Loewner order and
-(for ``functions``) a function's domain.
+Roundoff tests scale with the magnitudes they compare. ``_clears`` decides
+positivity, invertibility, the Loewner order and (for ``functions``) a
+function's domain; ``_leq`` decides every link, with the last absolute floor.
 """
 
 from __future__ import annotations
@@ -38,6 +38,11 @@ PSD_SLACK = 1e-12
 def _clears(low, scale, invertible=False):
     """Whether a least eigenvalue is nonnegative within roundoff (if invertible, clear of zero), relative to scale."""
     return low > INV_CUTOFF * scale if invertible else low >= -PSD_SLACK * scale
+
+
+def _leq(lhs, rhs, tol_rel):
+    """Whether the link lhs <= rhs holds within tol_rel relative to 1 + |lhs| + |rhs|."""
+    return rhs - lhs >= -tol_rel * (1.0 + abs(lhs) + abs(rhs))
 
 
 def as_matrix(A) -> np.ndarray:

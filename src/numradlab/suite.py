@@ -33,19 +33,24 @@ def _kept_draws(ineq, ensemble, count, tol_rel=1e-8):
     that are not NotApplicable, in index order. Raises BudgetExhausted when
     100 draws per requested one do not suffice."""
     kept = draws = 0
-    budget = 100 * max(count, 1)
+    size, budget = count, 100 * max(count, 1)
     while kept < count:
         if draws >= budget:
             raise BudgetExhausted(f"{ineq.value}: no hypothesis-satisfying instance within {budget} draws")
         # A draw's outcome depends on its index alone, so evaluating the next
         # indices together keeps exactly the draws a one-by-one loop keeps.
-        indices = range(draws, min(draws + min(count - kept, CHUNK), budget))
+        indices = range(draws, min(draws + min(size, CHUNK), budget))
         insts = draw_chunk(ineq, ensemble, indices)
         draws = indices.stop
+        start = kept
         for index, inst, result in zip(indices, insts, evaluate_many(ineq, insts, tol_rel=tol_rel)):
             if result.status is not Status.NOT_APPLICABLE:
                 kept += 1
                 yield index, inst, result
+                if kept == count:
+                    return
+        # after a chunk that refused draws, the next one doubles (it covers what is still needed)
+        size = count - kept if kept - start == len(indices) else 2 * len(indices)
 
 
 def _run_member(ineq, ensemble, trials, tol_rel):

@@ -482,6 +482,23 @@ def test_verdict_counts_do_not_depend_on_magnitude():
         assert counts(scale) == unscaled, scale
 
 
+def test_a_check_holds_only_when_every_link_holds(monkeypatch):
+    # "small" fails its own tolerance (3e-8) beside "big", whose slack is
+    # less in absolute terms but within its tolerance (2e-5): the check fails
+    # on "small", not holds on "big"
+    member = InequalityId.KITTANEH_CHAIN
+    record = catalog.MEMBERS[member]
+
+    def doctored(insts, hyps, ops, radii):
+        links = [("big", 1000.0, 1000.0 - 1e-6), ("small", 1.0, 1.0 - 5e-7)]
+        return [(links, details, semantics, witness) for _, details, semantics, witness in record.evaluate(insts, hyps, ops, radii)]
+
+    monkeypatch.setitem(catalog.MEMBERS, member, dataclasses.replace(record, evaluate=doctored))
+    res = evaluate(member, draw_instance(member, EnsembleSpec(dim=3, seed=1), 0))
+    assert res.status is Status.VIOLATED
+    assert (res.details["binding"], res.lhs, res.rhs) == ("small", 1.0, 1.0 - 5e-7)
+
+
 def test_psd_hypothesis_agrees_with_the_kernels():
     # the hypothesis test and the kernels share one relative slack: both refuse
     # a spectrum whose least eigenvalue is -1e-11 of its norm, and both accept
@@ -646,6 +663,20 @@ def test_run_member_chunks_keep_the_one_by_one_draws(monkeypatch):
     with pytest.raises(BudgetExhausted):
         one_by_one_record(member, ens, 3, 1e-8, draws)
     assert draws == [300]
+
+
+def test_refusing_chunks_grow(monkeypatch):
+    # at 2**60 most convex-product draws are refused: 75 draws keep 20, which
+    # chunks sized by the count still needed took 14 calls to draw
+    from numradlab import suite as suite_mod
+
+    member, ens = InequalityId.CONVEX_PRODUCT, EnsembleSpec(dim=3, seed=1, scale=2.0**60)
+    sizes = []
+    draw = suite_mod.draw_chunk
+    monkeypatch.setattr(suite_mod, "draw_chunk", lambda ineq, e, indices: sizes.append(len(indices)) or draw(ineq, e, indices))
+    record = suite_mod._run_member(member, ens, 20, 1e-8)
+    assert len(sizes) <= 4
+    assert record == one_by_one_record(member, ens, 20, 1e-8, [0])
 
 
 @pytest.mark.parametrize(

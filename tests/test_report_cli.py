@@ -422,6 +422,24 @@ def test_radius_command_reports_upper_and_fails_broken_sandwich(monkeypatch, tmp
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_radius_sandwich_and_catalog_links_share_one_rule(monkeypatch, tmp_path, capsys):
+    # w = ||A|| + 2.5e-8 on a unit-norm A fails 1e-8 (1 + ||A||) but passes
+    # 1e-8 (1 + |lhs| + |rhs|), the rule of every catalog link; 4e-8 fails both
+    path = tmp_path / "unit.json"
+    A = np.diag([1.0, 0.5]).astype(complex)
+    save_matrix(A, path)
+    nrm = cli.operator_norm(A)
+    hyp = catalog.HypothesisReport(satisfied=True)
+    for excess, status, code in ((2.5e-8, catalog.Status.HOLDS, 0), (4e-8, catalog.Status.VIOLATED, 2)):
+        w = nrm + excess
+        monkeypatch.setattr(cli, "numerical_radius", lambda A, tol: dataclasses.replace(numerical_radius(A, tol=tol), value=w))
+        assert cli.main(["radius", "--matrix", str(path)]) == code
+        assert ("OK" if code == 0 else "FAIL") in capsys.readouterr().out
+        links = [("half-norm <= w", nrm / 2, w), ("w <= norm", w, nrm)]
+        outcome = (links, {}, [], None)
+        assert catalog._verdict(catalog.InequalityId.NORM_SANDWICH, hyp, outcome, 1e-8).status is status
+
+
 def test_radius_module_entry_on_huge_entries(tmp_path):
     # entries near 1e160 overflow a Gram product formed without scaling
     path = tmp_path / "huge.json"
@@ -539,15 +557,26 @@ def test_search_spends_the_certify_draw_budget(monkeypatch, tmp_path, capsys):
     assert cli.main(["search", "--ineq", "norm-sandwich", "--dim", "2", "--restarts", "2", "--out", str(out)]) == 1
     assert "error: norm-sandwich: no hypothesis-satisfying instance within 200 draws" in capsys.readouterr().err
     assert [i for chunk in drawn for i in chunk] == list(range(200))
+    assert len(drawn) <= 8  # each chunk after an all-refused one at least doubles
     assert not out.exists()
 
 
-def test_search_reports_unwritable_output(tmp_path, capsys):
-    out = tmp_path / "missing" / "inst.json"
-    code = cli.main(["search", "--ineq", "norm-sandwich", "--dim", "2", "--restarts", "0", "--out", str(out)])
-    assert code == 1
-    assert "error: cannot write instance:" in capsys.readouterr().err
-    assert not out.exists()
+@pytest.mark.parametrize(
+    "command, prefix",
+    [
+        (["search", "--ineq", "norm-sandwich", "--dim", "2", "--restarts", "0", "--out", "{missing}/inst.json"],
+         "error: cannot write instance:"),
+        (["certify", "--dim", "2", "--trials", "1", "--report", "{missing}/r.json"], "error: cannot write report:"),
+        (["radius", "--matrix", "{missing}/m.json"], "error: cannot read matrix:"),
+    ],
+    ids=["search", "certify", "radius"],
+)
+def test_io_failures_exit_one_without_traceback(command, prefix, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert cli.main([arg.format(missing=missing) for arg in command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and "Traceback" not in err
+    assert not missing.exists()
 
 
 def test_search_flags_violated_theorem_member(monkeypatch, tmp_path, capsys):
