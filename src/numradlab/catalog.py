@@ -165,7 +165,6 @@ class CheckResult:
     slack: float
     status: Status
     hypothesis: HypothesisReport
-    witness: np.ndarray | None = None
     details: dict = field(default_factory=dict)
     semantics: list = field(default_factory=list)
 
@@ -181,7 +180,7 @@ class Member:
       evaluator reuses (the sandwich sides S and T);
     - ``evaluate(insts, hyps, operands, radii)`` takes the instances whose
       hypotheses hold, and returns one outcome each: its named links
-      ``(name, lhs, rhs)``, details, semantics and witness (see ``_verdict``);
+      ``(name, lhs, rhs)``, details and semantics (see ``_verdict``);
     - ``subtracts_infimum`` marks a right side that subtracts an infimum
       over the sphere: a failed check there is Inconclusive, not Violated.
     """
@@ -653,10 +652,10 @@ def _specials_sides(insts):
 # evaluators (one per member). Each takes a chunk of instances whose
 # hypotheses hold, their reports, the stacked operands of the hypothesis
 # check, and ``radii``, which encloses a stack of matrices; it returns one
-# outcome (links, details, semantics, witness) per instance, with one named
-# link (name, lhs, rhs) per inequality. Every kernel call takes the chunk's
-# stack, and each round of radius requests forms one stack. Scalar arithmetic
-# stays per draw, in Python floats, as the one-draw formulas write it.
+# outcome (links, details, semantics) per instance, with one named link
+# (name, lhs, rhs) per inequality. Every kernel call takes the chunk's stack,
+# and each round of radius requests forms one stack. Scalar arithmetic stays
+# per draw, in Python floats, as the one-draw formulas write it.
 
 
 def _ev_norm_sandwich(insts, hyps, ops, radii):
@@ -664,7 +663,7 @@ def _ev_norm_sandwich(insts, hyps, ops, radii):
     out = []
     for res, nrm in zip(radii(A), operator_norm(A).tolist()):
         links = [("half-norm <= w", nrm / 2, res.value), ("w <= norm", res.value, nrm)]
-        out.append((links, {"w": res.value, "norm": nrm}, [_W_NOTE], res.witness))
+        out.append((links, {"w": res.value, "norm": nrm}, [_W_NOTE]))
     return out
 
 
@@ -679,7 +678,7 @@ def _ev_kittaneh_chain(insts, hyps, ops, radii):
     out = []
     for res, mid, nrm, root in zip(radii(A), mids, rights, roots):
         links = [("w <= mid", res.value, mid), ("mid <= right", mid, (nrm + root) / 2)]
-        out.append((links, {"w": res.value}, [_W_NOTE], res.witness))
+        out.append((links, {"w": res.value}, [_W_NOTE]))
     return out
 
 
@@ -691,14 +690,14 @@ def _ev_power_mix(insts, hyps, ops, radii):
     adj = abs_power(A, [2 * ri * (1 - vi) for ri, vi in zip(r, v)], adjoint_side=True)
     rhs = (norm_hermitian(fwd + adj) / 2).tolist()
     res = radii(A)
-    return [([("w^r <= mix", w.value**ri, h)], {"w": w.value}, [_W_NOTE], w.witness) for w, ri, h in zip(res, r, rhs)]
+    return [([("w^r <= mix", w.value**ri, h)], {"w": w.value}, [_W_NOTE]) for w, ri, h in zip(res, r, rhs)]
 
 
 def _ev_sum_sq_kittaneh(insts, hyps, ops, radii):
     A, B = _stack(insts, "A"), _stack(insts, "B")
     lhs = [x**2 for x in operator_norm(A + B).tolist()]
     rhs = (norm_hermitian(adjoint(A) @ A + adjoint(B) @ B) + norm_hermitian(A @ adjoint(A) + B @ adjoint(B))).tolist()
-    return [([("norm^2 <= kittaneh", l, r)], {}, [], None) for l, r in zip(lhs, rhs)]
+    return [([("norm^2 <= kittaneh", l, r)], {}, []) for l, r in zip(lhs, rhs)]
 
 
 def _ev_product_power(insts, hyps, ops, radii):
@@ -706,7 +705,7 @@ def _ev_product_power(insts, hyps, ops, radii):
     r = [i.r for i in insts]
     res = radii(adjoint(B) @ A)
     rhs = (norm_hermitian(abs_power(A, [2 * ri for ri in r]) + abs_power(B, [2 * ri for ri in r])) / 2).tolist()
-    return [([("w^r <= mean", w.value**ri, h)], {"w": w.value}, [_W_NOTE], w.witness) for w, ri, h in zip(res, r, rhs)]
+    return [([("w^r <= mean", w.value**ri, h)], {"w": w.value}, [_W_NOTE]) for w, ri, h in zip(res, r, rhs)]
 
 
 def _ev_general_product(insts, hyps, ops, radii):
@@ -717,7 +716,7 @@ def _ev_general_product(insts, hyps, ops, radii):
     T = hermitian_part(adjoint(A) @ abs_power(X, [2 * vi for vi in v], adjoint_side=True) @ A)
     S = hermitian_part(adjoint(B) @ abs_power(X, [2 * (1 - vi) for vi in v]) @ B)
     rhs = (norm_hermitian(hermitian_power(T, r) + hermitian_power(S, r)) / 2).tolist()
-    return [([("w^r <= mean", w.value**ri, h)], {"w": w.value}, [_W_NOTE], w.witness) for w, ri, h in zip(res, r, rhs)]
+    return [([("w^r <= mean", w.value**ri, h)], {"w": w.value}, [_W_NOTE]) for w, ri, h in zip(res, r, rhs)]
 
 
 def _half_sum_diff(A, B, normal_form=False):
@@ -735,7 +734,7 @@ def _ev_sum_new(normal_form):
         na, nb = operator_norm(A).tolist(), operator_norm(B).tolist()
         sem = ["w(BA*) on the rhs is a lower bound (stricter test)"]
         return [
-            ([("norm^2 <= new bound", l, h + w.value + 2 * a * b)], {"w(BA*)": w.value}, sem, None)
+            ([("norm^2 <= new bound", l, h + w.value + 2 * a * b)], {"w(BA*)": w.value}, sem)
             for l, h, w, a, b in zip(lhs, half, res, na, nb)
         ]
 
@@ -751,7 +750,7 @@ def _ev_wsq_sum(insts, hyps, ops, radii):
     for h, w_sum, w_ba, w_a, w_b in zip(half, res[:m], res[m : 2 * m], res[2 * m : 3 * m], res[3 * m :]):
         rhs = h + w_ba.value + 2 * w_a.value * w_b.value
         details = {"w(A+B)": w_sum.value, "w(BA*)": w_ba.value, "w(A)": w_a.value, "w(B)": w_b.value}
-        out.append(([("w^2 <= bound", w_sum.value**2, rhs)], details, [_W_NOTE], w_sum.witness))
+        out.append(([("w^2 <= bound", w_sum.value**2, rhs)], details, [_W_NOTE]))
     return out
 
 
@@ -763,7 +762,7 @@ def _ev_convex_product(insts, hyps, ops, radii):
     res = radii(adjoint(A) @ X @ B)
     mix = (1 - v) * _h_matrix(h, S, [1.0 / (1.0 - i.v) for i in insts]) + v * _h_matrix(h, T, [1.0 / i.v for i in insts])
     return [
-        ([("h(w^2) <= mix", hk(w.value**2), rhs)], {"w": w.value}, [_W_NOTE], w.witness)
+        ([("h(w^2) <= mix", hk(w.value**2), rhs)], {"w": w.value}, [_W_NOTE])
         for hk, w, rhs in zip(h, res, norm_hermitian(mix).tolist())
     ]
 
@@ -774,7 +773,7 @@ def _ev_convex_product_power(insts, hyps, ops, radii):
     S, T = _schwarz_sides(insts)
     res = radii(adjoint(A) @ X @ B)
     rhs = (norm_hermitian(hermitian_power(S, r2) + hermitian_power(T, r2)) / 2).tolist()
-    return [([("w^2r <= mean", w.value**e, h)], {"w": w.value}, [_W_NOTE], w.witness) for w, e, h in zip(res, r2, rhs)]
+    return [([("w^2r <= mean", w.value**e, h)], {"w": w.value}, [_W_NOTE]) for w, e, h in zip(res, r2, rhs)]
 
 
 def _ev_scalar_refined_amgm(insts, hyps, ops, radii):
@@ -782,7 +781,7 @@ def _ev_scalar_refined_amgm(insts, hyps, ops, radii):
     for i in insts:
         a, b, m, M = i.a, i.b, i.m, i.M
         lhs = (M + m) / (2 * math.sqrt(M * m)) * math.sqrt(a * b)
-        out.append(([("scaled geometric <= arithmetic", lhs, (a + b) / 2)], {}, [], None))
+        out.append(([("scaled geometric <= arithmetic", lhs, (a + b) / 2)], {}, []))
     return out
 
 
@@ -795,7 +794,7 @@ def _ev_conditioned_product(insts, hyps, ops, radii):
     for hk, hyp, w, nrm in zip(h, hyps, res, norms):
         m, M = hyp.bounds["m"], hyp.bounds["M"]
         links = [("h(w) <= amgm norm", hk(w.value), _amgm_factor(m, M) * nrm)]
-        out.append((links, {"w": w.value, "m": m, "M": M}, [_W_NOTE], w.witness))
+        out.append((links, {"w": w.value, "m": m, "M": M}, [_W_NOTE]))
     return out
 
 
@@ -815,7 +814,7 @@ def _ev_conditioned_specials(insts, hyps, ops, radii):
     for i, rk, hyp, w, nrm in zip(insts, r, hyps, res, norms):
         m, M = hyp.bounds["m"], hyp.bounds["M"]
         details = {"w": w.value, "m": m, "M": M, "variant": i.variant}
-        out.append(([("w^r <= amgm norm", w.value**rk, _amgm_factor(m, M) * nrm)], details, [_W_NOTE], w.witness))
+        out.append(([("w^r <= amgm norm", w.value**rk, _amgm_factor(m, M) * nrm)], details, [_W_NOTE]))
     return out
 
 
@@ -828,7 +827,7 @@ def _ev_gamma_product(insts, hyps, ops, radii):
     for hk, hyp, w, nrm in zip(h, hyps, res, norms):
         gamma = gamma_factor(hyp.bounds["m_lo"], hyp.bounds["M_hi"])
         details = {"w": w.value, "gamma": gamma, **hyp.bounds}
-        out.append(([("h(w) <= norm / 2 gamma", hk(w.value), nrm / (2 * gamma))], details, [_W_NOTE], w.witness))
+        out.append(([("h(w) <= norm / 2 gamma", hk(w.value), nrm / (2 * gamma))], details, [_W_NOTE]))
     return out
 
 
@@ -847,14 +846,14 @@ def _ev_refined_convexity(insts, hyps, ops, radii):
     lhs, base, A, B, f = _convexity_sides(insts)
     mu = jensen_gap_mu(f, A, B)
     return [
-        ([("f(mix) <= refined", l, b - min(i.v, 1 - i.v) * m)], {"mu_estimate": m, "base": b}, [_INF_NOTE], None)
+        ([("f(mix) <= refined", l, b - min(i.v, 1 - i.v) * m)], {"mu_estimate": m, "base": b}, [_INF_NOTE])
         for i, l, b, m in zip(insts, lhs, base, mu)
     ]
 
 
 def _ev_norm_convexity(insts, hyps, ops, radii):
     lhs, base, *_ = _convexity_sides(insts)
-    return [([("f(mix) <= mix of f", l, b)], {}, [], None) for l, b in zip(lhs, base)]
+    return [([("f(mix) <= mix of f", l, b)], {}, []) for l, b in zip(lhs, base)]
 
 
 def _ev_improved_convex_product(insts, hyps, ops, radii):
@@ -870,7 +869,7 @@ def _ev_improved_convex_product(insts, hyps, ops, radii):
     out = []
     for i, hk, w, b, gap in zip(insts, h, res, base, gaps):
         links = [("h(w^2) <= refined mix", hk(w.value**2), b - min(i.v, 1 - i.v) * gap)]
-        out.append((links, {"w": w.value, "gap_estimate": gap}, [_W_NOTE, _INF_NOTE], w.witness))
+        out.append((links, {"w": w.value, "gap_estimate": gap}, [_W_NOTE, _INF_NOTE]))
     return out
 
 
@@ -883,7 +882,7 @@ def _ev_superquad_radius(insts, hyps, ops, radii):
         f = i.f
         inf_term = float(np.min(np.asarray(f(np.abs(sigma - w.value)))))
         rhs = float(np.max(np.asarray(f(sigma)))) - inf_term
-        out.append(([("f(w) <= f(norm) - inf", f(w.value), rhs)], {"w": w.value, "inf_term": inf_term}, sem, w.witness))
+        out.append(([("f(w) <= f(norm) - inf", f(w.value), rhs)], {"w": w.value, "inf_term": inf_term}, sem))
     return out
 
 
@@ -903,7 +902,7 @@ def _ev_superquad_power(insts, hyps, ops, radii):
             ("w <= sqrt form", w.value, mid),
             ("sqrt form <= norm", mid, nrm),
         ]
-        out.append((links, {"w": w.value, "norm": nrm}, sem, w.witness))
+        out.append((links, {"w": w.value, "norm": nrm}, sem))
     return out
 
 
@@ -951,7 +950,7 @@ def _ev_hosseini_geo(insts, hyps, ops, radii):
     base, delta = _hosseini_base(A, K, p, q, r, 2)
     sem = [_W_NOTE, _INF_NOTE, "X unconstrained (no contraction assumption imposed)"]
     return [
-        ([("w^r <= refined mean", w.value**rk, b - dk / pk)], {"w": w.value, "delta_estimate": dk}, sem, w.witness)
+        ([("w^r <= refined mean", w.value**rk, b - dk / pk)], {"w": w.value, "delta_estimate": dk}, sem)
         for w, rk, pk, b, dk in zip(res, r, p, base, delta)
     ]
 
@@ -986,7 +985,7 @@ def _ev_hosseini_geo_norms(insts, hyps, ops, radii):
                 lhs, rhs = g_norm**2, base[j] - inf_sq / 2
                 details["inf_term"] = inf_sq
                 sem = ["infimum of <(A-B)x,x>^2 computed exactly from the spectrum of A-B"]
-            out[k] = ([("sharp norm power <= refined mean", lhs, rhs)], details, sem, None)
+            out[k] = ([("sharp norm power <= refined mean", lhs, rhs)], details, sem)
     return out
 
 
@@ -994,13 +993,16 @@ def _ev_euclidean_sandwich(insts, hyps, ops, radii):
     A, B = hermitian_part(_stack(insts, "A")), hermitian_part(_stack(insts, "B"))
     sharp = norm_hermitian(weighted_geometric(A, B, 0.5)).tolist()
     res = radii(A + 1j * B)
-    uppers = norm_hermitian(A @ A + B @ B).tolist()
+    # A^2 + B^2 in power-of-two-scaled units, one exponent per pair, so that it cannot underflow
+    S, e = _pow2_rows(np.concatenate([A, B], axis=-1))
+    As, Bs = np.split(S, 2, axis=-1)
+    uppers = np.ldexp(np.sqrt(norm_hermitian(As @ As + Bs @ Bs)), e).tolist()
     sem = ["w_e: attained lower bound, as w(A + iB) of the Hermitian pair"]
     out = []
-    for w, g, up in zip(res, sharp, uppers):
-        we, upper = w.value, math.sqrt(up)
+    for w, g, upper in zip(res, sharp, uppers):
+        we = w.value
         links = [("sqrt2 |sharp| <= w_e", math.sqrt(2.0) * g, we), ("w_e <= sqrt norm", we, upper)]
-        out.append((links, {"w_e": we}, sem, None))
+        out.append((links, {"w_e": we}, sem))
     return out
 
 
@@ -1010,14 +1012,14 @@ def _ev_fconn_radius(insts, hyps, ops, radii):
     res = radii(connection @ X)
     inner = hermitian_part(adjoint(X) @ square @ X)
     rhs = (norm_hermitian(inner + A) / 2).tolist()
-    return [([("w <= half norm", w.value, h)], {"w": w.value}, [_W_NOTE], w.witness) for w, h in zip(res, rhs)]
+    return [([("w <= half norm", w.value, h)], {"w": w.value}, [_W_NOTE]) for w, h in zip(res, rhs)]
 
 
 def _ev_geo_radius(insts, hyps, ops, radii):
     A, B, X = _stack(insts, "A"), _stack(insts, "B"), _stack(insts, "X")
     res = radii(weighted_geometric(A, B, 0.5) @ X)
     rhs = (norm_hermitian(hermitian_part(adjoint(X) @ hermitian_part(B) @ X) + hermitian_part(A)) / 2).tolist()
-    return [([("w <= half norm", w.value, h)], {"w": w.value}, [_W_NOTE], w.witness) for w, h in zip(res, rhs)]
+    return [([("w <= half norm", w.value, h)], {"w": w.value}, [_W_NOTE]) for w, h in zip(res, rhs)]
 
 
 # pointwise members -----------------------------------------------------------
@@ -1034,7 +1036,7 @@ def _ev_mixed_schwarz(insts, hyps, ops, radii):
             lhs = abs(np.vdot(y, i.A @ x))
             rhs = np.linalg.norm(fk @ x) * np.linalg.norm(gk @ y)
             links.append((f"pair {k}", float(lhs), float(rhs)))
-        out.append((links, {}, [], None))
+        out.append((links, {}, []))
     return out
 
 
@@ -1050,7 +1052,7 @@ def _ev_mond_pecaric(insts, hyps, ops, radii):
             qa = float(np.vdot(x, Ak @ x).real)
             qf = float(np.vdot(x, fk @ x).real)
             links.append((f"x {k}", f(qa), qf) if convex else (f"x {k}", qf, f(qa)))
-        out.append((links, {}, [], None))
+        out.append((links, {}, []))
     return out
 
 
@@ -1064,7 +1066,7 @@ def _ev_dragomir_vector(insts, hyps, ops, radii):
             ny = np.linalg.norm(y) ** 2
             rhs = float(np.linalg.norm(z) ** 2 * max(nx, ny) + abs(np.vdot(x, y)))
             links.append((f"triple {k}", float(lhs), rhs))
-        out.append((links, {}, [], None))
+        out.append((links, {}, []))
     return out
 
 
@@ -1072,7 +1074,7 @@ def _ev_superquad_defect(insts, hyps, ops, radii):
     out = []
     for i in insts:
         links = [(f"(s,t) {k}", 0.0, float(superquadratic_defect(i.f, s, t))) for k, (s, t) in enumerate(i.vectors)]
-        out.append((links, {}, [], None))
+        out.append((links, {}, []))
     return out
 
 
@@ -1267,7 +1269,7 @@ def evaluate_many(ineq: InequalityId, insts, tol_rel=1e-8) -> list:
 
 
 def _not_applicable(ineq, hyp):
-    return CheckResult(ineq, math.nan, math.nan, math.nan, Status.NOT_APPLICABLE, hyp, None, {}, [])
+    return CheckResult(ineq, math.nan, math.nan, math.nan, Status.NOT_APPLICABLE, hyp, {}, [])
 
 
 def _refused(ineq, hyp, reason):
@@ -1279,7 +1281,7 @@ def _refused(ineq, hyp, reason):
 def _verdict(ineq, hyp, outcome, tol_rel):
     """The result of an outcome's named links: it holds when every link passes ``_leq``. The binding
     link gives lhs and rhs: the failing link, else the link, of least slack (or the first NaN)."""
-    links, details, semantics, witness = outcome
+    links, details, semantics = outcome
     links = [(name, float(lhs), float(rhs)) for name, lhs, rhs in links]
     for name, lhs, rhs in links:
         details[f"{name}.lhs"], details[f"{name}.rhs"] = lhs, rhs
@@ -1295,4 +1297,4 @@ def _verdict(ineq, hyp, outcome, tol_rel):
         status = Status.INCONCLUSIVE
     else:
         status = Status.VIOLATED
-    return CheckResult(ineq, lhs, rhs, rhs - lhs, status, hyp, witness, details, list(semantics))
+    return CheckResult(ineq, lhs, rhs, rhs - lhs, status, hyp, details, list(semantics))

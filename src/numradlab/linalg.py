@@ -45,27 +45,19 @@ def _leq(lhs, rhs, tol_rel):
     return rhs - lhs >= -tol_rel * (1.0 + abs(lhs) + abs(rhs))
 
 
-def as_matrix(A) -> np.ndarray:
-    """Validate and return a square finite complex matrix."""
-    return _as_square(A, 2)
-
-
-def _as_square(A, ndim):
+def _as_square(A, ndim=None):
     """Validate and return a finite complex array of ndim dimensions whose
-    last two are square: a matrix at ndim 2, a stack of them at ndim 3."""
+    last two are square: a matrix at ndim 2, a stack of them at ndim 3. With
+    ndim None, a 3-D input is a stack and any other a matrix."""
     M = np.asarray(A, dtype=np.complex128)
+    if ndim is None:
+        ndim = 3 if M.ndim == 3 else 2
     if M.ndim != ndim or M.shape[-1] != M.shape[-2] or M.shape[-1] < 1:
         what = "square matrix" if ndim == 2 else "stack of square matrices"
         raise ValueError(f"expected a {what}, got shape {M.shape}")
     if not np.isfinite(M).all():  # both parts of every entry
         raise ValueError("matrix entries must be finite")
     return M
-
-
-def _as_stack_or_matrix(A):
-    """``as_matrix``, or ``_as_square`` at ndim 3 when A is a stack."""
-    M = np.asarray(A, dtype=np.complex128)
-    return _as_square(M, 3 if M.ndim == 3 else 2)
 
 
 def _adj(A):
@@ -115,7 +107,7 @@ def check_hermitian(H) -> np.ndarray:
     matrices does; the test, not its Frobenius norms, is bitwise that of the
     matrices alone.
     """
-    H = _as_stack_or_matrix(H)
+    H = _as_square(H)
     S, e = _pow2_rows(H)
     axes = (-2, -1) if H.ndim == 3 else None
     scale = np.linalg.norm(S, axis=axes)
@@ -153,7 +145,7 @@ def hermitian_eigen(H) -> HermitianEigen:
     NoConvergence if the factorization misses the residual target
     ``eps_res * ||H||`` with eps_res = 1e-11 * n.
     """
-    H = check_hermitian(as_matrix(H))
+    H = check_hermitian(_as_square(H, 2))
     n = H.shape[0]
     eps_res = 1e-11 * n
     lam, V = _eigh(H)
@@ -172,7 +164,7 @@ def singular_values(A):
     """Singular values in ascending order, from the Gram matrix spectrum
     formed in power-of-two-scaled units, so the squares neither overflow nor
     underflow; one row of them per matrix of a stack."""
-    A, e = _pow2_rows(_as_stack_or_matrix(A))
+    A, e = _pow2_rows(_as_square(A))
     lam = np.linalg.eigvalsh(hermitian_part(_adj(A) @ A))
     return np.ldexp(np.sqrt(np.maximum(lam, 0.0)), np.asarray(e)[..., None])
 
@@ -230,7 +222,7 @@ def _rows_apply(f, lam):
 def _gram_eigh(A, adjoint_side=False):
     """Singular values and vectors of A from the spectrum of A*A (or A A*),
     formed in power-of-two-scaled units so the squares stay in range."""
-    A, e = _pow2_rows(_as_stack_or_matrix(A))
+    A, e = _pow2_rows(_as_square(A))
     G = A @ _adj(A) if adjoint_side else _adj(A) @ A
     lam, V = _eigh((G + _adj(G)) / 2)
     return np.ldexp(np.sqrt(np.clip(lam, 0.0, None)), np.asarray(e)[..., None]), V

@@ -30,7 +30,7 @@ from math import acos, atan2, cos, hypot, sin
 
 import numpy as np
 
-from .linalg import _as_square, _pow2_rows, as_matrix
+from .linalg import _as_square, _pow2_rows
 
 _TWO_PI = 2.0 * np.pi
 
@@ -192,11 +192,6 @@ class _Reference:
         if not temple <= _TEMPLE_SHARE * tol * theta:
             return None
         return self.scale * (theta + temple), self.scale * theta, y
-
-
-def _rotated_stack(A, thetas):
-    """Re(e^{it} A) for each angle t."""
-    return _rotated_halves(A / 2, thetas)
 
 
 def _rotated_halves(half, thetas):
@@ -466,9 +461,9 @@ def numerical_radius(A, tol=1e-10):
     next values-only solve of every row still cutting, and the witness lines
     solved values-only form one stacked ``eigh``.
     """
-    M = np.asarray(A, dtype=np.complex128)
+    M = _as_square(A)
     stacked = M.ndim == 3
-    M = _as_square(M, 3) if stacked else as_matrix(M)[None]
+    M = M if stacked else M[None]
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     # w(2^e A) = 2^e w(A) exactly, and the scaled rotations and norm stay in range.
@@ -500,10 +495,10 @@ def _boundary_inf(P, Q, objective):
     by six stacked angles per round. Every value is attained, so the result is
     an upper estimate of the infimum over the sphere.
     """
-    A = P - 1j * Q  # its rotated Hermitian parts are cos t P + sin t Q
+    half = (P - 1j * Q) / 2  # A / 2, where Re(e^{it} A) = cos t P + sin t Q
 
     def values(thetas):
-        X = np.linalg.eigh(_rotated_stack(A, thetas))[1][:, :, -1]
+        X = np.linalg.eigh(_rotated_halves(half, thetas))[1][:, :, -1]
         return objective(quad_forms(P, X).real, quad_forms(Q, X).real)
 
     step = _TWO_PI / 16

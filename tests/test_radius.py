@@ -6,7 +6,7 @@ import pytest
 from numradlab import radius
 from numradlab.ensembles import EnsembleSpec, sample
 from numradlab.linalg import operator_norm
-from numradlab.radius import _rotated_stack, complex_gaussian, numerical_radius, quad_forms, stream_rng
+from numradlab.radius import _rotated_halves, complex_gaussian, numerical_radius, quad_forms, stream_rng
 from oracles import DavidsonReference, SphereSampler, sphere_sup
 
 
@@ -16,7 +16,7 @@ def dense_sweep_oracle(A, grid=100_000):
     th = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
     step = min(10_000, 2**20 // A.size)  # at most 16 MiB of rotations at a time
     for i in range(0, grid, step):
-        vals = np.linalg.eigvalsh(_rotated_stack(A, th[i : i + step]))[:, -1]
+        vals = np.linalg.eigvalsh(_rotated_halves(A / 2, th[i : i + step]))[:, -1]
         best = max(best, float(vals.max()))
     return best
 
@@ -164,7 +164,7 @@ def test_radius_half_turn_stack_matches_full_turn(monkeypatch):
         thetas, hs = np.array(lines[: 2 * m]).T
         full = 2 * np.pi * np.arange(2 * m) / (2 * m)
         np.testing.assert_allclose(thetas, full, rtol=0, atol=4 * eps)
-        reference = np.linalg.eigvalsh(_rotated_stack(A, full))[:, -1]
+        reference = np.linalg.eigvalsh(_rotated_halves(A / 2, full))[:, -1]
         assert np.abs(hs - reference).max() <= 4 * n * eps * np.linalg.norm(A)
 
 
@@ -324,7 +324,7 @@ def reference_lines(n):
         for tol in (1e-12, 1e-10):
             t0 = numerical_radius(A, tol=tol).theta_star
             ts = [t0 + sign * d for d in (1e-6, 1e-4, 1e-3, 3e-3) for sign in (1, -1)]
-            tops = np.linalg.eigvalsh(_rotated_stack(A, np.array(ts)))[:, -1]
+            tops = np.linalg.eigvalsh(_rotated_halves(A / 2, np.array(ts)))[:, -1]
             yield A, tol, t0, list(zip(ts, tops.tolist()))
 
 
@@ -352,7 +352,7 @@ def test_reference_bounds_nearby_lines(n):
             assert theta <= top + pad
             x = ref.Q @ y
             assert abs(np.linalg.norm(x) - 1.0) <= n * eps
-            assert abs(np.vdot(x, _rotated_stack(A, np.array([t]))[0] @ x).real - theta) <= pad
+            assert abs(np.vdot(x, _rotated_halves(A / 2, np.array([t]))[0] @ x).real - theta) <= pad
     assert refused > 0  # the near-double top line refuses some bounds
     assert accepted >= 60
 
@@ -464,7 +464,7 @@ def test_level_lines_bound_lambda_max(n, monkeypatch):
             assert res.upper >= oracle
             if levels:
                 ts, cs = map(np.array, zip(*levels))
-                assert np.all(np.linalg.eigvalsh(_rotated_stack(A, ts))[:, -1] <= cs + pad)
+                assert np.all(np.linalg.eigvalsh(_rotated_halves(A / 2, ts))[:, -1] <= cs + pad)
             taken += len(levels)
     assert taken > 0
 

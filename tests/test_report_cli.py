@@ -436,7 +436,7 @@ def test_radius_sandwich_and_catalog_links_share_one_rule(monkeypatch, tmp_path,
         assert cli.main(["radius", "--matrix", str(path)]) == code
         assert ("OK" if code == 0 else "FAIL") in capsys.readouterr().out
         links = [("half-norm <= w", nrm / 2, w), ("w <= norm", w, nrm)]
-        outcome = (links, {}, [], None)
+        outcome = (links, {}, [])
         assert catalog._verdict(catalog.InequalityId.NORM_SANDWICH, hyp, outcome, 1e-8).status is status
 
 
