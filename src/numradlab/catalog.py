@@ -52,13 +52,13 @@ from .linalg import (
     _leq,
     _pow2_rows,
     _spectral,
-    abs_power,
+    abs_sides,
     adjoint,
     apply_scalar_function,
     check_hermitian,
-    gram_function,
     hermitian_part,
     hermitian_power,
+    kittaneh_bound,
     loewner_leq,
     norm_hermitian,
     operator_norm,
@@ -223,19 +223,18 @@ def _normal_rows(A):
     return dev <= 1e-10 * np.linalg.norm(A, axis=(1, 2)) ** 2
 
 
-def _pair_gram(X, fns, adjoint_side=False):
-    """fn(|X|)^2 (or fn(|X*|)^2) materialized from the singular spectrum of
-    each X, with one function per matrix."""
-    squares = [lambda s, fn=fn: np.asarray(fn(s), dtype=float) ** 2 for fn in fns]
-    return gram_function(X, squares, adjoint_side=adjoint_side)
+def _squares(fns):
+    """s -> fn(s)^2 for each function, one per matrix."""
+    return [lambda s, fn=fn: np.asarray(fn(s), dtype=float) ** 2 for fn in fns]
 
 
-def _schwarz_sides(insts):
-    """S = B* f^2(|X|) B and T = A* g^2(|X*|) A for the product members."""
+def _schwarz_sides(insts, plain=False):
+    """S = B* f^2(|X|) B and T = A* g^2(|X*|) A for the product members, from
+    one SVD of each X; with plain, A* g^2(|X|) A comes between them."""
     A, X, B, pairs = _stack(insts, "A"), _stack(insts, "X"), _stack(insts, "B"), _given(insts, "pair")
-    S = hermitian_part(adjoint(B) @ _pair_gram(X, [pair.f for pair in pairs]) @ B)
-    T = hermitian_part(adjoint(A) @ _pair_gram(X, [pair.g for pair in pairs], adjoint_side=True) @ A)
-    return S, T
+    f2, g2 = _squares([pair.f for pair in pairs]), _squares([pair.g for pair in pairs])
+    F, *G = abs_sides(X, f2, g2, adj=g2) if plain else abs_sides(X, f2, adj=g2)
+    return hermitian_part(adjoint(B) @ F @ B), *(hermitian_part(adjoint(A) @ M @ A) for M in G)
 
 
 def _h_matrix(hs, H, pre=None):
@@ -569,9 +568,8 @@ def _check_specials(insts, reports, operands):
 
 
 def _check_gamma(insts, reports, operands):
-    S, T_star = operands["S"], operands["T"] = _schwarz_sides(insts)
-    A = _stack(insts, "A")
-    T_plain = hermitian_part(adjoint(A) @ _pair_gram(_stack(insts, "X"), [i.pair.g for i in insts]) @ A)
+    S, T_plain, T_star = _schwarz_sides(insts, plain=True)
+    operands["S"], operands["T"] = S, T_star
     lam_s, lam_t = np.linalg.eigvalsh(S), np.linalg.eigvalsh(T_star)
     star, plain = _either_order(S, T_star), _either_order(S, T_plain)
     for k, rep in enumerate(reports):
@@ -631,15 +629,13 @@ def _specials_sides(insts):
             continue
         group = [insts[k] for k in rows]
         v = [inst.v if inst.v is not None else 0.5 for inst in group]
-        if variant == 0:
-            A, X, B = _stack(group, "A"), _stack(group, "X"), _stack(group, "B")
-            S = hermitian_part(adjoint(B) @ abs_power(X, [2 * (1 - w) for w in v]) @ B)
-            T = hermitian_part(adjoint(A) @ abs_power(X, [2 * w for w in v], adjoint_side=True) @ A)
-        elif variant == 1:
-            X = _stack(group, "X")
-            S, T = abs_power(X, [2 * (1 - w) for w in v]), abs_power(X, [2 * w for w in v], adjoint_side=True)
+        if variant == 2:  # |B|^2 and |A|^2
+            S, T = (hermitian_part(adjoint(M) @ M) for M in (_stack(group, "B"), _stack(group, "A")))
         else:
-            S, T = abs_power(_stack(group, "B"), 2.0), abs_power(_stack(group, "A"), 2.0)
+            S, T = abs_sides(_stack(group, "X"), [2 * (1 - w) for w in v], adj=[2 * w for w in v])
+        if variant == 0:
+            A, B = _stack(group, "A"), _stack(group, "B")
+            S, T = hermitian_part(adjoint(B) @ S @ B), hermitian_part(adjoint(A) @ T @ A)
         groups.append((rows, S, T))
     n = groups[0][1].shape[-1] if groups else 1
     S, T = np.zeros((2, len(insts), n, n), dtype=np.complex128)
@@ -669,10 +665,7 @@ def _ev_norm_sandwich(insts, hyps, ops, radii):
 
 def _ev_kittaneh_chain(insts, hyps, ops, radii):
     A = _stack(insts, "A")
-    absA = gram_function(A, lambda s: s)
-    absAs = gram_function(A, lambda s: s, adjoint_side=True)
-    mids = (norm_hermitian(absA + absAs) / 2).tolist()
-    rights = operator_norm(A).tolist()
+    mids, rights = (x.tolist() for x in kittaneh_bound(A))
     S, e = _pow2_rows(A)  # ||A^2|| in scaled units, so that it cannot underflow
     roots = np.ldexp(np.sqrt(operator_norm(S @ S)), e).tolist()
     out = []
@@ -686,8 +679,7 @@ def _ev_power_mix(insts, hyps, ops, radii):
     A = _stack(insts, "A")
     r = [i.r for i in insts]
     v = [i.v for i in insts]
-    fwd = abs_power(A, [2 * ri * vi for ri, vi in zip(r, v)])
-    adj = abs_power(A, [2 * ri * (1 - vi) for ri, vi in zip(r, v)], adjoint_side=True)
+    fwd, adj = abs_sides(A, [2 * ri * vi for ri, vi in zip(r, v)], adj=[2 * ri * (1 - vi) for ri, vi in zip(r, v)])
     rhs = (norm_hermitian(fwd + adj) / 2).tolist()
     res = radii(A)
     return [([("w^r <= mix", w.value**ri, h)], {"w": w.value}, [_W_NOTE]) for w, ri, h in zip(res, r, rhs)]
@@ -704,7 +696,7 @@ def _ev_product_power(insts, hyps, ops, radii):
     A, B = _stack(insts, "A"), _stack(insts, "B")
     r = [i.r for i in insts]
     res = radii(adjoint(B) @ A)
-    rhs = (norm_hermitian(abs_power(A, [2 * ri for ri in r]) + abs_power(B, [2 * ri for ri in r])) / 2).tolist()
+    rhs = (norm_hermitian(abs_sides(A, [2 * ri for ri in r]) + abs_sides(B, [2 * ri for ri in r])) / 2).tolist()
     return [([("w^r <= mean", w.value**ri, h)], {"w": w.value}, [_W_NOTE]) for w, ri, h in zip(res, r, rhs)]
 
 
@@ -713,8 +705,8 @@ def _ev_general_product(insts, hyps, ops, radii):
     r = [i.r for i in insts]
     v = [i.v for i in insts]
     res = radii(adjoint(A) @ X @ B)
-    T = hermitian_part(adjoint(A) @ abs_power(X, [2 * vi for vi in v], adjoint_side=True) @ A)
-    S = hermitian_part(adjoint(B) @ abs_power(X, [2 * (1 - vi) for vi in v]) @ B)
+    S, T = abs_sides(X, [2 * (1 - vi) for vi in v], adj=[2 * vi for vi in v])
+    S, T = hermitian_part(adjoint(B) @ S @ B), hermitian_part(adjoint(A) @ T @ A)
     rhs = (norm_hermitian(hermitian_power(T, r) + hermitian_power(S, r)) / 2).tolist()
     return [([("w^r <= mean", w.value**ri, h)], {"w": w.value}, [_W_NOTE]) for w, ri, h in zip(res, r, rhs)]
 
@@ -895,8 +887,10 @@ def _ev_superquad_power(insts, hyps, ops, radii):
         r = i.r
         nrm = float(sigma.max())
         inf_r = float(np.min(np.abs(sigma - w.value) ** r))
-        inf_2 = float(np.min(np.abs(sigma - w.value) ** 2))
-        mid = math.sqrt(max(nrm**2 - inf_2, 0.0))
+        # sqrt(norm^2 - inf_2) in units of 2^e > ||A||, so that no square underflows
+        e = math.frexp(nrm)[1]
+        nrm_e, dist_e = math.ldexp(nrm, -e), np.ldexp(np.abs(sigma - w.value), -e)
+        mid = math.ldexp(math.sqrt(max(nrm_e**2 - float(np.min(dist_e**2)), 0.0)), e)
         links = [
             ("w^r <= norm^r - inf", w.value**r, nrm**r - inf_r),
             ("w <= sqrt form", w.value, mid),
@@ -1027,8 +1021,7 @@ def _ev_geo_radius(insts, hyps, ops, radii):
 
 def _ev_mixed_schwarz(insts, hyps, ops, radii):
     A, pairs = _stack(insts, "A"), _given(insts, "pair")
-    f_abs = gram_function(A, [pair.f for pair in pairs])
-    g_abs = gram_function(A, [pair.g for pair in pairs], adjoint_side=True)
+    f_abs, g_abs = abs_sides(A, [pair.f for pair in pairs], adj=[pair.g for pair in pairs])
     out = []
     for i, fk, gk in zip(insts, f_abs, g_abs):
         links = []

@@ -1,17 +1,24 @@
 """Dense complex matrix kernels: adjoint, Hermitian part and check,
-Hermitian eigendecomposition, operator norm, powers and functions of |A|
-and |A*|, functional calculus, Hermitian powers, and the Loewner order test.
+Hermitian eigendecomposition, the SVD kernels (singular values, operator
+norm, functions of |A| and |A*|, Kittaneh's bound), functional calculus,
+Hermitian powers, and the Loewner order test.
 
 All operations are pure functions of ``complex128`` input. Besides square
 matrices, the kernels the catalog evaluates with take (m, n, n) stacks and
 return one result per matrix: ``adjoint``, ``hermitian_part``,
-``check_hermitian``, ``singular_values``, ``operator_norm``, ``norm_hermitian``,
-``gram_function``, ``abs_power``, ``apply_scalar_function``,
-``hermitian_power`` and ``loewner_leq``. Each matrix's result is bitwise
-what it is alone, because stacked matmul, eigh and eigvalsh are, and two
-rules keep it so: a per-matrix exponent or function is applied to that
-matrix's eigenvalue row alone, and Frobenius norms of a stack (not bitwise
-those of its matrices) only decide pass/fail tests.
+``check_hermitian``, ``singular_values``, ``operator_norm``,
+``norm_hermitian``, ``abs_sides``, ``kittaneh_bound``,
+``apply_scalar_function``, ``hermitian_power`` and ``loewner_leq``. Each
+matrix's result is bitwise what it is alone, because stacked matmul, eigh,
+eigvalsh and svd are, and two rules keep it so: a per-matrix exponent or
+function is applied to that matrix's eigenvalue or singular value row alone,
+and Frobenius norms of a stack (not bitwise those of its matrices) only
+decide pass/fail tests.
+
+|A|, |A*|, the singular values and the operator norm come from one
+backward-stable SVD A = U S V*, never from a spectrum of A*A or AA*, which
+would square the operand's range and turn eps-level roundoff into
+sqrt(eps)-level error.
 
 Roundoff tests scale with the magnitudes they compare. ``_clears`` decides
 positivity, invertibility, the Loewner order and (for ``functions``) a
@@ -161,12 +168,9 @@ def hermitian_eigen(H) -> HermitianEigen:
 
 
 def singular_values(A):
-    """Singular values in ascending order, from the Gram matrix spectrum
-    formed in power-of-two-scaled units, so the squares neither overflow nor
-    underflow; one row of them per matrix of a stack."""
-    A, e = _pow2_rows(_as_square(A))
-    lam = np.linalg.eigvalsh(hermitian_part(_adj(A) @ A))
-    return np.ldexp(np.sqrt(np.maximum(lam, 0.0)), np.asarray(e)[..., None])
+    """Singular values in ascending order, from one SVD; one row of them per
+    matrix of a stack."""
+    return np.linalg.svd(_as_square(A), compute_uv=False)[..., ::-1]
 
 
 def operator_norm(A):
@@ -190,18 +194,24 @@ def _spectral(V, vals):
     return hermitian_part((V * vals[..., None, :]) @ _adj(V))
 
 
-def _rows_pow(x, p):
-    """x**p on each row of x, with p one exponent for all rows or one per row.
+def _on_rows(side, x):
+    """side on the rows of x: an exponent or a function for all rows, or a
+    sequence of one per row.
 
     A scalar exponent takes numpy's sqrt, square and reciprocal fast paths
     (p = 0.5, 2, -1) and an array of exponents does not, so rows that share
     an exponent are raised by that scalar: each row is then bitwise what it
-    is alone.
+    is alone. A ScalarFunction's domain test sees all the values it is
+    given, so a sequence of functions goes one per row.
     """
-    if np.ndim(p) == 0:
-        return x ** float(p)
+    if callable(side):
+        return side(x)
+    if np.ndim(side) == 0:
+        return x ** float(side)
+    if callable(side[0]):
+        return np.stack([fk(row) for fk, row in zip(side, x, strict=True)])
     groups = {}
-    for k, q in enumerate(p):
+    for k, q in enumerate(side):
         groups.setdefault(float(q), []).append(k)
     out = np.empty_like(x)
     for q, rows in groups.items():
@@ -209,40 +219,32 @@ def _rows_pow(x, p):
     return out
 
 
-def _rows_apply(f, lam):
-    """f on the eigenvalues: one elementwise f on the whole array, or, for a
-    stack, a sequence of functions applied one per row. A ScalarFunction's
-    domain test sees all the values it is given, so a stack of them goes one
-    per row."""
-    if callable(f):
-        return f(lam)
-    return np.stack([fk(row) for fk, row in zip(f, lam, strict=True)])
+def abs_sides(A, *fwd, adj=None):
+    """Functions of |A| and |A*| from one SVD A = U S V*, as |A| = V S V* and
+    |A*| = U S U*: each side of ``fwd`` read on |A|, then ``adj`` read on
+    |A*|; a single reading alone, else a tuple of them.
 
-
-def _gram_eigh(A, adjoint_side=False):
-    """Singular values and vectors of A from the spectrum of A*A (or A A*),
-    formed in power-of-two-scaled units so the squares stay in range."""
-    A, e = _pow2_rows(_as_square(A))
-    G = A @ _adj(A) if adjoint_side else _adj(A) @ A
-    lam, V = _eigh((G + _adj(G)) / 2)
-    return np.ldexp(np.sqrt(np.clip(lam, 0.0, None)), np.asarray(e)[..., None]), V
-
-
-def gram_function(A, fn, adjoint_side=False):
-    """Apply ``t -> fn(sqrt(t))`` to the spectrum of A*A, i.e. compute fn(|A|).
-
-    With adjoint_side=True computes fn(|A*|) from A A* instead. For a stack,
-    ``fn`` may be a sequence of one function per matrix (see ``_rows_apply``).
+    Each side is an exponent or a function, with one per matrix for a stack
+    (see ``_on_rows``).
     """
-    sv, V = _gram_eigh(A, adjoint_side)
-    return _spectral(V, _rows_apply(fn, sv))
+    U, s, Vh = np.linalg.svd(_as_square(A))
+    reads = [_spectral(_adj(Vh), _on_rows(side, s)) for side in fwd]
+    if adj is not None:
+        reads.append(_spectral(U, _on_rows(adj, s)))
+    return reads[0] if len(reads) == 1 else tuple(reads)
 
 
-def abs_power(A, p, adjoint_side=False):
-    """|A|**p (or |A*|**p) via the Gram spectrum; for a stack, p may hold one
-    exponent per matrix."""
-    sv, V = _gram_eigh(A, adjoint_side)
-    return _spectral(V, _rows_pow(sv, p))
+def kittaneh_bound(A):
+    """Kittaneh's upper bound || |A| + |A*| || / 2 on w(A), and ||A||, from
+    one SVD A = U S V*, as lambda_max(U S U* + V S V*) / 2; arrays of them
+    for a stack."""
+    M = _as_square(A)
+    U, s, Vh = np.linalg.svd(M)
+    S = s[..., None, :]
+    bound = np.linalg.eigvalsh((U * S) @ _adj(U) + (_adj(Vh) * S) @ Vh)[..., -1] / 2
+    if M.ndim == 2:
+        return float(bound), float(s[0])
+    return bound, s[..., 0]
 
 
 def apply_scalar_function(f, H) -> np.ndarray:
@@ -250,11 +252,11 @@ def apply_scalar_function(f, H) -> np.ndarray:
 
     ``f`` must be vectorized over eigenvalue arrays; it is responsible for its
     own domain checks (ScalarFunction raises DomainViolation). For a stack,
-    ``f`` may be a sequence of one function per matrix (see ``_rows_apply``).
+    ``f`` may be a sequence of one function per matrix (see ``_on_rows``).
     """
     H = check_hermitian(H)
     lam, V = _eigh(H)
-    return _spectral(V, np.asarray(_rows_apply(f, lam), dtype=np.float64))
+    return _spectral(V, np.asarray(_on_rows(f, lam), dtype=np.float64))
 
 
 def _first(rows):
@@ -285,7 +287,7 @@ def hermitian_power(H, p) -> np.ndarray:
         raise NotPositive(f"min eigenvalue {low[_first(negative)]:.3e} negative beyond tolerance")
     if fractional.any():
         lam = np.where(fractional[..., None], np.clip(lam, 0.0, None), lam)
-    return _spectral(V, _rows_pow(lam, p))
+    return _spectral(V, _on_rows(p, lam))
 
 
 def loewner_leq(A, B) -> bool:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidBounds, NotInvertible, NotPositive
-from .linalg import _clears, _eigh, _first, _rows_apply, _spectral, check_hermitian, hermitian_part
+from .linalg import _clears, _eigh, _first, _on_rows, _spectral, check_hermitian, hermitian_part
 
 
 def _positive_spectrum(A, name, invertible):
@@ -59,14 +59,14 @@ def f_connection(A, B, f):
     positive invertible A and Hermitian B, and A^{1/2} f(M)^2 A^{1/2} from the
     same spectrum of M, left unsymmetrized for a caller that symmetrizes a
     product of it. f = t^v gives A #_v B, and f = t gives B. For stacks,
-    ``f`` may be a sequence of one function per pair (see ``_rows_apply``)."""
+    ``f`` may be a sequence of one function per pair (see ``_on_rows``)."""
     A = np.asarray(A, dtype=np.complex128)
     B = check_hermitian(B)
     if A.shape != B.shape:
         raise DimensionMismatch(f"shapes {A.shape} and {B.shape} differ")
     half, inv_half = pd_roots(A)
     lam, V = _eigh(hermitian_part(inv_half @ B @ inv_half))
-    vals = _rows_apply(f, lam)  # DomainViolation if the spectrum escapes f's domain
+    vals = _on_rows(f, lam)  # DomainViolation if the spectrum escapes f's domain
     return hermitian_part(half @ _spectral(V, vals) @ half), half @ _spectral(V, vals**2) @ half
 
 

@@ -30,7 +30,7 @@ from math import acos, atan2, cos, hypot, sin
 
 import numpy as np
 
-from .linalg import _as_square, _pow2_rows
+from .linalg import _as_square, _pow2_rows, kittaneh_bound
 
 _TWO_PI = 2.0 * np.pi
 
@@ -220,18 +220,6 @@ def _corner(t1, h1, t2, h2):
     return hypot(h1, s), atan2(-s, h1)
 
 
-def _kittaneh_bound(A):
-    """Kittaneh's upper bound (|| |A| + |A*| ||) / 2 on w(A), from one SVD.
-
-    For A = U S V*, |A| = V S V* and |A*| = U S U*. The SVD is backward
-    stable, whereas forming |A| from a Gram spectrum would turn eps-level
-    roundoff into sqrt(eps)-level error.
-    """
-    U, s, Vh = np.linalg.svd(A)
-    V = Vh.conj().T
-    return float(np.linalg.eigvalsh((U * s) @ U.conj().T + (V * s) @ Vh)[-1]) / 2
-
-
 def _near_line(refs, half, t, top, tol):
     """The line at t as (h, a, (Q, y)) from the references ``refs`` of the
     matrix 2 half, or None to solve it values-only: a cut near a reference is
@@ -288,7 +276,7 @@ def _cuts(A, half, thetas, hs, tol):
     cap, cuts, near = math.inf, _MAX_CUTS, A.shape[-1] >= _NEAR_DIM
     refs, vectors = [], {}
     if lo - min(hs) <= tol * lo:
-        cap, cuts = _kittaneh_bound(A), _MAX_CUTS - 1
+        cap, cuts = kittaneh_bound(A)[0], _MAX_CUTS - 1
     for _ in range(cuts):
         hi, step = max(corners)
         top = min(hi, cap)

@@ -20,7 +20,7 @@ import numpy as np
 from numradlab import radius
 from numradlab.ensembles import sandwich_operands
 from numradlab.functions import SchwarzPair, schwarz_power_pair
-from numradlab.linalg import adjoint, gram_function, hermitian_part
+from numradlab.linalg import abs_sides, adjoint, hermitian_part
 from numradlab.radius import complex_gaussian, stream_rng
 
 
@@ -126,10 +126,9 @@ def sandwich_triple(rng, n):
     A, B, X, (alpha,) = sandwich_operands([rng], n)
     A, B, X, pair = A[0], B[0], X[0], schwarz_power_pair(alpha)
     f, g = pair.f, pair.g
-    S = hermitian_part(adjoint(B) @ gram_function(X, lambda s: np.asarray(f(s)) ** 2) @ B)
-    T = hermitian_part(
-        adjoint(A) @ gram_function(X, lambda s: np.asarray(g(s)) ** 2, adjoint_side=True) @ A
-    )
+    F, G = abs_sides(X, lambda s: np.asarray(f(s)) ** 2, adj=lambda s: np.asarray(g(s)) ** 2)
+    S = hermitian_part(adjoint(B) @ F @ B)
+    T = hermitian_part(adjoint(A) @ G @ A)
     m = float(np.linalg.eigvalsh(S)[-1])
     M = float(np.linalg.eigvalsh(T)[0])
     return SandwichSample(A=A, B=B, X=X, pair=pair, m=m, M=M)

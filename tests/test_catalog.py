@@ -12,11 +12,11 @@ from numradlab.catalog import (
     _INF_NOTE,
     _schwarz_sides,
 )
-from numradlab.ensembles import EnsembleSpec
+from numradlab.ensembles import EnsembleSpec, sample
 from numradlab.errors import BudgetExhausted, NotInvertible, NotPositive, UnsupportedParameter
-from numradlab.functions import SchwarzPair, power
+from numradlab.functions import SchwarzPair, parse_function, power
 from numradlab.report import IneqRecord
-from numradlab.linalg import adjoint, hermitian_part, hermitian_power
+from numradlab.linalg import adjoint, apply_scalar_function, hermitian_part, hermitian_power, operator_norm
 from numradlab.means import weighted_geometric
 from numradlab.radius import complex_gaussian, numerical_radius, quad_forms, stream_rng
 from numradlab.suite import draw_instance, run_suite
@@ -386,13 +386,76 @@ def test_superquad_members_hold_on_random():
 
 
 def test_superquad_norm_keeps_its_scale_at_small_magnitudes():
-    # The singular values come from A*A formed in power-of-two-scaled units:
-    # unscaled, its entries underflow, and at 2^-600 the norm read 0.
+    # The singular values come from one SVD of A, which squares nothing; the
+    # entries of an unscaled A*A underflow, and from them the norm read 0 at 2^-600.
     A = complex_gaussian(stream_rng(49, "squad scale"), (4, 4))
     norm = evaluate(InequalityId.SUPERQUAD_POWER, CheckInstance(A=A, r=2.0)).details["norm"]
     for scale in (2.0**-600, 2.0**-520):
         res = evaluate(InequalityId.SUPERQUAD_POWER, CheckInstance(A=scale * A, r=2.0))
         assert res.details["norm"] == pytest.approx(scale * norm, rel=1e-14, abs=0.0), scale
+
+
+@pytest.mark.parametrize("k", [520, 600])
+def test_superquad_power_sqrt_form_keeps_its_scale(k):
+    # sqrt(||A||^2 - inf_2) formed from unscaled squares drifted 1e-13 off its
+    # scale at 2^-520 and read 0 at 2^-600, where both squares underflow
+    member = InequalityId.SUPERQUAD_POWER
+    inst = draw_instance(member, EnsembleSpec(dim=4, seed=1), 0)
+    base = evaluate(member, inst).details["w <= sqrt form.rhs"]
+    s = 2.0**-k
+    res = evaluate(member, dataclasses.replace(inst, A=s * inst.A))
+    assert res.details["w <= sqrt form.rhs"] == pytest.approx(s * base, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 32, 64])
+def test_kittaneh_chain_mid_is_half_the_norm_on_square_zero(n):
+    # |A| and |A*| of a square-zero A have orthogonal supports, so
+    # || |A| + |A*| || / 2 = ||A|| / 2; with |A| from the spectrum of A*A, mid
+    # overstated it by up to 1.5e-8 relative
+    for k in range(10):
+        A = sample(EnsembleSpec(dim=n, kind="square-zero", seed=1), k)
+        res = evaluate(InequalityId.KITTANEH_CHAIN, CheckInstance(A=A))
+        assert res.details["w <= mid.rhs"] == pytest.approx(operator_norm(A) / 2, rel=1e-13, abs=0.0)
+
+
+def test_two_sided_members_decompose_each_operand_once(monkeypatch):
+    # |X| and |X*|, and gamma-product's g^2(|X|) beside them, come from one SVD
+    # of X; kittaneh-chain decomposes A (mid and ||A||) and A^2 once each.
+    # Gram spectra took two or three eigensolves per operand.
+    M = InequalityId
+    expected = {M.KITTANEH_CHAIN: 2, M.POWER_MIX: 1, M.MIXED_SCHWARZ: 1, M.GENERAL_PRODUCT: 1, M.GAMMA_PRODUCT: 1}
+    ens = EnsembleSpec(dim=3, seed=1)
+    svd = np.linalg.svd
+    for member, count in expected.items():
+        insts = [draw_instance(member, ens, i) for i in range(4)]
+        shapes = []
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(np.shape(a)) or svd(a, *args, **kw))
+            results = catalog.evaluate_many(member, insts)
+        assert [r.status for r in results] == [Status.HOLDS] * 4, member
+        # a lone 3 x 3 SVD would be an enclosure's Kittaneh cap
+        assert set(shapes) <= {(4, 3, 3), (3, 3)}, member
+        assert shapes.count((4, 3, 3)) == count, member
+
+
+def test_non_power_h_takes_the_general_branch():
+    # every drawn h is a power, which _h_matrix fuses into one exponent; the
+    # deformed exponential is nonnegative, increasing and convex, but no power
+    h = parse_function("expr:0.5")
+    for member in (InequalityId.CONVEX_PRODUCT, InequalityId.CONDITIONED_PRODUCT, InequalityId.GAMMA_PRODUCT):
+        inst = draw_instance(member, EnsembleSpec(dim=3, seed=1), 0)
+        assert evaluate(member, dataclasses.replace(inst, h=h)).status is Status.HOLDS, member
+
+
+def test_h_matrix_fused_powers_match_the_functional_calculus():
+    G = complex_gaussian(stream_rng(50, "h-matrix"), (3, 4, 4))
+    H = hermitian_part(adjoint(G) @ G) + 0.5 * np.eye(4)
+    hs = [power(2.0), power(1.5), power(3.0)]
+    for pre in (None, [1.0 / 0.75, 2.0, 1.0 / 0.9]):
+        fused = catalog._h_matrix(hs, H, pre)
+        direct = apply_scalar_function(hs, hermitian_power(H, [1.0] * 3 if pre is None else pre))
+        for F, D in zip(fused, direct):
+            assert np.linalg.norm(F - D, 2) <= 1e-12 * np.linalg.norm(D, 2)
 
 
 def test_suite_smoke_all_members_two_dims():

@@ -3,7 +3,7 @@ import pytest
 
 from numradlab import errors
 from numradlab.linalg import (
-    abs_power,
+    abs_sides,
     adjoint,
     apply_scalar_function,
     check_hermitian,
@@ -97,7 +97,7 @@ def test_norm_properties_random():
 
 @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160, 1e170])
 def test_operator_norm_scale_invariance(scale):
-    # the Gram product of the unscaled matrix overflows or underflows here
+    # A*A of the scaled matrix overflows or underflows here; the SVD squares nothing
     rng = stream_rng(5, "normscale")
     for n in (1, 2, 3, 8):
         A = random_complex(rng, n)
@@ -106,15 +106,16 @@ def test_operator_norm_scale_invariance(scale):
 
 @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160])
 def test_gram_kernels_scale_invariance(scale):
-    # the Gram product of the unscaled matrix overflows or underflows here
+    # A*A of the scaled matrix overflows or underflows here; the SVD squares nothing
     rng = stream_rng(6, "gramscale")
     for n in (1, 2, 3, 8):
         A = random_complex(rng, n)
-        absA = abs_power(A, 1.0)
-        err = np.linalg.norm(abs_power(scale * A, 1.0) / scale - absA, 2)
+        absA = abs_sides(A, 1.0)
+        err = np.linalg.norm(abs_sides(scale * A, 1.0) / scale - absA, 2)
         assert err <= 1e-12 * norm_hermitian(absA)
-        root = abs_power(A, 0.5, adjoint_side=n == 3)
-        err = np.linalg.norm(abs_power(scale * A, 0.5, adjoint_side=n == 3) / np.sqrt(scale) - root, 2)
+        root = abs_sides(A, adj=0.5) if n == 3 else abs_sides(A, 0.5)
+        scaled = abs_sides(scale * A, adj=0.5) if n == 3 else abs_sides(scale * A, 0.5)
+        err = np.linalg.norm(scaled / np.sqrt(scale) - root, 2)
         assert err <= 1e-12 * norm_hermitian(root)
 
 
@@ -132,16 +133,16 @@ def test_check_hermitian_scale_invariance(scale):
 
 def test_abs_operator_examples():
     A = np.array([[0, 2], [0, 0]], dtype=complex)
-    np.testing.assert_allclose(abs_power(A, 1.0), np.diag([0.0, 2.0]), atol=1e-12)
+    np.testing.assert_allclose(abs_sides(A, 1.0), np.diag([0.0, 2.0]), atol=1e-12)
     rng = stream_rng(3, "abspos")
     H = random_hermitian(rng, 4)
     P = hermitian_power(H @ H, 0.5)  # PSD by construction
-    np.testing.assert_allclose(abs_power(P, 1.0), P, atol=1e-10)
+    np.testing.assert_allclose(abs_sides(P, 1.0), P, atol=1e-10)
 
 
 def test_abs_operator_cross_checked_by_singular_values():
     A = np.array([[1, 0], [-3, 1]], dtype=complex)
-    absA = abs_power(A, 1.0)
+    absA = abs_sides(A, 1.0)
     assert norm_hermitian(absA) == pytest.approx(operator_norm(A), rel=1e-12)
     sv = np.linalg.svd(A, compute_uv=False)
     np.testing.assert_allclose(np.linalg.eigvalsh(absA), np.sort(sv), atol=1e-12)
@@ -151,9 +152,23 @@ def test_abs_operator_square_reconstructs_gram():
     rng = stream_rng(4, "abssquare")
     for n in (2, 5, 8):
         A = random_complex(rng, n)
-        absA = abs_power(A, 1.0)
+        absA = abs_sides(A, 1.0)
         err = np.linalg.norm(absA @ absA - adjoint(A) @ A, 2)
         assert err <= 1e-11 * n * (1.0 + operator_norm(A) ** 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 32, 64])
+def test_abs_sides_match_their_svd_on_square_zero(n):
+    # formed from the spectra of A*A and AA*, |A| and |A*| of a square-zero A
+    # were off by up to 1.9e-8 ||A||
+    from numradlab.ensembles import EnsembleSpec, sample
+
+    for k in range(10):
+        A = sample(EnsembleSpec(dim=n, kind="square-zero", seed=1), k)
+        U, s, Vh = np.linalg.svd(A)
+        absA, absAs = abs_sides(A, 1.0, adj=1.0)
+        assert np.linalg.norm(absA - (adjoint(Vh) * s) @ Vh, 2) <= 1e-13 * s[0]
+        assert np.linalg.norm(absAs - (U * s) @ adjoint(U), 2) <= 1e-13 * s[0]
 
 
 def test_apply_scalar_function_examples():
@@ -206,7 +221,7 @@ def test_lambda_min_matches_hand_computed_radius_gap():
     # of (|A| - w I)^2, is 1/4.
     A = np.array([[0, 1], [0, 0]], dtype=complex)
     w = numerical_radius(A).value
-    D = abs_power(A, 1.0) - w * np.eye(2)
+    D = abs_sides(A, 1.0) - w * np.eye(2)
     assert np.linalg.eigvalsh(D @ D)[0] == pytest.approx(0.25, abs=1e-10)
 
 
@@ -251,7 +266,7 @@ def test_hermitian_power_negative_requires_invertible():
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 64])
 def test_stacked_kernels_match_matrix_calls_bitwise(n):
     from numradlab.functions import power
-    from numradlab.linalg import gram_function
+    from numradlab.linalg import kittaneh_bound, singular_values
     from numradlab.means import pd_roots, weighted_geometric
 
     rng = stream_rng(n, "stacked-kernels")
@@ -278,10 +293,16 @@ def test_stacked_kernels_match_matrix_calls_bitwise(n):
     same_rows(check_hermitian(P), lambda k: check_hermitian(P[k]))
     same_rows(operator_norm(A), lambda k: operator_norm(A[k]))
     same_rows(norm_hermitian(P), lambda k: norm_hermitian(P[k]))
-    same_rows(gram_function(A, lambda s: s), lambda k: gram_function(A[k], lambda s: s))
-    same_rows(gram_function(G, funcs, adjoint_side=True), lambda k: gram_function(G[k], funcs[k], adjoint_side=True))
-    same_rows(abs_power(G, exps), lambda k: abs_power(G[k], exps[k]))
-    same_rows(abs_power(A, 0.5, adjoint_side=True), lambda k: abs_power(A[k], 0.5, adjoint_side=True))
+    same_rows(singular_values(A), lambda k: singular_values(A[k]))
+    same_rows(abs_sides(A, lambda s: s), lambda k: abs_sides(A[k], lambda s: s))
+    same_rows(abs_sides(G, adj=funcs), lambda k: abs_sides(G[k], adj=funcs[k]))
+    same_rows(abs_sides(G, exps), lambda k: abs_sides(G[k], exps[k]))
+    same_rows(abs_sides(A, adj=0.5), lambda k: abs_sides(A[k], adj=0.5))
+    for side in range(3):  # one SVD, read on |G| twice and on |G*| once
+        stacked = abs_sides(G, exps, funcs, adj=exps)[side]
+        same_rows(stacked, lambda k: abs_sides(G[k], exps[k], funcs[k], adj=exps[k])[side])
+    for part in range(2):
+        same_rows(kittaneh_bound(A)[part], lambda k: kittaneh_bound(A[k])[part])
     same_rows(hermitian_power(P, exps), lambda k: hermitian_power(P[k], exps[k]))
     same_rows(apply_scalar_function(funcs, P), lambda k: apply_scalar_function(funcs[k], P[k]))
     same_rows(loewner_leq(P, P + np.eye(n)), lambda k: loewner_leq(P[k], P[k] + np.eye(n)))
