@@ -9,6 +9,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -82,10 +83,14 @@ def paper_examples():
 
 
 def _write(path, what, text):
-    """Write ``text`` to ``path``; a failure raises NumradError("cannot write <what>: ...")."""
+    """Rewrite ``path`` in place with ``text``, then cut a regular file to its new
+    length; a failure raises NumradError("cannot write <what>: ..."). Truncating
+    first would make ext4 flush the old bytes at close (auto_da_alloc)."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            fh.write(text.encode("utf-8"))
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
     except OSError as exc:
         raise NumradError(f"cannot write {what}: {exc}") from None
 

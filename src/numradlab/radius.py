@@ -40,7 +40,7 @@ def stream_rng(seed, tag, index=0):
     import hashlib  # loads OpenSSL; imported here because `numradlab radius` draws nothing
 
     text = f"{int(seed)}|{tag}|{int(index)}".encode()
-    entropy = int.from_bytes(hashlib.blake2b(text, digest_size=16).digest(), "little")
+    entropy = np.frombuffer(hashlib.blake2b(text, digest_size=16).digest(), dtype="<u4")  # the digest int's words
     bg = np.random.Philox(seed=np.random.SeedSequence(entropy=entropy))
     return np.random.Generator(bg)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 from . import __version__
 
@@ -44,7 +44,7 @@ class IneqRecord:
     notes: list
 
     def to_dict(self):
-        return asdict(self)
+        return dict(vars(self))  # shallow: json.dumps only reads it
 
     @classmethod
     def from_dict(cls, d):

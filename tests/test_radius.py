@@ -547,6 +547,34 @@ def test_sampler_determinism_and_prefix():
     np.testing.assert_array_equal(big[:100], s1.unit_vectors(4))
 
 
+@pytest.mark.parametrize(
+    "key, draws",
+    [
+        ((1, "ensemble:generic:A", 0),
+         ["0x1.20c081006da26p+0", "0x1.e8c418100d38ep-2", "0x1.1fdc1d9874663p-1", "-0x1.f424f4925cdf0p-5"]),
+        ((9001, "suite:norm-sandwich:x", 5),
+         ["-0x1.d457fd45bc416p-3", "-0x1.c72941ac24060p+0", "0x1.95bde4ec322e5p-1", "0x1.df86aa9c2c278p-1"]),
+        ((2**40 + 3, "search:norm-sandwich", 0),
+         ["-0x1.af57b5395d55dp-1", "0x1.1a6acfe5aecc6p+1", "-0x1.fc055bb1180d0p-1", "-0x1.768ab36dbdef3p-1"]),
+    ],
+)
+def test_stream_values_are_pinned(key, draws):
+    # every certify report and search document is drawn from these streams
+    assert [float.hex(float(x)) for x in stream_rng(*key).standard_normal(4)] == draws
+
+
+def test_stream_key_words_equal_the_digest_integer():
+    # SeedSequence reads an int as its little-endian 32-bit words, so the
+    # digest's words key the same stream as the digest read as one integer
+    import hashlib
+
+    for i in range(2000):
+        digest = hashlib.blake2b(f"{i}|words|{i % 13}".encode(), digest_size=16).digest()
+        as_int = np.random.SeedSequence(entropy=int.from_bytes(digest, "little"))
+        as_words = np.random.SeedSequence(entropy=np.frombuffer(digest, dtype="<u4"))
+        np.testing.assert_array_equal(as_words.generate_state(2, np.uint64), as_int.generate_state(2, np.uint64))
+
+
 def test_euclidean_radius_examples():
     # for a Hermitian pair both quadratic forms are real, so the Euclidean
     # radius sup sqrt(<Ax,x>^2 + <Bx,x>^2) over unit x is w(A + iB)

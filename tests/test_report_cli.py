@@ -322,6 +322,8 @@ def test_certify_exit_codes_and_report(tmp_path, capsys):
 
 def test_certify_trials_zero_and_unknown_id(capsys):
     assert cli.main(["certify", "--ineq", "norm-sandwich", "--trials", "0"]) == 0
+    # a device is written, not truncated
+    assert cli.main(["certify", "--ineq", "norm-sandwich", "--trials", "1", "--report", os.devnull]) == 0
     code = cli.main(["certify", "--ineq", "definitely-not-a-member"])
     assert code == 1
     err = capsys.readouterr().err
@@ -360,12 +362,26 @@ def test_out_of_range_flags_are_usage_errors(argv, tmp_path, capsys):
     assert argv[0] == "radius" or not out.exists()
 
 
+def stale_targets(tmp_path):
+    """A longer existing file, and a symlink to another: an output written
+    over either must leave exactly the bytes of a fresh write."""
+    stale, linked, link = tmp_path / "stale.json", tmp_path / "linked.json", tmp_path / "link.json"
+    for path in (stale, linked):
+        path.write_bytes(b"stale bytes\n" * 10_000)
+    link.symlink_to(linked)
+    return [(stale, stale), (link, linked)]
+
+
 def test_certify_byte_identical_reports(tmp_path):
     args = ["certify", "--ineq", "norm-sandwich,kittaneh-chain", "--dim", "3", "--trials", "25", "--seed", "11"]
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     assert cli.main(args + ["--report", str(p1)]) == 0
     assert cli.main(args + ["--report", str(p2)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
+    for target, written in stale_targets(tmp_path):
+        assert cli.main(args + ["--report", str(target)]) == 0
+        assert written.read_bytes() == p1.read_bytes()
+    assert (tmp_path / "link.json").is_symlink()
 
 
 def test_certify_csv_format(tmp_path):
@@ -455,16 +471,16 @@ def test_radius_module_entry_on_huge_entries(tmp_path):
 
 def test_search_zero_restarts_writes_seed_instance(tmp_path, capsys):
     out = tmp_path / "inst.json"
-    code = cli.main(
-        ["search", "--ineq", "sum-new-bound", "--dim", "2", "--restarts", "0", "--seed", "4",
-         "--out", str(out)]
-    )
-    assert code == 0
+    argv = ["search", "--ineq", "sum-new-bound", "--dim", "2", "--restarts", "0", "--seed", "4", "--out", str(out)]
+    assert cli.main(argv) == 0
     doc = json.loads(out.read_text())
     assert doc["ineq"] == "sum-new-bound"
     assert doc["slack"] > 0
     assert set(doc["matrices"]) == {"A", "B"}
     assert doc["matrices"]["A"]["dim"] == 2
+    for target, written in stale_targets(tmp_path):
+        assert cli.main(argv[:-1] + [str(target)]) == 0
+        assert written.read_bytes() == out.read_bytes()
 
 
 def test_search_descends_norm_sandwich(tmp_path, capsys):
