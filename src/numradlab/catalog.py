@@ -3,13 +3,14 @@ with slack accounting that the records feed.
 
 ``MEMBERS`` maps each ``InequalityId`` to a ``Member``. Its ``build`` draws a
 chunk of seeded instances, each a deterministic function of (ensemble seed,
-member, draw index) and bitwise what it is alone; hypothesis-bearing members
-are drawn constructively, so essentially every draw verifies, and parameter
-grids cycle with the draw index to cover interior weights and the special
-cases (v = 1/2, r = 1). Its ``check`` verifies the hypotheses, its
-``evaluate`` computes both sides, and ``subtracts_infimum`` marks a right
-side that subtracts an infimum. Adding a member takes one ``InequalityId``
-value and one record.
+member, draw index) and bitwise what it is alone. The member comes from the
+record's ``MEMBERS`` key, the one place its id is named, and keys the draws'
+streams. Hypothesis-bearing members are drawn constructively, so essentially
+every draw verifies, and parameter grids cycle with the draw index to cover
+interior weights and the special cases (v = 1/2, r = 1). Its ``check``
+verifies the hypotheses, its ``evaluate`` computes both sides, and
+``subtracts_infimum`` marks a right side that subtracts an infimum. Adding a
+member takes one ``InequalityId`` value and one record.
 
 Every member computes its left and right side exactly as displayed, using
 the kernel modules. Numerical radii are attained lower bounds, which are
@@ -174,10 +175,11 @@ class Member:
     """One catalog member. Each callable takes a chunk: instances of the
     member that share one dimension, whose matrices it stacks.
 
-    - ``build(ensemble, indices)`` draws one instance per index;
+    - ``build(ensemble, member, indices)`` draws one instance per index,
+      from streams keyed by ``member``, the record's ``MEMBERS`` key;
     - ``check(insts, reports, operands)`` fills each report's conditions
       and bounds, and stores in the dict ``operands`` the stacks that the
-      evaluator reuses (the sandwich sides S and T);
+      evaluator reuses (such as the sandwich sides S and T);
     - ``evaluate(insts, hyps, operands, radii)`` takes the instances whose
       hypotheses hold, and returns one outcome each: its named links
       ``(name, lhs, rhs)``, details and semantics (see ``_verdict``);
@@ -237,6 +239,30 @@ def _schwarz_sides(insts, plain=False):
     return hermitian_part(adjoint(B) @ F @ B), *(hermitian_part(adjoint(A) @ M @ A) for M in G)
 
 
+def _sandwich_sides(A, X, B, v):
+    """S = B* |X|^{2(1 - v)} B and T = A* |X*|^{2v} A of the weighted
+    sandwich A* X B, one weight v per matrix, from one SVD of each X."""
+    S, T = abs_sides(X, [2 * (1 - w) for w in v], adj=[2 * w for w in v])
+    return hermitian_part(adjoint(B) @ S @ B), hermitian_part(adjoint(A) @ T @ A)
+
+
+# The operands each variant of conditioned-specials reads; the others are I.
+_SPECIALS_READS = {0: "XAB", 1: "X", 2: "BA"}
+
+
+def _specials_operands(insts):
+    """The stacks A, X and B of conditioned-specials' sandwiches A* X B, with
+    I for each operand an instance's variant does not read. Products with I
+    are exact, and so is the SVD of I, so each variant's sides and target
+    are bitwise those of its own operands."""
+    n = next((M.shape[-1] for i in insts for M in (i.A, i.X, i.B) if M is not None), 1)
+    stacks = {name: [np.eye(n, dtype=np.complex128)] * len(insts) for name in "AXB"}
+    for k, inst in enumerate(insts):
+        for name in _SPECIALS_READS.get(inst.variant, ""):
+            stacks[name][k] = _given([inst], name)[0]
+    return [np.stack(stacks[name]) for name in "AXB"]
+
+
 def _h_matrix(hs, H, pre=None):
     """h(H**pre) with one h and one pre-exponent per matrix (pre = 1 when
     None); fuses exponents when every h is a pure power."""
@@ -258,9 +284,9 @@ _INF_NOTE = "subtracted infimum: exact 0 or an attained minimum over the joint n
 
 
 # ---------------------------------------------------------------------------
-# instance builders. Each takes an ensemble and the draw indices of a chunk
-# and returns one instance per index; the draws' matrices are made in
-# stacks, and every draw is bitwise what it is alone.
+# instance builders. Each takes an ensemble, the member and the draw indices
+# of a chunk and returns one instance per index; the draws' matrices are made
+# in stacks, and every draw is bitwise what it is alone.
 
 V_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
 R_GRID = (1.0, 1.5, 2.0, 3.0)
@@ -287,14 +313,14 @@ def _unit_rows(rng, count, n):
     return Z / np.linalg.norm(Z, axis=1)[:, None]
 
 
-def _build_operands(member, *fields, params=lambda i: {}):
+def _build_operands(*fields, params=lambda i: {}):
     """Builder of a member from stacked matrix draws, one per field: "A"
     for a generic draw, or "A:kind" for another kind of ``ensembles.KINDS``
     drawn at the ensemble's dim, scale and seed. Each draw's parameters
     come from ``params(index)``."""
     kinds = [field.partition(":")[::2] for field in fields]
 
-    def build(ens, indices):
+    def build(ens, member, indices):
         stacks = [_draws(ens, member, indices, name, kind or "generic") for name, kind in kinds]
         names = [name for name, _ in kinds]
         return [CheckInstance(**dict(zip(names, mats)), **params(i)) for i, *mats in zip(indices, *stacks)]
@@ -332,11 +358,11 @@ def _hosseini_params(i):
     return {"p": p, "q": q, "r": r}
 
 
-def _build_dragomir(ens, indices):
+def _build_dragomir(ens, member, indices):
     n = ens.dim
     out = []
     for i in indices:
-        rng = _rng(ens, InequalityId.DRAGOMIR_VECTOR, i)
+        rng = _rng(ens, member, i)
         triples = []
         for _ in range(VECTORS_PER_TRIAL):
             x = complex_gaussian(rng, n) * rng.uniform(0.5, 2.0)
@@ -348,10 +374,10 @@ def _build_dragomir(ens, indices):
     return out
 
 
-def _build_scalar_amgm(ens, indices):
+def _build_scalar_amgm(ens, member, indices):
     out = []
     for i in indices:
-        rng = _rng(ens, InequalityId.SCALAR_REFINED_AMGM, i)
+        rng = _rng(ens, member, i)
         a = rng.uniform(0.2, 5.0)
         b = a * float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0) + 1.0)
         b = max(b, 0.05)
@@ -363,24 +389,21 @@ def _build_scalar_amgm(ens, indices):
     return out
 
 
-def _build_sandwich(member):
-    def build(ens, indices):
-        rngs = [_rng(ens, member, i, tag="triple") for i in indices]
-        A, B, X, alpha = sandwich_operands(rngs, ens.dim)
-        return [
-            CheckInstance(A=A[k], B=B[k], X=X[k], pair=schwarz_power_pair(alpha[k]), h=power(R_GRID[i % len(R_GRID)]))
-            for k, i in enumerate(indices)
-        ]
-
-    return build
+def _build_sandwich(ens, member, indices):
+    rngs = [_rng(ens, member, i, tag="triple") for i in indices]
+    A, B, X, alpha = sandwich_operands(rngs, ens.dim)
+    return [
+        CheckInstance(A=A[k], B=B[k], X=X[k], pair=schwarz_power_pair(alpha[k]), h=power(R_GRID[i % len(R_GRID)]))
+        for k, i in enumerate(indices)
+    ]
 
 
-def _build_conditioned_specials(ens, indices):
-    """Variant 0 is a sandwich at weight v (2(1 - v) in place of 2 alpha),
-    variant 1 a lone X whose singular values clear 1 on the side v picks,
-    variant 2 two scaled unitaries. Each variant's Haar factors come from
-    one QR."""
-    member = InequalityId.CONDITIONED_SPECIALS
+def _build_conditioned_specials(ens, member, indices):
+    """Each variant is the weighted sandwich A* X B with the operands it
+    leaves out taken as I: variant 0 draws A, X and B, a sandwich at weight v
+    (2(1 - v) in place of 2 alpha); variant 1 draws X alone, whose singular
+    values clear 1 on the side v picks; variant 2 draws A and B alone, two
+    scaled unitaries. Each variant's Haar factors come from one QR."""
     n = ens.dim
     out = {}
     rows = {0: [], 1: [], 2: []}
@@ -421,8 +444,7 @@ def _build_conditioned_specials(ens, indices):
     return [out[i] for i in indices]
 
 
-def _build_mixed_schwarz(ens, indices):
-    member = InequalityId.MIXED_SCHWARZ
+def _build_mixed_schwarz(ens, member, indices):
     A = _draws(ens, member, indices, "A")
     out = []
     for k, i in enumerate(indices):
@@ -432,8 +454,7 @@ def _build_mixed_schwarz(ens, indices):
     return out
 
 
-def _build_mond_pecaric(ens, indices):
-    member = InequalityId.MOND_PECARIC
+def _build_mond_pecaric(ens, member, indices):
     A = _draws(ens, member, indices, "A", kind="positive")
     funcs = (power(2.0), power(3.0), power(1.5), power(0.5))
     out = []
@@ -443,10 +464,10 @@ def _build_mond_pecaric(ens, indices):
     return out
 
 
-def _build_superquad_defect(ens, indices):
+def _build_superquad_defect(ens, member, indices):
     out = []
     for i in indices:
-        rng = _rng(ens, InequalityId.SUPERQUAD_DEFECT, i)
+        rng = _rng(ens, member, i)
         pts = tuple((float(s), float(t)) for s, t in rng.uniform(0.0, 10.0, size=(VECTORS_PER_TRIAL, 2)))
         out.append(CheckInstance(f=power(R_SUPER_GRID[i % len(R_SUPER_GRID)]), vectors=pts))
     return out
@@ -459,7 +480,7 @@ def _build_superquad_defect(ens, indices):
 
 def _verify_chunk(ineq, insts):
     """Hypothesis reports of a chunk, and the stacked operands that the
-    member's evaluator reuses (the sandwich sides S and T)."""
+    member's evaluator reuses (such as the sandwich sides S and T)."""
     reports = [HypothesisReport(satisfied=True) for _ in insts]
     operands = {}
     MEMBERS[ineq].check(insts, reports, operands)
@@ -563,7 +584,10 @@ def _check_specials(insts, reports, operands):
     for rep, i in zip(reports, insts):
         if i.variant in (0, 1):
             rep.conditions["0 <= v <= 1"] = bool(i.v is not None and 0.0 <= i.v <= 1.0)
-    operands["S"], operands["T"] = _specials_sides(insts)
+    A, X, B = _specials_operands(insts)
+    operands.update(A=A, X=X, B=B)
+    v = [i.v if i.v is not None else 0.5 for i in insts]
+    operands["S"], operands["T"] = _sandwich_sides(A, X, B, v)
     _sandwich_gap(operands["S"], operands["T"], reports)
 
 
@@ -617,31 +641,6 @@ def _sandwich_gap(S, T, reports):
             cond["lower side positive invertible"] = bool(_clears(max(lam_s[0], lam_t[0]), scale, invertible=True))
             cond["spectral gap m < M"] = False
             bounds.update(m=float(min(lam_s[-1], lam_t[-1])), M=float(max(lam_s[0], lam_t[0])))
-
-
-def _specials_sides(insts):
-    """The lower/upper operands of each Remark-style specialization, stacked
-    variant by variant; zero for another variant, whose hypotheses fail."""
-    groups = []
-    for variant in (0, 1, 2):
-        rows = [k for k, inst in enumerate(insts) if inst.variant == variant]
-        if not rows:
-            continue
-        group = [insts[k] for k in rows]
-        v = [inst.v if inst.v is not None else 0.5 for inst in group]
-        if variant == 2:  # |B|^2 and |A|^2
-            S, T = (hermitian_part(adjoint(M) @ M) for M in (_stack(group, "B"), _stack(group, "A")))
-        else:
-            S, T = abs_sides(_stack(group, "X"), [2 * (1 - w) for w in v], adj=[2 * w for w in v])
-        if variant == 0:
-            A, B = _stack(group, "A"), _stack(group, "B")
-            S, T = hermitian_part(adjoint(B) @ S @ B), hermitian_part(adjoint(A) @ T @ A)
-        groups.append((rows, S, T))
-    n = groups[0][1].shape[-1] if groups else 1
-    S, T = np.zeros((2, len(insts), n, n), dtype=np.complex128)
-    for rows, S_g, T_g in groups:
-        S[rows], T[rows] = S_g, T_g
-    return S, T
 
 
 # ---------------------------------------------------------------------------
@@ -705,8 +704,7 @@ def _ev_general_product(insts, hyps, ops, radii):
     r = [i.r for i in insts]
     v = [i.v for i in insts]
     res = radii(adjoint(A) @ X @ B)
-    S, T = abs_sides(X, [2 * (1 - vi) for vi in v], adj=[2 * vi for vi in v])
-    S, T = hermitian_part(adjoint(B) @ S @ B), hermitian_part(adjoint(A) @ T @ A)
+    S, T = _sandwich_sides(A, X, B, v)
     rhs = (norm_hermitian(hermitian_power(T, r) + hermitian_power(S, r)) / 2).tolist()
     return [([("w^r <= mean", w.value**ri, h)], {"w": w.value}, [_W_NOTE]) for w, ri, h in zip(res, r, rhs)]
 
@@ -792,15 +790,7 @@ def _ev_conditioned_product(insts, hyps, ops, radii):
 
 def _ev_conditioned_specials(insts, hyps, ops, radii):
     r = [i.r for i in insts]
-    targets = []
-    for i in insts:
-        if i.variant == 0:
-            targets.append(adjoint(i.A[None]) @ i.X[None] @ i.B[None])
-        elif i.variant == 1:
-            targets.append(i.X[None])
-        else:
-            targets.append(adjoint(i.A[None]) @ i.B[None])
-    res = radii(np.concatenate(targets))
+    res = radii(adjoint(ops["A"]) @ ops["X"] @ ops["B"])
     norms = norm_hermitian(hermitian_power(ops["S"], r) + hermitian_power(ops["T"], r)).tolist()
     out = []
     for i, rk, hyp, w, nrm in zip(insts, r, hyps, res, norms):
@@ -1074,19 +1064,17 @@ def _ev_superquad_defect(insts, hyps, ops, radii):
 _M = InequalityId
 
 MEMBERS = {
-    _M.NORM_SANDWICH: Member(_build_operands(_M.NORM_SANDWICH, "A"), _no_hypotheses, _ev_norm_sandwich),
-    _M.KITTANEH_CHAIN: Member(_build_operands(_M.KITTANEH_CHAIN, "A"), _no_hypotheses, _ev_kittaneh_chain),
-    _M.POWER_MIX: Member(
-        _build_operands(_M.POWER_MIX, "A", params=_r_v), _checks(_r_at_least(1), _v_open), _ev_power_mix
-    ),
-    _M.SUM_SQ_KITTANEH: Member(_build_operands(_M.SUM_SQ_KITTANEH, "A", "B"), _no_hypotheses, _ev_sum_sq_kittaneh),
+    _M.NORM_SANDWICH: Member(_build_operands("A"), _no_hypotheses, _ev_norm_sandwich),
+    _M.KITTANEH_CHAIN: Member(_build_operands("A"), _no_hypotheses, _ev_kittaneh_chain),
+    _M.POWER_MIX: Member(_build_operands("A", params=_r_v), _checks(_r_at_least(1), _v_open), _ev_power_mix),
+    _M.SUM_SQ_KITTANEH: Member(_build_operands("A", "B"), _no_hypotheses, _ev_sum_sq_kittaneh),
     _M.PRODUCT_POWER: Member(
-        _build_operands(_M.PRODUCT_POWER, "A", "B", params=lambda i: {"r": R_GRID[i % len(R_GRID)]}),
+        _build_operands("A", "B", params=lambda i: {"r": R_GRID[i % len(R_GRID)]}),
         _r_at_least(1),
         _ev_product_power,
     ),
     _M.GENERAL_PRODUCT: Member(
-        _build_operands(_M.GENERAL_PRODUCT, "A", "X", "B", params=_r_v),
+        _build_operands("A", "X", "B", params=_r_v),
         _checks(_r_at_least(1), _v_open),
         _ev_general_product,
     ),
@@ -1098,82 +1086,72 @@ MEMBERS = {
         ),
         _ev_dragomir_vector,
     ),
-    _M.SUM_NEW_BOUND: Member(
-        _build_operands(_M.SUM_NEW_BOUND, "A", "B"), _no_hypotheses, _ev_sum_new(normal_form=False)
-    ),
+    _M.SUM_NEW_BOUND: Member(_build_operands("A", "B"), _no_hypotheses, _ev_sum_new(normal_form=False)),
     _M.SUM_NEW_NORMAL: Member(
-        _build_operands(_M.SUM_NEW_NORMAL, "A:normal", "B:normal"),
+        _build_operands("A:normal", "B:normal"),
         _checks(_normal("A"), _normal("B")),
         _ev_sum_new(normal_form=True),
     ),
-    _M.WSQ_SUM: Member(_build_operands(_M.WSQ_SUM, "A", "B"), _no_hypotheses, _ev_wsq_sum),
+    _M.WSQ_SUM: Member(_build_operands("A", "B"), _no_hypotheses, _ev_wsq_sum),
     _M.CONVEX_PRODUCT: Member(
-        _build_operands(_M.CONVEX_PRODUCT, "A", "X", "B", params=_pair_h_v),
+        _build_operands("A", "X", "B", params=_pair_h_v),
         _checks(_v_open, _h_convex),
         _ev_convex_product,
     ),
     _M.CONVEX_PRODUCT_POWER: Member(
-        _build_operands(_M.CONVEX_PRODUCT_POWER, "A", "X", "B", params=_pair_r),
+        _build_operands("A", "X", "B", params=_pair_r),
         _r_at_least(1),
         _ev_convex_product_power,
     ),
     _M.SCALAR_REFINED_AMGM: Member(_build_scalar_amgm, _check_scalar_amgm, _ev_scalar_refined_amgm),
-    _M.CONDITIONED_PRODUCT: Member(
-        _build_sandwich(_M.CONDITIONED_PRODUCT), _checks(_h_convex, _check_conditioned), _ev_conditioned_product
-    ),
+    _M.CONDITIONED_PRODUCT: Member(_build_sandwich, _checks(_h_convex, _check_conditioned), _ev_conditioned_product),
     _M.CONDITIONED_SPECIALS: Member(
         _build_conditioned_specials, _checks(_r_at_least(1), _variants, _check_specials), _ev_conditioned_specials
     ),
-    _M.GAMMA_PRODUCT: Member(_build_sandwich(_M.GAMMA_PRODUCT), _checks(_h_convex, _check_gamma), _ev_gamma_product),
+    _M.GAMMA_PRODUCT: Member(_build_sandwich, _checks(_h_convex, _check_gamma), _ev_gamma_product),
     _M.REFINED_CONVEXITY: Member(
-        _build_operands(_M.REFINED_CONVEXITY, "A:positive", "B:positive", params=_f_v),
+        _build_operands("A:positive", "B:positive", params=_f_v),
         _convexity,
         _ev_refined_convexity,
         subtracts_infimum=True,
     ),
     _M.IMPROVED_CONVEX_PRODUCT: Member(
-        _build_operands(_M.IMPROVED_CONVEX_PRODUCT, "A", "X", "B", params=_pair_h_v),
+        _build_operands("A", "X", "B", params=_pair_h_v),
         _checks(_v_open, _h_convex),
         _ev_improved_convex_product,
         subtracts_infimum=True,
     ),
     _M.SUPERQUAD_RADIUS: Member(
-        _build_operands(_M.SUPERQUAD_RADIUS, "A", params=lambda i: {"f": power(R_SUPER_GRID[i % len(R_SUPER_GRID)])}),
+        _build_operands("A", params=lambda i: {"f": power(R_SUPER_GRID[i % len(R_SUPER_GRID)])}),
         _scalar("f nonneg superquadratic", lambda i: _has_flags(i.f, NONNEG, SUPERQUADRATIC)),
         _ev_superquad_radius,
     ),
     _M.SUPERQUAD_POWER: Member(
-        _build_operands(_M.SUPERQUAD_POWER, "A", params=lambda i: {"r": R_SUPER_GRID[i % len(R_SUPER_GRID)]}),
+        _build_operands("A", params=lambda i: {"r": R_SUPER_GRID[i % len(R_SUPER_GRID)]}),
         _r_at_least(2),
         _ev_superquad_power,
     ),
     _M.HOSSEINI_GEO: Member(
-        _build_operands(
-            _M.HOSSEINI_GEO, "A:positive-invertible", "B:positive-invertible", "X", params=_hosseini_params
-        ),
+        _build_operands("A:positive-invertible", "B:positive-invertible", "X", params=_hosseini_params),
         _hosseini,
         _ev_hosseini_geo,
         subtracts_infimum=True,
     ),
     _M.HOSSEINI_GEO_NORMS: Member(
         _build_operands(
-            _M.HOSSEINI_GEO_NORMS,
-            "A:positive-invertible",
-            "B:positive-invertible",
-            params=lambda i: {**_hosseini_params(i), "variant": i % 3},
+            "A:positive-invertible", "B:positive-invertible", params=lambda i: {**_hosseini_params(i), "variant": i % 3}
         ),
         _checks(_variants, _hosseini),
         _ev_hosseini_geo_norms,
         subtracts_infimum=True,
     ),
     _M.EUCLIDEAN_SANDWICH: Member(
-        _build_operands(_M.EUCLIDEAN_SANDWICH, "A:positive-invertible", "B:positive-invertible"),
+        _build_operands("A:positive-invertible", "B:positive-invertible"),
         _mean_operands,
         _ev_euclidean_sandwich,
     ),
     _M.FCONN_RADIUS: Member(
         _build_operands(
-            _M.FCONN_RADIUS,
             "A:positive-invertible",
             "B:positive",
             "X",
@@ -1182,9 +1160,7 @@ MEMBERS = {
         _mean_operands,
         _ev_fconn_radius,
     ),
-    _M.GEO_RADIUS: Member(
-        _build_operands(_M.GEO_RADIUS, "A:positive-invertible", "B:positive", "X"), _mean_operands, _ev_geo_radius
-    ),
+    _M.GEO_RADIUS: Member(_build_operands("A:positive-invertible", "B:positive", "X"), _mean_operands, _ev_geo_radius),
     _M.MIXED_SCHWARZ: Member(_build_mixed_schwarz, _vectors_given, _ev_mixed_schwarz),
     _M.MOND_PECARIC: Member(
         _build_mond_pecaric,
@@ -1194,9 +1170,7 @@ MEMBERS = {
         ),
         _ev_mond_pecaric,
     ),
-    _M.NORM_CONVEXITY: Member(
-        _build_operands(_M.NORM_CONVEXITY, "A:positive", "B:positive", params=_f_v), _convexity, _ev_norm_convexity
-    ),
+    _M.NORM_CONVEXITY: Member(_build_operands("A:positive", "B:positive", params=_f_v), _convexity, _ev_norm_convexity),
     _M.SUPERQUAD_DEFECT: Member(_build_superquad_defect, _superquad_points, _ev_superquad_defect),
 }
 

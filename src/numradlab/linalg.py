@@ -82,34 +82,26 @@ def hermitian_part(A) -> np.ndarray:
     return (A + _adj(A)) / 2
 
 
-def _pow2_scaled(A):
-    """(A * 2**-e, e) such that sums of squares of the scaled entries neither
-    overflow nor underflow. In range, e = 0 and A is returned as it is;
-    otherwise e brings the largest real or imaginary part into [1/2, 1),
-    and the scaling is exact. A stack is scaled as one block."""
-    if 2.0**-500 < np.abs(A).max() < 2.0**500:
-        return A, 0
-    e = int(np.frexp(max(np.abs(A.real).max(), np.abs(A.imag).max()))[1])
-    e = max(e, -1023)  # 2**1023 is the largest finite power of two
-    return A * np.ldexp(1.0, -e), e
-
-
 def _pow2_rows(A):
-    """``_pow2_scaled`` of each matrix of a stack, with an exponent per row
-    (an int for a matrix)."""
-    if A.ndim == 2:
-        return _pow2_scaled(A)
-    top = np.abs(A).max(axis=(1, 2))
-    if ((2.0**-500 < top) & (top < 2.0**500)).all():
-        return A, np.zeros(len(A), dtype=int)
-    rows = [_pow2_scaled(row) for row in A]
-    return np.stack([row for row, _ in rows]), np.array([e for _, e in rows])
+    """(A * 2**-e, e) with one exponent e per matrix of a stack (an int for a
+    matrix), such that sums of squares of the scaled entries neither overflow
+    nor underflow. In range, e = 0 and the matrix is kept as it is;
+    otherwise e brings its largest real or imaginary part into [1/2, 1), and
+    the scaling is exact."""
+    top = np.abs(A).max(axis=(-2, -1))
+    out = ~((2.0**-500 < top) & (top < 2.0**500))
+    if not out.any():
+        return A, (0 if A.ndim == 2 else np.zeros(len(A), dtype=int))
+    parts = np.maximum(np.abs(A.real).max(axis=(-2, -1)), np.abs(A.imag).max(axis=(-2, -1)))
+    e = np.where(out, np.maximum(np.frexp(parts)[1], -1023), 0)  # 2**1023 is the largest finite power of two
+    S = np.where(out[..., None, None], A * np.ldexp(1.0, -e)[..., None, None], A)
+    return S, (int(e) if A.ndim == 2 else e)
 
 
 def check_hermitian(H) -> np.ndarray:
     """Assert H is Hermitian up to EPS_HERM*||H|| and return its symmetrization.
 
-    The norms are taken in power-of-two-scaled units (see ``_pow2_scaled``),
+    The norms are taken in power-of-two-scaled units (see ``_pow2_rows``),
     so they neither overflow nor underflow. A stack passes when each of its
     matrices does; the test, not its Frobenius norms, is bitwise that of the
     matrices alone.

@@ -6,23 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidBounds, NotInvertible, NotPositive
-from .linalg import _clears, _eigh, _first, _on_rows, _spectral, check_hermitian, hermitian_part
-
-
-def _positive_spectrum(A, name, invertible):
-    """Eigendecomposition of a positive (optionally invertible) operand, or
-    of each matrix of a stack; any matrix that fails raises for the stack."""
-    A = check_hermitian(A)
-    lam, V = _eigh(A)
-    scale = np.abs(lam).max(axis=-1, initial=0.0)
-    low = lam[..., 0]
-    negative = ~_clears(low, scale)
-    if negative.any():
-        raise NotPositive(f"{name} has negative eigenvalue {low[_first(negative)]:.3e}")
-    singular = ~_clears(low, scale, invertible=True)
-    if invertible and singular.any():
-        raise NotInvertible(f"{name} min eigenvalue {low[_first(singular)]:.3e} is below the invertibility cutoff")
-    return np.clip(lam, 0.0, None), V
+from .linalg import _clears, _eigh, _first, _on_rows, _spectral, check_hermitian, hermitian_part, hermitian_power
 
 
 def _check_weight(v):
@@ -34,8 +18,16 @@ def _check_weight(v):
 
 def pd_roots(A):
     """(A^{1/2}, A^{-1/2}) for a positive invertible matrix (or stack), one
-    factorization."""
-    lam, V = _positive_spectrum(A, "A", invertible=True)
+    factorization; any matrix that fails raises for the stack."""
+    lam, V = _eigh(check_hermitian(A))
+    scale = np.abs(lam).max(axis=-1, initial=0.0)
+    low = lam[..., 0]
+    negative = ~_clears(low, scale)
+    if negative.any():
+        raise NotPositive(f"A has negative eigenvalue {low[_first(negative)]:.3e}")
+    singular = ~_clears(low, scale, invertible=True)
+    if singular.any():
+        raise NotInvertible(f"A min eigenvalue {low[_first(singular)]:.3e} is below the invertibility cutoff")
     root = np.sqrt(lam)
     return _spectral(V, root), _spectral(V, 1.0 / root)
 
@@ -49,9 +41,7 @@ def weighted_geometric(A, B, v) -> np.ndarray:
     if A.shape != B.shape:
         raise DimensionMismatch(f"shapes {A.shape} and {B.shape} differ")
     half, inv_half = pd_roots(A)
-    mid = inv_half @ B @ inv_half
-    lam, V = _positive_spectrum(mid, "A^{-1/2} B A^{-1/2}", invertible=False)
-    return hermitian_part(half @ _spectral(V, lam**v) @ half)
+    return hermitian_part(half @ hermitian_power(inv_half @ B @ inv_half, v) @ half)
 
 
 def f_connection(A, B, f):

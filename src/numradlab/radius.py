@@ -347,12 +347,10 @@ def _enclose(A, exps, tol):
                 ends[r] = stop.value
         return live
 
-    # Cuts form their rotations as _rotated_halves does, with cmath.exp phases.
     live = advance(range(len(A)), [None] * len(A))
     while len(live) > 1:
         rows, ts = zip(*live)
-        H = np.array([cmath.exp(1j * t) for t in ts])[:, None, None] * half[list(rows)]
-        live = advance(rows, np.linalg.eigvalsh(H + H.conj().swapaxes(1, 2))[:, -1].tolist())
+        live = advance(rows, np.linalg.eigvalsh(_rotated_halves(half[list(rows)], np.array(ts)))[:, -1].tolist())
     if live:
         # The last row cutting solves its lines one at a time.
         ((r, t),) = live

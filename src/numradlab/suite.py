@@ -19,7 +19,7 @@ CHUNK = 64
 def draw_chunk(ineq: InequalityId, ensemble: EnsembleSpec, indices) -> list:
     """``draw_instance`` at each index, built together: the matrices of all
     the draws come from stacked Haar factors and products."""
-    return MEMBERS[ineq].build(ensemble, list(indices))
+    return MEMBERS[ineq].build(ensemble, ineq, list(indices))
 
 
 def draw_instance(ineq: InequalityId, ensemble: EnsembleSpec, index: int) -> CheckInstance:

@@ -1,9 +1,11 @@
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from numradlab import catalog
+from numradlab import catalog, ensembles
 from numradlab.catalog import (
     CheckInstance,
     InequalityId,
@@ -16,10 +18,10 @@ from numradlab.ensembles import EnsembleSpec, sample
 from numradlab.errors import BudgetExhausted, NotInvertible, NotPositive, UnsupportedParameter
 from numradlab.functions import SchwarzPair, parse_function, power
 from numradlab.report import IneqRecord
-from numradlab.linalg import adjoint, apply_scalar_function, hermitian_part, hermitian_power, operator_norm
+from numradlab.linalg import abs_sides, adjoint, apply_scalar_function, hermitian_part, hermitian_power, operator_norm
 from numradlab.means import weighted_geometric
 from numradlab.radius import complex_gaussian, numerical_radius, quad_forms, stream_rng
-from numradlab.suite import draw_instance, run_suite
+from numradlab.suite import draw_chunk, draw_instance, run_suite
 from oracles import SphereSampler, sandwich_triple, sphere_sup
 
 EX1_A = np.array([[1, 0], [-3, 1]], dtype=complex)
@@ -527,6 +529,61 @@ def test_variants_outside_the_three_are_not_evaluated(member):
         assert res.hypothesis.conditions["variant in {0, 1, 2}"] is False
 
 
+def test_every_member_keys_its_draws_with_its_own_id(monkeypatch):
+    # the (seed, tag, index) of every stream a chunk of draws requests; a new
+    # key changes every report, so the keys are pinned for all members
+    keys = []
+
+    def recording(seed, tag, index=0):
+        keys.append((seed, tag, int(index)))
+        return stream_rng(seed, tag, index)
+
+    monkeypatch.setattr(catalog, "stream_rng", recording)
+    monkeypatch.setattr(ensembles, "stream_rng", recording)
+    doc = {}
+    for member in InequalityId:
+        keys.clear()
+        draw_chunk(member, EnsembleSpec(dim=3, seed=1), [0, 1, 2])
+        assert keys and all(f":{member.value}:" in tag for _, tag, _ in keys), member
+        doc[member.value] = sorted(keys)
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == "ddb777d97108f120a8f9a43a865138750594206bc515f765641d1762d5c9f21b"
+
+
+@pytest.mark.parametrize("seed", [1, 9001])
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_conditioned_specials_unit_operands_are_exact(dim, seed):
+    # variants 1 and 2 are the weighted sandwich A* X B with I for the operands
+    # they leave out; products with I and the SVD of I are exact, so their
+    # sides and radius targets are bitwise the specializations written out
+    member = InequalityId.CONDITIONED_SPECIALS
+    insts = draw_chunk(member, EnsembleSpec(dim=dim, seed=seed), range(30))
+    hyps, ops = catalog._verify_chunk(member, insts)
+    live = [k for k, hyp in enumerate(hyps) if hyp.satisfied]
+    targets = []
+
+    def radii(M):
+        targets.append(M)
+        return numerical_radius(M, tol=1e-12)
+
+    chunk = {name: M[live] for name, M in ops.items()}
+    catalog.MEMBERS[member].evaluate([insts[k] for k in live], [hyps[k] for k in live], chunk, radii)
+    target = dict(zip(live, targets[0], strict=True))
+    assert {inst.variant for inst in insts} == {0, 1, 2}
+    for k, inst in enumerate(insts):
+        if inst.variant == 1:
+            S, T = abs_sides(inst.X, 2 * (1 - inst.v), adj=2 * inst.v)
+            want = inst.X
+        elif inst.variant == 2:
+            S, T = hermitian_part(adjoint(inst.B) @ inst.B), hermitian_part(adjoint(inst.A) @ inst.A)
+            want = adjoint(inst.A) @ inst.B
+        else:
+            continue
+        assert ops["S"][k].tobytes() == S.tobytes() and ops["T"][k].tobytes() == T.tobytes(), k
+        if k in target:
+            assert target[k].tobytes() == want.tobytes(), k
+
+
 def test_run_suite_norm_sandwich_hundred_holds():
     ens = EnsembleSpec(dim=4, kind="generic", seed=7)
     rep = run_suite([InequalityId.NORM_SANDWICH], ens, trials=100)
@@ -535,7 +592,7 @@ def test_run_suite_norm_sandwich_hundred_holds():
 
 
 def test_run_suite_budget_exhausted(monkeypatch):
-    def hopeless_builder(ens, indices):
+    def hopeless_builder(ens, member, indices):
         return [CheckInstance(A=np.eye(ens.dim, dtype=complex), f=dataclasses.replace(power(2.0), flags=frozenset())) for _ in indices]
 
     member = InequalityId.MOND_PECARIC

@@ -266,7 +266,7 @@ def test_hermitian_power_negative_requires_invertible():
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 64])
 def test_stacked_kernels_match_matrix_calls_bitwise(n):
     from numradlab.functions import power
-    from numradlab.linalg import kittaneh_bound, singular_values
+    from numradlab.linalg import _pow2_rows, kittaneh_bound, singular_values
     from numradlab.means import pd_roots, weighted_geometric
 
     rng = stream_rng(n, "stacked-kernels")
@@ -291,6 +291,8 @@ def test_stacked_kernels_match_matrix_calls_bitwise(n):
     same_rows(adjoint(A), lambda k: adjoint(A[k]))
     same_rows(hermitian_part(A), lambda k: hermitian_part(A[k]))
     same_rows(check_hermitian(P), lambda k: check_hermitian(P[k]))
+    for part in range(2):  # row 1 alone leaves the normal range; the others stay as they are, at e = 0
+        same_rows(_pow2_rows(A)[part], lambda k: _pow2_rows(A[k])[part])
     same_rows(operator_norm(A), lambda k: operator_norm(A[k]))
     same_rows(norm_hermitian(P), lambda k: norm_hermitian(P[k]))
     same_rows(singular_values(A), lambda k: singular_values(A[k]))
