@@ -1,16 +1,17 @@
 """Inequality catalog: one record per member, and the two-sided evaluation
 with slack accounting that the records feed.
 
-``MEMBERS`` maps each ``InequalityId`` to a ``Member``. Its ``build`` draws a
-chunk of seeded instances, each a deterministic function of (ensemble seed,
-member, draw index) and bitwise what it is alone. The member comes from the
-record's ``MEMBERS`` key, the one place its id is named, and keys the draws'
-streams. Hypothesis-bearing members are drawn constructively, so essentially
-every draw verifies, and parameter grids cycle with the draw index to cover
-interior weights and the special cases (v = 1/2, r = 1). Its ``check``
-verifies the hypotheses, its ``evaluate`` computes both sides, and
-``subtracts_infimum`` marks a right side that subtracts an infimum. Adding a
-member takes one ``InequalityId`` value and one record.
+``MEMBERS`` maps each ``InequalityId`` to a ``Member``. The records are
+written keyed by their id strings, and ``InequalityId`` is derived from those
+keys in record order, so a record's key is the one place its id is named. Its
+``build`` draws a chunk of seeded instances, each a deterministic function of
+(ensemble seed, member, draw index) and bitwise what it is alone; the member
+keys the draws' streams. Hypothesis-bearing members are drawn constructively,
+so essentially every draw verifies, and parameter grids (``_grid``) cycle with
+the draw index to cover interior weights and the special cases (v = 1/2,
+r = 1). Its ``check`` parts verify the hypotheses, its ``evaluate`` computes
+both sides, and ``subtracts_infimum`` marks a right side that subtracts an
+infimum. Adding a member takes one record.
 
 Every member computes its left and right side exactly as displayed, using
 the kernel modules. Numerical radii are attained lower bounds, which are
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensembles import EnsembleSpec, _haar, sample_stack, sandwich_operands
-from .errors import DomainViolation, NotInvertible, NotPositive
+from .errors import DomainViolation, NotHermitian, NotInvertible, NotPositive
 from .functions import (
     CONCAVE,
     CONVEX,
@@ -67,38 +68,6 @@ from .linalg import (
 )
 from .means import f_connection, gamma_factor, weighted_geometric
 from .radius import _boundary_inf, complex_gaussian, numerical_radius, quad_forms, stream_rng
-
-
-class InequalityId(enum.Enum):
-    NORM_SANDWICH = "norm-sandwich"
-    KITTANEH_CHAIN = "kittaneh-chain"
-    POWER_MIX = "power-mix"
-    SUM_SQ_KITTANEH = "sum-sq-kittaneh"
-    PRODUCT_POWER = "product-power"
-    GENERAL_PRODUCT = "general-product"
-    DRAGOMIR_VECTOR = "dragomir-vector"
-    SUM_NEW_BOUND = "sum-new-bound"
-    SUM_NEW_NORMAL = "sum-new-normal"
-    WSQ_SUM = "wsq-sum"
-    CONVEX_PRODUCT = "convex-product"
-    CONVEX_PRODUCT_POWER = "convex-product-power"
-    SCALAR_REFINED_AMGM = "scalar-refined-amgm"
-    CONDITIONED_PRODUCT = "conditioned-product"
-    CONDITIONED_SPECIALS = "conditioned-specials"
-    GAMMA_PRODUCT = "gamma-product"
-    REFINED_CONVEXITY = "refined-convexity"
-    IMPROVED_CONVEX_PRODUCT = "improved-convex-product"
-    SUPERQUAD_RADIUS = "superquad-radius"
-    SUPERQUAD_POWER = "superquad-power"
-    HOSSEINI_GEO = "hosseini-geo"
-    HOSSEINI_GEO_NORMS = "hosseini-geo-norms"
-    EUCLIDEAN_SANDWICH = "euclidean-sandwich"
-    FCONN_RADIUS = "fconn-radius"
-    GEO_RADIUS = "geo-radius"
-    MIXED_SCHWARZ = "mixed-schwarz"
-    MOND_PECARIC = "mond-pecaric"
-    NORM_CONVEXITY = "norm-convexity"
-    SUPERQUAD_DEFECT = "superquad-defect"
 
 
 class Status(enum.Enum):
@@ -177,8 +146,9 @@ class Member:
 
     - ``build(ensemble, member, indices)`` draws one instance per index,
       from streams keyed by ``member``, the record's ``MEMBERS`` key;
-    - ``check(insts, reports, operands)`` fills each report's conditions
-      and bounds, and stores in the dict ``operands`` the stacks that the
+    - ``check`` is a tuple of parts, run in order; each part
+      ``(insts, reports, operands)`` fills each report's conditions and
+      bounds, and stores in the dict ``operands`` the stacks that the
       evaluator reuses (such as the sandwich sides S and T);
     - ``evaluate(insts, hyps, operands, radii)`` takes the instances whose
       hypotheses hold, and returns one outcome each: its named links
@@ -188,7 +158,7 @@ class Member:
     """
 
     build: Callable
-    check: Callable
+    check: tuple
     evaluate: Callable
     subtracts_infimum: bool = False
 
@@ -212,17 +182,6 @@ def _given(insts, name):
 
 def _stack(insts, name):
     return np.stack(_given(insts, name))
-
-
-def _psd_rows(H, invertible=False):
-    lam = np.linalg.eigvalsh(hermitian_part(H))
-    return _clears(lam[:, 0], np.abs(lam).max(axis=-1, initial=0.0), invertible)
-
-
-def _normal_rows(A):
-    A, _ = _pow2_rows(A)  # normality is scale-free; scaled, neither side underflows
-    dev = np.linalg.norm(A @ _adj(A) - _adj(A) @ A, axis=(1, 2))
-    return dev <= 1e-10 * np.linalg.norm(A, axis=(1, 2)) ** 2
 
 
 def _squares(fns):
@@ -295,7 +254,28 @@ PQ_GRID = ((2.0, 2.0), (3.0, 1.5))
 ALPHA_GRID = (0.3, 0.5, 0.7)
 FCONN_FUNCS = ("pow:0.5", "pow:0.25", "pow:1", "expr:1")
 
+# Function grids, built once: their functions and pairs are frozen, so draws share them.
+_POWERS = tuple(map(power, R_GRID))
+_SUPER_POWERS = tuple(map(power, R_SUPER_GRID))
+_PAIRS = tuple(map(schwarz_power_pair, ALPHA_GRID))
+_MOND_PECARIC_POWERS = tuple(map(power, (2.0, 3.0, 1.5, 0.5)))
+
 VECTORS_PER_TRIAL = 6
+
+
+def _grid(**axes):
+    """``params(i)``: the parameters of draw i, one value from each axis. The
+    first axis steps with every draw, and each later axis steps when the axes
+    before it wrap."""
+
+    def params(i):
+        out = {}
+        for name, values in axes.items():
+            i, k = divmod(i, len(values))
+            out[name] = values[k]
+        return out
+
+    return params
 
 
 def _draws(ens, member, indices, field, kind="generic"):
@@ -313,7 +293,7 @@ def _unit_rows(rng, count, n):
     return Z / np.linalg.norm(Z, axis=1)[:, None]
 
 
-def _build_operands(*fields, params=lambda i: {}):
+def _build_operands(*fields, params=_grid()):
     """Builder of a member from stacked matrix draws, one per field: "A"
     for a generic draw, or "A:kind" for another kind of ``ensembles.KINDS``
     drawn at the ensemble's dim, scale and seed. Each draw's parameters
@@ -326,29 +306,6 @@ def _build_operands(*fields, params=lambda i: {}):
         return [CheckInstance(**dict(zip(names, mats)), **params(i)) for i, *mats in zip(indices, *stacks)]
 
     return build
-
-
-def _r_v(i):
-    return {"r": R_GRID[i % len(R_GRID)], "v": V_GRID[(i // len(R_GRID)) % len(V_GRID)]}
-
-
-def _pair_h_v(i):
-    return {
-        "pair": schwarz_power_pair(ALPHA_GRID[i % len(ALPHA_GRID)]),
-        "h": power(R_GRID[(i // len(ALPHA_GRID)) % len(R_GRID)]),
-        "v": V_GRID[(i // (len(ALPHA_GRID) * len(R_GRID))) % len(V_GRID)],
-    }
-
-
-def _pair_r(i):
-    return {
-        "pair": schwarz_power_pair(ALPHA_GRID[i % len(ALPHA_GRID)]),
-        "r": R_GRID[(i // len(ALPHA_GRID)) % len(R_GRID)],
-    }
-
-
-def _f_v(i):
-    return {"f": power(R_GRID[i % len(R_GRID)]), "v": V_GRID[(i // len(R_GRID)) % len(V_GRID)]}
 
 
 def _hosseini_params(i):
@@ -392,10 +349,20 @@ def _build_scalar_amgm(ens, member, indices):
 def _build_sandwich(ens, member, indices):
     rngs = [_rng(ens, member, i, tag="triple") for i in indices]
     A, B, X, alpha = sandwich_operands(rngs, ens.dim)
+    params = _grid(h=_POWERS)
     return [
-        CheckInstance(A=A[k], B=B[k], X=X[k], pair=schwarz_power_pair(alpha[k]), h=power(R_GRID[i % len(R_GRID)]))
+        CheckInstance(A=A[k], B=B[k], X=X[k], pair=schwarz_power_pair(alpha[k]), **params(i))
         for k, i in enumerate(indices)
     ]
+
+
+# conditioned-specials' parameters, one grid per variant; variant 1 skips
+# v = 1/2, which admits no spectral gap there, and variant 2 reads no v
+_SPECIALS_PARAMS = (
+    _grid(variant=(0, 1, 2), r=R_GRID, v=V_GRID),
+    _grid(variant=(0, 1, 2), r=R_GRID, v=(0.1, 0.25, 0.75, 0.9)),
+    _grid(variant=(0, 1, 2), r=R_GRID),
+)
 
 
 def _build_conditioned_specials(ens, member, indices):
@@ -406,28 +373,26 @@ def _build_conditioned_specials(ens, member, indices):
     scaled unitaries. Each variant's Haar factors come from one QR."""
     n = ens.dim
     out = {}
+    params = {i: _SPECIALS_PARAMS[i % len(_SPECIALS_PARAMS)](i) for i in indices}
     rows = {0: [], 1: [], 2: []}
     for i in indices:
-        rows[i % 3].append(i)
+        rows[params[i]["variant"]].append(i)
     if rows[0]:
-        vs = [V_GRID[(i // 12) % len(V_GRID)] for i in rows[0]]
         rngs = [_rng(ens, member, i, tag="build") for i in rows[0]]
-        A, B, X, _ = sandwich_operands(rngs, n, weights=[1 - v for v in vs])
-        for k, (i, v) in enumerate(zip(rows[0], vs)):
-            out[i] = CheckInstance(A=A[k], B=B[k], X=X[k], r=R_GRID[(i // 3) % len(R_GRID)], v=v, variant=0)
+        A, B, X, _ = sandwich_operands(rngs, n, weights=[1 - params[i]["v"] for i in rows[0]])
+        for k, i in enumerate(rows[0]):
+            out[i] = CheckInstance(A=A[k], B=B[k], X=X[k], **params[i])
     if rows[1]:
-        choices = (0.1, 0.25, 0.75, 0.9)  # v = 1/2 admits no spectral gap here
-        vs = [choices[(i // 12) % len(choices)] for i in rows[1]]
         sig, Z = [], []
-        for i, v in zip(rows[1], vs):
+        for i in rows[1]:
             rng = _rng(ens, member, i, tag="build")
-            c = 2.0 if v > 0.5 else 0.45
+            c = 2.0 if params[i]["v"] > 0.5 else 0.45
             sig.append(rng.uniform(c, 1.1 * c, size=n))
             Z.append([complex_gaussian(rng, (n, n)) for _ in range(2)])
         U = _haar(np.array(Z))
         X = (U[:, 0] * np.array(sig)[:, None, :]) @ _adj(U[:, 1])
-        for k, (i, v) in enumerate(zip(rows[1], vs)):
-            out[i] = CheckInstance(X=X[k], r=R_GRID[(i // 3) % len(R_GRID)], v=v, variant=1)
+        for k, i in enumerate(rows[1]):
+            out[i] = CheckInstance(X=X[k], **params[i])
     if rows[2]:
         Z, lam = [], []
         for i in rows[2]:
@@ -440,36 +405,38 @@ def _build_conditioned_specials(ens, member, indices):
         P = _spectral(U[:, :2], np.array(lam))
         A, B = U[:, 2] @ P[:, 0], U[:, 3] @ P[:, 1]
         for k, i in enumerate(rows[2]):
-            out[i] = CheckInstance(A=A[k], B=B[k], r=R_GRID[(i // 3) % len(R_GRID)], variant=2)
+            out[i] = CheckInstance(A=A[k], B=B[k], **params[i])
     return [out[i] for i in indices]
 
 
 def _build_mixed_schwarz(ens, member, indices):
     A = _draws(ens, member, indices, "A")
+    params = _grid(pair=_PAIRS)
     out = []
     for k, i in enumerate(indices):
         X = _unit_rows(_rng(ens, member, i), 2 * VECTORS_PER_TRIAL, ens.dim)
         pairs = tuple((X[2 * j], X[2 * j + 1]) for j in range(VECTORS_PER_TRIAL))
-        out.append(CheckInstance(A=A[k], pair=schwarz_power_pair(ALPHA_GRID[i % len(ALPHA_GRID)]), vectors=pairs))
+        out.append(CheckInstance(A=A[k], vectors=pairs, **params(i)))
     return out
 
 
 def _build_mond_pecaric(ens, member, indices):
     A = _draws(ens, member, indices, "A", kind="positive")
-    funcs = (power(2.0), power(3.0), power(1.5), power(0.5))
+    params = _grid(f=_MOND_PECARIC_POWERS)
     out = []
     for k, i in enumerate(indices):
         X = _unit_rows(_rng(ens, member, i), VECTORS_PER_TRIAL, ens.dim)
-        out.append(CheckInstance(A=A[k], f=funcs[i % len(funcs)], vectors=tuple((x,) for x in X)))
+        out.append(CheckInstance(A=A[k], vectors=tuple((x,) for x in X), **params(i)))
     return out
 
 
 def _build_superquad_defect(ens, member, indices):
+    params = _grid(f=_SUPER_POWERS)
     out = []
     for i in indices:
         rng = _rng(ens, member, i)
         pts = tuple((float(s), float(t)) for s, t in rng.uniform(0.0, 10.0, size=(VECTORS_PER_TRIAL, 2)))
-        out.append(CheckInstance(f=power(R_SUPER_GRID[i % len(R_SUPER_GRID)]), vectors=pts))
+        out.append(CheckInstance(vectors=pts, **params(i)))
     return out
 
 
@@ -483,7 +450,8 @@ def _verify_chunk(ineq, insts):
     member's evaluator reuses (such as the sandwich sides S and T)."""
     reports = [HypothesisReport(satisfied=True) for _ in insts]
     operands = {}
-    MEMBERS[ineq].check(insts, reports, operands)
+    for part in MEMBERS[ineq].check:
+        part(insts, reports, operands)
     for rep in reports:
         rep.satisfied = all(rep.conditions.values())
     return reports, operands
@@ -492,16 +460,6 @@ def _verify_chunk(ineq, insts):
 def _each(reports, name, oks):
     for rep, ok in zip(reports, oks, strict=True):
         rep.conditions[name] = bool(ok)
-
-
-def _checks(*parts):
-    """One check that runs several in order."""
-
-    def check(insts, reports, operands):
-        for part in parts:
-            part(insts, reports, operands)
-
-    return check
 
 
 def _scalar(name, test):
@@ -521,28 +479,30 @@ def _psd(name, invertible=False):
     kind = "positive invertible" if invertible else "positive semidefinite"
 
     def check(insts, reports, operands):
-        _each(reports, f"{name} {kind}", _psd_rows(_stack(insts, name), invertible))
+        lam = np.linalg.eigvalsh(hermitian_part(_stack(insts, name)))
+        _each(reports, f"{name} {kind}", _clears(lam[:, 0], np.abs(lam).max(axis=-1, initial=0.0), invertible))
 
     return check
 
 
 def _normal(name):
     def check(insts, reports, operands):
-        _each(reports, f"{name} normal", _normal_rows(_stack(insts, name)))
+        A, _ = _pow2_rows(_stack(insts, name))  # normality is scale-free; scaled, neither side underflows
+        dev = np.linalg.norm(A @ _adj(A) - _adj(A) @ A, axis=(1, 2))
+        _each(reports, f"{name} normal", dev <= 1e-10 * np.linalg.norm(A, axis=(1, 2)) ** 2)
 
     return check
 
 
-_no_hypotheses = _checks()  # none beyond shape
 _v_open = _scalar("0 < v < 1", lambda i: i.v is not None and 0.0 < i.v < 1.0)
 _h_convex = _scalar("h nonneg increasing convex", lambda i: _has_flags(i.h, NONNEG, INCREASING, CONVEX))
-_convexity = _checks(
+_convexity = (
     _v_open,
     _scalar("f nonneg nondecreasing convex", lambda i: _has_flags(i.f, NONNEG, INCREASING, CONVEX)),
     _psd("A"),
     _psd("B"),
 )
-_hosseini = _checks(
+_hosseini = (
     _scalar(
         "p >= q > 1 with 1/p + 1/q = 1",
         lambda i: i.p is not None
@@ -554,12 +514,12 @@ _hosseini = _checks(
     _psd("A", invertible=True),
     _psd("B", invertible=True),
 )
-_mean_operands = _checks(_psd("A", invertible=True), _psd("B"))
+_mean_operands = (_psd("A", invertible=True), _psd("B"))
 # The members that specialize a theorem three ways, one per variant.
 _variants = _scalar("variant in {0, 1, 2}", lambda i: i.variant in (0, 1, 2))
 # The pointwise members evaluate one link per entry of ``vectors``.
 _vectors_given = _scalar("vectors given", lambda i: bool(i.vectors))
-_superquad_points = _checks(
+_superquad_points = (
     _vectors_given,
     _scalar("f superquadratic", lambda i: _has_flags(i.f, SUPERQUADRATIC)),
     _scalar("s, t >= 0", lambda i: all(s is not None and t is not None and s >= 0 and t >= 0 for s, t in i.vectors)),
@@ -1061,122 +1021,115 @@ def _ev_superquad_defect(insts, hyps, ops, radii):
     return out
 
 
-_M = InequalityId
-
+# The records, keyed by id string in report order: ``--ineq all`` reports in
+# this order, and ``InequalityId`` takes its names and values from the keys.
 MEMBERS = {
-    _M.NORM_SANDWICH: Member(_build_operands("A"), _no_hypotheses, _ev_norm_sandwich),
-    _M.KITTANEH_CHAIN: Member(_build_operands("A"), _no_hypotheses, _ev_kittaneh_chain),
-    _M.POWER_MIX: Member(_build_operands("A", params=_r_v), _checks(_r_at_least(1), _v_open), _ev_power_mix),
-    _M.SUM_SQ_KITTANEH: Member(_build_operands("A", "B"), _no_hypotheses, _ev_sum_sq_kittaneh),
-    _M.PRODUCT_POWER: Member(
-        _build_operands("A", "B", params=lambda i: {"r": R_GRID[i % len(R_GRID)]}),
-        _r_at_least(1),
-        _ev_product_power,
+    "norm-sandwich": Member(_build_operands("A"), (), _ev_norm_sandwich),
+    "kittaneh-chain": Member(_build_operands("A"), (), _ev_kittaneh_chain),
+    "power-mix": Member(
+        _build_operands("A", params=_grid(r=R_GRID, v=V_GRID)), (_r_at_least(1), _v_open), _ev_power_mix
     ),
-    _M.GENERAL_PRODUCT: Member(
-        _build_operands("A", "X", "B", params=_r_v),
-        _checks(_r_at_least(1), _v_open),
+    "sum-sq-kittaneh": Member(_build_operands("A", "B"), (), _ev_sum_sq_kittaneh),
+    "product-power": Member(_build_operands("A", "B", params=_grid(r=R_GRID)), (_r_at_least(1),), _ev_product_power),
+    "general-product": Member(
+        _build_operands("A", "X", "B", params=_grid(r=R_GRID, v=V_GRID)),
+        (_r_at_least(1), _v_open),
         _ev_general_product,
     ),
-    _M.DRAGOMIR_VECTOR: Member(
+    "dragomir-vector": Member(
         _build_dragomir,
-        _checks(
+        (
             _vectors_given,
             _scalar("unit z", lambda i: all(abs(np.linalg.norm(np.asarray(tr[2])) - 1.0) <= 1e-10 for tr in i.vectors)),
         ),
         _ev_dragomir_vector,
     ),
-    _M.SUM_NEW_BOUND: Member(_build_operands("A", "B"), _no_hypotheses, _ev_sum_new(normal_form=False)),
-    _M.SUM_NEW_NORMAL: Member(
-        _build_operands("A:normal", "B:normal"),
-        _checks(_normal("A"), _normal("B")),
-        _ev_sum_new(normal_form=True),
+    "sum-new-bound": Member(_build_operands("A", "B"), (), _ev_sum_new(normal_form=False)),
+    "sum-new-normal": Member(
+        _build_operands("A:normal", "B:normal"), (_normal("A"), _normal("B")), _ev_sum_new(normal_form=True)
     ),
-    _M.WSQ_SUM: Member(_build_operands("A", "B"), _no_hypotheses, _ev_wsq_sum),
-    _M.CONVEX_PRODUCT: Member(
-        _build_operands("A", "X", "B", params=_pair_h_v),
-        _checks(_v_open, _h_convex),
+    "wsq-sum": Member(_build_operands("A", "B"), (), _ev_wsq_sum),
+    "convex-product": Member(
+        _build_operands("A", "X", "B", params=_grid(pair=_PAIRS, h=_POWERS, v=V_GRID)),
+        (_v_open, _h_convex),
         _ev_convex_product,
     ),
-    _M.CONVEX_PRODUCT_POWER: Member(
-        _build_operands("A", "X", "B", params=_pair_r),
-        _r_at_least(1),
+    "convex-product-power": Member(
+        _build_operands("A", "X", "B", params=_grid(pair=_PAIRS, r=R_GRID)),
+        (_r_at_least(1),),
         _ev_convex_product_power,
     ),
-    _M.SCALAR_REFINED_AMGM: Member(_build_scalar_amgm, _check_scalar_amgm, _ev_scalar_refined_amgm),
-    _M.CONDITIONED_PRODUCT: Member(_build_sandwich, _checks(_h_convex, _check_conditioned), _ev_conditioned_product),
-    _M.CONDITIONED_SPECIALS: Member(
-        _build_conditioned_specials, _checks(_r_at_least(1), _variants, _check_specials), _ev_conditioned_specials
+    "scalar-refined-amgm": Member(_build_scalar_amgm, (_check_scalar_amgm,), _ev_scalar_refined_amgm),
+    "conditioned-product": Member(_build_sandwich, (_h_convex, _check_conditioned), _ev_conditioned_product),
+    "conditioned-specials": Member(
+        _build_conditioned_specials, (_r_at_least(1), _variants, _check_specials), _ev_conditioned_specials
     ),
-    _M.GAMMA_PRODUCT: Member(_build_sandwich, _checks(_h_convex, _check_gamma), _ev_gamma_product),
-    _M.REFINED_CONVEXITY: Member(
-        _build_operands("A:positive", "B:positive", params=_f_v),
+    "gamma-product": Member(_build_sandwich, (_h_convex, _check_gamma), _ev_gamma_product),
+    "refined-convexity": Member(
+        _build_operands("A:positive", "B:positive", params=_grid(f=_POWERS, v=V_GRID)),
         _convexity,
         _ev_refined_convexity,
         subtracts_infimum=True,
     ),
-    _M.IMPROVED_CONVEX_PRODUCT: Member(
-        _build_operands("A", "X", "B", params=_pair_h_v),
-        _checks(_v_open, _h_convex),
+    "improved-convex-product": Member(
+        _build_operands("A", "X", "B", params=_grid(pair=_PAIRS, h=_POWERS, v=V_GRID)),
+        (_v_open, _h_convex),
         _ev_improved_convex_product,
         subtracts_infimum=True,
     ),
-    _M.SUPERQUAD_RADIUS: Member(
-        _build_operands("A", params=lambda i: {"f": power(R_SUPER_GRID[i % len(R_SUPER_GRID)])}),
-        _scalar("f nonneg superquadratic", lambda i: _has_flags(i.f, NONNEG, SUPERQUADRATIC)),
+    "superquad-radius": Member(
+        _build_operands("A", params=_grid(f=_SUPER_POWERS)),
+        (_scalar("f nonneg superquadratic", lambda i: _has_flags(i.f, NONNEG, SUPERQUADRATIC)),),
         _ev_superquad_radius,
     ),
-    _M.SUPERQUAD_POWER: Member(
-        _build_operands("A", params=lambda i: {"r": R_SUPER_GRID[i % len(R_SUPER_GRID)]}),
-        _r_at_least(2),
-        _ev_superquad_power,
+    "superquad-power": Member(
+        _build_operands("A", params=_grid(r=R_SUPER_GRID)), (_r_at_least(2),), _ev_superquad_power
     ),
-    _M.HOSSEINI_GEO: Member(
+    "hosseini-geo": Member(
         _build_operands("A:positive-invertible", "B:positive-invertible", "X", params=_hosseini_params),
         _hosseini,
         _ev_hosseini_geo,
         subtracts_infimum=True,
     ),
-    _M.HOSSEINI_GEO_NORMS: Member(
+    "hosseini-geo-norms": Member(
         _build_operands(
             "A:positive-invertible", "B:positive-invertible", params=lambda i: {**_hosseini_params(i), "variant": i % 3}
         ),
-        _checks(_variants, _hosseini),
+        (_variants, *_hosseini),
         _ev_hosseini_geo_norms,
         subtracts_infimum=True,
     ),
-    _M.EUCLIDEAN_SANDWICH: Member(
-        _build_operands("A:positive-invertible", "B:positive-invertible"),
-        _mean_operands,
-        _ev_euclidean_sandwich,
+    "euclidean-sandwich": Member(
+        _build_operands("A:positive-invertible", "B:positive-invertible"), _mean_operands, _ev_euclidean_sandwich
     ),
-    _M.FCONN_RADIUS: Member(
+    "fconn-radius": Member(
         _build_operands(
-            "A:positive-invertible",
-            "B:positive",
-            "X",
-            params=lambda i: {"f": parse_function(FCONN_FUNCS[i % len(FCONN_FUNCS)])},
+            "A:positive-invertible", "B:positive", "X", params=_grid(f=tuple(map(parse_function, FCONN_FUNCS)))
         ),
         _mean_operands,
         _ev_fconn_radius,
     ),
-    _M.GEO_RADIUS: Member(_build_operands("A:positive-invertible", "B:positive", "X"), _mean_operands, _ev_geo_radius),
-    _M.MIXED_SCHWARZ: Member(_build_mixed_schwarz, _vectors_given, _ev_mixed_schwarz),
-    _M.MOND_PECARIC: Member(
+    "geo-radius": Member(_build_operands("A:positive-invertible", "B:positive", "X"), _mean_operands, _ev_geo_radius),
+    "mixed-schwarz": Member(_build_mixed_schwarz, (_vectors_given,), _ev_mixed_schwarz),
+    "mond-pecaric": Member(
         _build_mond_pecaric,
-        _checks(
+        (
             _vectors_given,
             _scalar("f convex or concave", lambda i: i.f is not None and (CONVEX in i.f.flags or CONCAVE in i.f.flags)),
         ),
         _ev_mond_pecaric,
     ),
-    _M.NORM_CONVEXITY: Member(_build_operands("A:positive", "B:positive", params=_f_v), _convexity, _ev_norm_convexity),
-    _M.SUPERQUAD_DEFECT: Member(_build_superquad_defect, _superquad_points, _ev_superquad_defect),
+    "norm-convexity": Member(
+        _build_operands("A:positive", "B:positive", params=_grid(f=_POWERS, v=V_GRID)), _convexity, _ev_norm_convexity
+    ),
+    "superquad-defect": Member(_build_superquad_defect, _superquad_points, _ev_superquad_defect),
 }
+InequalityId = enum.Enum("InequalityId", [(key.upper().replace("-", "_"), key) for key in MEMBERS], module=__name__)
+MEMBERS = {InequalityId(key): record for key, record in MEMBERS.items()}
 
 # A draw that raises one of these is refused (reported NotApplicable); the
 # float errors come from operands or sides beyond the float range.
-_REFUSALS = (NotInvertible, NotPositive, DomainViolation, _MissingOperand)
+_REFUSALS = (NotInvertible, NotPositive, NotHermitian, DomainViolation, _MissingOperand)
 _FLOAT_RANGE = (FloatingPointError, OverflowError, np.linalg.LinAlgError)
 _RANGE_NOTE = "beyond the float range"
 
@@ -1188,8 +1141,9 @@ def evaluate(ineq: InequalityId, inst: CheckInstance, tol_rel=1e-8) -> CheckResu
     ``linalg._leq`` at ``tol_rel``; a failed check on a member that
     subtracts an infimum is Inconclusive, on any other member Violated.
     Hypothesis failures yield NotApplicable, never raise, and so does a draw
-    whose evaluation is refused: an operand outside a function's domain, or
-    a side beyond the float range.
+    whose evaluation is refused: an operand outside a function's domain, a
+    non-Hermitian operand where the member needs a Hermitian one, or a side
+    beyond the float range.
     """
     return evaluate_many(ineq, [inst], tol_rel=tol_rel)[0]
 

@@ -76,7 +76,6 @@ def paper_examples():
                 "matches": matches,
                 "verdict": verdict,
                 "chain_ok": chain_ok,
-                "statuses": {"new": new.status.value, "kittaneh": kit.status.value},
             }
         )
     return out

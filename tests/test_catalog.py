@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -30,14 +31,30 @@ EX2_A = np.array([[2, 0], [3, 1]], dtype=complex)
 EX2_B = np.array([[0, 1], [0, 1]], dtype=complex)
 
 
+# Every id in record order, the order of every `--ineq all` report.
+MEMBER_IDS = (
+    "norm-sandwich", "kittaneh-chain", "power-mix", "sum-sq-kittaneh", "product-power", "general-product",
+    "dragomir-vector", "sum-new-bound", "sum-new-normal", "wsq-sum", "convex-product", "convex-product-power",
+    "scalar-refined-amgm", "conditioned-product", "conditioned-specials", "gamma-product", "refined-convexity",
+    "improved-convex-product", "superquad-radius", "superquad-power", "hosseini-geo", "hosseini-geo-norms",
+    "euclidean-sandwich", "fconn-radius", "geo-radius", "mixed-schwarz", "mond-pecaric", "norm-convexity",
+    "superquad-defect",
+)
+
+
 def test_ids_complete_and_resolvable():
-    assert len(InequalityId) == 29
+    # the ids come from the record keys: names, values and order are pinned
+    assert [(m.name, m.value) for m in InequalityId] == [(i.upper().replace("-", "_"), i) for i in MEMBER_IDS]
     for member in InequalityId:
         assert InequalityId(member.value) is member
+        assert InequalityId[member.name] is member
+        assert getattr(InequalityId, member.name) is member
+        assert pickle.loads(pickle.dumps(member)) is member
+    assert repr(InequalityId.NORM_SANDWICH) == "<InequalityId.NORM_SANDWICH: 'norm-sandwich'>"
     with pytest.raises(ValueError):
         InequalityId("nope")
-    # one record per member, and no record without a member
-    assert set(catalog.MEMBERS) == set(InequalityId)
+    # one record per member, in the same order, and no record without a member
+    assert list(catalog.MEMBERS) == list(InequalityId)
 
 
 @pytest.mark.parametrize("member", list(InequalityId), ids=lambda m: m.value)
@@ -550,6 +567,64 @@ def test_every_member_keys_its_draws_with_its_own_id(monkeypatch):
     assert digest == "ddb777d97108f120a8f9a43a865138750594206bc515f765641d1762d5c9f21b"
 
 
+# sha256 of the params of draws 0-59 at dim 3, seed 1; params sit in every
+# report's min_slack_params, and each grid axis steps at its own draw period
+PARAMS_DIGESTS = {
+    "norm-sandwich": "34b2b19eff1c21ff7ddfbb99ff600ba178e571564ba5f7d76872ee5d7d4ea0d0",
+    "kittaneh-chain": "34b2b19eff1c21ff7ddfbb99ff600ba178e571564ba5f7d76872ee5d7d4ea0d0",
+    "power-mix": "acb3677f8132c604985843c8cb1d91ed0275f4ce6caa9ff181f34478a9ce391b",
+    "sum-sq-kittaneh": "34b2b19eff1c21ff7ddfbb99ff600ba178e571564ba5f7d76872ee5d7d4ea0d0",
+    "product-power": "854b548152e78a73c4978a88ae11e9c0c63bba5cf042e93c9b40dd994aa5f4fd",
+    "general-product": "acb3677f8132c604985843c8cb1d91ed0275f4ce6caa9ff181f34478a9ce391b",
+    "dragomir-vector": "34b2b19eff1c21ff7ddfbb99ff600ba178e571564ba5f7d76872ee5d7d4ea0d0",
+    "sum-new-bound": "34b2b19eff1c21ff7ddfbb99ff600ba178e571564ba5f7d76872ee5d7d4ea0d0",
+    "sum-new-normal": "34b2b19eff1c21ff7ddfbb99ff600ba178e571564ba5f7d76872ee5d7d4ea0d0",
+    "wsq-sum": "34b2b19eff1c21ff7ddfbb99ff600ba178e571564ba5f7d76872ee5d7d4ea0d0",
+    "convex-product": "6ec7d69dfa61cb465d2ed650966e735916e76b4c5a2e7d00549ec896a186a62e",
+    "convex-product-power": "721a4cca23676c0c97be6a2a1356d5a598d689be5600bb8017e2a52d8e2492c6",
+    "scalar-refined-amgm": "df652a40b9301bf3ae1292728417a17d96a08989f231388168a0474261f7ac1a",
+    "conditioned-product": "3b6a8ebe5f0b5a10782ce661ab3b96f2e9dc259d443dc2998b0cdbf8c94a277f",
+    "conditioned-specials": "ab329529500be52880aca2b1182c03244bc12f2764ccc2dda32edddcae37c447",
+    "gamma-product": "adfbc35a221a91d30c47dc675f4496b787ce165752b079c43b958e867227b249",
+    "refined-convexity": "c6b76a3ea42023d08d251fcd7de467bbc87ee07033a58ea633ea30f4b19f1fa9",
+    "improved-convex-product": "6ec7d69dfa61cb465d2ed650966e735916e76b4c5a2e7d00549ec896a186a62e",
+    "superquad-radius": "7c7267564a3e0848a56daef96ec12abb096bbc2aa15bd4248c603a665fcc61d5",
+    "superquad-power": "3639b8b6f22dddf01c0943906fd34f30d4c4213d9491f522f0a7bdbbd340cb83",
+    "hosseini-geo": "bed2529ec8a80110563dafe9cfcae6244e6052dc5629a0416cec5a7bdf400282",
+    "hosseini-geo-norms": "39ca6e6e0d2f5254b4c5f4e2ac6340d9821d51f51d6b3a9c9240f08b8761a157",
+    "euclidean-sandwich": "34b2b19eff1c21ff7ddfbb99ff600ba178e571564ba5f7d76872ee5d7d4ea0d0",
+    "fconn-radius": "1dca0f7e49709db964960560c94e7511933c0e342062c31b0054bbde5e8d0eae",
+    "geo-radius": "34b2b19eff1c21ff7ddfbb99ff600ba178e571564ba5f7d76872ee5d7d4ea0d0",
+    "mixed-schwarz": "044909999782e91183c8268c6f9d33cc5b9a472dfa20d74ab1677a50844f5cf5",
+    "mond-pecaric": "d63f135188f712973588d786d7cc4454b95eda1189dff0fd753089fc8ca8442a",
+    "norm-convexity": "c6b76a3ea42023d08d251fcd7de467bbc87ee07033a58ea633ea30f4b19f1fa9",
+    "superquad-defect": "7c7267564a3e0848a56daef96ec12abb096bbc2aa15bd4248c603a665fcc61d5",
+}
+
+
+@pytest.mark.parametrize("member", list(InequalityId), ids=lambda m: m.value)
+def test_every_member_pins_its_draw_parameters(member):
+    insts = draw_chunk(member, EnsembleSpec(dim=3, seed=1), range(60))
+    doc = json.dumps([inst.params() for inst in insts], sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == PARAMS_DIGESTS[member.value]
+
+
+# the members that require a Hermitian operand beyond their hypotheses
+_HERMITIAN_READERS = (
+    "mond-pecaric", "refined-convexity", "hosseini-geo", "hosseini-geo-norms", "fconn-radius", "geo-radius"
+)
+
+
+@pytest.mark.parametrize("member", [InequalityId(i) for i in _HERMITIAN_READERS], ids=lambda m: m.value)
+def test_a_non_hermitian_operand_is_refused_not_raised(member):
+    inst = draw_instance(member, EnsembleSpec(dim=3, seed=1), 0)
+    A = inst.A.copy()
+    A[0, 1] += 0.3
+    res = evaluate(member, dataclasses.replace(inst, A=A))
+    assert res.status is Status.NOT_APPLICABLE
+    assert res.hypothesis.notes[-1].startswith("evaluation refused: matrix deviates from Hermitian")
+
+
 @pytest.mark.parametrize("seed", [1, 9001])
 @pytest.mark.parametrize("dim", [1, 2, 3, 8])
 def test_conditioned_specials_unit_operands_are_exact(dim, seed):
@@ -639,7 +714,9 @@ def test_psd_hypothesis_agrees_with_the_kernels():
     for scale in (1.0, 2.0**-600):
         for low, positive in ((-1e-11, False), (-1e-13, True)):
             H = scale * hermitian_part(U @ np.diag([low, 0.5, 1.0]) @ adjoint(U))
-            assert bool(catalog._psd_rows(H[None])[0]) is positive
+            reports = [catalog.HypothesisReport(satisfied=True)]
+            catalog._psd("A")([CheckInstance(A=H)], reports, {})
+            assert reports[0].conditions["A positive semidefinite"] is positive
             if positive:
                 hermitian_power(H, 0.5)
                 weighted_geometric(np.eye(3), H, 0.5)

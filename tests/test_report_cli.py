@@ -328,6 +328,8 @@ def test_certify_trials_zero_and_unknown_id(capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "norm-sandwich" in err and "hosseini-geo" in err
+    assert cli.main(["certify", "--ineq", ","]) == 1
+    assert "no inequality id given" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
