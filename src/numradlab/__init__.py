@@ -21,7 +21,7 @@ _EXPORTS = {
         "NotHermitian NotInvertible NotPositive NotSuperquadratic NumradError UnsupportedParameter"
     ),
     "functions": (
-        "ScalarFunction SchwarzPair jensen_gap_mu parse_function power schwarz_power_pair superquadratic_defect"
+        "ScalarFunction SchwarzPair jensen_gap_mu power schwarz_power_pair superquadratic_defect"
     ),
     "linalg": "HermitianEigen adjoint apply_scalar_function hermitian_eigen loewner_leq operator_norm",
     "means": "f_connection gamma_factor weighted_geometric",

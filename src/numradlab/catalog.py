@@ -42,8 +42,8 @@ from .functions import (
     SUPERQUADRATIC,
     ScalarFunction,
     SchwarzPair,
+    deformed_exp_function,
     jensen_gap_mu,
-    parse_function,
     power,
     schwarz_power_pair,
     superquadratic_defect,
@@ -145,7 +145,9 @@ class Member:
     member that share one dimension, whose matrices it stacks.
 
     - ``build(ensemble, member, indices)`` draws one instance per index,
-      from streams keyed by ``member``, the record's ``MEMBERS`` key;
+      from streams keyed by ``member``, the record's ``MEMBERS`` key; all
+      but the sandwich members and conditioned-specials take it from
+      ``_build_operands``;
     - ``check`` is a tuple of parts, run in order; each part
       ``(insts, reports, operands)`` fills each report's conditions and
       bounds, and stores in the dict ``operands`` the stacks that the
@@ -182,6 +184,13 @@ def _given(insts, name):
 
 def _stack(insts, name):
     return np.stack(_given(insts, name))
+
+
+def _in_range(M):
+    """M; an entry beyond the float range raises OverflowError, which refuses the draw."""
+    if not np.isfinite(M).all():
+        raise OverflowError(_RANGE_NOTE)
+    return M
 
 
 def _squares(fns):
@@ -252,13 +261,13 @@ R_GRID = (1.0, 1.5, 2.0, 3.0)
 R_SUPER_GRID = (2.0, 2.5, 3.0, 4.0)
 PQ_GRID = ((2.0, 2.0), (3.0, 1.5))
 ALPHA_GRID = (0.3, 0.5, 0.7)
-FCONN_FUNCS = ("pow:0.5", "pow:0.25", "pow:1", "expr:1")
 
 # Function grids, built once: their functions and pairs are frozen, so draws share them.
 _POWERS = tuple(map(power, R_GRID))
 _SUPER_POWERS = tuple(map(power, R_SUPER_GRID))
 _PAIRS = tuple(map(schwarz_power_pair, ALPHA_GRID))
 _MOND_PECARIC_POWERS = tuple(map(power, (2.0, 3.0, 1.5, 0.5)))
+_FCONN_FUNCS = (power(0.5), power(0.25), power(1.0), deformed_exp_function(1.0))
 
 VECTORS_PER_TRIAL = 6
 
@@ -293,19 +302,56 @@ def _unit_rows(rng, count, n):
     return Z / np.linalg.norm(Z, axis=1)[:, None]
 
 
-def _build_operands(*fields, params=_grid()):
+def _build_operands(*fields, params=_grid(), draw=None):
     """Builder of a member from stacked matrix draws, one per field: "A"
     for a generic draw, or "A:kind" for another kind of ``ensembles.KINDS``
     drawn at the ensemble's dim, scale and seed. Each draw's parameters
-    come from ``params(index)``."""
+    come from ``params(index)``; with ``draw``, its other fields (vectors,
+    scalars) come from ``draw(rng, n)``, called with the draw's own stream
+    ``_rng(ensemble, member, index)`` and the ensemble's dim."""
     kinds = [field.partition(":")[::2] for field in fields]
 
     def build(ens, member, indices):
-        stacks = [_draws(ens, member, indices, name, kind or "generic") for name, kind in kinds]
-        names = [name for name, _ in kinds]
-        return [CheckInstance(**dict(zip(names, mats)), **params(i)) for i, *mats in zip(indices, *stacks)]
+        stacks = {name: _draws(ens, member, indices, name, kind or "generic") for name, kind in kinds}
+        out = []
+        for k, i in enumerate(indices):
+            drawn = draw(_rng(ens, member, i), ens.dim) if draw else {}
+            out.append(CheckInstance(**{name: M[k] for name, M in stacks.items()}, **params(i), **drawn))
+        return out
 
     return build
+
+
+def _dragomir_triples(rng, n):
+    """Six triples (x, y, z): x and y scaled Gaussians, z a unit vector."""
+    triples = []
+    for _ in range(VECTORS_PER_TRIAL):
+        x = complex_gaussian(rng, n) * rng.uniform(0.5, 2.0)
+        y = complex_gaussian(rng, n) * rng.uniform(0.5, 2.0)
+        z = complex_gaussian(rng, n)
+        triples.append((x, y, z / np.linalg.norm(z)))
+    return {"vectors": tuple(triples)}
+
+
+def _amgm_scalars(rng, n):
+    """a and b > 0, and min{a, b} < m < M < max{a, b}."""
+    a = rng.uniform(0.2, 5.0)
+    b = max(a * float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0) + 1.0), 0.05)
+    lo, span = min(a, b), abs(a - b)
+    return {"a": a, "b": b, "m": lo + rng.uniform(0.05, 0.45) * span, "M": lo + rng.uniform(0.55, 0.95) * span}
+
+
+def _schwarz_pairs(rng, n):
+    X = _unit_rows(rng, 2 * VECTORS_PER_TRIAL, n)
+    return {"vectors": tuple(zip(X[::2], X[1::2]))}
+
+
+def _unit_vectors(rng, n):
+    return {"vectors": tuple((x,) for x in _unit_rows(rng, VECTORS_PER_TRIAL, n))}
+
+
+def _defect_points(rng, n):
+    return {"vectors": tuple(map(tuple, rng.uniform(0.0, 10.0, size=(VECTORS_PER_TRIAL, 2)).tolist()))}
 
 
 def _hosseini_params(i):
@@ -313,37 +359,6 @@ def _hosseini_params(i):
     admissible = tuple(r for r in R_GRID if r >= 2.0 / q - 1e-12)
     r = admissible[(i // len(PQ_GRID)) % len(admissible)]
     return {"p": p, "q": q, "r": r}
-
-
-def _build_dragomir(ens, member, indices):
-    n = ens.dim
-    out = []
-    for i in indices:
-        rng = _rng(ens, member, i)
-        triples = []
-        for _ in range(VECTORS_PER_TRIAL):
-            x = complex_gaussian(rng, n) * rng.uniform(0.5, 2.0)
-            y = complex_gaussian(rng, n) * rng.uniform(0.5, 2.0)
-            z = complex_gaussian(rng, n)
-            z = z / np.linalg.norm(z)
-            triples.append((x, y, z))
-        out.append(CheckInstance(vectors=tuple(triples)))
-    return out
-
-
-def _build_scalar_amgm(ens, member, indices):
-    out = []
-    for i in indices:
-        rng = _rng(ens, member, i)
-        a = rng.uniform(0.2, 5.0)
-        b = a * float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0) + 1.0)
-        b = max(b, 0.05)
-        lo, hi = min(a, b), max(a, b)
-        span = hi - lo
-        m = lo + rng.uniform(0.05, 0.45) * span
-        M = lo + rng.uniform(0.55, 0.95) * span
-        out.append(CheckInstance(a=a, b=b, m=m, M=M))
-    return out
 
 
 def _build_sandwich(ens, member, indices):
@@ -409,37 +424,6 @@ def _build_conditioned_specials(ens, member, indices):
     return [out[i] for i in indices]
 
 
-def _build_mixed_schwarz(ens, member, indices):
-    A = _draws(ens, member, indices, "A")
-    params = _grid(pair=_PAIRS)
-    out = []
-    for k, i in enumerate(indices):
-        X = _unit_rows(_rng(ens, member, i), 2 * VECTORS_PER_TRIAL, ens.dim)
-        pairs = tuple((X[2 * j], X[2 * j + 1]) for j in range(VECTORS_PER_TRIAL))
-        out.append(CheckInstance(A=A[k], vectors=pairs, **params(i)))
-    return out
-
-
-def _build_mond_pecaric(ens, member, indices):
-    A = _draws(ens, member, indices, "A", kind="positive")
-    params = _grid(f=_MOND_PECARIC_POWERS)
-    out = []
-    for k, i in enumerate(indices):
-        X = _unit_rows(_rng(ens, member, i), VECTORS_PER_TRIAL, ens.dim)
-        out.append(CheckInstance(A=A[k], vectors=tuple((x,) for x in X), **params(i)))
-    return out
-
-
-def _build_superquad_defect(ens, member, indices):
-    params = _grid(f=_SUPER_POWERS)
-    out = []
-    for i in indices:
-        rng = _rng(ens, member, i)
-        pts = tuple((float(s), float(t)) for s, t in rng.uniform(0.0, 10.0, size=(VECTORS_PER_TRIAL, 2)))
-        out.append(CheckInstance(vectors=pts, **params(i)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # hypothesis checks. Each takes a chunk, its reports and the operands dict
 # (see ``Member``); records share the checks of common conditions.
@@ -479,7 +463,7 @@ def _psd(name, invertible=False):
     kind = "positive invertible" if invertible else "positive semidefinite"
 
     def check(insts, reports, operands):
-        lam = np.linalg.eigvalsh(hermitian_part(_stack(insts, name)))
+        lam = np.linalg.eigvalsh(check_hermitian(_in_range(_stack(insts, name))))
         _each(reports, f"{name} {kind}", _clears(lam[:, 0], np.abs(lam).max(axis=-1, initial=0.0), invertible))
 
     return check
@@ -984,7 +968,7 @@ def _ev_mixed_schwarz(insts, hyps, ops, radii):
 
 
 def _ev_mond_pecaric(insts, hyps, ops, radii):
-    A = check_hermitian(_stack(insts, "A"))
+    A = check_hermitian(_in_range(_stack(insts, "A")))
     fA = apply_scalar_function([i.f for i in insts], A)
     out = []
     for i, Ak, fk in zip(insts, A, fA):
@@ -1037,7 +1021,7 @@ MEMBERS = {
         _ev_general_product,
     ),
     "dragomir-vector": Member(
-        _build_dragomir,
+        _build_operands(draw=_dragomir_triples),
         (
             _vectors_given,
             _scalar("unit z", lambda i: all(abs(np.linalg.norm(np.asarray(tr[2])) - 1.0) <= 1e-10 for tr in i.vectors)),
@@ -1059,7 +1043,7 @@ MEMBERS = {
         (_r_at_least(1),),
         _ev_convex_product_power,
     ),
-    "scalar-refined-amgm": Member(_build_scalar_amgm, (_check_scalar_amgm,), _ev_scalar_refined_amgm),
+    "scalar-refined-amgm": Member(_build_operands(draw=_amgm_scalars), (_check_scalar_amgm,), _ev_scalar_refined_amgm),
     "conditioned-product": Member(_build_sandwich, (_h_convex, _check_conditioned), _ev_conditioned_product),
     "conditioned-specials": Member(
         _build_conditioned_specials, (_r_at_least(1), _variants, _check_specials), _ev_conditioned_specials
@@ -1103,16 +1087,16 @@ MEMBERS = {
         _build_operands("A:positive-invertible", "B:positive-invertible"), _mean_operands, _ev_euclidean_sandwich
     ),
     "fconn-radius": Member(
-        _build_operands(
-            "A:positive-invertible", "B:positive", "X", params=_grid(f=tuple(map(parse_function, FCONN_FUNCS)))
-        ),
+        _build_operands("A:positive-invertible", "B:positive", "X", params=_grid(f=_FCONN_FUNCS)),
         _mean_operands,
         _ev_fconn_radius,
     ),
     "geo-radius": Member(_build_operands("A:positive-invertible", "B:positive", "X"), _mean_operands, _ev_geo_radius),
-    "mixed-schwarz": Member(_build_mixed_schwarz, (_vectors_given,), _ev_mixed_schwarz),
+    "mixed-schwarz": Member(
+        _build_operands("A", params=_grid(pair=_PAIRS), draw=_schwarz_pairs), (_vectors_given,), _ev_mixed_schwarz
+    ),
     "mond-pecaric": Member(
-        _build_mond_pecaric,
+        _build_operands("A:positive", params=_grid(f=_MOND_PECARIC_POWERS), draw=_unit_vectors),
         (
             _vectors_given,
             _scalar("f convex or concave", lambda i: i.f is not None and (CONVEX in i.f.flags or CONCAVE in i.f.flags)),
@@ -1122,7 +1106,9 @@ MEMBERS = {
     "norm-convexity": Member(
         _build_operands("A:positive", "B:positive", params=_grid(f=_POWERS, v=V_GRID)), _convexity, _ev_norm_convexity
     ),
-    "superquad-defect": Member(_build_superquad_defect, _superquad_points, _ev_superquad_defect),
+    "superquad-defect": Member(
+        _build_operands(params=_grid(f=_SUPER_POWERS), draw=_defect_points), _superquad_points, _ev_superquad_defect
+    ),
 }
 InequalityId = enum.Enum("InequalityId", [(key.upper().replace("-", "_"), key) for key in MEMBERS], module=__name__)
 MEMBERS = {InequalityId(key): record for key, record in MEMBERS.items()}
@@ -1164,9 +1150,7 @@ def evaluate_many(ineq: InequalityId, insts, tol_rel=1e-8) -> list:
         return []
 
     def radii(M):
-        if not np.isfinite(M).all():
-            raise OverflowError(_RANGE_NOTE)
-        return numerical_radius(M, tol=_RADIUS_TOL)
+        return numerical_radius(_in_range(M), tol=_RADIUS_TOL)
 
     hyps = []
     try:

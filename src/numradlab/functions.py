@@ -149,19 +149,6 @@ def schwarz_power_pair(alpha) -> SchwarzPair:
     return SchwarzPair(power(alpha), power(1.0 - alpha))
 
 
-def parse_function(name) -> ScalarFunction:
-    """Resolve catalog names "pow:<r>" and "expr:<r>"; others raise UnsupportedParameter."""
-    parts = name.strip().split(":")
-    try:
-        if parts[0] == "pow" and len(parts) == 2:
-            return power(float(parts[1]))
-        if parts[0] == "expr" and len(parts) == 2:
-            return deformed_exp_function(float(parts[1]))
-    except ValueError as exc:
-        raise UnsupportedParameter(f"bad function name {name!r}: {exc}") from exc
-    raise UnsupportedParameter(f"unknown function name {name!r}")
-
-
 def superquadratic_defect(f: ScalarFunction, s, t) -> float:
     """f(t) - f(|t-s|) - C_s (t - s) - f(s) with the catalog tangent C_s = f'(s)."""
     if SUPERQUADRATIC not in f.flags:

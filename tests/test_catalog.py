@@ -17,7 +17,7 @@ from numradlab.catalog import (
 )
 from numradlab.ensembles import EnsembleSpec, sample
 from numradlab.errors import BudgetExhausted, NotInvertible, NotPositive, UnsupportedParameter
-from numradlab.functions import SchwarzPair, parse_function, power
+from numradlab.functions import SchwarzPair, deformed_exp_function, power
 from numradlab.report import IneqRecord
 from numradlab.linalg import abs_sides, adjoint, apply_scalar_function, hermitian_part, hermitian_power, operator_norm
 from numradlab.means import weighted_geometric
@@ -460,7 +460,7 @@ def test_two_sided_members_decompose_each_operand_once(monkeypatch):
 def test_non_power_h_takes_the_general_branch():
     # every drawn h is a power, which _h_matrix fuses into one exponent; the
     # deformed exponential is nonnegative, increasing and convex, but no power
-    h = parse_function("expr:0.5")
+    h = deformed_exp_function(0.5)
     for member in (InequalityId.CONVEX_PRODUCT, InequalityId.CONDITIONED_PRODUCT, InequalityId.GAMMA_PRODUCT):
         inst = draw_instance(member, EnsembleSpec(dim=3, seed=1), 0)
         assert evaluate(member, dataclasses.replace(inst, h=h)).status is Status.HOLDS, member
@@ -609,20 +609,49 @@ def test_every_member_pins_its_draw_parameters(member):
     assert hashlib.sha256(doc.encode()).hexdigest() == PARAMS_DIGESTS[member.value]
 
 
-# the members that require a Hermitian operand beyond their hypotheses
+def test_draw_hooks_read_their_streams_in_order():
+    # sha256 of the values that come from the draws' streams alone, at dim 3,
+    # seed 1: a hook that read its stream in another order would change them.
+    # z and the unit rows are left out: their norms go through BLAS and
+    # reductions, whose bits may differ by platform
+    ens = EnsembleSpec(dim=3, seed=1)
+
+    def draws(member):
+        return draw_chunk(InequalityId(member), ens, range(3))
+
+    doc = {
+        "scalar-refined-amgm": [[i.a, i.b, i.m, i.M] for i in draws("scalar-refined-amgm")],
+        "superquad-defect": [[list(st) for st in i.vectors] for i in draws("superquad-defect")],
+        "dragomir-vector": [
+            [[v.real.tolist(), v.imag.tolist()] for x, y, _ in i.vectors for v in (x, y)] for i in draws("dragomir-vector")
+        ],
+    }
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == "a9e54d513ef9d0c1445f252a3f585c35ad05e11b16d464e61e81b26abab018d8"
+
+
+# the members that require a Hermitian operand: mond-pecaric's evaluator, and
+# the seven whose hypotheses name an operand's positivity
 _HERMITIAN_READERS = (
-    "mond-pecaric", "refined-convexity", "hosseini-geo", "hosseini-geo-norms", "fconn-radius", "geo-radius"
+    "mond-pecaric", "refined-convexity", "hosseini-geo", "hosseini-geo-norms", "euclidean-sandwich", "fconn-radius",
+    "geo-radius", "norm-convexity",
 )
 
 
 @pytest.mark.parametrize("member", [InequalityId(i) for i in _HERMITIAN_READERS], ids=lambda m: m.value)
 def test_a_non_hermitian_operand_is_refused_not_raised(member):
+    # a positivity hypothesis fails a non-Hermitian operand itself; it does
+    # not certify the operand's Hermitian part. An operand beyond the float
+    # range is refused as such, not raised from the Hermitian test
     inst = draw_instance(member, EnsembleSpec(dim=3, seed=1), 0)
-    A = inst.A.copy()
-    A[0, 1] += 0.3
-    res = evaluate(member, dataclasses.replace(inst, A=A))
-    assert res.status is Status.NOT_APPLICABLE
-    assert res.hypothesis.notes[-1].startswith("evaluation refused: matrix deviates from Hermitian")
+    changes = (((0, 1), 0.3, "matrix deviates from Hermitian"), ((0, 0), np.inf, "beyond the float range"))
+    for entry, change, note in changes:
+        A = inst.A.copy()
+        A[entry] += change
+        res = evaluate(member, dataclasses.replace(inst, A=A))
+        assert res.status is Status.NOT_APPLICABLE
+        assert res.hypothesis.notes[-1].startswith(f"evaluation refused: {note}")
+        assert not any(ok for name, ok in res.hypothesis.conditions.items() if name.startswith("A positive"))
 
 
 @pytest.mark.parametrize("seed", [1, 9001])

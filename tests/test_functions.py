@@ -10,7 +10,6 @@ from numradlab.functions import (
     SUPERQUADRATIC,
     deformed_exp_function,
     jensen_gap_mu,
-    parse_function,
     power,
     schwarz_power_pair,
     superquadratic_defect,
@@ -50,15 +49,6 @@ def test_eval_examples():
         with pytest.raises(errors.DomainViolation):
             power(0.5)(scale * np.array([-0.1, 1.0]))
         np.testing.assert_allclose(power(-1.0)(scale * np.array([0.1, 1.0])), [10.0 / scale, 1.0 / scale])
-
-
-def test_parse_names():
-    assert parse_function("pow:2").params == (2.0,)
-    assert parse_function("expr:-1").kind == "deformed-exp"
-    with pytest.raises(errors.UnsupportedParameter):
-        parse_function("exp:1")
-    with pytest.raises(errors.UnsupportedParameter):
-        parse_function("affine:2:3")
 
 
 def test_schwarz_pair_grid_invariant():

@@ -524,6 +524,20 @@ def test_search_does_not_reevaluate_an_instance_it_cannot_move(ineq, monkeypatch
     assert len(calls) <= 2
 
 
+def test_search_keeps_a_positivity_hypothesis_on_hermitian_operands(tmp_path, capsys):
+    # the descent perturbs A and B off Hermitian; euclidean-sandwich's
+    # positivity hypotheses refuse such a candidate, so the document keeps
+    # Hermitian operands instead of certifying a Hermitian part
+    out = tmp_path / "inst.json"
+    argv = ["search", "--ineq", "euclidean-sandwich", "--restarts", "2", "--dim", "3", "--seed", "1", "--out", str(out)]
+    assert cli.main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert doc["status"] == "holds"
+    for name in ("A", "B"):
+        M = matrix_from_dict(doc["matrices"][name])
+        assert np.linalg.norm(M - M.conj().T) <= 1e-12 * np.linalg.norm(M), name
+
+
 def test_certify_exit_two_on_violation(monkeypatch, tmp_path):
     from numradlab.report import IneqRecord, SuiteReport
 
