@@ -23,7 +23,7 @@ _EXPORTS = {
     "functions": (
         "ScalarFunction SchwarzPair jensen_gap_mu power schwarz_power_pair superquadratic_defect"
     ),
-    "linalg": "HermitianEigen adjoint apply_scalar_function hermitian_eigen loewner_leq operator_norm",
+    "linalg": "adjoint apply_scalar_function loewner_leq operator_norm",
     "means": "f_connection gamma_factor weighted_geometric",
     "radius": "RadiusResult numerical_radius",
     "report": "IneqRecord SuiteReport",

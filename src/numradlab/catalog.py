@@ -49,6 +49,7 @@ from .functions import (
     superquadratic_defect,
 )
 from .linalg import (
+    _LINK_TOL,
     _adj,
     _clears,
     _leq,
@@ -78,7 +79,7 @@ class Status(enum.Enum):
 
 
 # Relative gap of every radius enclosure the evaluators make, far below the
-# default certification tolerance of 1e-8.
+# default link tolerance ``linalg._LINK_TOL``.
 _RADIUS_TOL = 1e-12
 
 
@@ -151,7 +152,8 @@ class Member:
     - ``check`` is a tuple of parts, run in order; each part
       ``(insts, reports, operands)`` fills each report's conditions and
       bounds, and stores in the dict ``operands`` the stacks that the
-      evaluator reuses (such as the sandwich sides S and T);
+      evaluator reuses: the product members' checks store the target
+      A* X B and its sides S and T (``_sandwich``);
     - ``evaluate(insts, hyps, operands, radii)`` takes the instances whose
       hypotheses hold, and returns one outcome each: its named links
       ``(name, lhs, rhs)``, details and semantics (see ``_verdict``);
@@ -198,20 +200,32 @@ def _squares(fns):
     return [lambda s, fn=fn: np.asarray(fn(s), dtype=float) ** 2 for fn in fns]
 
 
-def _schwarz_sides(insts, plain=False):
-    """S = B* f^2(|X|) B and T = A* g^2(|X*|) A for the product members, from
-    one SVD of each X; with plain, A* g^2(|X|) A comes between them."""
+def _sandwich(operands, A, X, B, s_side, t_side, plain=False):
+    """Store in ``operands`` a product member's target "AXB" = A* X B and sides
+    S = B* s(|X|) B and T = A* t(|X*|) A, from one SVD of each X (sides as in
+    ``abs_sides``); with plain, return A* t(|X|) A."""
+    F, *G = abs_sides(X, s_side, t_side, adj=t_side) if plain else abs_sides(X, s_side, adj=t_side)
+    operands["AXB"] = adjoint(A) @ X @ B
+    operands["S"] = hermitian_part(adjoint(B) @ F @ B)
+    *T_plain, operands["T"] = (hermitian_part(adjoint(A) @ M @ A) for M in G)
+    return T_plain[0] if plain else None
+
+
+def _schwarz_sides(insts, reports, operands, plain=False):
+    """Check part: the sandwich of each pair (f, g), S = B* f^2(|X|) B and
+    T = A* g^2(|X*|) A; with plain, returns A* g^2(|X|) A."""
     A, X, B, pairs = _stack(insts, "A"), _stack(insts, "X"), _stack(insts, "B"), _given(insts, "pair")
     f2, g2 = _squares([pair.f for pair in pairs]), _squares([pair.g for pair in pairs])
-    F, *G = abs_sides(X, f2, g2, adj=g2) if plain else abs_sides(X, f2, adj=g2)
-    return hermitian_part(adjoint(B) @ F @ B), *(hermitian_part(adjoint(A) @ M @ A) for M in G)
+    return _sandwich(operands, A, X, B, f2, g2, plain)
 
 
-def _sandwich_sides(A, X, B, v):
-    """S = B* |X|^{2(1 - v)} B and T = A* |X*|^{2v} A of the weighted
-    sandwich A* X B, one weight v per matrix, from one SVD of each X."""
-    S, T = abs_sides(X, [2 * (1 - w) for w in v], adj=[2 * w for w in v])
-    return hermitian_part(adjoint(B) @ S @ B), hermitian_part(adjoint(A) @ T @ A)
+def _weighted_sides(insts, reports, operands, stacks=None):
+    """Check part: the sandwich at each weight v, S = B* |X|^{2(1 - v)} B and
+    T = A* |X*|^{2v} A, of the instances' A, X and B or of ``stacks``. An
+    instance without v takes v = 1/2; where v matters, its v condition fails."""
+    A, X, B = stacks or (_stack(insts, name) for name in "AXB")
+    v = [i.v if i.v is not None else 0.5 for i in insts]
+    _sandwich(operands, A, X, B, [2 * (1 - w) for w in v], [2 * w for w in v])
 
 
 # The operands each variant of conditioned-specials reads; the others are I.
@@ -308,17 +322,19 @@ def _build_operands(*fields, params=_grid(), draw=None):
     drawn at the ensemble's dim, scale and seed. Each draw's parameters
     come from ``params(index)``; with ``draw``, its other fields (vectors,
     scalars) come from ``draw(rng, n)``, called with the draw's own stream
-    ``_rng(ensemble, member, index)`` and the ensemble's dim."""
-    kinds = [field.partition(":")[::2] for field in fields]
+    ``_rng(ensemble, member, index)`` and the ensemble's dim. ``build.kinds``
+    maps each field to its kind ("" for generic)."""
+    kinds = dict(field.partition(":")[::2] for field in fields)
 
     def build(ens, member, indices):
-        stacks = {name: _draws(ens, member, indices, name, kind or "generic") for name, kind in kinds}
+        stacks = {name: _draws(ens, member, indices, name, kind or "generic") for name, kind in kinds.items()}
         out = []
         for k, i in enumerate(indices):
             drawn = draw(_rng(ens, member, i), ens.dim) if draw else {}
             out.append(CheckInstance(**{name: M[k] for name, M in stacks.items()}, **params(i), **drawn))
         return out
 
+    build.kinds = kinds
     return build
 
 
@@ -431,7 +447,7 @@ def _build_conditioned_specials(ens, member, indices):
 
 def _verify_chunk(ineq, insts):
     """Hypothesis reports of a chunk, and the stacked operands that the
-    member's evaluator reuses (such as the sandwich sides S and T)."""
+    member's evaluator reuses (see ``Member``)."""
     reports = [HypothesisReport(satisfied=True) for _ in insts]
     operands = {}
     for part in MEMBERS[ineq].check:
@@ -519,25 +535,17 @@ def _check_scalar_amgm(insts, reports, operands):
             rep.bounds.update(m=float(m), M=float(M))
 
 
-def _check_conditioned(insts, reports, operands):
-    operands["S"], operands["T"] = _schwarz_sides(insts)
-    _sandwich_gap(operands["S"], operands["T"], reports)
-
-
 def _check_specials(insts, reports, operands):
     for rep, i in zip(reports, insts):
         if i.variant in (0, 1):
             rep.conditions["0 <= v <= 1"] = bool(i.v is not None and 0.0 <= i.v <= 1.0)
-    A, X, B = _specials_operands(insts)
-    operands.update(A=A, X=X, B=B)
-    v = [i.v if i.v is not None else 0.5 for i in insts]
-    operands["S"], operands["T"] = _sandwich_sides(A, X, B, v)
-    _sandwich_gap(operands["S"], operands["T"], reports)
+    _weighted_sides(insts, reports, operands, _specials_operands(insts))
+    _sandwich_gap(insts, reports, operands)
 
 
 def _check_gamma(insts, reports, operands):
-    S, T_plain, T_star = _schwarz_sides(insts, plain=True)
-    operands["S"], operands["T"] = S, T_star
+    T_plain = _schwarz_sides(insts, reports, operands, plain=True)
+    S, T_star = operands["S"], operands["T"]
     lam_s, lam_t = np.linalg.eigvalsh(S), np.linalg.eigvalsh(T_star)
     star, plain = _either_order(S, T_star), _either_order(S, T_plain)
     for k, rep in enumerate(reports):
@@ -565,11 +573,12 @@ def _has_flags(fn, *flags):
     return fn is not None and all(fl in fn.flags for fl in flags)
 
 
-def _sandwich_gap(S, T, reports):
-    """Spectral-gap sandwich: m = lambda_max of the lower side, M = lambda_min
-    of the upper one; satisfied when the lower side is positive invertible and
-    m < M (which forces lower <= m < M <= upper in the Loewner order)."""
-    for rep, lam_s, lam_t in zip(reports, np.linalg.eigvalsh(S), np.linalg.eigvalsh(T)):
+def _sandwich_gap(insts, reports, operands):
+    """Spectral-gap sandwich of the sides S and T in ``operands``: m =
+    lambda_max of the lower side, M = lambda_min of the upper one; satisfied
+    when the lower side is positive invertible and m < M (which forces
+    lower <= m < M <= upper in the Loewner order)."""
+    for rep, lam_s, lam_t in zip(reports, *(np.linalg.eigvalsh(operands[side]) for side in "ST")):
         cond, bounds = rep.conditions, rep.bounds
         scale = max(float(lam_s[-1]), float(lam_t[-1]))
         for lam_lo, lam_up, label in ((lam_s, lam_t, "S <= m < M <= T"), (lam_t, lam_s, "T <= m < M <= S")):
@@ -644,12 +653,9 @@ def _ev_product_power(insts, hyps, ops, radii):
 
 
 def _ev_general_product(insts, hyps, ops, radii):
-    A, X, B = _stack(insts, "A"), _stack(insts, "X"), _stack(insts, "B")
     r = [i.r for i in insts]
-    v = [i.v for i in insts]
-    res = radii(adjoint(A) @ X @ B)
-    S, T = _sandwich_sides(A, X, B, v)
-    rhs = (norm_hermitian(hermitian_power(T, r) + hermitian_power(S, r)) / 2).tolist()
+    res = radii(ops["AXB"])
+    rhs = (norm_hermitian(hermitian_power(ops["T"], r) + hermitian_power(ops["S"], r)) / 2).tolist()
     return [([("w^r <= mean", w.value**ri, h)], {"w": w.value}, [_W_NOTE]) for w, ri, h in zip(res, r, rhs)]
 
 
@@ -689,11 +695,10 @@ def _ev_wsq_sum(insts, hyps, ops, radii):
 
 
 def _ev_convex_product(insts, hyps, ops, radii):
-    A, X, B = _stack(insts, "A"), _stack(insts, "X"), _stack(insts, "B")
     v = np.array([i.v for i in insts])[:, None, None]
     h = [i.h for i in insts]
-    S, T = _schwarz_sides(insts)
-    res = radii(adjoint(A) @ X @ B)
+    S, T = ops["S"], ops["T"]
+    res = radii(ops["AXB"])
     mix = (1 - v) * _h_matrix(h, S, [1.0 / (1.0 - i.v) for i in insts]) + v * _h_matrix(h, T, [1.0 / i.v for i in insts])
     return [
         ([("h(w^2) <= mix", hk(w.value**2), rhs)], {"w": w.value}, [_W_NOTE])
@@ -702,11 +707,9 @@ def _ev_convex_product(insts, hyps, ops, radii):
 
 
 def _ev_convex_product_power(insts, hyps, ops, radii):
-    A, X, B = _stack(insts, "A"), _stack(insts, "X"), _stack(insts, "B")
     r2 = [2 * i.r for i in insts]
-    S, T = _schwarz_sides(insts)
-    res = radii(adjoint(A) @ X @ B)
-    rhs = (norm_hermitian(hermitian_power(S, r2) + hermitian_power(T, r2)) / 2).tolist()
+    res = radii(ops["AXB"])
+    rhs = (norm_hermitian(hermitian_power(ops["S"], r2) + hermitian_power(ops["T"], r2)) / 2).tolist()
     return [([("w^2r <= mean", w.value**e, h)], {"w": w.value}, [_W_NOTE]) for w, e, h in zip(res, r2, rhs)]
 
 
@@ -720,9 +723,8 @@ def _ev_scalar_refined_amgm(insts, hyps, ops, radii):
 
 
 def _ev_conditioned_product(insts, hyps, ops, radii):
-    A, X, B = _stack(insts, "A"), _stack(insts, "X"), _stack(insts, "B")
     h = [i.h for i in insts]
-    res = radii(adjoint(A) @ X @ B)
+    res = radii(ops["AXB"])
     norms = norm_hermitian(_h_matrix(h, ops["S"]) + _h_matrix(h, ops["T"])).tolist()
     out = []
     for hk, hyp, w, nrm in zip(h, hyps, res, norms):
@@ -734,7 +736,7 @@ def _ev_conditioned_product(insts, hyps, ops, radii):
 
 def _ev_conditioned_specials(insts, hyps, ops, radii):
     r = [i.r for i in insts]
-    res = radii(adjoint(ops["A"]) @ ops["X"] @ ops["B"])
+    res = radii(ops["AXB"])
     norms = norm_hermitian(hermitian_power(ops["S"], r) + hermitian_power(ops["T"], r)).tolist()
     out = []
     for i, rk, hyp, w, nrm in zip(insts, r, hyps, res, norms):
@@ -745,9 +747,8 @@ def _ev_conditioned_specials(insts, hyps, ops, radii):
 
 
 def _ev_gamma_product(insts, hyps, ops, radii):
-    A, X, B = _stack(insts, "A"), _stack(insts, "X"), _stack(insts, "B")
     h = [i.h for i in insts]
-    res = radii(adjoint(A) @ X @ B)
+    res = radii(ops["AXB"])
     norms = norm_hermitian(_h_matrix(h, ops["S"]) + _h_matrix(h, ops["T"])).tolist()
     out = []
     for hk, hyp, w, nrm in zip(h, hyps, res, norms):
@@ -783,13 +784,11 @@ def _ev_norm_convexity(insts, hyps, ops, radii):
 
 
 def _ev_improved_convex_product(insts, hyps, ops, radii):
-    A, X, B = _stack(insts, "A"), _stack(insts, "X"), _stack(insts, "B")
     v = np.array([i.v for i in insts])[:, None, None]
     h = [i.h for i in insts]
-    S, T = _schwarz_sides(insts)
-    S_pow = hermitian_power(S, [1.0 / (1.0 - i.v) for i in insts])
-    T_pow = hermitian_power(T, [1.0 / i.v for i in insts])
-    res = radii(adjoint(A) @ X @ B)
+    S_pow = hermitian_power(ops["S"], [1.0 / (1.0 - i.v) for i in insts])
+    T_pow = hermitian_power(ops["T"], [1.0 / i.v for i in insts])
+    res = radii(ops["AXB"])
     base = norm_hermitian((1 - v) * apply_scalar_function(h, S_pow) + v * apply_scalar_function(h, T_pow)).tolist()
     gaps = jensen_gap_mu(h, S_pow, T_pow)
     out = []
@@ -859,14 +858,14 @@ def _hosseini_delta_inf(P, Q, ea, eb):
 
 def _hosseini_base(A, K, p, q, r, d):
     """|| A^{r p / d} / p + K^{r q / d} / q || and the subtracted infimum with
-    exponents r p / 2d, r q / 2d, for each pair of the stacks A, K."""
+    exponents r p / 2d, r q / 2d, for each pair of the stacks A, K, with one
+    d per pair."""
     pp = np.array(p)[:, None, None]
     qq = np.array(q)[:, None, None]
-    ea = [rk * pk / d for rk, pk in zip(r, p)]
-    eb = [rk * qk / d for rk, qk in zip(r, q)]
+    ea = [rk * pk / dk for rk, pk, dk in zip(r, p, d)]
+    eb = [rk * qk / dk for rk, qk, dk in zip(r, q, d)]
     base = norm_hermitian(hermitian_power(A, ea) / pp + hermitian_power(K, eb) / qq).tolist()
-    delta = _hosseini_delta_inf(A, K, [rk * pk / (2 * d) for rk, pk in zip(r, p)], [rk * qk / (2 * d) for rk, qk in zip(r, q)])
-    return base, delta
+    return base, _hosseini_delta_inf(A, K, [e / 2 for e in ea], [e / 2 for e in eb])
 
 
 def _ev_hosseini_geo(insts, hyps, ops, radii):
@@ -875,7 +874,7 @@ def _ev_hosseini_geo(insts, hyps, ops, radii):
     G = weighted_geometric(A, B, 0.5)
     res = radii(G @ X)
     K = hermitian_part(adjoint(X) @ B @ X)
-    base, delta = _hosseini_base(A, K, p, q, r, 2)
+    base, delta = _hosseini_base(A, K, p, q, r, [2] * len(insts))
     sem = [_W_NOTE, _INF_NOTE, "X unconstrained (no contraction assumption imposed)"]
     return [
         ([("w^r <= refined mean", w.value**rk, b - dk / pk)], {"w": w.value, "delta_estimate": dk}, sem)
@@ -884,36 +883,31 @@ def _ev_hosseini_geo(insts, hyps, ops, radii):
 
 
 def _ev_hosseini_geo_norms(insts, hyps, ops, radii):
+    """Variants 0 and 1 are Hosseini's bound at d = 2 and d = 1, from one
+    ``_hosseini_base`` call; variant 2 takes its infimum from the spectrum."""
     A, B = _stack(insts, "A"), _stack(insts, "B")
     g_norms = norm_hermitian(weighted_geometric(A, B, 0.5)).tolist()
+    link = "sharp norm power <= refined mean"
     out = [None] * len(insts)
-    for variant, d in ((0, 2), (1, 1), (2, None)):
-        rows = [k for k, i in enumerate(insts) if i.variant == variant]
-        if not rows:
-            continue
+    rows = [k for k, i in enumerate(insts) if i.variant != 2]
+    if rows:
         group = [insts[k] for k in rows]
-        p, q, r = [i.p for i in group], [i.q for i in group], [i.r for i in group]
-        if d is not None:
-            base, delta = _hosseini_base(A[rows], B[rows], p, q, r, d)
-        else:
-            Ag, Bg = A[rows], B[rows]
-            base = norm_hermitian((Ag @ Ag + Bg @ Bg) / 2).tolist()
-            spectra = np.linalg.eigvalsh(hermitian_part(Ag - Bg))
-        for j, k in enumerate(rows):
-            g_norm = g_norms[k]
-            details = {"sharp_norm": g_norm, "variant": insts[k].variant}
-            if d is not None:
-                lhs = g_norm**r[j] if variant == 0 else g_norm ** (2 * r[j])
-                rhs = base[j] - delta[j] / p[j]
-                details["delta_estimate"] = delta[j]
-                sem = [_INF_NOTE]
-            else:
-                lo, hi = float(spectra[j, 0]), float(spectra[j, -1])
-                inf_sq = 0.0 if lo <= 0.0 <= hi else min(lo * lo, hi * hi)
-                lhs, rhs = g_norm**2, base[j] - inf_sq / 2
-                details["inf_term"] = inf_sq
-                sem = ["infimum of <(A-B)x,x>^2 computed exactly from the spectrum of A-B"]
-            out[k] = ([("sharp norm power <= refined mean", lhs, rhs)], details, sem)
+        p, q, r = ([getattr(i, name) for i in group] for name in "pqr")
+        d = [2 if i.variant == 0 else 1 for i in group]
+        base, delta = _hosseini_base(A[rows], B[rows], p, q, r, d)
+        for k, i, dk, b, dl in zip(rows, group, d, base, delta):
+            details = {"sharp_norm": g_norms[k], "variant": i.variant, "delta_estimate": dl}
+            out[k] = ([(link, g_norms[k] ** (2 * i.r / dk), b - dl / i.p)], details, [_INF_NOTE])
+    rows = [k for k, i in enumerate(insts) if i.variant == 2]
+    if rows:
+        Ag, Bg = A[rows], B[rows]
+        base = norm_hermitian((Ag @ Ag + Bg @ Bg) / 2).tolist()
+        sem = ["infimum of <(A-B)x,x>^2 computed exactly from the spectrum of A-B"]
+        for k, b, lam in zip(rows, base, np.linalg.eigvalsh(hermitian_part(Ag - Bg))):
+            lo, hi = float(lam[0]), float(lam[-1])
+            inf_sq = 0.0 if lo <= 0.0 <= hi else min(lo * lo, hi * hi)
+            details = {"sharp_norm": g_norms[k], "variant": insts[k].variant, "inf_term": inf_sq}
+            out[k] = ([(link, g_norms[k] ** 2, b - inf_sq / 2)], details, sem)
     return out
 
 
@@ -1017,7 +1011,7 @@ MEMBERS = {
     "product-power": Member(_build_operands("A", "B", params=_grid(r=R_GRID)), (_r_at_least(1),), _ev_product_power),
     "general-product": Member(
         _build_operands("A", "X", "B", params=_grid(r=R_GRID, v=V_GRID)),
-        (_r_at_least(1), _v_open),
+        (_r_at_least(1), _v_open, _weighted_sides),
         _ev_general_product,
     ),
     "dragomir-vector": Member(
@@ -1035,16 +1029,16 @@ MEMBERS = {
     "wsq-sum": Member(_build_operands("A", "B"), (), _ev_wsq_sum),
     "convex-product": Member(
         _build_operands("A", "X", "B", params=_grid(pair=_PAIRS, h=_POWERS, v=V_GRID)),
-        (_v_open, _h_convex),
+        (_v_open, _h_convex, _schwarz_sides),
         _ev_convex_product,
     ),
     "convex-product-power": Member(
         _build_operands("A", "X", "B", params=_grid(pair=_PAIRS, r=R_GRID)),
-        (_r_at_least(1),),
+        (_r_at_least(1), _schwarz_sides),
         _ev_convex_product_power,
     ),
     "scalar-refined-amgm": Member(_build_operands(draw=_amgm_scalars), (_check_scalar_amgm,), _ev_scalar_refined_amgm),
-    "conditioned-product": Member(_build_sandwich, (_h_convex, _check_conditioned), _ev_conditioned_product),
+    "conditioned-product": Member(_build_sandwich, (_h_convex, _schwarz_sides, _sandwich_gap), _ev_conditioned_product),
     "conditioned-specials": Member(
         _build_conditioned_specials, (_r_at_least(1), _variants, _check_specials), _ev_conditioned_specials
     ),
@@ -1057,7 +1051,7 @@ MEMBERS = {
     ),
     "improved-convex-product": Member(
         _build_operands("A", "X", "B", params=_grid(pair=_PAIRS, h=_POWERS, v=V_GRID)),
-        (_v_open, _h_convex),
+        (_v_open, _h_convex, _schwarz_sides),
         _ev_improved_convex_product,
         subtracts_infimum=True,
     ),
@@ -1120,7 +1114,7 @@ _FLOAT_RANGE = (FloatingPointError, OverflowError, np.linalg.LinAlgError)
 _RANGE_NOTE = "beyond the float range"
 
 
-def evaluate(ineq: InequalityId, inst: CheckInstance, tol_rel=1e-8) -> CheckResult:
+def evaluate(ineq: InequalityId, inst: CheckInstance, tol_rel=_LINK_TOL) -> CheckResult:
     """Verify hypotheses and evaluate both sides of one catalog member.
 
     Status is Holds when the hypotheses are met and every link passes
@@ -1134,7 +1128,7 @@ def evaluate(ineq: InequalityId, inst: CheckInstance, tol_rel=1e-8) -> CheckResu
     return evaluate_many(ineq, [inst], tol_rel=tol_rel)[0]
 
 
-def evaluate_many(ineq: InequalityId, insts, tol_rel=1e-8) -> list:
+def evaluate_many(ineq: InequalityId, insts, tol_rel=_LINK_TOL) -> list:
     """``evaluate`` on each of several instances of one member, in order.
 
     The instances share one dimension and form one chunk: the hypotheses

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .errors import BudgetExhausted, NumradError
-from .linalg import _leq, operator_norm
+from .linalg import _LINK_TOL, _leq, adjoint, hermitian_part, operator_norm
 from .matio import load_matrix, matrix_to_dict
 from .radius import complex_gaussian, numerical_radius, stream_rng
 
@@ -148,7 +148,7 @@ def _cmd_radius(args):
     print(f"upper       = {res.upper:.12g}")
     print(f"gap         = {res.refinement_width:.3g}")
     print("witness     = [" + ", ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in res.witness) + "]")
-    ok = _leq(nrm / 2, res.value, 1e-8) and _leq(res.value, nrm, 1e-8)
+    ok = _leq(nrm / 2, res.value, _LINK_TOL) and _leq(res.value, nrm, _LINK_TOL)
     slacks = f"{res.value - nrm / 2:.3g}, {nrm - res.value:.3g}"
     print(f"sandwich ||A||/2 <= w <= ||A||: {'OK' if ok else 'FAIL'} (slacks {slacks})")
     return 0 if ok else 2
@@ -177,13 +177,20 @@ def _instance_document(ineq, inst, result):
     return doc
 
 
-def _perturbed(inst, rng, sigma):
-    """``inst`` with its matrices, a and b perturbed at step sigma; None if it has none."""
+def _perturbed(inst, rng, sigma, kinds):
+    """``inst`` with its matrices, a and b perturbed at step sigma; None if it
+    has none. A matrix M moves to M + sigma Z, or, if ``kinds`` names it
+    positive, to G M G* with G = I + sigma Z, which keeps it positive."""
     changes = {}
     for name in ("A", "B", "X"):
         M = getattr(inst, name)
         if M is not None:
-            changes[name] = M + sigma * complex_gaussian(rng, M.shape)
+            Z = sigma * complex_gaussian(rng, M.shape)
+            if kinds.get(name) in ("positive", "positive-invertible"):
+                G = np.eye(len(M)) + Z
+                changes[name] = hermitian_part(G @ M @ adjoint(G))
+            else:
+                changes[name] = M + Z
     for name in ("a", "b"):
         val = getattr(inst, name)
         if val is not None:
@@ -193,11 +200,12 @@ def _perturbed(inst, rng, sigma):
 
 def _descend(ineq, inst, result, rng):
     """Random descent from ``inst``: 30 perturbations, each kept when it lowers the slack."""
-    from .catalog import Status, evaluate
+    from .catalog import MEMBERS, Status, evaluate
 
+    kinds = getattr(MEMBERS[ineq].build, "kinds", {})  # a builder of its own names no kinds
     sigma = 0.1
     for _ in range(30):
-        cand = _perturbed(inst, rng, sigma)
+        cand = _perturbed(inst, rng, sigma, kinds)
         if cand is None:
             break
         try:
@@ -304,7 +312,7 @@ def build_parser():
     cert.add_argument("--dim", type=int, default=4)
     cert.add_argument("--trials", type=_count, default=100)
     cert.add_argument("--seed", type=int, default=default_seed)
-    cert.add_argument("--tol", type=_tolerance, default=1e-8)
+    cert.add_argument("--tol", type=_tolerance, default=_LINK_TOL)
     cert.add_argument("--report", default=None, help="path for the report file")
     cert.add_argument("--format", choices=("json", "csv"), default="json")
     cert.set_defaults(func=_cmd_certify)

@@ -1,7 +1,7 @@
-"""Dense complex matrix kernels: adjoint, Hermitian part and check,
-Hermitian eigendecomposition, the SVD kernels (singular values, operator
-norm, functions of |A| and |A*|, Kittaneh's bound), functional calculus,
-Hermitian powers, and the Loewner order test.
+"""Dense complex matrix kernels: adjoint, Hermitian part and check, the SVD
+kernels (singular values, operator norm, functions of |A| and |A*|,
+Kittaneh's bound), functional calculus, Hermitian powers, and the Loewner
+order test.
 
 All operations are pure functions of ``complex128`` input. Besides square
 matrices, the kernels the catalog evaluates with take (m, n, n) stacks and
@@ -28,7 +28,6 @@ function's domain; ``_leq`` decides every link, with the last absolute floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +39,8 @@ EPS_HERM = 1e-10
 INV_CUTOFF = 1e-10
 # Relative slack by which a nonnegative spectrum may dip below zero (roundoff).
 PSD_SLACK = 1e-12
+# Default relative tolerance of a link (``_leq``) in certify, search and radius.
+_LINK_TOL = 1e-8
 
 
 def _clears(low, scale, invertible=False):
@@ -52,15 +53,11 @@ def _leq(lhs, rhs, tol_rel):
     return rhs - lhs >= -tol_rel * (1.0 + abs(lhs) + abs(rhs))
 
 
-def _as_square(A, ndim=None):
-    """Validate and return a finite complex array of ndim dimensions whose
-    last two are square: a matrix at ndim 2, a stack of them at ndim 3. With
-    ndim None, a 3-D input is a stack and any other a matrix."""
+def _as_square(A):
+    """Validate and return a finite complex square matrix, or a 3-D stack of them."""
     M = np.asarray(A, dtype=np.complex128)
-    if ndim is None:
-        ndim = 3 if M.ndim == 3 else 2
-    if M.ndim != ndim or M.shape[-1] != M.shape[-2] or M.shape[-1] < 1:
-        what = "square matrix" if ndim == 2 else "stack of square matrices"
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2] or M.shape[-1] < 1:
+        what = "stack of square matrices" if M.ndim == 3 else "square matrix"
         raise ValueError(f"expected a {what}, got shape {M.shape}")
     if not np.isfinite(M).all():  # both parts of every entry
         raise ValueError("matrix entries must be finite")
@@ -127,36 +124,6 @@ def _eigh(H):
         return np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(str(exc)) from exc
-
-
-@dataclass(frozen=True)
-class HermitianEigen:
-    """Eigendecomposition H = V diag(eigenvalues) V* with ascending eigenvalues."""
-
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-
-
-def hermitian_eigen(H) -> HermitianEigen:
-    """Diagonalize a Hermitian matrix and verify the residual contract.
-
-    Raises NotHermitian if the input is not Hermitian within EPS_HERM, and
-    NoConvergence if the factorization misses the residual target
-    ``eps_res * ||H||`` with eps_res = 1e-11 * n.
-    """
-    H = check_hermitian(_as_square(H, 2))
-    n = H.shape[0]
-    eps_res = 1e-11 * n
-    lam, V = _eigh(H)
-    scale = float(np.abs(lam).max(initial=0.0))
-    resid = np.linalg.norm(H @ V - V * lam, 2)
-    unit = np.linalg.norm(V.conj().T @ V - np.eye(n), 2)
-    if resid > eps_res * scale or unit > eps_res:
-        raise NoConvergence(
-            f"eigendecomposition residual {resid:.3e} / unitarity {unit:.3e} "
-            f"exceed budget {eps_res:.3e}"
-        )
-    return HermitianEigen(eigenvalues=lam, vectors=V)
 
 
 def singular_values(A):

@@ -10,6 +10,7 @@ from __future__ import annotations
 from .catalog import MEMBERS, CheckInstance, InequalityId, Status, evaluate_many
 from .ensembles import EnsembleSpec
 from .errors import BudgetExhausted, UnsupportedParameter
+from .linalg import _LINK_TOL
 
 # Draws built and evaluated together by the suite, as stacks of matrices; at
 # most this many instances are held at once.
@@ -28,7 +29,7 @@ def draw_instance(ineq: InequalityId, ensemble: EnsembleSpec, index: int) -> Che
     return draw_chunk(ineq, ensemble, [index])[0]
 
 
-def _kept_draws(ineq, ensemble, count, tol_rel=1e-8):
+def _kept_draws(ineq, ensemble, count, tol_rel=_LINK_TOL):
     """Yield ``(index, instance, result)`` for the first ``count`` draws
     that are not NotApplicable, in index order. Raises BudgetExhausted when
     100 draws per requested one do not suffice."""
@@ -83,7 +84,7 @@ def _run_member(ineq, ensemble, trials, tol_rel):
     )
 
 
-def run_suite(ids, ensemble: EnsembleSpec, trials: int, tol_rel=1e-8):
+def run_suite(ids, ensemble: EnsembleSpec, trials: int, tol_rel=_LINK_TOL):
     """Evaluate each member on `trials` hypothesis-satisfying instances.
 
     Fully deterministic given the ensemble seed: per-member results do not

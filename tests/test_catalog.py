@@ -324,7 +324,9 @@ def _subtracted_infima(member, inst):
         if member is InequalityId.REFINED_CONVEXITY:
             P, Q, mu = inst.A, inst.B, res.details["mu_estimate"]
         else:
-            S, T = (side[0] for side in _schwarz_sides([inst]))
+            sides = {}
+            _schwarz_sides([inst], None, sides)
+            S, T = sides["S"][0], sides["T"][0]
             P, Q = hermitian_power(S, 1 / (1 - inst.v)), hermitian_power(T, 1 / inst.v)
             mu = res.details["gap_estimate"]
         return mu, P, Q, lambda u, v: f(u) + f(v) - 2.0 * f((u + v) / 2)

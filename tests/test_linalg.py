@@ -7,7 +7,6 @@ from numradlab.linalg import (
     adjoint,
     apply_scalar_function,
     check_hermitian,
-    hermitian_eigen,
     hermitian_part,
     hermitian_power,
     loewner_leq,
@@ -38,41 +37,6 @@ def test_adjoint_involution_exact():
     rng = stream_rng(0, "adjoint")
     A = random_complex(rng, 5)
     np.testing.assert_array_equal(adjoint(adjoint(A)), A)
-
-
-def test_hermitian_eigen_trivial():
-    eig = hermitian_eigen(np.eye(2, dtype=complex))
-    np.testing.assert_allclose(eig.eigenvalues, [1.0, 1.0])
-    pauli_x = np.array([[0, 1], [1, 0]], dtype=complex)
-    eig = hermitian_eigen(pauli_x)
-    np.testing.assert_allclose(eig.eigenvalues, [-1.0, 1.0], atol=1e-14)
-
-
-def test_hermitian_eigen_residual_8x8():
-    rng = stream_rng(1, "eigres")
-    H = random_hermitian(rng, 8)
-    eig = hermitian_eigen(H)
-    resid = np.linalg.norm(H @ eig.vectors - eig.vectors * eig.eigenvalues, 2)
-    assert resid <= 1e-10
-    assert np.all(np.diff(eig.eigenvalues) >= 0)
-    unit = np.linalg.norm(eig.vectors.conj().T @ eig.vectors - np.eye(8), 2)
-    assert unit <= 1e-10
-
-
-def test_hermitian_eigen_rejects_non_hermitian():
-    with pytest.raises(errors.NotHermitian):
-        hermitian_eigen(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_hermitian_eigen_residual_budget_scales_with_the_matrix(monkeypatch):
-    # identity "eigenvectors" of a non-diagonal H miss the residual target at
-    # every magnitude; a budget with an absolute floor let them pass below 1e-11
-    from numradlab import linalg
-
-    monkeypatch.setattr(linalg, "_eigh", lambda H: (np.linalg.eigvalsh(H), np.eye(len(H), dtype=complex)))
-    for scale in (1.0, 1e-12, 1e-20):
-        with pytest.raises(errors.NoConvergence):
-            hermitian_eigen(scale * np.array([[0, 1], [1, 0]], dtype=complex))
 
 
 def test_operator_norm_examples():

@@ -10,6 +10,7 @@ import pytest
 
 import numradlab
 from numradlab import catalog, cli, suite
+from numradlab.ensembles import EnsembleSpec
 from numradlab.errors import MatrixFormatError, NoConvergence
 from numradlab.matio import (
     dumps_matrix,
@@ -19,7 +20,7 @@ from numradlab.matio import (
     matrix_to_dict,
     save_matrix,
 )
-from numradlab.radius import numerical_radius, stream_rng
+from numradlab.radius import complex_gaussian, numerical_radius, stream_rng
 from numradlab.report import CSV_COLUMNS, IneqRecord, SuiteReport
 
 
@@ -525,9 +526,9 @@ def test_search_does_not_reevaluate_an_instance_it_cannot_move(ineq, monkeypatch
 
 
 def test_search_keeps_a_positivity_hypothesis_on_hermitian_operands(tmp_path, capsys):
-    # the descent perturbs A and B off Hermitian; euclidean-sandwich's
-    # positivity hypotheses refuse such a candidate, so the document keeps
-    # Hermitian operands instead of certifying a Hermitian part
+    # the descent moves euclidean-sandwich's positive A and B by congruences,
+    # so the document keeps Hermitian operands instead of certifying a
+    # Hermitian part
     out = tmp_path / "inst.json"
     argv = ["search", "--ineq", "euclidean-sandwich", "--restarts", "2", "--dim", "3", "--seed", "1", "--out", str(out)]
     assert cli.main(argv) == 0
@@ -536,6 +537,40 @@ def test_search_keeps_a_positivity_hypothesis_on_hermitian_operands(tmp_path, ca
     for name in ("A", "B"):
         M = matrix_from_dict(doc["matrices"][name])
         assert np.linalg.norm(M - M.conj().T) <= 1e-12 * np.linalg.norm(M), name
+
+
+@pytest.mark.parametrize("ineq", ["euclidean-sandwich", "mond-pecaric"])
+def test_search_moves_a_positive_operand(ineq, monkeypatch, tmp_path):
+    # a positive operand moves by a congruence that keeps it positive, so most
+    # candidates meet the positivity hypotheses; noise added to every entry
+    # left all 60 of them not-applicable
+    evaluate = catalog.evaluate
+    statuses = []
+
+    def counted(member, inst):
+        result = evaluate(member, inst)
+        statuses.append(result.status)
+        return result
+
+    monkeypatch.setattr(catalog, "evaluate", counted)
+    out = tmp_path / "inst.json"
+    assert cli.main(["search", "--ineq", ineq, "--restarts", "2", "--dim", "3", "--seed", "1", "--out", str(out)]) == 0
+    assert statuses and statuses.count(catalog.Status.NOT_APPLICABLE) < len(statuses) / 2
+
+
+def test_perturbed_keeps_a_positive_operand_positive_and_moves_the_others_as_before():
+    member = catalog.InequalityId.FCONN_RADIUS  # A positive invertible, B positive, X generic
+    inst = suite.draw_instance(member, EnsembleSpec(dim=4, seed=1), 0)
+    cand = cli._perturbed(inst, stream_rng(3, "perturb"), 0.1, catalog.MEMBERS[member].build.kinds)
+    for name in ("A", "B"):
+        M = getattr(cand, name)
+        assert not np.array_equal(M, getattr(inst, name)), name
+        np.testing.assert_array_equal(M, M.conj().T)
+    assert np.linalg.eigvalsh(cand.A)[0] > 0
+    # a generic operand moves by sigma Z, from the stream after A's and B's steps
+    rng = stream_rng(3, "perturb")
+    steps = [complex_gaussian(rng, inst.X.shape) for _ in "ABX"]
+    np.testing.assert_array_equal(cand.X, inst.X + 0.1 * steps[2])
 
 
 def test_certify_exit_two_on_violation(monkeypatch, tmp_path):
