@@ -152,8 +152,8 @@ class Member:
     - ``check`` is a tuple of parts, run in order; each part
       ``(insts, reports, operands)`` fills each report's conditions and
       bounds, and stores in the dict ``operands`` the stacks that the
-      evaluator reuses: the product members' checks store the target
-      A* X B and its sides S and T (``_sandwich``);
+      evaluator reads rather than rebuilds: ``_psd(name)`` the operand it
+      validated, the product members' checks A* X B and its sides S and T;
     - ``evaluate(insts, hyps, operands, radii)`` takes the instances whose
       hypotheses hold, and returns one outcome each: its named links
       ``(name, lhs, rhs)``, details and semantics (see ``_verdict``);
@@ -445,16 +445,15 @@ def _build_conditioned_specials(ens, member, indices):
 # (see ``Member``); records share the checks of common conditions.
 
 
-def _verify_chunk(ineq, insts):
-    """Hypothesis reports of a chunk, and the stacked operands that the
-    member's evaluator reuses (see ``Member``)."""
-    reports = [HypothesisReport(satisfied=True) for _ in insts]
+def _verify_chunk(ineq, insts, reports):
+    """Fill a chunk's hypothesis reports, and return the stacked operands
+    that the member's evaluator reuses (see ``Member``)."""
     operands = {}
     for part in MEMBERS[ineq].check:
         part(insts, reports, operands)
     for rep in reports:
         rep.satisfied = all(rep.conditions.values())
-    return reports, operands
+    return operands
 
 
 def _each(reports, name, oks):
@@ -479,7 +478,8 @@ def _psd(name, invertible=False):
     kind = "positive invertible" if invertible else "positive semidefinite"
 
     def check(insts, reports, operands):
-        lam = np.linalg.eigvalsh(check_hermitian(_in_range(_stack(insts, name))))
+        operands[name] = check_hermitian(_in_range(_stack(insts, name)))
+        lam = np.linalg.eigvalsh(operands[name])
         _each(reports, f"{name} {kind}", _clears(lam[:, 0], np.abs(lam).max(axis=-1, initial=0.0), invertible))
 
     return check
@@ -758,20 +758,20 @@ def _ev_gamma_product(insts, hyps, ops, radii):
     return out
 
 
-def _convexity_sides(insts):
+def _convexity_sides(insts, ops):
     """(norm of f at the convex combination, its unrefined bound) for the
     convexity members."""
-    A, B = _stack(insts, "A"), _stack(insts, "B")
+    A, B = ops["A"], ops["B"]
     v = np.array([i.v for i in insts])[:, None, None]
     f = [i.f for i in insts]
-    lhs = norm_hermitian(apply_scalar_function(f, (1 - v) * hermitian_part(A) + v * hermitian_part(B)))
+    lhs = norm_hermitian(apply_scalar_function(f, (1 - v) * A + v * B))
     base = norm_hermitian((1 - v) * apply_scalar_function(f, A) + v * apply_scalar_function(f, B))
-    return lhs.tolist(), base.tolist(), A, B, f
+    return lhs.tolist(), base.tolist(), f
 
 
 def _ev_refined_convexity(insts, hyps, ops, radii):
-    lhs, base, A, B, f = _convexity_sides(insts)
-    mu = jensen_gap_mu(f, A, B)
+    lhs, base, f = _convexity_sides(insts, ops)
+    mu = jensen_gap_mu(f, ops["A"], ops["B"])
     return [
         ([("f(mix) <= refined", l, b - min(i.v, 1 - i.v) * m)], {"mu_estimate": m, "base": b}, [_INF_NOTE])
         for i, l, b, m in zip(insts, lhs, base, mu)
@@ -779,7 +779,7 @@ def _ev_refined_convexity(insts, hyps, ops, radii):
 
 
 def _ev_norm_convexity(insts, hyps, ops, radii):
-    lhs, base, *_ = _convexity_sides(insts)
+    lhs, base, _ = _convexity_sides(insts, ops)
     return [([("f(mix) <= mix of f", l, b)], {}, []) for l, b in zip(lhs, base)]
 
 
@@ -869,7 +869,7 @@ def _hosseini_base(A, K, p, q, r, d):
 
 
 def _ev_hosseini_geo(insts, hyps, ops, radii):
-    A, B, X = _stack(insts, "A"), _stack(insts, "B"), _stack(insts, "X")
+    A, B, X = ops["A"], ops["B"], _stack(insts, "X")
     p, q, r = [i.p for i in insts], [i.q for i in insts], [i.r for i in insts]
     G = weighted_geometric(A, B, 0.5)
     res = radii(G @ X)
@@ -885,7 +885,7 @@ def _ev_hosseini_geo(insts, hyps, ops, radii):
 def _ev_hosseini_geo_norms(insts, hyps, ops, radii):
     """Variants 0 and 1 are Hosseini's bound at d = 2 and d = 1, from one
     ``_hosseini_base`` call; variant 2 takes its infimum from the spectrum."""
-    A, B = _stack(insts, "A"), _stack(insts, "B")
+    A, B = ops["A"], ops["B"]
     g_norms = norm_hermitian(weighted_geometric(A, B, 0.5)).tolist()
     link = "sharp norm power <= refined mean"
     out = [None] * len(insts)
@@ -903,7 +903,7 @@ def _ev_hosseini_geo_norms(insts, hyps, ops, radii):
         Ag, Bg = A[rows], B[rows]
         base = norm_hermitian((Ag @ Ag + Bg @ Bg) / 2).tolist()
         sem = ["infimum of <(A-B)x,x>^2 computed exactly from the spectrum of A-B"]
-        for k, b, lam in zip(rows, base, np.linalg.eigvalsh(hermitian_part(Ag - Bg))):
+        for k, b, lam in zip(rows, base, np.linalg.eigvalsh(Ag - Bg)):
             lo, hi = float(lam[0]), float(lam[-1])
             inf_sq = 0.0 if lo <= 0.0 <= hi else min(lo * lo, hi * hi)
             details = {"sharp_norm": g_norms[k], "variant": insts[k].variant, "inf_term": inf_sq}
@@ -912,7 +912,7 @@ def _ev_hosseini_geo_norms(insts, hyps, ops, radii):
 
 
 def _ev_euclidean_sandwich(insts, hyps, ops, radii):
-    A, B = hermitian_part(_stack(insts, "A")), hermitian_part(_stack(insts, "B"))
+    A, B = ops["A"], ops["B"]
     sharp = norm_hermitian(weighted_geometric(A, B, 0.5)).tolist()
     res = radii(A + 1j * B)
     # A^2 + B^2 in power-of-two-scaled units, one exponent per pair, so that it cannot underflow
@@ -929,7 +929,7 @@ def _ev_euclidean_sandwich(insts, hyps, ops, radii):
 
 
 def _ev_fconn_radius(insts, hyps, ops, radii):
-    A, B, X = _stack(insts, "A"), _stack(insts, "B"), _stack(insts, "X")
+    A, B, X = ops["A"], ops["B"], _stack(insts, "X")
     connection, square = f_connection(A, B, _given(insts, "f"))
     res = radii(connection @ X)
     inner = hermitian_part(adjoint(X) @ square @ X)
@@ -938,9 +938,9 @@ def _ev_fconn_radius(insts, hyps, ops, radii):
 
 
 def _ev_geo_radius(insts, hyps, ops, radii):
-    A, B, X = _stack(insts, "A"), _stack(insts, "B"), _stack(insts, "X")
+    A, B, X = ops["A"], ops["B"], _stack(insts, "X")
     res = radii(weighted_geometric(A, B, 0.5) @ X)
-    rhs = (norm_hermitian(hermitian_part(adjoint(X) @ hermitian_part(B) @ X) + hermitian_part(A)) / 2).tolist()
+    rhs = (norm_hermitian(hermitian_part(adjoint(X) @ B @ X) + A) / 2).tolist()
     return [([("w <= half norm", w.value, h)], {"w": w.value}, [_W_NOTE]) for w, h in zip(res, rhs)]
 
 
@@ -1123,7 +1123,7 @@ def evaluate(ineq: InequalityId, inst: CheckInstance, tol_rel=_LINK_TOL) -> Chec
     Hypothesis failures yield NotApplicable, never raise, and so does a draw
     whose evaluation is refused: an operand outside a function's domain, a
     non-Hermitian operand where the member needs a Hermitian one, or a side
-    beyond the float range.
+    beyond the float range; its report keeps the conditions decided before the refusal.
     """
     return evaluate_many(ineq, [inst], tol_rel=tol_rel)[0]
 
@@ -1146,10 +1146,10 @@ def evaluate_many(ineq: InequalityId, insts, tol_rel=_LINK_TOL) -> list:
     def radii(M):
         return numerical_radius(_in_range(M), tol=_RADIUS_TOL)
 
-    hyps = []
+    hyps = [HypothesisReport(satisfied=True) for _ in insts]
     try:
         with np.errstate(over="raise", invalid="raise"):
-            hyps, operands = _verify_chunk(ineq, insts)
+            operands = _verify_chunk(ineq, insts, hyps)
             live = [k for k, hyp in enumerate(hyps) if hyp.satisfied]
             outcomes = {}
             if live:
@@ -1159,8 +1159,7 @@ def evaluate_many(ineq: InequalityId, insts, tol_rel=_LINK_TOL) -> list:
     except _REFUSALS + _FLOAT_RANGE as exc:
         if len(insts) > 1:
             return [result for inst in insts for result in evaluate_many(ineq, [inst], tol_rel)]
-        hyp = hyps[0] if hyps else HypothesisReport(satisfied=False)
-        return [_refused(ineq, hyp, _RANGE_NOTE if isinstance(exc, _FLOAT_RANGE) else str(exc))]
+        return [_refused(ineq, hyps[0], _RANGE_NOTE if isinstance(exc, _FLOAT_RANGE) else str(exc))]
     return [
         _verdict(ineq, hyp, outcomes[k], tol_rel) if k in outcomes else _not_applicable(ineq, hyp)
         for k, hyp in enumerate(hyps)

@@ -350,7 +350,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, inside the try, not at exit
+        return code
+    except BrokenPipeError as exc:
+        # the reader closed stdout: point it at devnull, so that the flush at exit stays silent
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
     except NumradError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

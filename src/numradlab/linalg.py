@@ -253,12 +253,16 @@ def loewner_leq(A, B) -> bool:
     """Test A <= B in the positive semidefinite order, up to relative slack.
 
     True iff lambda_min(B - A) >= -PSD_SLACK * (||A|| + ||B||), at any
-    magnitude; for stacks, an array of one verdict per pair.
+    magnitude; for stacks, an array of one verdict per pair. The norms are
+    taken only where the gap is negative, as a nonnegative gap clears any scale.
     """
     A = check_hermitian(A)
     B = check_hermitian(B)
     if A.shape != B.shape:
         raise DimensionMismatch(f"shapes {A.shape} and {B.shape} differ")
     gap = np.linalg.eigvalsh(B - A)[..., 0]
-    ok = _clears(gap, norm_hermitian(A) + norm_hermitian(B))
+    ok = np.array(gap >= 0.0)
+    if not ok.all():
+        low = ~ok
+        ok[low] = _clears(gap[low], norm_hermitian(A[low]) + norm_hermitian(B[low]))
     return bool(ok) if ok.ndim == 0 else ok

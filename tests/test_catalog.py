@@ -656,6 +656,36 @@ def test_a_non_hermitian_operand_is_refused_not_raised(member):
         assert not any(ok for name, ok in res.hypothesis.conditions.items() if name.startswith("A positive"))
 
 
+@pytest.mark.parametrize(
+    "member", [InequalityId(i) for i in _HERMITIAN_READERS if i != "mond-pecaric"], ids=lambda m: m.value
+)
+def test_evaluators_read_the_operands_their_check_certified(member):
+    # A and B within EPS_HERM of Hermitian pass the positivity check as their
+    # Hermitian parts, so every side is computed from those parts alone
+    insts = draw_chunk(member, EnsembleSpec(dim=4, seed=3), range(6))
+    rng = stream_rng(3, "test:anti-hermitian", 0)
+    for inst in insts:
+        moved = {}
+        for name in "AB":
+            Z = complex_gaussian(rng, inst.A.shape)
+            moved[name] = getattr(inst, name) + 1e-13 * (Z - adjoint(Z))
+        res = evaluate(member, dataclasses.replace(inst, **moved))
+        ref = evaluate(member, dataclasses.replace(inst, **{k: hermitian_part(M) for k, M in moved.items()}))
+        assert res.status is ref.status is not Status.NOT_APPLICABLE
+        assert (res.lhs, res.rhs) == (ref.lhs, ref.rhs)
+
+
+def test_a_draw_refused_mid_check_keeps_the_conditions_decided():
+    # general-product's check forms its sides after the r and v conditions;
+    # at 1e160 they overflow, and the report keeps what was decided first
+    member = InequalityId.GENERAL_PRODUCT
+    res = evaluate(member, draw_instance(member, EnsembleSpec(dim=3, seed=1, scale=1e160), 0))
+    assert res.status is Status.NOT_APPLICABLE
+    assert res.hypothesis.conditions == {"r >= 1": True, "0 < v < 1": True}
+    assert res.hypothesis.notes == ["evaluation refused: beyond the float range"]
+    assert not res.hypothesis.satisfied
+
+
 @pytest.mark.parametrize("seed", [1, 9001])
 @pytest.mark.parametrize("dim", [1, 2, 3, 8])
 def test_conditioned_specials_unit_operands_are_exact(dim, seed):
@@ -664,7 +694,8 @@ def test_conditioned_specials_unit_operands_are_exact(dim, seed):
     # sides and radius targets are bitwise the specializations written out
     member = InequalityId.CONDITIONED_SPECIALS
     insts = draw_chunk(member, EnsembleSpec(dim=dim, seed=seed), range(30))
-    hyps, ops = catalog._verify_chunk(member, insts)
+    hyps = [catalog.HypothesisReport(satisfied=True) for _ in insts]
+    ops = catalog._verify_chunk(member, insts, hyps)
     live = [k for k, hyp in enumerate(hyps) if hyp.satisfied]
     targets = []
 
@@ -871,12 +902,12 @@ def test_run_member_chunks_keep_the_one_by_one_draws(monkeypatch):
             index_of[id(inst.A)] = index, inst.A  # holding A keeps its id unique
         return insts
 
-    def rejecting_verify(ineq, insts):
-        hyps, operands = verify(ineq, insts)
+    def rejecting_verify(ineq, insts, hyps):
+        operands = verify(ineq, insts, hyps)
         for inst, hyp in zip(insts, hyps):
             if index_of[id(inst.A)][0] in rejected:
                 hyp.satisfied = False
-        return hyps, operands
+        return operands
 
     monkeypatch.setattr(suite_mod, "CHUNK", 4)
     monkeypatch.setattr(suite_mod, "draw_chunk", tagged_draw)

@@ -472,6 +472,25 @@ def test_radius_module_entry_on_huge_entries(tmp_path):
     assert "OK" in proc.stdout and "inf" not in proc.stdout
 
 
+def test_a_closed_stdout_exits_one_without_traceback():
+    # the reader closed its end before the command wrote: the write fails with
+    # EPIPE, which prints one error line, and the flush at exit stays silent.
+    # Buffered, as by default, stdout first writes when the command flushes it
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(numradlab.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "numradlab", "examples"],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
 def test_search_zero_restarts_writes_seed_instance(tmp_path, capsys):
     out = tmp_path / "inst.json"
     argv = ["search", "--ineq", "sum-new-bound", "--dim", "2", "--restarts", "0", "--seed", "4", "--out", str(out)]
