@@ -17,7 +17,7 @@ _EXPORTS = {
     "catalog": "CheckInstance CheckResult InequalityId Status evaluate",
     "ensembles": "EnsembleSpec sample",
     "errors": (
-        "BudgetExhausted DimensionMismatch DomainViolation InvalidBounds MatrixFormatError NoConvergence "
+        "BudgetExhausted DimensionMismatch DomainViolation InvalidBounds MatrixFormatError "
         "NotHermitian NotInvertible NotPositive NotSuperquadratic NumradError UnsupportedParameter"
     ),
     "functions": (

@@ -1108,7 +1108,7 @@ InequalityId = enum.Enum("InequalityId", [(key.upper().replace("-", "_"), key) f
 MEMBERS = {InequalityId(key): record for key, record in MEMBERS.items()}
 
 # A draw that raises one of these is refused (reported NotApplicable); the
-# float errors come from operands or sides beyond the float range.
+# float errors come from operands or sides beyond the float range, or from a LAPACK failure.
 _REFUSALS = (NotInvertible, NotPositive, NotHermitian, DomainViolation, _MissingOperand)
 _FLOAT_RANGE = (FloatingPointError, OverflowError, np.linalg.LinAlgError)
 _RANGE_NOTE = "beyond the float range"
@@ -1123,7 +1123,8 @@ def evaluate(ineq: InequalityId, inst: CheckInstance, tol_rel=_LINK_TOL) -> Chec
     Hypothesis failures yield NotApplicable, never raise, and so does a draw
     whose evaluation is refused: an operand outside a function's domain, a
     non-Hermitian operand where the member needs a Hermitian one, or a side
-    beyond the float range; its report keeps the conditions decided before the refusal.
+    beyond the float range or a LAPACK failure in any kernel (both noted as
+    beyond the float range); its report keeps the conditions decided before it.
     """
     return evaluate_many(ineq, [inst], tol_rel=tol_rel)[0]
 

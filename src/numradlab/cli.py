@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import json
 import math
@@ -346,20 +347,25 @@ def _cached_parser(seed_text):
 def main(argv=None) -> int:
     parser = _cached_parser(os.environ.get("NUMRAD_SEED", "0"))
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code else 0
-    try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed stdout fails here, inside the try, not at exit
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # a usage error, or --help
+            code = 1 if exc.code else 0
+        else:
+            code = args.func(args)
+        if sys.stdout is None:  # descriptor 1 was closed at start
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        sys.stdout.flush()  # an unwritable stdout fails here, inside the try, not at exit
         return code
-    except BrokenPipeError as exc:
-        # the reader closed stdout: point it at devnull, so that the flush at exit stays silent
-        with open(os.devnull, "wb") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
+    except OSError as exc:
+        # commands turn their own file errors into NumradError, so this one is
+        # stdout's: point it at devnull, so that the flush at exit stays silent
+        if sys.stdout is not None:
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
-    except NumradError as exc:
+    except (NumradError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

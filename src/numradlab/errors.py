@@ -9,10 +9,6 @@ class NotHermitian(NumradError):
     """Raised when an operation requires a Hermitian matrix and the input is not."""
 
 
-class NoConvergence(NumradError):
-    """Raised when an iterative computation fails to reach its target residual."""
-
-
 class DomainViolation(NumradError):
     """Raised when a scalar function is evaluated outside its declared domain."""
 

@@ -3,9 +3,10 @@ kernels (singular values, operator norm, functions of |A| and |A*|,
 Kittaneh's bound), functional calculus, Hermitian powers, and the Loewner
 order test.
 
-All operations are pure functions of ``complex128`` input. Besides square
-matrices, the kernels the catalog evaluates with take (m, n, n) stacks and
-return one result per matrix: ``adjoint``, ``hermitian_part``,
+All operations are pure functions of ``complex128`` input; a LAPACK failure
+propagates as the ``np.linalg.LinAlgError`` that numpy raises. Besides
+square matrices, the kernels the catalog evaluates with take (m, n, n)
+stacks and return one result per matrix: ``adjoint``, ``hermitian_part``,
 ``check_hermitian``, ``singular_values``, ``operator_norm``,
 ``norm_hermitian``, ``abs_sides``, ``kittaneh_bound``,
 ``apply_scalar_function``, ``hermitian_power`` and ``loewner_leq``. Each
@@ -31,7 +32,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotInvertible, NotPositive
+from .errors import DimensionMismatch, NotHermitian, NotInvertible, NotPositive
 
 # Relative tolerance for accepting an input as Hermitian.
 EPS_HERM = 1e-10
@@ -116,14 +117,6 @@ def check_hermitian(H) -> np.ndarray:
             f"matrix deviates from Hermitian by {math.ldexp(dev[k], e_k):.3e} (scale {math.ldexp(scale[k], e_k):.3e})"
         )
     return (H + _adj(H)) / 2
-
-
-def _eigh(H):
-    """Diagonalize an exactly Hermitian matrix (or stack) without re-validating it."""
-    try:
-        return np.linalg.eigh(H)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergence(str(exc)) from exc
 
 
 def singular_values(A):
@@ -214,7 +207,7 @@ def apply_scalar_function(f, H) -> np.ndarray:
     ``f`` may be a sequence of one function per matrix (see ``_on_rows``).
     """
     H = check_hermitian(H)
-    lam, V = _eigh(H)
+    lam, V = np.linalg.eigh(H)
     return _spectral(V, np.asarray(_on_rows(f, lam), dtype=np.float64))
 
 
@@ -233,7 +226,7 @@ def hermitian_power(H, p) -> np.ndarray:
     raises for the stack.
     """
     H = check_hermitian(H)
-    lam, V = _eigh(H)
+    lam, V = np.linalg.eigh(H)
     q = np.broadcast_to(np.asarray(p, dtype=np.float64), lam.shape[:-1])
     scale = np.abs(lam).max(axis=-1, initial=0.0)
     low = lam[..., 0]

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidBounds, NotInvertible, NotPositive
-from .linalg import _clears, _eigh, _first, _on_rows, _spectral, check_hermitian, hermitian_part, hermitian_power
+from .linalg import _clears, _first, _on_rows, _spectral, check_hermitian, hermitian_part, hermitian_power
 
 
 def _check_weight(v):
@@ -19,7 +19,7 @@ def _check_weight(v):
 def pd_roots(A):
     """(A^{1/2}, A^{-1/2}) for a positive invertible matrix (or stack), one
     factorization; any matrix that fails raises for the stack."""
-    lam, V = _eigh(check_hermitian(A))
+    lam, V = np.linalg.eigh(check_hermitian(A))
     scale = np.abs(lam).max(axis=-1, initial=0.0)
     low = lam[..., 0]
     negative = ~_clears(low, scale)
@@ -55,7 +55,7 @@ def f_connection(A, B, f):
     if A.shape != B.shape:
         raise DimensionMismatch(f"shapes {A.shape} and {B.shape} differ")
     half, inv_half = pd_roots(A)
-    lam, V = _eigh(hermitian_part(inv_half @ B @ inv_half))
+    lam, V = np.linalg.eigh(hermitian_part(inv_half @ B @ inv_half))
     vals = _on_rows(f, lam)  # DomainViolation if the spectrum escapes f's domain
     return hermitian_part(half @ _spectral(V, vals) @ half), half @ _spectral(V, vals**2) @ half
 

@@ -686,6 +686,22 @@ def test_a_draw_refused_mid_check_keeps_the_conditions_decided():
     assert not res.hypothesis.satisfied
 
 
+@pytest.mark.parametrize("routine", ["eigh", "eigvalsh", "svd"])
+def test_a_lapack_failure_refuses_its_draw_in_every_kernel(routine, monkeypatch):
+    # every kernel lets numpy's LinAlgError through, and evaluate refuses the
+    # draw whichever decomposition failed
+    insts = {member: draw_instance(member, EnsembleSpec(dim=3, seed=1), 0) for member in InequalityId}
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{routine} did not converge")
+
+    monkeypatch.setattr(np.linalg, routine, fail)
+    results = [evaluate(member, inst) for member, inst in insts.items()]
+    refused = [res for res in results if res.status is Status.NOT_APPLICABLE]
+    assert refused
+    assert all(res.hypothesis.notes[-1] == "evaluation refused: beyond the float range" for res in refused)
+
+
 @pytest.mark.parametrize("seed", [1, 9001])
 @pytest.mark.parametrize("dim", [1, 2, 3, 8])
 def test_conditioned_specials_unit_operands_are_exact(dim, seed):

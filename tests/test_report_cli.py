@@ -11,7 +11,7 @@ import pytest
 import numradlab
 from numradlab import catalog, cli, suite
 from numradlab.ensembles import EnsembleSpec
-from numradlab.errors import MatrixFormatError, NoConvergence
+from numradlab.errors import MatrixFormatError
 from numradlab.matio import (
     dumps_matrix,
     load_matrix,
@@ -472,23 +472,49 @@ def test_radius_module_entry_on_huge_entries(tmp_path):
     assert "OK" in proc.stdout and "inf" not in proc.stdout
 
 
-def test_a_closed_stdout_exits_one_without_traceback():
-    # the reader closed its end before the command wrote: the write fails with
-    # EPIPE, which prints one error line, and the flush at exit stays silent.
-    # Buffered, as by default, stdout first writes when the command flushes it
+def _closed_pipe():
     read_end, write_end = os.pipe()
     os.close(read_end)
+    return write_end
+
+
+def _full_device():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    return os.open("/dev/full", os.O_WRONLY)
+
+
+@pytest.mark.parametrize("argv", [["examples"], ["--help"]], ids=["examples", "help"])
+@pytest.mark.parametrize("target", [_closed_pipe, _full_device], ids=["closed-pipe", "full-device"])
+def test_an_unwritable_stdout_exits_one_without_traceback(argv, target):
+    # a pipe whose reader left fails the write with EPIPE, /dev/full with
+    # ENOSPC: either prints one error line, and the flush at exit stays silent.
+    # Buffered, as by default, stdout first writes when main flushes it
     env = dict(os.environ, PYTHONPATH=str(Path(numradlab.__file__).parents[1]))
     env.pop("PYTHONUNBUFFERED", None)
+    fd = target()
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "numradlab", "examples"],
-            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            [sys.executable, "-m", "numradlab", *argv],
+            env=env, stdout=fd, stderr=subprocess.PIPE, text=True, timeout=120,
         )
     finally:
-        os.close(write_end)
+        os.close(fd)
     assert proc.returncode == 1
-    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: cannot write output:")
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+def test_a_stdout_closed_at_start_exits_one_without_traceback():
+    # with descriptor 1 closed, sys.stdout is None: that is an unwritable stdout too
+    env = dict(os.environ, PYTHONPATH=str(Path(numradlab.__file__).parents[1]))
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m numradlab examples >&-', sys.executable],
+        env=env, stderr=subprocess.PIPE, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write output:")
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 def test_search_zero_restarts_writes_seed_instance(tmp_path, capsys):
@@ -604,7 +630,7 @@ def test_certify_exit_two_on_violation(monkeypatch, tmp_path):
 
 
 def _no_convergence(*args, **kwargs):
-    raise NoConvergence("eigensolver did not converge")
+    raise np.linalg.LinAlgError("eigensolver did not converge")
 
 
 def test_certify_reports_kernel_errors(monkeypatch, capsys):
