@@ -1186,7 +1186,9 @@ def _verdict(ineq, hyp, outcome, tol_rel):
         details[f"{name}.lhs"], details[f"{name}.rhs"] = lhs, rhs
     failing = [link for link in links if not _leq(link[1], link[2], tol_rel)]
     candidates = failing or links
-    name, lhs, rhs = candidates[int(np.argmin([rhs - lhs for _, lhs, rhs in candidates]))]
+    slacks = [rhs - lhs for _, lhs, rhs in candidates]
+    nans = [k for k, slack in enumerate(slacks) if slack != slack]  # argmin's rule: the first NaN, else the first least
+    name, lhs, rhs = candidates[nans[0] if nans else slacks.index(min(slacks))]
     details["binding"] = name
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         return _refused(ineq, hyp, _RANGE_NOTE)

@@ -301,8 +301,17 @@ def _tolerance(text, positive=False):
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse drops a failed write; one to stdout (the help) raises, for main to report
+    def _print_message(self, message, file=None):
+        if message and file is not None and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="numradlab", description=__doc__)
+    parser = _Parser(prog="numradlab", description=__doc__)
     # argparse converts a string default with the flag's type, so a malformed
     # value fails only the commands that take a seed, as a usage error
     default_seed = os.environ.get("NUMRAD_SEED", "0")

@@ -35,6 +35,8 @@ class Interval:
         """Validate an array of points, clipping roundoff at closed endpoints. Their
         distance inside each finite endpoint must pass ``_clears`` at the largest |point|."""
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        if self.lo == -np.inf and self.hi == np.inf:  # the whole line: nothing to test or clip
+            return x
         lo_val = float(x.min(initial=np.inf))
         hi_val = float(x.max(initial=-np.inf))
         scale = max(abs(lo_val), abs(hi_val))

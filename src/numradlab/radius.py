@@ -33,6 +33,7 @@ import numpy as np
 from .linalg import _as_square, _pow2_rows, kittaneh_bound
 
 _TWO_PI = 2.0 * np.pi
+_SQRT2 = np.sqrt(2.0)
 
 
 def stream_rng(seed, tag, index=0):
@@ -51,10 +52,10 @@ def complex_gaussian(rng, shape):
     Real/imaginary parts interleave per element, so extending the leading
     axis of ``shape`` extends the stream without changing its prefix.
     """
-    if np.isscalar(shape):
+    if isinstance(shape, (int, np.integer)):
         shape = (shape,)
     z = rng.standard_normal(tuple(shape) + (2,))
-    return z.view(np.complex128)[..., 0] / np.sqrt(2.0)  # each pair (re, im) read as one complex
+    return z.view(np.complex128)[..., 0] / _SQRT2  # each pair (re, im) read as one complex
 
 
 def quad_forms(M, X):
@@ -83,6 +84,12 @@ class RadiusResult:
         return self.upper - self.value
 
 
+# The initial lines: 8 angles over a half-turn, solved in one stack, their
+# antipodes, and the first angle a turn on, which closes the polygon (``_cuts``).
+_HALF_TURN = tuple(_TWO_PI * k / 16 for k in range(8))
+_GRID = _HALF_TURN + tuple(t + math.pi for t in _HALF_TURN) + (_TWO_PI,)
+# (cos d, sin d) of each step d between neighbouring grid angles.
+_GRID_STEPS = tuple((cos(t2 - t1), sin(t2 - t1)) for t1, t2 in zip(_GRID, _GRID[1:]))
 # Cut cap: when W(A) is a disk the polygon gap falls only like
 # pi^2 w / (2 m^2) over m lines, although ``value`` is exact from the start.
 _MAX_CUTS = 64
@@ -209,17 +216,6 @@ def _rotated_halves(half, thetas):
     return H
 
 
-def _corner(t1, h1, t2, h2):
-    """Corner of the support lines Re(e^{it} z) = h at angles t1 < t2 < t1 + pi.
-
-    Returns its distance from 0 and the angle step from t1 to the line
-    whose normal points at it.
-    """
-    d = t2 - t1
-    s = (h1 * cos(d) - h2) / sin(d)
-    return hypot(h1, s), atan2(-s, h1)
-
-
 def _near_line(refs, half, t, top, tol):
     """The line at t as (h, a, (Q, y)) from the references ``refs`` of the
     matrix 2 half, or None to solve it values-only: a cut near a reference is
@@ -262,8 +258,13 @@ def _cuts(A, half, thetas, hs, tol):
     cuts that neither settles. Each line has a value a <= h that a unit
     vector attains there: a = h for a solved line.
 
-    Line k is Re(e^{i t_k} z) <= h_k; corner k joins lines k and k + 1, and
-    the last line repeats the first one turn on, so corners need no wrap.
+    Line k is Re(e^{i t_k} z) <= h_k, starting from the grid angles
+    ``_GRID``; corner k joins lines k and k + 1, and the last line repeats
+    the first one turn on, so corners need no wrap. The corner of lines at
+    t_k < t_{k+1} < t_k + pi lies h_k along line k's normal and -s along the
+    line, s = (h_k cos d - h_{k+1}) / sin d with d = t_{k+1} - t_k; it is kept
+    as (r, step): its distance r from 0, and the step from t_k to the angle
+    of the line whose normal points at it.
     Returns the farthest corner's distance, the cap, the angles of the lines
     the witness comes from, and the witness vectors of the reference and
     bounded lines by angle, as (Q, y) (``_near_line``).
@@ -272,25 +273,29 @@ def _cuts(A, half, thetas, hs, tol):
     attained = list(hs)
     lo = max(hs)
     t_lo = thetas[hs.index(lo)]
-    corners = [_corner(thetas[k], hs[k], thetas[k + 1], hs[k + 1]) for k in range(len(hs) - 1)]
+    sides = [(h1, (h1 * cos_d - h2) / sin_d) for h1, h2, (cos_d, sin_d) in zip(hs, hs[1:], _GRID_STEPS)]
+    corners = [(hypot(h1, s), atan2(-s, h1)) for h1, s in sides]
     cap, cuts, near = math.inf, _MAX_CUTS, A.shape[-1] >= _NEAR_DIM
     refs, vectors = [], {}
     if lo - min(hs) <= tol * lo:
         cap, cuts = kittaneh_bound(A)[0], _MAX_CUTS - 1
+    corner = max(corners)
     for _ in range(cuts):
-        hi, step = max(corners)
+        hi, step = corner
         top = min(hi, cap)
         if top - lo <= tol * top:
             break
-        k = corners.index((hi, step))
-        t = thetas[k] + step
-        if not thetas[k] < t < thetas[k + 1]:  # the corner is resolved to roundoff
+        k = corners.index(corner)
+        t1, t2 = thetas[k], thetas[k + 1]
+        t = t1 + step
+        if not t1 < t < t2:  # the corner is resolved to roundoff
             break
+        h1, h2 = hs[k], hs[k + 1]
         line = None
         if near:
             line = _near_line(refs, half, t, t_lo, tol)
-            if line is None and abs(hs[k]) < lo and abs(hs[k + 1]) < lo:
-                below = min(cos(t - thetas[k] - acos(hs[k] / lo)), cos(thetas[k + 1] - t - acos(hs[k + 1] / lo)))
+            if line is None and abs(h1) < lo and abs(h2) < lo:
+                below = min(cos(t - t1 - acos(h1 / lo)), cos(t2 - t - acos(h2 / lo)))
                 line = _level_line(half, t, lo * below * (1 - 1e-3 * tol))
         if line is None:
             h = yield t
@@ -300,12 +305,16 @@ def _cuts(A, half, thetas, hs, tol):
             vectors[t] = vector
         if a > lo:
             lo, t_lo = a, t
-        corners[k] = _corner(thetas[k], hs[k], t, h)
-        corners.insert(k + 1, _corner(t, h, thetas[k + 1], hs[k + 1]))
+        d1, d2 = t - t1, t2 - t
+        s = (h1 * cos(d1) - h) / sin(d1)
+        corners[k] = hypot(h1, s), atan2(-s, h1)
+        s = (h * cos(d2) - h2) / sin(d2)
+        corners.insert(k + 1, (hypot(h, s), atan2(-s, h)))
         thetas.insert(k + 1, t)
         hs.insert(k + 1, h)
         attained.insert(k + 1, a)
-    hi, step = max(corners)
+        corner = max(corners)
+    hi, step = corner
     top = min(hi, cap)
     if top - lo <= tol * top:
         # The top line's eigenvector attains at least lo, so the gap stays within tol.
@@ -313,7 +322,7 @@ def _cuts(A, half, thetas, hs, tol):
     # On a cut cap or a resolved corner, the witness also comes from both
     # lines of the farthest corner: the vertex lies on those lines,
     # although none of them need point at it.
-    k = corners.index((hi, step))
+    k = corners.index(corner)
     return hi, cap, [thetas[j] for j in sorted({attained.index(lo), k, (k + 1) % (len(thetas) - 1)})], vectors
 
 
@@ -328,13 +337,11 @@ def _enclose(A, exps, tol):
     half = A / 2
     # 16 initial lines: line k + m is the antipode of line k, h(t + pi) =
     # -lambda_min at t, so m = 8 solves cover them.
-    m = 8
-    thetas = [_TWO_PI * k / (2 * m) for k in range(m)]
-    rotations = _rotated_halves(half[:, None], np.array(thetas))
+    m = len(_HALF_TURN)
+    rotations = _rotated_halves(half[:, None], np.array(_HALF_TURN))
     ev = np.linalg.eigvalsh(rotations.reshape(-1, n, n)).reshape(len(A), m, n)
-    thetas += [t + math.pi for t in thetas] + [_TWO_PI]
     tops, bottoms = ev[:, :, -1].tolist(), (-ev[:, :, 0]).tolist()
-    loops = [_cuts(A[r], half[r], list(thetas), tops[r] + bottoms[r], tol) for r in range(len(A))]
+    loops = [_cuts(A[r], half[r], list(_GRID), tops[r] + bottoms[r], tol) for r in range(len(A))]
     ends = [None] * len(A)
 
     def advance(rows, hs):
@@ -350,7 +357,9 @@ def _enclose(A, exps, tol):
     live = advance(range(len(A)), [None] * len(A))
     while len(live) > 1:
         rows, ts = zip(*live)
-        live = advance(rows, np.linalg.eigvalsh(_rotated_halves(half[list(rows)], np.array(ts)))[:, -1].tolist())
+        # While every row cuts, rows is 0..len(A) - 1 in order: no gather.
+        halves = half if len(rows) == len(A) else half[list(rows)]
+        live = advance(rows, np.linalg.eigvalsh(_rotated_halves(halves, np.array(ts)))[:, -1].tolist())
     if live:
         # The last row cutting solves its lines one at a time.
         ((r, t),) = live

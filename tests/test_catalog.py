@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import pickle
 
 import numpy as np
@@ -782,6 +783,39 @@ def test_a_check_holds_only_when_every_link_holds(monkeypatch):
     res = evaluate(member, draw_instance(member, EnsembleSpec(dim=3, seed=1), 0))
     assert res.status is Status.VIOLATED
     assert (res.details["binding"], res.lhs, res.rhs) == ("small", 1.0, 1.0 - 5e-7)
+
+
+@pytest.mark.parametrize(
+    "links, binding, status",
+    [
+        # tied least slacks, among failing links and among holding ones: the first binds
+        ([("wide", 0.0, 1.0), ("tie-a", 1.0, 0.5), ("tie-b", 2.0, 1.5)], "tie-a", Status.VIOLATED),
+        ([("wide", 0.0, 2.0), ("tie-a", 1.0, 1.5), ("tie-b", 2.0, 2.5)], "tie-a", Status.HOLDS),
+        # a NaN after a failing link binds before a failing link of less
+        # slack, and before a later NaN; it refuses the draw
+        (
+            [("fails", 1.0, 0.5), ("nan-a", math.nan, 1.0), ("fails-more", 3.0, 0.0), ("nan-b", 1.0, math.nan)],
+            "nan-a",
+            Status.NOT_APPLICABLE,
+        ),
+    ],
+)
+def test_the_binding_link_is_the_first_nan_else_the_first_least_slack(links, binding, status, monkeypatch):
+    member = InequalityId.KITTANEH_CHAIN
+    record = catalog.MEMBERS[member]
+    seen = []
+
+    def doctored(insts, hyps, ops, radii):
+        outcomes = [(links, details, semantics) for _, details, semantics in record.evaluate(insts, hyps, ops, radii)]
+        seen.extend(details for _, details, _ in outcomes)
+        return outcomes
+
+    monkeypatch.setitem(catalog.MEMBERS, member, dataclasses.replace(record, evaluate=doctored))
+    res = evaluate(member, draw_instance(member, EnsembleSpec(dim=3, seed=1), 0))
+    assert res.status is status
+    assert seen[0]["binding"] == binding
+    if status is not Status.NOT_APPLICABLE:
+        assert (res.details["binding"], res.lhs, res.rhs) == next(link for link in links if link[0] == binding)
 
 
 def test_psd_hypothesis_agrees_with_the_kernels():

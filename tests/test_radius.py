@@ -148,20 +148,21 @@ def test_radius_half_turn_stack_matches_full_turn(monkeypatch):
         lines, stacks = [], []
         with monkeypatch.context() as mp:
 
-            def corner(t1, h1, t2, h2, _corner=radius._corner):
-                lines.append((t1, h1))
-                return _corner(t1, h1, t2, h2)
+            def cuts(A, half, thetas, hs, tol, _cuts=radius._cuts):
+                lines.append((thetas[: 2 * m], hs[: 2 * m]))  # copies: the loop inserts its cuts
+                return _cuts(A, half, thetas, hs, tol)
 
             def eigvalsh(a, _eigvalsh=np.linalg.eigvalsh):
                 stacks.append(a.shape)
                 return _eigvalsh(a)
 
-            mp.setattr(radius, "_corner", corner)
+            mp.setattr(radius, "_cuts", cuts)
             mp.setattr(np.linalg, "eigvalsh", eigvalsh)
             numerical_radius(A)
         assert stacks[0] == (m, n, n)
         assert all(len(shape) == 2 for shape in stacks[1:])
-        thetas, hs = np.array(lines[: 2 * m]).T
+        ((thetas, hs),) = lines
+        thetas, hs = np.array(thetas), np.array(hs)
         full = 2 * np.pi * np.arange(2 * m) / (2 * m)
         np.testing.assert_allclose(thetas, full, rtol=0, atol=4 * eps)
         reference = np.linalg.eigvalsh(_rotated_halves(A / 2, full))[:, -1]
@@ -487,6 +488,13 @@ def test_radius_rejects_bad_arguments():
     for tol in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             numerical_radius(A, tol=tol)
+
+
+def test_complex_gaussian_reads_an_integer_shape_as_a_1_tuple():
+    # a Python int, a numpy integer and a 1-tuple give one shape, so equal
+    # streams give bitwise equal draws
+    draws = [complex_gaussian(stream_rng(3, "shape"), shape) for shape in (5, np.int64(5), (5,))]
+    assert all(draw.shape == (5,) and draw.tobytes() == draws[0].tobytes() for draw in draws)
 
 
 def test_sandwich_property_bulk():

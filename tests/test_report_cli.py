@@ -484,14 +484,24 @@ def _full_device():
     return os.open("/dev/full", os.O_WRONLY)
 
 
-@pytest.mark.parametrize("argv", [["examples"], ["--help"]], ids=["examples", "help"])
-@pytest.mark.parametrize("target", [_closed_pipe, _full_device], ids=["closed-pipe", "full-device"])
-def test_an_unwritable_stdout_exits_one_without_traceback(argv, target):
+@pytest.mark.parametrize(
+    "target, argv, unbuffered",
+    [
+        pytest.param(target, argv, unbuffered, id=f"{target_id}-{argv_id}" + ("-unbuffered" if unbuffered else ""))
+        for target_id, target in (("closed-pipe", _closed_pipe), ("full-device", _full_device))
+        for argv_id, argv in (("examples", ["examples"]), ("help", ["--help"]))
+        for unbuffered in (False, True)
+    ],
+)
+def test_an_unwritable_stdout_exits_one_without_traceback(target, argv, unbuffered):
     # a pipe whose reader left fails the write with EPIPE, /dev/full with
     # ENOSPC: either prints one error line, and the flush at exit stays silent.
-    # Buffered, as by default, stdout first writes when main flushes it
+    # Buffered, as by default, stdout first writes when main flushes it;
+    # unbuffered, each write fails at once, argparse's help included
     env = dict(os.environ, PYTHONPATH=str(Path(numradlab.__file__).parents[1]))
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     fd = target()
     try:
         proc = subprocess.run(
