@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensembles import EnsembleSpec, _haar, sample_stack, sandwich_operands
-from .errors import DomainViolation, NotHermitian, NotInvertible, NotPositive
+from .errors import DimensionMismatch, DomainViolation, NotHermitian, NotInvertible, NotPositive
 from .functions import (
     CONCAVE,
     CONVEX,
@@ -1125,6 +1125,9 @@ def evaluate(ineq: InequalityId, inst: CheckInstance, tol_rel=_LINK_TOL) -> Chec
     non-Hermitian operand where the member needs a Hermitian one, or a side
     beyond the float range or a LAPACK failure in any kernel (both noted as
     beyond the float range); its report keeps the conditions decided before it.
+    A malformed instance raises DimensionMismatch before any check runs: a
+    matrix operand that is not square, or matrices and 1-D vectors of
+    different sizes.
     """
     return evaluate_many(ineq, [inst], tol_rel=tol_rel)[0]
 
@@ -1135,7 +1138,8 @@ def evaluate_many(ineq: InequalityId, insts, tol_rel=_LINK_TOL) -> list:
     The instances share one dimension and form one chunk: the hypotheses
     and the evaluator run on stacks of their matrices, and the matrices
     whose radii they need are enclosed by one ``numerical_radius`` call per
-    round.
+    round. Every matrix and 1-D vector of the chunk shares one size, or
+    DimensionMismatch is raised.
     Numpy overflow and invalid operations raise inside the chunk. A refusal
     raised anywhere in it sends the chunk back one instance at a time, so
     that it refuses only its own instance; each result equals that of
@@ -1143,6 +1147,7 @@ def evaluate_many(ineq: InequalityId, insts, tol_rel=_LINK_TOL) -> list:
     """
     if not insts:
         return []
+    _one_size(insts)
 
     def radii(M):
         return numerical_radius(_in_range(M), tol=_RADIUS_TOL)
@@ -1165,6 +1170,23 @@ def evaluate_many(ineq: InequalityId, insts, tol_rel=_LINK_TOL) -> list:
         _verdict(ineq, hyp, outcomes[k], tol_rel) if k in outcomes else _not_applicable(ineq, hyp)
         for k, hyp in enumerate(hyps)
     ]
+
+
+def _one_size(insts):
+    """Raise DimensionMismatch unless every matrix operand of the chunk is
+    square, and its matrices and 1-D vectors share one size."""
+    sizes = set()
+    for inst in insts:
+        for name in "ABX":
+            M = getattr(inst, name)
+            if M is not None:
+                shape = np.shape(M)
+                if len(shape) != 2 or shape[0] != shape[1]:
+                    raise DimensionMismatch(f"operand {name} of shape {shape} is not square")
+                sizes.add(shape[0])
+        sizes.update(len(v) for tup in inst.vectors for v in tup if np.ndim(v) == 1)
+    if len(sizes) > 1:
+        raise DimensionMismatch(f"operand sizes {sorted(sizes)} differ")
 
 
 def _not_applicable(ineq, hyp):

@@ -4,9 +4,11 @@ pairs, compute radii for user matrices, and search for minimal slack."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import errno
 import functools
+import io
 import json
 import math
 import os
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import BudgetExhausted, NumradError
 from .linalg import _LINK_TOL, _leq, adjoint, hermitian_part, operator_norm
-from .matio import load_matrix, matrix_to_dict
+from .matio import _pairs, load_matrix, matrix_to_dict
 from .radius import complex_gaussian, numerical_radius, stream_rng
 
 # The certification core (catalog, ensembles, suite) is imported by the
@@ -170,11 +172,7 @@ def _instance_document(ineq, inst, result):
         if M is not None:
             doc["matrices"][name] = matrix_to_dict(M)
     if inst.vectors:
-        doc["vectors"] = [
-            [[float(np.real(c)), float(np.imag(c))] for c in np.atleast_1d(np.asarray(v)).ravel()]
-            for tup in inst.vectors
-            for v in tup
-        ]
+        doc["vectors"] = [_pairs(v) for tup in inst.vectors for v in tup]
     return doc
 
 
@@ -301,17 +299,8 @@ def _tolerance(text, positive=False):
     return value
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse drops a failed write; one to stdout (the help) raises, for main to report
-    def _print_message(self, message, file=None):
-        if message and file is not None and file is sys.stdout:
-            file.write(message)
-        else:
-            super()._print_message(message, file)
-
-
 def build_parser():
-    parser = _Parser(prog="numradlab", description=__doc__)
+    parser = argparse.ArgumentParser(prog="numradlab", description=__doc__)
     # argparse converts a string default with the flag's type, so a malformed
     # value fails only the commands that take a seed, as a usage error
     default_seed = os.environ.get("NUMRAD_SEED", "0")
@@ -355,15 +344,18 @@ def _cached_parser(seed_text):
 
 def main(argv=None) -> int:
     parser = _cached_parser(os.environ.get("NUMRAD_SEED", "0"))
+    help_text = io.StringIO()  # argparse drops a failed write, so main writes the help
     try:
         try:
-            args = parser.parse_args(argv)
+            with contextlib.redirect_stdout(help_text):
+                args = parser.parse_args(argv)
         except SystemExit as exc:  # a usage error, or --help
             code = 1 if exc.code else 0
         else:
             code = args.func(args)
         if sys.stdout is None:  # descriptor 1 was closed at start
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        sys.stdout.write(help_text.getvalue())
         sys.stdout.flush()  # an unwritable stdout fails here, inside the try, not at exit
         return code
     except OSError as exc:

@@ -4,7 +4,6 @@
 from __future__ import annotations
 
 import json
-import math
 from itertools import chain
 
 import numpy as np
@@ -12,24 +11,19 @@ import numpy as np
 from .errors import MatrixFormatError
 
 
-def matrix_to_dict(A) -> dict:
+def _pairs(A):
+    """A complex array as nested lists of [re, im] pairs (a scalar as one pair)."""
     A = np.ascontiguousarray(A, dtype=np.complex128)
-    rows = A.view(np.float64).reshape(A.shape + (2,)).tolist()
-    return {"dim": int(A.shape[0]), "rows": rows}
+    return A.view(np.float64).reshape(A.shape + (2,)).tolist()
+
+
+def matrix_to_dict(A) -> dict:
+    rows = _pairs(A)
+    return {"dim": len(rows), "rows": rows}
 
 
 def dumps_matrix(A) -> str:
     return json.dumps(matrix_to_dict(A), indent=1) + "\n"
-
-
-def _is_finite_number(x):
-    """A JSON number that is a finite float (JSON booleans parse as ints)."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an integer literal beyond the float range
-        return False
 
 
 def _decode_entries(rows):
@@ -52,14 +46,13 @@ def _decode_entries(rows):
 
 
 def _refuse_first_fault(rows):
-    """Raise for the first entry, in row-major order, that does not decode."""
-    for i, row in enumerate(rows):
-        for j, entry in enumerate(row):
-            if not (isinstance(entry, list) and len(entry) == 2):
-                raise MatrixFormatError(f"entry ({i},{j}) must be a [re, im] pair")
-            if not all(_is_finite_number(x) for x in entry):
-                raise MatrixFormatError(f"entry ({i},{j}) must hold finite numbers")
-    raise AssertionError("a refused document has no faulty entry")
+    """Raise for the first entry, in row-major order, that does not decode:
+    screen the rows first, then the entries of the first faulty row."""
+    i = next(i for i, row in enumerate(rows) if _decode_entries([row]) is None)
+    j, entry = next((j, entry) for j, entry in enumerate(rows[i]) if _decode_entries([[entry]]) is None)
+    if not (isinstance(entry, list) and len(entry) == 2):
+        raise MatrixFormatError(f"entry ({i},{j}) must be a [re, im] pair")
+    raise MatrixFormatError(f"entry ({i},{j}) must hold finite numbers")
 
 
 def matrix_from_dict(doc) -> np.ndarray:

@@ -17,7 +17,7 @@ from numradlab.catalog import (
     _schwarz_sides,
 )
 from numradlab.ensembles import EnsembleSpec, sample
-from numradlab.errors import BudgetExhausted, NotInvertible, NotPositive, UnsupportedParameter
+from numradlab.errors import BudgetExhausted, DimensionMismatch, NotInvertible, NotPositive, UnsupportedParameter
 from numradlab.functions import SchwarzPair, deformed_exp_function, power
 from numradlab.report import IneqRecord
 from numradlab.linalg import abs_sides, adjoint, apply_scalar_function, hermitian_part, hermitian_power, operator_norm
@@ -56,6 +56,45 @@ def test_ids_complete_and_resolvable():
         InequalityId("nope")
     # one record per member, in the same order, and no record without a member
     assert list(catalog.MEMBERS) == list(InequalityId)
+
+
+def _mis_sized(inst):
+    """Copies of a size-3 draw with one operand of size 2: a 2 x 3 A where A is
+    its only matrix, else its first matrix cut to 2 x 2; and, where it has
+    vectors, its first vector cut to 2 entries."""
+    names = [name for name in "ABX" if getattr(inst, name) is not None]
+    if len(names) == 1:
+        yield dataclasses.replace(inst, **{names[0]: getattr(inst, names[0])[:2]})
+    elif names:
+        yield dataclasses.replace(inst, **{names[0]: getattr(inst, names[0])[:2, :2]})
+    if any(np.ndim(v) == 1 for tup in inst.vectors for v in tup):
+        first, *rest = inst.vectors
+        yield dataclasses.replace(inst, vectors=((first[0][:2], *first[1:]), *rest))
+
+
+# The draws of these two members hold scalars only: no matrix and no vector.
+_SCALAR_MEMBERS = (InequalityId.SCALAR_REFINED_AMGM, InequalityId.SUPERQUAD_DEFECT)
+
+
+@pytest.mark.parametrize("member", [m for m in InequalityId if m not in _SCALAR_MEMBERS], ids=lambda m: m.value)
+def test_a_mis_sized_operand_raises_dimension_mismatch(member):
+    # one check, before any hypothesis, answers every member the same way,
+    # not with numpy's ValueError from a broadcast, a stack or a product
+    inst = draw_instance(member, EnsembleSpec(dim=3, seed=1), 0)
+    cases = list(_mis_sized(inst))
+    assert cases
+    for bad in cases:
+        with pytest.raises(DimensionMismatch):
+            evaluate(member, bad)
+
+
+def test_a_chunk_of_two_sizes_raises_dimension_mismatch():
+    # each instance is well formed, but a chunk shares one size
+    member = InequalityId.NORM_SANDWICH
+    insts = [draw_instance(member, EnsembleSpec(dim=n, seed=1), 0) for n in (3, 2)]
+    assert [evaluate(member, inst).status for inst in insts] == [Status.HOLDS] * 2
+    with pytest.raises(DimensionMismatch):
+        catalog.evaluate_many(member, insts)
 
 
 @pytest.mark.parametrize("member", list(InequalityId), ids=lambda m: m.value)

@@ -515,16 +515,18 @@ def test_an_unwritable_stdout_exits_one_without_traceback(target, argv, unbuffer
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
-def test_a_stdout_closed_at_start_exits_one_without_traceback():
-    # with descriptor 1 closed, sys.stdout is None: that is an unwritable stdout too
+@pytest.mark.parametrize("arg", ["examples", "--help"], ids=["examples", "help"])
+def test_a_stdout_closed_at_start_exits_one_without_traceback(arg):
+    # with descriptor 1 closed, sys.stdout is None: that is an unwritable stdout
+    # too, and the help must not fall back to stderr
     env = dict(os.environ, PYTHONPATH=str(Path(numradlab.__file__).parents[1]))
     proc = subprocess.run(
-        ["sh", "-c", 'exec "$0" -m numradlab examples >&-', sys.executable],
+        ["sh", "-c", 'exec "$0" -m numradlab "$1" >&-', sys.executable, arg],
         env=env, stderr=subprocess.PIPE, text=True, timeout=120,
     )
     assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith("error: cannot write output:")
-    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 def test_search_zero_restarts_writes_seed_instance(tmp_path, capsys):
@@ -578,6 +580,23 @@ def test_search_does_not_reevaluate_an_instance_it_cannot_move(ineq, monkeypatch
     code = cli.main(["search", "--ineq", ineq, "--restarts", "2", "--dim", "3", "--seed", "1", "--out", str(out)])
     assert code == 0
     assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("ineq", ["dragomir-vector", "mixed-schwarz"])
+def test_search_document_lists_each_vector_as_n_pairs(ineq, tmp_path, capsys):
+    # with --restarts 0 the document holds the first kept draw; its vectors
+    # are listed one by one in tuple order, each as n [re, im] pairs
+    out = tmp_path / "inst.json"
+    argv = ["search", "--ineq", ineq, "--restarts", "0", "--dim", "3", "--seed", "1", "--out", str(out)]
+    assert cli.main(argv) == 0
+    ensemble = EnsembleSpec(dim=3, kind="generic", scale=1.0, seed=1)
+    _, inst, _ = next(suite._kept_draws(catalog.InequalityId(ineq), ensemble, 1))
+    drawn = [v for tup in inst.vectors for v in tup]
+    vectors = json.loads(out.read_text())["vectors"]
+    assert len(vectors) == len(drawn) == sum(map(len, inst.vectors)) > 0
+    for listed, v in zip(vectors, drawn):
+        assert len(listed) == 3 and all(len(pair) == 2 for pair in listed)
+        assert listed == [[z.real, z.imag] for z in v.tolist()]
 
 
 def test_search_keeps_a_positivity_hypothesis_on_hermitian_operands(tmp_path, capsys):
