@@ -13,14 +13,15 @@ r = 1). Its ``check`` parts verify the hypotheses, its ``evaluate`` computes
 both sides, and ``subtracts_infimum`` marks a right side that subtracts an
 infimum. Adding a member takes one record.
 
-Every member computes its left and right side exactly as displayed, using
-the kernel modules. Numerical radii are attained lower bounds, which are
-safe on the right of a link and lenient on its left by at most the radius
-enclosure's width. Infima inside subtracted refinement terms are taken over
-the joint numerical range of a Hermitian pair: exactly 0 when a zero test
-proves it, otherwise an attained minimum over the range's boundary. Either
-way they are upper estimates, which only shrink the right side, and a failure
-there is reported Inconclusive.
+Every member computes its left and right side exactly as displayed, using the
+kernel modules. A radius w on a link's right reads the attained lower bound
+``value``, safe there; on its left, ``RadiusResult.left``, for now ``value``
+too, lenient by at most the enclosure's width. The four superquad sides in
+|sigma_j - w|, not monotone in w, are neither and read ``value``. Infima
+inside subtracted refinement terms are taken over the joint numerical range of
+a Hermitian pair: exactly 0 when a zero test proves it, otherwise an attained
+minimum over the range's boundary. Either way they are upper estimates, which
+only shrink the right side, and a failure there is reported Inconclusive.
 """
 
 from __future__ import annotations
@@ -156,7 +157,8 @@ class Member:
       validated, the product members' checks A* X B and its sides S and T;
     - ``evaluate(insts, hyps, operands, radii)`` takes the instances whose
       hypotheses hold, and returns one outcome each: its named links
-      ``(name, lhs, rhs)``, details and semantics (see ``_verdict``);
+      ``(name, lhs, rhs)``, details and semantics (see ``_verdict``); a w
+      that a link's left rises with reads ``left``, every other w ``value``;
     - ``subtracts_infimum`` marks a right side that subtracts an infimum
       over the sphere: a failed check there is Inconclusive, not Violated.
     """
@@ -610,7 +612,7 @@ def _ev_norm_sandwich(insts, hyps, ops, radii):
     A = _stack(insts, "A")
     out = []
     for res, nrm in zip(radii(A), operator_norm(A).tolist()):
-        links = [("half-norm <= w", nrm / 2, res.value), ("w <= norm", res.value, nrm)]
+        links = [("half-norm <= w", nrm / 2, res.value), ("w <= norm", res.left, nrm)]
         out.append((links, {"w": res.value, "norm": nrm}, [_W_NOTE]))
     return out
 
@@ -622,7 +624,7 @@ def _ev_kittaneh_chain(insts, hyps, ops, radii):
     roots = np.ldexp(np.sqrt(operator_norm(S @ S)), e).tolist()
     out = []
     for res, mid, nrm, root in zip(radii(A), mids, rights, roots):
-        links = [("w <= mid", res.value, mid), ("mid <= right", mid, (nrm + root) / 2)]
+        links = [("w <= mid", res.left, mid), ("mid <= right", mid, (nrm + root) / 2)]
         out.append((links, {"w": res.value}, [_W_NOTE]))
     return out
 
@@ -634,7 +636,7 @@ def _ev_power_mix(insts, hyps, ops, radii):
     fwd, adj = abs_sides(A, [2 * ri * vi for ri, vi in zip(r, v)], adj=[2 * ri * (1 - vi) for ri, vi in zip(r, v)])
     rhs = (norm_hermitian(fwd + adj) / 2).tolist()
     res = radii(A)
-    return [([("w^r <= mix", w.value**ri, h)], {"w": w.value}, [_W_NOTE]) for w, ri, h in zip(res, r, rhs)]
+    return [([("w^r <= mix", w.left**ri, h)], {"w": w.value}, [_W_NOTE]) for w, ri, h in zip(res, r, rhs)]
 
 
 def _ev_sum_sq_kittaneh(insts, hyps, ops, radii):
@@ -649,14 +651,14 @@ def _ev_product_power(insts, hyps, ops, radii):
     r = [i.r for i in insts]
     res = radii(adjoint(B) @ A)
     rhs = (norm_hermitian(abs_sides(A, [2 * ri for ri in r]) + abs_sides(B, [2 * ri for ri in r])) / 2).tolist()
-    return [([("w^r <= mean", w.value**ri, h)], {"w": w.value}, [_W_NOTE]) for w, ri, h in zip(res, r, rhs)]
+    return [([("w^r <= mean", w.left**ri, h)], {"w": w.value}, [_W_NOTE]) for w, ri, h in zip(res, r, rhs)]
 
 
 def _ev_general_product(insts, hyps, ops, radii):
     r = [i.r for i in insts]
     res = radii(ops["AXB"])
     rhs = (norm_hermitian(hermitian_power(ops["T"], r) + hermitian_power(ops["S"], r)) / 2).tolist()
-    return [([("w^r <= mean", w.value**ri, h)], {"w": w.value}, [_W_NOTE]) for w, ri, h in zip(res, r, rhs)]
+    return [([("w^r <= mean", w.left**ri, h)], {"w": w.value}, [_W_NOTE]) for w, ri, h in zip(res, r, rhs)]
 
 
 def _half_sum_diff(A, B, normal_form=False):
@@ -690,7 +692,7 @@ def _ev_wsq_sum(insts, hyps, ops, radii):
     for h, w_sum, w_ba, w_a, w_b in zip(half, res[:m], res[m : 2 * m], res[2 * m : 3 * m], res[3 * m :]):
         rhs = h + w_ba.value + 2 * w_a.value * w_b.value
         details = {"w(A+B)": w_sum.value, "w(BA*)": w_ba.value, "w(A)": w_a.value, "w(B)": w_b.value}
-        out.append(([("w^2 <= bound", w_sum.value**2, rhs)], details, [_W_NOTE]))
+        out.append(([("w^2 <= bound", w_sum.left**2, rhs)], details, [_W_NOTE]))
     return out
 
 
@@ -701,7 +703,7 @@ def _ev_convex_product(insts, hyps, ops, radii):
     res = radii(ops["AXB"])
     mix = (1 - v) * _h_matrix(h, S, [1.0 / (1.0 - i.v) for i in insts]) + v * _h_matrix(h, T, [1.0 / i.v for i in insts])
     return [
-        ([("h(w^2) <= mix", hk(w.value**2), rhs)], {"w": w.value}, [_W_NOTE])
+        ([("h(w^2) <= mix", hk(w.left**2), rhs)], {"w": w.value}, [_W_NOTE])
         for hk, w, rhs in zip(h, res, norm_hermitian(mix).tolist())
     ]
 
@@ -710,7 +712,7 @@ def _ev_convex_product_power(insts, hyps, ops, radii):
     r2 = [2 * i.r for i in insts]
     res = radii(ops["AXB"])
     rhs = (norm_hermitian(hermitian_power(ops["S"], r2) + hermitian_power(ops["T"], r2)) / 2).tolist()
-    return [([("w^2r <= mean", w.value**e, h)], {"w": w.value}, [_W_NOTE]) for w, e, h in zip(res, r2, rhs)]
+    return [([("w^2r <= mean", w.left**e, h)], {"w": w.value}, [_W_NOTE]) for w, e, h in zip(res, r2, rhs)]
 
 
 def _ev_scalar_refined_amgm(insts, hyps, ops, radii):
@@ -729,7 +731,7 @@ def _ev_conditioned_product(insts, hyps, ops, radii):
     out = []
     for hk, hyp, w, nrm in zip(h, hyps, res, norms):
         m, M = hyp.bounds["m"], hyp.bounds["M"]
-        links = [("h(w) <= amgm norm", hk(w.value), _amgm_factor(m, M) * nrm)]
+        links = [("h(w) <= amgm norm", hk(w.left), _amgm_factor(m, M) * nrm)]
         out.append((links, {"w": w.value, "m": m, "M": M}, [_W_NOTE]))
     return out
 
@@ -742,7 +744,7 @@ def _ev_conditioned_specials(insts, hyps, ops, radii):
     for i, rk, hyp, w, nrm in zip(insts, r, hyps, res, norms):
         m, M = hyp.bounds["m"], hyp.bounds["M"]
         details = {"w": w.value, "m": m, "M": M, "variant": i.variant}
-        out.append(([("w^r <= amgm norm", w.value**rk, _amgm_factor(m, M) * nrm)], details, [_W_NOTE]))
+        out.append(([("w^r <= amgm norm", w.left**rk, _amgm_factor(m, M) * nrm)], details, [_W_NOTE]))
     return out
 
 
@@ -754,7 +756,7 @@ def _ev_gamma_product(insts, hyps, ops, radii):
     for hk, hyp, w, nrm in zip(h, hyps, res, norms):
         gamma = gamma_factor(hyp.bounds["m_lo"], hyp.bounds["M_hi"])
         details = {"w": w.value, "gamma": gamma, **hyp.bounds}
-        out.append(([("h(w) <= norm / 2 gamma", hk(w.value), nrm / (2 * gamma))], details, [_W_NOTE]))
+        out.append(([("h(w) <= norm / 2 gamma", hk(w.left), nrm / (2 * gamma))], details, [_W_NOTE]))
     return out
 
 
@@ -793,7 +795,7 @@ def _ev_improved_convex_product(insts, hyps, ops, radii):
     gaps = jensen_gap_mu(h, S_pow, T_pow)
     out = []
     for i, hk, w, b, gap in zip(insts, h, res, base, gaps):
-        links = [("h(w^2) <= refined mix", hk(w.value**2), b - min(i.v, 1 - i.v) * gap)]
+        links = [("h(w^2) <= refined mix", hk(w.left**2), b - min(i.v, 1 - i.v) * gap)]
         out.append((links, {"w": w.value, "gap_estimate": gap}, [_W_NOTE, _INF_NOTE]))
     return out
 
@@ -807,7 +809,7 @@ def _ev_superquad_radius(insts, hyps, ops, radii):
         f = i.f
         inf_term = float(np.min(np.asarray(f(np.abs(sigma - w.value)))))
         rhs = float(np.max(np.asarray(f(sigma)))) - inf_term
-        out.append(([("f(w) <= f(norm) - inf", f(w.value), rhs)], {"w": w.value, "inf_term": inf_term}, sem))
+        out.append(([("f(w) <= f(norm) - inf", f(w.left), rhs)], {"w": w.value, "inf_term": inf_term}, sem))
     return out
 
 
@@ -817,16 +819,15 @@ def _ev_superquad_power(insts, hyps, ops, radii):
     sem = [_W_NOTE, "infimum terms computed exactly as smallest eigenvalues"]
     out = []
     for i, w, sigma in zip(insts, res, singular_values(A)):
-        r = i.r
-        nrm = float(sigma.max())
-        inf_r = float(np.min(np.abs(sigma - w.value) ** r))
+        r, nrm, dist = i.r, float(sigma.max()), np.abs(sigma - w.value)
+        inf_r = float(np.min(dist**r))
         # sqrt(norm^2 - inf_2) in units of 2^e > ||A||, so that no square underflows
         e = math.frexp(nrm)[1]
-        nrm_e, dist_e = math.ldexp(nrm, -e), np.ldexp(np.abs(sigma - w.value), -e)
+        nrm_e, dist_e = math.ldexp(nrm, -e), np.ldexp(dist, -e)
         mid = math.ldexp(math.sqrt(max(nrm_e**2 - float(np.min(dist_e**2)), 0.0)), e)
         links = [
-            ("w^r <= norm^r - inf", w.value**r, nrm**r - inf_r),
-            ("w <= sqrt form", w.value, mid),
+            ("w^r <= norm^r - inf", w.left**r, nrm**r - inf_r),
+            ("w <= sqrt form", w.left, mid),
             ("sqrt form <= norm", mid, nrm),
         ]
         out.append((links, {"w": w.value, "norm": nrm}, sem))
@@ -877,7 +878,7 @@ def _ev_hosseini_geo(insts, hyps, ops, radii):
     base, delta = _hosseini_base(A, K, p, q, r, [2] * len(insts))
     sem = [_W_NOTE, _INF_NOTE, "X unconstrained (no contraction assumption imposed)"]
     return [
-        ([("w^r <= refined mean", w.value**rk, b - dk / pk)], {"w": w.value, "delta_estimate": dk}, sem)
+        ([("w^r <= refined mean", w.left**rk, b - dk / pk)], {"w": w.value, "delta_estimate": dk}, sem)
         for w, rk, pk, b, dk in zip(res, r, p, base, delta)
     ]
 
@@ -922,9 +923,8 @@ def _ev_euclidean_sandwich(insts, hyps, ops, radii):
     sem = ["w_e: attained lower bound, as w(A + iB) of the Hermitian pair"]
     out = []
     for w, g, upper in zip(res, sharp, uppers):
-        we = w.value
-        links = [("sqrt2 |sharp| <= w_e", math.sqrt(2.0) * g, we), ("w_e <= sqrt norm", we, upper)]
-        out.append((links, {"w_e": we}, sem))
+        links = [("sqrt2 |sharp| <= w_e", math.sqrt(2.0) * g, w.value), ("w_e <= sqrt norm", w.left, upper)]
+        out.append((links, {"w_e": w.value}, sem))
     return out
 
 
@@ -934,14 +934,14 @@ def _ev_fconn_radius(insts, hyps, ops, radii):
     res = radii(connection @ X)
     inner = hermitian_part(adjoint(X) @ square @ X)
     rhs = (norm_hermitian(inner + A) / 2).tolist()
-    return [([("w <= half norm", w.value, h)], {"w": w.value}, [_W_NOTE]) for w, h in zip(res, rhs)]
+    return [([("w <= half norm", w.left, h)], {"w": w.value}, [_W_NOTE]) for w, h in zip(res, rhs)]
 
 
 def _ev_geo_radius(insts, hyps, ops, radii):
     A, B, X = ops["A"], ops["B"], _stack(insts, "X")
     res = radii(weighted_geometric(A, B, 0.5) @ X)
     rhs = (norm_hermitian(hermitian_part(adjoint(X) @ B @ X) + A) / 2).tolist()
-    return [([("w <= half norm", w.value, h)], {"w": w.value}, [_W_NOTE]) for w, h in zip(res, rhs)]
+    return [([("w <= half norm", w.left, h)], {"w": w.value}, [_W_NOTE]) for w, h in zip(res, rhs)]
 
 
 # pointwise members -----------------------------------------------------------

@@ -151,8 +151,8 @@ def _cmd_radius(args):
     print(f"upper       = {res.upper:.12g}")
     print(f"gap         = {res.refinement_width:.3g}")
     print("witness     = [" + ", ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in res.witness) + "]")
-    ok = _leq(nrm / 2, res.value, _LINK_TOL) and _leq(res.value, nrm, _LINK_TOL)
-    slacks = f"{res.value - nrm / 2:.3g}, {nrm - res.value:.3g}"
+    ok = _leq(nrm / 2, res.value, _LINK_TOL) and _leq(res.left, nrm, _LINK_TOL)
+    slacks = f"{res.value - nrm / 2:.3g}, {nrm - res.left:.3g}"
     print(f"sandwich ||A||/2 <= w <= ||A||: {'OK' if ok else 'FAIL'} (slacks {slacks})")
     return 0 if ok else 2
 

@@ -71,12 +71,20 @@ class RadiusResult:
     is a lower bound; ``upper`` is the farthest vertex of an outer polygon of
     support lines, or Kittaneh's bound when that is smaller and was
     evaluated, padded for eigenvalue roundoff, so it is an upper bound.
+    ``theta_star`` is the angle of the line whose top eigenvector is
+    ``witness``, and need not maximise the support function. A link reads
+    as ``left`` a w that its left side rises with, every other w as ``value``.
     """
 
     value: float
     theta_star: float
     witness: np.ndarray
     upper: float
+
+    @property
+    def left(self) -> float:
+        """w as the left side of an inequality reads it."""
+        return self.value
 
     @property
     def refinement_width(self) -> float:

@@ -22,7 +22,7 @@ from numradlab.functions import SchwarzPair, deformed_exp_function, power
 from numradlab.report import IneqRecord
 from numradlab.linalg import abs_sides, adjoint, apply_scalar_function, hermitian_part, hermitian_power, operator_norm
 from numradlab.means import weighted_geometric
-from numradlab.radius import complex_gaussian, numerical_radius, quad_forms, stream_rng
+from numradlab.radius import RadiusResult, complex_gaussian, numerical_radius, quad_forms, stream_rng
 from numradlab.suite import draw_chunk, draw_instance, run_suite
 from oracles import SphereSampler, sandwich_triple, sphere_sup
 
@@ -557,6 +557,75 @@ def test_every_catalog_enclosure_takes_the_one_tolerance(monkeypatch, tmp_path):
     out = str(tmp_path / "s.json")
     assert cli.main(["search", "--ineq", member.value, "--dim", "2", "--restarts", "1", "--out", out]) == 0
     assert tols and set(tols) == {catalog._RADIUS_TOL}
+
+
+# Every link side that reads a radius, by the end of the enclosure it reads.
+# A w that a left side rises with reads ``left``.
+LEFT_READS = {
+    ("norm-sandwich", "w <= norm", "lhs"),
+    ("kittaneh-chain", "w <= mid", "lhs"),
+    ("power-mix", "w^r <= mix", "lhs"),
+    ("product-power", "w^r <= mean", "lhs"),
+    ("general-product", "w^r <= mean", "lhs"),
+    ("wsq-sum", "w^2 <= bound", "lhs"),
+    ("convex-product", "h(w^2) <= mix", "lhs"),
+    ("convex-product-power", "w^2r <= mean", "lhs"),
+    ("conditioned-product", "h(w) <= amgm norm", "lhs"),
+    ("conditioned-specials", "w^r <= amgm norm", "lhs"),
+    ("gamma-product", "h(w) <= norm / 2 gamma", "lhs"),
+    ("improved-convex-product", "h(w^2) <= refined mix", "lhs"),
+    ("superquad-radius", "f(w) <= f(norm) - inf", "lhs"),
+    ("superquad-power", "w^r <= norm^r - inf", "lhs"),
+    ("superquad-power", "w <= sqrt form", "lhs"),
+    ("hosseini-geo", "w^r <= refined mean", "lhs"),
+    ("euclidean-sandwich", "w_e <= sqrt norm", "lhs"),
+    ("fconn-radius", "w <= half norm", "lhs"),
+    ("geo-radius", "w <= half norm", "lhs"),
+}
+# Every other side reads ``value``: the right sides, and the four sides
+# formed from |sigma_j - w|, which are not monotone in w.
+VALUE_READS = {
+    ("norm-sandwich", "half-norm <= w", "rhs"),
+    ("sum-new-bound", "norm^2 <= new bound", "rhs"),
+    ("sum-new-normal", "norm^2 <= new bound", "rhs"),
+    ("wsq-sum", "w^2 <= bound", "rhs"),
+    ("euclidean-sandwich", "sqrt2 |sharp| <= w_e", "rhs"),
+    ("superquad-radius", "f(w) <= f(norm) - inf", "rhs"),
+    ("superquad-power", "w^r <= norm^r - inf", "rhs"),
+    ("superquad-power", "w <= sqrt form", "rhs"),
+    ("superquad-power", "sqrt form <= norm", "lhs"),
+}
+
+
+def test_every_radius_read_takes_its_end_of_the_enclosure(monkeypatch):
+    # Every member's draws 0-11 at dims 3 and 8, with left rebound to upper:
+    # moving upper alone moves exactly the left reads, and moving value with
+    # upper held at the computed value moves exactly the value reads.
+    def link_sides(doctor=None):
+        def radii(M, tol):
+            return [dataclasses.replace(res, **doctor(res)) for res in numerical_radius(M, tol=tol)]
+
+        with monkeypatch.context() as m:
+            if doctor:
+                m.setattr(catalog, "numerical_radius", radii)
+                m.setattr(RadiusResult, "left", property(lambda res: res.upper))
+            sides = {}
+            for dim in (3, 8):
+                for member in InequalityId:
+                    insts = draw_chunk(member, EnsembleSpec(dim=dim, seed=1), range(12))
+                    for k, res in enumerate(catalog.evaluate_many(member, insts)):
+                        for key, val in res.details.items():
+                            if key.endswith((".lhs", ".rhs")):
+                                sides[(member.value, *key.rsplit(".", 1), dim, k)] = val
+            return sides
+
+    def moved(sides):
+        assert sides.keys() == base.keys()
+        return {key[:3] for key, val in sides.items() if repr(val) != repr(base[key])}
+
+    base = link_sides()
+    assert moved(link_sides(lambda res: {"upper": 1.001 * res.value})) == LEFT_READS
+    assert moved(link_sides(lambda res: {"value": res.value * (1 - 1e-3), "upper": res.value})) == VALUE_READS
 
 
 def test_run_suite_refuses_a_kind_it_never_draws():

@@ -20,7 +20,7 @@ from numradlab.matio import (
     matrix_to_dict,
     save_matrix,
 )
-from numradlab.radius import complex_gaussian, numerical_radius, stream_rng
+from numradlab.radius import RadiusResult, complex_gaussian, numerical_radius, stream_rng
 from numradlab.report import CSV_COLUMNS, IneqRecord, SuiteReport
 
 
@@ -439,6 +439,15 @@ def test_radius_command_reports_upper_and_fails_broken_sandwich(monkeypatch, tmp
     monkeypatch.setattr(cli, "numerical_radius", doctored)
     assert cli.main(["radius", "--matrix", str(path)]) == 2
     assert "FAIL" in capsys.readouterr().out
+
+    # with left rebound to upper = 3 value, only w <= ||A|| reads upper: it
+    # fails, and ||A||/2 <= w keeps reading value
+    A = load_matrix(path)
+    res, nrm = numerical_radius(A, tol=1e-10), cli.operator_norm(A)
+    monkeypatch.setattr(cli, "numerical_radius", lambda A, tol: dataclasses.replace(res, upper=3 * res.value))
+    monkeypatch.setattr(RadiusResult, "left", property(lambda r: r.upper))
+    assert cli.main(["radius", "--matrix", str(path)]) == 2
+    assert f"FAIL (slacks {res.value - nrm / 2:.3g}, {nrm - 3 * res.value:.3g})" in capsys.readouterr().out
 
 
 def test_radius_sandwich_and_catalog_links_share_one_rule(monkeypatch, tmp_path, capsys):
