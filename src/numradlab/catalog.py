@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensembles import EnsembleSpec, _haar, sample_stack, sandwich_operands
-from .errors import DimensionMismatch, DomainViolation, NotHermitian, NotInvertible, NotPositive
+from .errors import DimensionMismatch, DomainViolation, NotHermitian, NotInvertible, NotPositive, UnsupportedParameter
 from .functions import (
     CONCAVE,
     CONVEX,
@@ -51,7 +51,6 @@ from .functions import (
 )
 from .linalg import (
     _LINK_TOL,
-    _adj,
     _clears,
     _leq,
     _pow2_rows,
@@ -423,7 +422,7 @@ def _build_conditioned_specials(ens, member, indices):
             sig.append(rng.uniform(c, 1.1 * c, size=n))
             Z.append([complex_gaussian(rng, (n, n)) for _ in range(2)])
         U = _haar(np.array(Z))
-        X = (U[:, 0] * np.array(sig)[:, None, :]) @ _adj(U[:, 1])
+        X = (U[:, 0] * np.array(sig)[:, None, :]) @ adjoint(U[:, 1])
         for k, i in enumerate(rows[1]):
             out[i] = CheckInstance(X=X[k], **params[i])
     if rows[2]:
@@ -490,7 +489,7 @@ def _psd(name, invertible=False):
 def _normal(name):
     def check(insts, reports, operands):
         A, _ = _pow2_rows(_stack(insts, name))  # normality is scale-free; scaled, neither side underflows
-        dev = np.linalg.norm(A @ _adj(A) - _adj(A) @ A, axis=(1, 2))
+        dev = np.linalg.norm(A @ adjoint(A) - adjoint(A) @ A, axis=(1, 2))
         _each(reports, f"{name} normal", dev <= 1e-10 * np.linalg.norm(A, axis=(1, 2)) ** 2)
 
     return check
@@ -1127,7 +1126,7 @@ def evaluate(ineq: InequalityId, inst: CheckInstance, tol_rel=_LINK_TOL) -> Chec
     beyond the float range); its report keeps the conditions decided before it.
     A malformed instance raises DimensionMismatch before any check runs: a
     matrix operand that is not square, or matrices and 1-D vectors of
-    different sizes.
+    different sizes. A NaN, infinite or negative tol_rel raises UnsupportedParameter.
     """
     return evaluate_many(ineq, [inst], tol_rel=tol_rel)[0]
 
@@ -1145,6 +1144,8 @@ def evaluate_many(ineq: InequalityId, insts, tol_rel=_LINK_TOL) -> list:
     that it refuses only its own instance; each result equals that of
     ``evaluate`` on its instance alone.
     """
+    if not 0 <= tol_rel < math.inf:
+        raise UnsupportedParameter(f"tol_rel must be finite and >= 0, not {tol_rel!r}")
     if not insts:
         return []
     _one_size(insts)

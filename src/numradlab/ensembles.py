@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBounds, UnsupportedParameter
-from .linalg import _adj, _spectral, hermitian_part
+from .linalg import _spectral, adjoint, hermitian_part
 from .radius import complex_gaussian, stream_rng
 
 KINDS = (
@@ -45,8 +45,8 @@ class EnsembleSpec:
             raise InvalidBounds("dim must be >= 1")
         if self.kind not in KINDS:
             raise UnsupportedParameter(f"unknown ensemble kind {self.kind!r} (valid: {', '.join(KINDS)})")
-        if self.scale <= 0:
-            raise InvalidBounds("scale must be positive")
+        if not 0 < self.scale < np.inf:
+            raise InvalidBounds("scale must be positive and finite")
 
 
 def _haar(Z):
@@ -80,17 +80,17 @@ def _kind_matrices(spec, draws, count):
         return draws[0] * scale
     if spec.kind == "positive":
         G = draws[0] * scale
-        return hermitian_part(_adj(G) @ G)
+        return hermitian_part(adjoint(G) @ G)
     if spec.kind == "normal":
         U = _haar(draws[0])
-        return (U * (draws[1] * scale)[:, None, :]) @ _adj(U)
+        return (U * (draws[1] * scale)[:, None, :]) @ adjoint(U)
     if spec.kind == "square-zero":
         M = np.zeros((count, n, n), dtype=np.complex128)
         if n == 1:
             return M
         M[:, : n // 2, n // 2 :] = draws[0] * scale
         U = _haar(draws[1])
-        return U @ M @ _adj(U)
+        return U @ M @ adjoint(U)
     return _spectral(_haar(draws[0]), draws[1])
 
 
@@ -110,7 +110,7 @@ def ordered_pair(rng, n, scale=1.0, gap=1.0):
     eigenvalue in [gap, 2 gap)."""
     A = hermitian_part(complex_gaussian(rng, (n, n)) * scale)
     W = complex_gaussian(rng, (n, n))
-    P = hermitian_part(W.conj().T @ W)
+    P = hermitian_part(adjoint(W) @ W)
     top = float(np.linalg.eigvalsh(P)[-1])
     P *= gap * (1.0 + rng.uniform()) / top
     return A, hermitian_part(A + P)
@@ -149,7 +149,7 @@ def sandwich_operands(rngs, n, weights=None):
     rows = [_sandwich_draws(rng, n, w) for rng, w in zip(rngs, weights, strict=True)]
     alpha, sig, Z, lam_b, lam_a = (np.stack(part) for part in zip(*rows))
     U = _haar(Z)
-    X = (U[:, 0] * sig[:, None, :]) @ _adj(U[:, 1])
+    X = (U[:, 0] * sig[:, None, :]) @ adjoint(U[:, 1])
     return _spectral(U[:, 3], lam_a), _spectral(U[:, 2], lam_b), X, alpha.tolist()
 
 

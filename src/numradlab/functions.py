@@ -3,8 +3,9 @@ pairs (f, g) with f(t) g(t) = t, the superquadratic defect, and the
 Jensen-gap infimum for Hermitian pairs.
 
 Flags are declared by the constructors and spot-validated by the test suite,
-not derived symbolically. A domain test scales with the largest |point| it
-is given, with no absolute floor.
+not derived symbolically. A domain is the whole line or a half-line from lo,
+as the paper's functions act on [0, inf) (so the deformed exponential takes
+r > 0); its test scales with the largest |point|, with no absolute floor.
 """
 
 from __future__ import annotations
@@ -26,32 +27,25 @@ SUPERQUADRATIC = "superquadratic"
 
 @dataclass(frozen=True)
 class Interval:
+    """The half-line [lo, inf), or (lo, inf) when ``lo_open``; lo = -inf is the whole line."""
+
     lo: float
-    hi: float
     lo_open: bool = False
-    hi_open: bool = False
 
     def admit(self, x):
-        """Validate an array of points, clipping roundoff at closed endpoints. Their
-        distance inside each finite endpoint must pass ``_clears`` at the largest |point|."""
+        """Validate an array of points, clipping roundoff at a closed lower end. Their
+        distance above the lower end must pass ``_clears`` at the largest |point|."""
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        if self.lo == -np.inf and self.hi == np.inf:  # the whole line: nothing to test or clip
+        if self.lo == -np.inf:  # the whole line: nothing to test or clip
             return x
         lo_val = float(x.min(initial=np.inf))
-        hi_val = float(x.max(initial=-np.inf))
-        scale = max(abs(lo_val), abs(hi_val))
-        for val, end, inside, is_open, side in (
-            (lo_val, self.lo, lo_val - self.lo, self.lo_open, "lower"),
-            (hi_val, self.hi, self.hi - hi_val, self.hi_open, "upper"),
-        ):
-            if np.isfinite(end) and not _clears(inside, scale, is_open):
-                if inside < 0:
-                    raise DomainViolation(f"value {val:.6e} outside domain ({side} endpoint {end:g})")
-                raise DomainViolation(f"value {val:.6e} too close to open {side} endpoint {end:g}")
+        scale = max(abs(lo_val), abs(float(x.max(initial=-np.inf))))
+        if not _clears(lo_val - self.lo, scale, self.lo_open):
+            if lo_val < self.lo:
+                raise DomainViolation(f"value {lo_val:.6e} outside domain (lower endpoint {self.lo:g})")
+            raise DomainViolation(f"value {lo_val:.6e} too close to open lower endpoint {self.lo:g}")
         if lo_val < self.lo:
             x = np.maximum(x, self.lo)
-        if hi_val > self.hi:
-            x = np.minimum(x, self.hi)
         return x
 
 
@@ -108,27 +102,23 @@ def power(r) -> ScalarFunction:
     if r >= 2:
         flags.add(SUPERQUADRATIC)
     if r >= 0 and r == int(r):
-        domain = Interval(-np.inf, np.inf)
+        domain = Interval(-np.inf)
     else:
-        domain = Interval(0.0, np.inf, lo_open=r < 0)
+        domain = Interval(0.0, lo_open=r < 0)
     return ScalarFunction("power", (r,), frozenset(flags), domain)
 
 
 def deformed_exp_function(r) -> ScalarFunction:
-    """t -> (1 + r t)**(1/r), defined where 1 + r t > 0."""
+    """t -> (1 + r t)**(1/r) for r > 0, defined where 1 + r t > 0."""
     r = float(r)
-    if r == 0:
-        raise UnsupportedParameter("deformed exponential is undefined for r = 0")
+    if not r > 0:
+        raise UnsupportedParameter(f"deformed exponential takes r > 0, not {r:g}")
     flags = {NONNEG, INCREASING}
     if r <= 1:
         flags.add(CONVEX)
     if r >= 1:
         flags.add(CONCAVE)
-    if r > 0:
-        domain = Interval(-1.0 / r, np.inf, lo_open=True)
-    else:
-        domain = Interval(-np.inf, -1.0 / r, hi_open=True)
-    return ScalarFunction("deformed-exp", (r,), frozenset(flags), domain)
+    return ScalarFunction("deformed-exp", (r,), frozenset(flags), Interval(-1.0 / r, lo_open=True))
 
 
 @dataclass(frozen=True)

@@ -65,19 +65,14 @@ def _as_square(A):
     return M
 
 
-def _adj(A):
-    """Conjugate transpose of a complex array (of each matrix of a stack)."""
-    return A.conj().swapaxes(-1, -2)
-
-
 def adjoint(A) -> np.ndarray:
     """Conjugate transpose (of each matrix of a stack)."""
-    return _adj(np.asarray(A, dtype=np.complex128))
+    return np.asarray(A, dtype=np.complex128).conj().swapaxes(-1, -2)
 
 
 def hermitian_part(A) -> np.ndarray:
     A = np.asarray(A, dtype=np.complex128)
-    return (A + _adj(A)) / 2
+    return (A + adjoint(A)) / 2
 
 
 def _pow2_rows(A):
@@ -108,7 +103,7 @@ def check_hermitian(H) -> np.ndarray:
     S, e = _pow2_rows(H)
     axes = (-2, -1) if H.ndim == 3 else None
     scale = np.linalg.norm(S, axis=axes)
-    dev = np.linalg.norm(S - _adj(S), axis=axes)
+    dev = np.linalg.norm(S - adjoint(S), axis=axes)
     bad = dev > EPS_HERM * scale
     if bad.any():
         k = np.flatnonzero(bad)[0] if H.ndim == 3 else ()
@@ -116,7 +111,7 @@ def check_hermitian(H) -> np.ndarray:
         raise NotHermitian(
             f"matrix deviates from Hermitian by {math.ldexp(dev[k], e_k):.3e} (scale {math.ldexp(scale[k], e_k):.3e})"
         )
-    return (H + _adj(H)) / 2
+    return hermitian_part(H)
 
 
 def singular_values(A):
@@ -135,15 +130,14 @@ def operator_norm(A):
 def norm_hermitian(H):
     """Operator norm of a Hermitian matrix (largest |eigenvalue|); an array
     of them for a stack."""
-    H = np.asarray(H)
-    lam = np.linalg.eigvalsh((H + _adj(H)) / 2)
+    lam = np.linalg.eigvalsh(hermitian_part(H))
     top = np.maximum(np.abs(lam[..., 0]), np.abs(lam[..., -1]))
     return float(top) if top.ndim == 0 else top
 
 
 def _spectral(V, vals):
     """V diag(vals) V*, symmetrized; vals holds one row per matrix of V."""
-    return hermitian_part((V * vals[..., None, :]) @ _adj(V))
+    return hermitian_part((V * vals[..., None, :]) @ adjoint(V))
 
 
 def _on_rows(side, x):
@@ -180,7 +174,7 @@ def abs_sides(A, *fwd, adj=None):
     (see ``_on_rows``).
     """
     U, s, Vh = np.linalg.svd(_as_square(A))
-    reads = [_spectral(_adj(Vh), _on_rows(side, s)) for side in fwd]
+    reads = [_spectral(adjoint(Vh), _on_rows(side, s)) for side in fwd]
     if adj is not None:
         reads.append(_spectral(U, _on_rows(adj, s)))
     return reads[0] if len(reads) == 1 else tuple(reads)
@@ -193,7 +187,7 @@ def kittaneh_bound(A):
     M = _as_square(A)
     U, s, Vh = np.linalg.svd(M)
     S = s[..., None, :]
-    bound = np.linalg.eigvalsh((U * S) @ _adj(U) + (_adj(Vh) * S) @ Vh)[..., -1] / 2
+    bound = np.linalg.eigvalsh((U * S) @ adjoint(U) + (adjoint(Vh) * S) @ Vh)[..., -1] / 2
     if M.ndim == 2:
         return float(bound), float(s[0])
     return bound, s[..., 0]

@@ -429,6 +429,22 @@ def test_parameter_hypotheses_not_applicable():
     assert evaluate(InequalityId.GEO_RADIUS, geo).status is Status.NOT_APPLICABLE
 
 
+def test_a_meaningless_link_tolerance_is_refused():
+    # a NaN tol_rel fails every link and an infinite one passes any link, so
+    # neither gives a verdict; 0 is the strictest test
+    member = InequalityId.NORM_SANDWICH
+    ens = EnsembleSpec(dim=3, seed=1)
+    inst = draw_instance(member, ens, 0)
+    for tol in (math.nan, math.inf, -1e-8):
+        with pytest.raises(UnsupportedParameter):
+            evaluate(member, inst, tol_rel=tol)
+        with pytest.raises(UnsupportedParameter):
+            catalog.evaluate_many(member, [], tol_rel=tol)
+        with pytest.raises(UnsupportedParameter):
+            run_suite([member, InequalityId.SUPERQUAD_POWER], ens, 5, tol_rel=tol)
+    assert evaluate(member, inst, tol_rel=0.0).status is Status.HOLDS
+
+
 def test_euclidean_sandwich_equality_instance():
     A = np.diag([1.0, 2.0, 0.5]).astype(complex)
     res = evaluate(InequalityId.EUCLIDEAN_SANDWICH, CheckInstance(A=A, B=A))
@@ -454,6 +470,47 @@ def test_superquad_norm_keeps_its_scale_at_small_magnitudes():
     for scale in (2.0**-600, 2.0**-520):
         res = evaluate(InequalityId.SUPERQUAD_POWER, CheckInstance(A=scale * A, r=2.0))
         assert res.details["norm"] == pytest.approx(scale * norm, rel=1e-14, abs=0.0), scale
+
+
+def test_superquad_power_link_on_jordan_blocks():
+    # J_n has w = cos(pi / (n + 1)) and singular values 1 (n - 1 times) and 0,
+    # so the paper's link w^r <= ||A||^r - min_j |s_j - w|^r reads
+    # cos^r <= 1 - (1 - cos)^r, with both sides in closed form
+    member, link = InequalityId.SUPERQUAD_POWER, "w^r <= norm^r - inf"
+    for n in range(2, 65):
+        c = math.cos(math.pi / (n + 1))
+        insts = [CheckInstance(A=np.eye(n, k=1, dtype=complex), r=r) for r in catalog.R_SUPER_GRID]
+        for inst, res in zip(insts, catalog.evaluate_many(member, insts)):
+            assert res.status is Status.HOLDS
+            assert res.details[f"{link}.lhs"] == pytest.approx(c**inst.r, rel=1e-13, abs=0.0)
+            assert res.details[f"{link}.rhs"] == pytest.approx(1 - (1 - c) ** inst.r, rel=1e-13, abs=0.0)
+
+
+def test_superquad_power_subtracted_term_stays_under_its_ceiling():
+    # With a = w and b = ||A|| - w <= a, d = min_j |s_j - w| <= b, and t^r convex,
+    # (a + b)^r - a^r >= (2b)^r - b^r >= (2^r - 1) d^r: the paper's subtracted
+    # term inf = d^r is at most (||A||^r - w^r) / (2^r - 1), a third of the gap at
+    # r = 2. inf is read back from the link's rhs, ||A||^r - inf.
+    member, link = InequalityId.SUPERQUAD_POWER, "w^r <= norm^r - inf"
+
+    def ceiling_sides(inst, res):
+        """(2^r - 1) inf, ||A||^r - w^r and ||A||^r of one result."""
+        top = res.details["norm"] ** inst.r
+        return (2**inst.r - 1) * (top - res.details[f"{link}.rhs"]), top - res.details[f"{link}.lhs"], top
+
+    draws = [(dim, seed) for dim in (2, 3, 5, 8) for seed in (1, 9001)]
+    insts = [draw_chunk(member, EnsembleSpec(dim=dim, seed=seed), range(64)) for dim, seed in draws]
+    results = [(inst, res) for chunk in insts for inst, res in zip(chunk, catalog.evaluate_many(member, chunk))]
+    assert len(results) == 512
+    for inst, res in results:
+        assert res.status is Status.HOLDS
+        scaled_inf, gap, top = ceiling_sides(inst, res)
+        assert scaled_inf <= gap + 1e-12 * top
+    # J_2 (w = 1/2, singular values 0 and 1, so inf = 2^-r) attains the ceiling
+    for r in catalog.R_SUPER_GRID:
+        inst = CheckInstance(A=np.eye(2, k=1, dtype=complex), r=r)
+        scaled_inf, gap, _ = ceiling_sides(inst, evaluate(member, inst))
+        assert scaled_inf == pytest.approx(gap, rel=0.0, abs=1e-13)
 
 
 @pytest.mark.parametrize("k", [520, 600])

@@ -21,6 +21,10 @@ def test_spec_validation():
         EnsembleSpec(dim=0)
     with pytest.raises(UnsupportedParameter):
         EnsembleSpec(dim=2, kind="ordered-pair")
+    # a NaN or infinite scale gives no usable draw, so it is refused as a bound
+    for scale in (0.0, -1.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(InvalidBounds):
+            EnsembleSpec(dim=2, scale=scale)
 
 
 def test_determinism_bitwise():

@@ -35,9 +35,12 @@ def test_power_flags():
 def test_eval_examples():
     assert power(2.0)(3.0) == pytest.approx(9.0)
     assert deformed_exp_function(1.0)(0.5) == pytest.approx(1.5)
-    assert deformed_exp_function(-1.0)(0.5) == pytest.approx(2.0)
     with pytest.raises(errors.DomainViolation):
-        deformed_exp_function(-1.0)(1.5)
+        deformed_exp_function(1.0)(-1.5)
+    # every domain is a half-line, so the deformed exponential takes r > 0 only
+    for r in (-1.0, float("nan")):
+        with pytest.raises(errors.UnsupportedParameter):
+            deformed_exp_function(r)
     with pytest.raises(errors.UnsupportedParameter):
         deformed_exp_function(0.0)
     with pytest.raises(errors.DomainViolation):

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -524,6 +525,33 @@ def test_square_zero_radius_is_half_norm():
             A = sample(ens, i)
             w = numerical_radius(A).value
             assert abs(w - operator_norm(A) / 2) <= 1e-8
+
+
+def test_radius_tridiagonal_toeplitz_closed_form():
+    # T_n(a, 0, c), with a below and c above a zero diagonal, has an elliptical
+    # disk centred at 0 for its numerical range, and w = (|a| + |c|) cos(pi / (n + 1))
+    rng = stream_rng(37, "toeplitz")
+    for n in (2, 3, 8, 33, 64, 128):
+        for _ in range(5):
+            a, c = complex_gaussian(rng, 2)
+            w = (abs(a) + abs(c)) * math.cos(math.pi / (n + 1))
+            res = numerical_radius(a * np.eye(n, k=-1) + c * np.eye(n, k=1), tol=1e-12)
+            assert res.upper >= w
+            assert res.value <= w * (1 + 1e-14)  # attained, so above w by roundoff at most
+            assert res.value == pytest.approx(w, rel=1e-12, abs=0.0)
+
+
+def test_radius_volterra_sections():
+    # V_n = (L + I/2) / n, with L the strictly lower triangular matrix of ones,
+    # is a section of the Volterra operator (Vf)(x) = int_0^x f on L^2[0, 1]:
+    # Re V_n = 11^T / (2n), and w(V_n) = w(V) = 1/2, while ||V_n|| rises to
+    # ||V|| = 2/pi like 1/n^2
+    for n in range(1, 129):
+        V = (np.tri(n, k=-1) + np.eye(n) / 2) / n
+        res = numerical_radius(V)
+        assert res.upper >= 0.5
+        assert abs(res.value - 0.5) <= 1e-13  # the roundoff of x*Ax grows like n eps
+        assert 0 < 2 / math.pi - operator_norm(V) <= 0.14 / n**2
 
 
 def test_sphere_sup_examples():
